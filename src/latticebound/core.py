@@ -3,7 +3,7 @@
 The relative-motion fiber Hamiltonian at total quasi-momentum ``K`` acts on
 L2 of the torus as multiplication by a dispersion ``E_K(p)`` plus a rank-5
 trigonometric interaction (see :mod:`latticebound.determinants`).  This module
-holds the dispersion itself, its band extrema, and the interaction symbol.
+holds the dispersion itself and its band extrema.
 
 All angles live on ``[-pi, pi)``; :func:`wrap` is the canonical representative.
 """
@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,11 +85,6 @@ def dispersion(K: TorusPoint, p: TorusPoint, params: ModelParams) -> float:
     return epsilon(p) + params.gamma * epsilon(K - p)
 
 
-def potential_symbol(p: TorusPoint, params: ModelParams) -> float:
-    """Fourier symbol of the interaction: lam + mu*(cos p1 + cos p2)."""
-    return params.lam + params.mu * (math.cos(p.p1) + math.cos(p.p2))
-
-
 def pair_amplitudes(K: TorusPoint, gamma: float) -> tuple[float, float, float, float]:
     """Amplitude/phase form of the dispersion.
 
@@ -135,64 +128,17 @@ class Band:
         return self.width <= 1e-12 * (1.0 + abs(self.e_max))
 
 
-def _dispersion_grid(K: TorusPoint, params: ModelParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    q = -np.pi + TWO_PI * np.arange(n) / n
-    P1, P2 = np.meshgrid(q, q, indexing="ij")
-    E = ((1.0 - np.cos(P1)) + (1.0 - np.cos(P2))
-         + params.gamma * ((1.0 - np.cos(K.p1 - P1)) + (1.0 - np.cos(K.p2 - P2))))
-    return P1, P2, E
+def band_edges(K: TorusPoint, params: ModelParams) -> Band:
+    """Band extrema in closed form.
 
-
-def _newton_extremum(p0: tuple[float, float], sign: float, r: tuple[float, float],
-                     phi: tuple[float, float]) -> tuple[float, float]:
-    # Minimize sign*E.  Gradient components R_i*sin(p_i - phi_i) decouple,
-    # so Newton runs per-coordinate; flat coordinates (R_i ~ 0) stay put.
-    p = list(p0)
-    for i in range(2):
-        if r[i] < 1e-13:
-            continue
-        x = p[i]
-        for _ in range(60):
-            grad = sign * r[i] * math.sin(x - phi[i])
-            hess = sign * r[i] * math.cos(x - phi[i])
-            if abs(hess) < 1e-14:
-                break
-            step = grad / hess
-            x -= step
-            if abs(step) < 1e-15:
-                break
-        p[i] = x
-    return p[0], p[1]
-
-
-def band_edges(K: TorusPoint, params: ModelParams, grid: int = 64) -> Band:
-    """Locate the band extrema by coarse grid search plus Newton refinement.
-
-    The grid contains the high-symmetry points, so at K = (0,0) the result is
-    exactly [0, 4*(1+gamma)].  The refined stationary points have gradient
-    residual below 1e-10 (they are exact up to rounding: the coordinates
-    decouple in the amplitude form).
+    In the amplitude form the two angles decouple: the minimum sits at
+    p = (phi1, phi2) and the maximum at (phi1 + pi, phi2 + pi).  A flat
+    coordinate (R_i = 0) makes every angle extremal, so these stay valid.
     """
-    P1, P2, E = _dispersion_grid(K, params, grid)
-    r1, r2, f1, f2 = pair_amplitudes(K, params.gamma)
-
-    imin = np.unravel_index(int(np.argmin(E)), E.shape)
-    imax = np.unravel_index(int(np.argmax(E)), E.shape)
-    pmin = _newton_extremum((float(P1[imin]), float(P2[imin])), +1.0, (r1, r2), (f1, f2))
-    pmax = _newton_extremum((float(P1[imax]), float(P2[imax])), -1.0, (r1, r2), (f1, f2))
-
-    argmin = TorusPoint(*pmin)
-    argmax = TorusPoint(*pmax)
-    e_min = dispersion(K, argmin, params)
-    e_max = dispersion(K, argmax, params)
-    # Snap to the closed-form endpoints when the refinement agrees with them;
-    # this keeps e.g. the K = 0 band exactly [0, 4*(1+gamma)].
-    lo, hi = edges_closed(K, params)
-    if abs(e_min - lo) <= 1e-9 * (1.0 + abs(lo)):
-        e_min = lo
-    if abs(e_max - hi) <= 1e-9 * (1.0 + abs(hi)):
-        e_max = hi
-    return Band(e_min=e_min, e_max=e_max, argmin=argmin, argmax=argmax)
+    _, _, f1, f2 = pair_amplitudes(K, params.gamma)
+    e_min, e_max = edges_closed(K, params)
+    return Band(e_min=e_min, e_max=e_max, argmin=TorusPoint(f1, f2),
+                argmax=TorusPoint(f1 + math.pi, f2 + math.pi))
 
 
 def gradient_norm(K: TorusPoint, p: TorusPoint, params: ModelParams) -> float:

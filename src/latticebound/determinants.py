@@ -7,15 +7,19 @@ A bound state at energy z outside the band is a zero of
     det( I + G J(z) ),    J_ij(z) = <m_i, (E_K - z)^{-1} m_j>.
 
 At zero fiber the matrix splits into even and odd blocks and the determinant
-factors into a main even part, a sub-even part and a squared odd part.  At
-general fiber the entries reduce to 1D integrals after rotating each angle
-by the dispersion phase; the inner angle is integrated in closed form.
+factors into a main even part, a sub-even part and a squared odd part; the
+three formulas live in :func:`factor_value`.  At general fiber the entries
+reduce to 1D integrals after rotating each angle by the dispersion phase;
+the inner angle is integrated in closed form.  Only the side below the band
+is integrated: the shift p -> p + (pi, pi) reflects the band and flips the
+sign of the four trigonometric modes, which gives the matrix above it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -62,29 +66,50 @@ class InteractionBasis:
 # determinant factors at zero fiber
 
 
+class FactorKind(Enum):
+    """The determinant factor a root belongs to; GENERAL at nonzero fiber."""
+
+    MAIN_EVEN = "main_even"
+    SUB_EVEN = "sub_even"
+    ODD = "odd"
+    GENERAL = "general"
+
+
 def _ints_for(z_or_set, params: ModelParams, rel_tol: float) -> IntegralSet:
     if isinstance(z_or_set, IntegralSet):
         return z_or_set
     return watson_integrals(float(z_or_set), params.gamma, rel_tol)
 
 
+def factor_value(kind: FactorKind, s, params: ModelParams) -> float:
+    """One zero-fiber determinant factor from moments ``s`` (any object with
+    fields a, b, c, e, f).  The odd one is the unsquared 1 + mu*f."""
+    if kind is FactorKind.MAIN_EVEN:
+        return ((1.0 + params.lam * s.a) * (1.0 + params.mu * (s.c + s.e))
+                - 2.0 * params.lam * params.mu * s.b * s.b)
+    if kind is FactorKind.SUB_EVEN:
+        return 1.0 + params.mu * (s.c - s.e)
+    if kind is FactorKind.ODD:
+        return 1.0 + params.mu * s.f
+    raise ValueError(f"{kind} is not a zero-fiber determinant factor")
+
+
 def delta_odd(z_or_set, params: ModelParams, rel_tol: float = 1e-10) -> float:
     """Odd-sector determinant factor (1 + mu*f)^2 at zero fiber."""
     s = _ints_for(z_or_set, params, rel_tol)
-    return (1.0 + params.mu * s.f) ** 2
+    return factor_value(FactorKind.ODD, s, params) ** 2
 
 
 def delta_even_sub(z_or_set, params: ModelParams, rel_tol: float = 1e-10) -> float:
     """Antisymmetric-cosine even factor 1 + mu*(c - e) at zero fiber."""
     s = _ints_for(z_or_set, params, rel_tol)
-    return 1.0 + params.mu * (s.c - s.e)
+    return factor_value(FactorKind.SUB_EVEN, s, params)
 
 
 def delta_even_main(z_or_set, params: ModelParams, rel_tol: float = 1e-10) -> float:
     """Main even factor (1+lam*a)(1+mu*(c+e)) - 2*lam*mu*b^2 at zero fiber."""
     s = _ints_for(z_or_set, params, rel_tol)
-    return ((1.0 + params.lam * s.a) * (1.0 + params.mu * (s.c + s.e))
-            - 2.0 * params.lam * params.mu * s.b * s.b)
+    return factor_value(FactorKind.MAIN_EVEN, s, params)
 
 
 def slope_above(params: ModelParams) -> float:
@@ -129,21 +154,19 @@ def _pair_coefficients(c1: float, s1: float, c2: float, s2: float) -> np.ndarray
 
 
 def _entries_from_nodes(x: np.ndarray, w: np.ndarray, delta: float, r1: float,
-                        r2: float, sgn: float, tab: np.ndarray) -> np.ndarray:
-    """Evaluate all 15 reduced entries on one node set.
+                        r2: float, tab: np.ndarray) -> np.ndarray:
+    """Evaluate all 15 reduced entries below the band on one node set.
 
-    The outer angle is folded so the near-edge layer sits at x = 0 on both
-    sides; ``sgn`` is +1 below the band, -1 above (it flips the odd-in-cos
-    coefficients and the overall resolvent sign).
+    The outer angle is folded so the near-edge layer sits at x = 0.
     """
     m = delta + 2.0 * r1 * np.sin(0.5 * x) ** 2    # |A| - R2, stable
     amag = m + r2                                   # |A|
     root = np.sqrt(m * (m + 2.0 * r2))              # sqrt(A^2 - R2^2)
     denom = root * (amag + root)
     t1 = r2 / denom
-    t2 = sgn * amag / denom
-    ts = sgn / (amag + root)                        # T0 - T2, stable
-    cq = sgn * np.cos(x)                            # rotated cos of outer angle
+    t2 = amag / denom
+    ts = 1.0 / (amag + root)                        # T0 - T2, stable
+    cq = np.cos(x)                                  # rotated cos of outer angle
     out = np.empty((5, 5))
     for i in range(5):
         for j in range(i, 5):
@@ -155,25 +178,31 @@ def _entries_from_nodes(x: np.ndarray, w: np.ndarray, delta: float, r1: float,
     return out
 
 
+# The shift p -> p + (pi, pi) maps E_K to e_min + e_max - E_K and flips the
+# sign of the four trigonometric modes, so above the band J = -P J_below P.
+_MIRROR = np.array([1.0, -1.0, -1.0, -1.0, -1.0])
+
+
 def secular_entries(z: float, K: TorusPoint, params: ModelParams,
                     rel_tol: float = 1e-10, *, side: Side | None = None,
                     delta: float | None = None) -> tuple[np.ndarray, float]:
     """Resolvent Gram matrix J(z) of the five modes at fiber K.
 
     Either pass z directly, or (side, delta) for an exact distance to the
-    band edge.  Returns (J, est_error).
+    band edge.  Only the side below the band is integrated; above it the
+    matrix is -P J P with J the matrix at the same distance below and
+    P = diag(1, -1, -1, -1, -1).  Returns (J, est_error).
     """
-    g = params.g
     r1, r2, f1, f2 = pair_amplitudes(K, params.gamma)
-    lo, hi = edges_closed(K, params)
     if delta is None:
+        lo, hi = edges_closed(K, params)
         if z < lo:
             side, delta = Side.BELOW, lo - z
         elif z > hi:
             side, delta = Side.ABOVE, z - hi
         else:
             raise DomainError(f"z = {z} lies inside the closed band [{lo}, {hi}]")
-    sgn = 1.0 if side is Side.BELOW else -1.0
+    side = Side(side)
     # Order the two angles so the outer one carries the larger amplitude;
     # swapping angles permutes modes (1<->2, 3<->4).
     perm = None
@@ -186,13 +215,15 @@ def secular_entries(z: float, K: TorusPoint, params: ModelParams,
         bp = geometric_panels(math.pi, min(layer, math.pi) / 4.0 ** level)
         x1, w1 = panel_nodes(bp, 16 << level)
         x2, w2 = panel_nodes(bp, 32 << level)
-        j1 = _entries_from_nodes(x1, w1, delta, r1, r2, sgn, tab)
-        j2 = _entries_from_nodes(x2, w2, delta, r1, r2, sgn, tab)
+        j1 = _entries_from_nodes(x1, w1, delta, r1, r2, tab)
+        j2 = _entries_from_nodes(x2, w2, delta, r1, r2, tab)
         err = float(np.max(np.abs(j1 - j2)))
         scale = float(np.max(np.abs(j2)))
         if err <= rel_tol * max(scale, 1e-300):
             if perm is not None:
                 j2 = j2[np.ix_(perm, perm)]
+            if side is Side.ABOVE:
+                j2 = -_MIRROR[:, None] * j2 * _MIRROR
             return j2, err
     raise ToleranceError(
         f"secular entries at K={K.as_tuple()}, distance {delta:.3e}: "

@@ -9,6 +9,9 @@ where ``E0(p) = (1+gamma) * sum_i (1 - cos p_i)`` and z lies outside the
 closed band ``[0, 4(1+gamma)]``.  The inner angle integrates in closed form,
 leaving 1D integrals with an inverse-square-root boundary layer at the band
 edge; those are handled with geometric panels and Gauss-Legendre pairs.
+Only the side below the band is integrated.  The shift p -> p + (pi, pi)
+maps E0 to 4(1+gamma) - E0, so at the same distance above the band a, c, e
+and f change sign and b does not.
 
 Near an edge the moments behave like ``s * (-+ln|z-edge|) + offset``; the
 offsets are available in two flavors: a frozen ``PUBLISHED`` table and a
@@ -117,44 +120,42 @@ def panel_nodes(breakpoints: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
 _QUANTITIES = ("a", "b", "c", "e", "f")
 
 
-def _reduced_values(x: np.ndarray, weights: np.ndarray, d: float, sgn: float) -> np.ndarray:
+def _reduced_values(x: np.ndarray, weights: np.ndarray, d: float) -> np.ndarray:
     """Evaluate the five reduced integrands at nodes x and sum.
 
     Works in units of the total hopping (g = 1): the caller rescales.  ``d``
-    is the distance to the band edge in those units; ``sgn`` is +1 below the
-    band, -1 above.  Both sides share |A| = 2 + d - cos x after folding the
-    singularity to x = 0.
+    is the distance below the band edge in those units; with the singularity
+    folded to x = 0 the denominator is A = 2 + d - cos x.
     """
-    am1 = d + 2.0 * np.sin(0.5 * x) ** 2          # |A| - 1, no cancellation
+    am1 = d + 2.0 * np.sin(0.5 * x) ** 2          # A - 1, no cancellation
     root = np.sqrt(am1 * (am1 + 2.0))             # sqrt(A^2 - 1)
-    s0 = sgn / root
+    s0 = 1.0 / root
     t1 = 1.0 / (root * (am1 + 1.0 + root))        # inner cos moment, >= 0
     cx = np.cos(x)
     vals = np.empty(5)
     vals[0] = weights @ s0                        # a
-    vals[1] = sgn * (weights @ (cx * s0))         # b   (cos p1 -> sgn*cos x)
+    vals[1] = weights @ (cx * s0)                 # b
     vals[2] = weights @ (cx * cx * s0)            # c
-    vals[3] = sgn * (weights @ (cx * t1))         # e
+    vals[3] = weights @ (cx * t1)                 # e
     vals[4] = weights @ ((1.0 - cx * cx) * s0)    # f
     return vals / PI
 
 
-def _reduced_integrals(side: Side, d: float, rel_tol: float) -> tuple[np.ndarray, float]:
-    sgn = 1.0 if side is Side.BELOW else -1.0
+def _reduced_integrals(d: float, rel_tol: float) -> tuple[np.ndarray, float]:
     layer = math.sqrt(2.0 * d) if d < 2.0 else PI
     for level in range(3):
         bp = geometric_panels(PI, layer / 4.0 ** level)
         x1, w1 = panel_nodes(bp, 16 << level)
         x2, w2 = panel_nodes(bp, 32 << level)
-        v1 = _reduced_values(x1, w1, d, sgn)
-        v2 = _reduced_values(x2, w2, d, sgn)
+        v1 = _reduced_values(x1, w1, d)
+        v2 = _reduced_values(x2, w2, d)
         err = np.abs(v1 - v2)
         vmax = float(np.max(np.abs(v2)))
         tol = rel_tol * np.maximum(np.abs(v2), 1e-6 * vmax + 1e-300)
         if np.all(err <= tol):
             return v2, float(np.max(err))
     raise ToleranceError(
-        f"resolvent moments at distance {d:.3e} ({side.value}): "
+        f"resolvent moments at distance {d:.3e}: "
         f"error estimate {float(np.max(err)):.3e} exceeds requested tolerance"
     )
 
@@ -172,16 +173,21 @@ def watson_integrals_at(side: Side, delta: float, gamma: float,
     Preferred over :func:`watson_integrals` near the edges: the distance is
     taken literally instead of being reconstructed from z by subtraction (a
     difference that matters once delta approaches float granularity of the
-    edge location).
+    edge location).  Only the side below the band is integrated: the shift
+    p -> p + (pi, pi) maps E0 to 4g - E0, so above the band a, c, e and f
+    are the negated values below it at the same distance and b is unchanged.
     """
+    g = 1.0 + gamma
+    if side is not Side.BELOW:
+        s = watson_integrals_at(Side.BELOW, delta, gamma, rel_tol)
+        return IntegralSet(a=-s.a, b=s.b, c=-s.c, e=-s.e, f=-s.f,
+                           z=4.0 * g + delta, est_error=s.est_error)
     _check_rel_tol(rel_tol)
     if not (delta > 0.0) or not math.isfinite(delta):
         raise DomainError(f"distance to the band edge must be positive, got {delta}")
-    g = 1.0 + gamma
-    vals, err = _reduced_integrals(side, delta / g, rel_tol)
-    z = -delta if side is Side.BELOW else 4.0 * g + delta
+    vals, err = _reduced_integrals(delta / g, rel_tol)
     a, b, c, e, f = (vals / g).tolist()
-    return IntegralSet(a=a, b=b, c=c, e=e, f=f, z=z, est_error=err / g)
+    return IntegralSet(a=a, b=b, c=c, e=e, f=f, z=-delta, est_error=err / g)
 
 
 def watson_integrals(z: float, gamma: float, rel_tol: float = 1e-10) -> IntegralSet:
@@ -265,9 +271,12 @@ def calibrate_edge_constants(gamma: float, rel_tol: float = 1e-12,
     """Measure the edge models of all five moments on both sides.
 
     Fits ``v(d) = t*ln d + C0 + C1*d*ln d + C2*d`` through the four sampled
-    distances (an exact 4x4 solve, i.e. extrapolation to the edge with the
-    leading correction terms removed) and stores the result for
-    :func:`predicted_asymptote`.  Returns the full table.
+    distances below the band (an exact 4x4 solve, i.e. extrapolation to the
+    edge with the leading correction terms removed) and stores the result
+    for :func:`predicted_asymptote`.  The models above the band follow from
+    the mirror identity of :func:`watson_integrals_at`: a, c, e and f keep
+    their slope and negate their offset, b negates its slope and keeps its
+    offset.  Returns the full table.
     """
     cached = _CALIBRATED.get(gamma)
     if cached is not None:
@@ -276,16 +285,17 @@ def calibrate_edge_constants(gamma: float, rel_tol: float = 1e-12,
     deltas = np.array(CALIBRATION_DISTANCES)
     ln = np.log(deltas)
     design = np.column_stack([ln, np.ones_like(deltas), deltas * ln, deltas])
-    for side in (Side.BELOW, Side.ABOVE):
-        sets = [watson_integrals_at(side, float(d), gamma, rel_tol) for d in deltas]
-        data = np.array([s.as_array() for s in sets])          # (4 deltas, 5)
-        coef = np.linalg.solve(design, data)                   # rows: t, C0, C1, C2
-        for j, which in enumerate(_QUANTITIES):
-            t, c0 = float(coef[0, j]), float(coef[1, j])
-            slope = -t if side is Side.BELOW else t
-            table[(which, side)] = EdgeAsymptotics(
-                side=side, log_slope=slope, offset=c0,
-                source=ConstantsSource.COMPUTED)
+    sets = [watson_integrals_at(Side.BELOW, float(d), gamma, rel_tol) for d in deltas]
+    data = np.array([s.as_array() for s in sets])              # (4 deltas, 5)
+    coef = np.linalg.solve(design, data)                       # rows: t, C0, C1, C2
+    for j, which in enumerate(_QUANTITIES):
+        t, c0 = float(coef[0, j]), float(coef[1, j])
+        parity = 1.0 if which == "b" else -1.0
+        table[(which, Side.BELOW)] = EdgeAsymptotics(
+            side=Side.BELOW, log_slope=-t, offset=c0, source=ConstantsSource.COMPUTED)
+        table[(which, Side.ABOVE)] = EdgeAsymptotics(
+            side=Side.ABOVE, log_slope=parity * t, offset=parity * c0,
+            source=ConstantsSource.COMPUTED)
     _CALIBRATED[gamma] = table
     return table
 

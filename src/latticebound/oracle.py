@@ -87,7 +87,7 @@ def _grid_report(model: GridModel, found: dict[Side, list[tuple[float, int]]],
         edge = band.e_min if side is Side.BELOW else band.e_max
         sgn = -1.0 if side is Side.BELOW else 1.0
         evs = [Eigenvalue(z=edge + sgn * d, multiplicity=m, sector=Sector.MIXED,
-                          factor=FactorKind.GENERAL, residual=0.0)
+                          factor=FactorKind.GENERAL)
                for d, m in items]
         evs.sort(key=lambda ev: ev.z)
         out[side] = tuple(evs)
@@ -117,8 +117,9 @@ def oracle_counts(K: TorusPoint, params: ModelParams, n: int = 256,
         edge = band.e_min if side is Side.BELOW else band.e_max
         sgn = -1.0 if side is Side.BELOW else 1.0
 
+        # the curve count is stated below the band; above it, pass (-J, -G)
         def nfun(d: float) -> int:
-            return _threshold_count(model.secular(edge + sgn * d), gvec, side)[0]
+            return _threshold_count(-sgn * model.secular(edge + sgn * d), -sgn * gvec)[0]
 
         b = _Budget(budget, f"grid curve scan ({side.value})")
         width_tol = 1e-12 * (1.0 + abs(edge))

@@ -1,5 +1,11 @@
 """Discrete spectrum of the fiber operators outside the continuous band.
 
+Each solver computes one side of the band.  The shift p -> p + (pi, pi)
+maps E_K to e_min + e_max - E_K and leaves the interaction unchanged, so the
+bound states above the band at couplings (lam, mu) sit at e_max + d, where d
+runs over the distances below the band at (-lam, -mu).  Both solvers run one
+below-side routine twice, at (lam, mu) and at (-lam, -mu).
+
 Zero fiber: the determinant factors (main even, sub-even, odd) are scanned on
 an edge-refined mesh and bracketed roots are polished by Brent's method.  The
 mesh bottoms out at distance 1e-10 from the band edge; whether one more root
@@ -11,10 +17,9 @@ the model position, clamped away from the edge by at least 1e-13.
 General fiber: the determinant loses its product structure, so roots are
 counted through the eigenvalue curves of the symmetrized Birman-Schwinger
 matrix: below the band J(z) is positive semidefinite and z is a root of
-det(I + G J) exactly when an eigenvalue of L^T G L (J = L L^T) crosses -1;
-above the band the mirrored statement holds with +1.  The integer count of
-curves beyond the threshold jumps precisely at the roots, with the jump equal
-to the multiplicity; bisecting the jumps is robust against the
+det(I + G J) exactly when an eigenvalue of L^T G L (J = L L^T) crosses -1.
+The integer count of curves below -1 jumps precisely at the roots, with the
+jump equal to the multiplicity; bisecting the jumps is robust against the
 even-multiplicity roots that defeat determinant sign scanning.
 """
 
@@ -23,13 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .core import Band, ModelParams, TorusPoint, band_edges
-from .determinants import InteractionBasis, secular_entries, secular_matrix
+from .determinants import FactorKind, InteractionBasis, factor_value, secular_entries
 from .errors import BudgetExceeded
 from .integrals import (ConstantsSource, EdgeAsymptotics, Side,
                         calibrate_edge_constants, published_asymptote,
@@ -46,27 +52,18 @@ class Sector(Enum):
     MIXED = "mixed"
 
 
-class FactorKind(Enum):
-    MAIN_EVEN = "main_even"
-    SUB_EVEN = "sub_even"
-    ODD = "odd"
-    GENERAL = "general"
-
-
 @dataclass(frozen=True)
 class Eigenvalue:
     """One bound state: position, multiplicity and bookkeeping.
 
     ``pinned`` marks roots established from the edge asymptotics rather than
-    direct bracketing (their z is a model value clamped away from the edge;
-    the residual is not meaningful for them).
+    direct bracketing (their z is a model value clamped away from the edge).
     """
 
     z: float
     multiplicity: int
     sector: Sector
     factor: FactorKind
-    residual: float
     pinned: bool = False
 
 
@@ -150,32 +147,6 @@ def _scan_deltas(fd: Callable[[float], float], delta_max: float, floor: float,
     return roots, vals[-1]
 
 
-def scan_and_bisect(f: Callable[[float], float], interval: tuple[float, float],
-                    edge: float, budget: int = 10000) -> list[float]:
-    """Find the roots of f on [lo, hi] with mesh refinement toward ``edge``.
-
-    ``edge`` is the band endpoint adjacent to the interval; the scan mesh
-    halves toward it down to a distance of 1e-10 and brackets are polished to
-    a width below 1e-12*(1+|z|).  Raises BudgetExceeded past ``budget``
-    evaluations of f.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    b = _Budget(budget, "root scan")
-    if edge >= hi:                       # window sits below the edge
-        gap = max(edge - hi, MESH_FLOOR)
-        fd = lambda d: f(edge - d)
-        roots, _ = _scan_deltas(fd, edge - lo, gap, b)
-        zs = [edge - d for d in roots]
-    else:                                # window sits above the edge
-        gap = max(lo - edge, MESH_FLOOR)
-        fd = lambda d: f(edge + d)
-        roots, _ = _scan_deltas(fd, hi - edge, gap, b)
-        zs = [edge + d for d in roots]
-    return sorted(zs)
-
-
 # ---------------------------------------------------------------------------
 # edge models for the zero-fiber factors
 
@@ -184,34 +155,11 @@ def _asymptotics_table(gamma: float, source: ConstantsSource,
                        ) -> dict[tuple[str, Side], EdgeAsymptotics]:
     if source is ConstantsSource.COMPUTED:
         return calibrate_edge_constants(gamma)
-    return {(q, s): published_asymptote(q, s, gamma)
-            for q in ("a", "b", "c", "e", "f") for s in (Side.BELOW, Side.ABOVE)}
+    return {(q, Side.BELOW): published_asymptote(q, Side.BELOW, gamma)
+            for q in ("a", "b", "c", "e", "f")}
 
 
-def _model_factor(kind: FactorKind, params: ModelParams, side: Side,
-                  table: dict[tuple[str, Side], EdgeAsymptotics],
-                  ) -> Callable[[float], float]:
-    """Edge model of one determinant factor as a function of distance."""
-    lam, mu = params.lam, params.mu
-    va = table[("a", side)].value_at
-    vb = table[("b", side)].value_at
-    vc = table[("c", side)].value_at
-    ve = table[("e", side)].value_at
-    vf = table[("f", side)].value_at
-    if kind is FactorKind.MAIN_EVEN:
-        def model(d: float) -> float:
-            return ((1.0 + lam * va(d)) * (1.0 + mu * (vc(d) + ve(d)))
-                    - 2.0 * lam * mu * vb(d) ** 2)
-    elif kind is FactorKind.SUB_EVEN:
-        def model(d: float) -> float:
-            return 1.0 + mu * (vc(d) - ve(d))
-    else:
-        def model(d: float) -> float:
-            return 1.0 + mu * vf(d)
-    return model
-
-
-def _pending_root(kind: FactorKind, params: ModelParams, side: Side,
+def _pending_root(kind: FactorKind, params: ModelParams,
                   table: dict[tuple[str, Side], EdgeAsymptotics],
                   floor_value: float) -> float | None:
     """Distance of a not-yet-bracketed root between the mesh floor and the edge.
@@ -222,7 +170,17 @@ def _pending_root(kind: FactorKind, params: ModelParams, side: Side,
     already disagrees with the measured floor sign (untrustworthy regime,
     e.g. on a region boundary) or when no crossing is pending.
     """
-    model = _model_factor(kind, params, side, table)
+    edge_models = [(q, table[(q, Side.BELOW)].value_at) for q in ("a", "b", "c", "e", "f")]
+
+    def model(d: float) -> float:
+        s = SimpleNamespace(**{q: v(d) for q, v in edge_models})
+        if kind is FactorKind.MAIN_EVEN:
+            # b is squared before it is scaled here; the association of
+            # factor_value moves pinned roots in their 12th digit
+            return ((1.0 + params.lam * s.a) * (1.0 + params.mu * (s.c + s.e))
+                    - 2.0 * params.lam * params.mu * s.b ** 2)
+        return factor_value(kind, s, params)
+
     m_floor = model(MESH_FLOOR)
     if m_floor == 0.0 or floor_value == 0.0:
         return None
@@ -237,24 +195,72 @@ def _pending_root(kind: FactorKind, params: ModelParams, side: Side,
 
 
 # ---------------------------------------------------------------------------
+# one-sided roots and the mirror
+
+
+class _Root(NamedTuple):
+    """A root below the band, at distance ``d`` from the lower edge."""
+
+    d: float
+    factor: FactorKind
+    sector: Sector
+    multiplicity: int
+    pinned: bool = False
+
+
+def _merge_found(found: list[_Root]) -> list[_Root]:
+    """Merge roots that coincide within MERGE_TOL."""
+    merged: list[_Root] = []
+    for r in sorted(found, key=lambda r: r.d):
+        if merged and abs(r.d - merged[-1].d) <= MERGE_TOL:
+            m = merged[-1]
+            merged[-1] = m._replace(
+                factor=min(m.factor, r.factor, key=list(FactorKind).index),
+                sector=m.sector if m.sector is r.sector else Sector.MIXED,
+                multiplicity=m.multiplicity + r.multiplicity,
+                pinned=m.pinned and r.pinned)
+        else:
+            merged.append(r)
+    return merged
+
+
+def _mirrored(params: ModelParams) -> ModelParams:
+    return ModelParams(params.gamma, -params.lam, -params.mu)
+
+
+def _placed(roots: list[_Root], z_of: Callable[[float], float]) -> tuple[Eigenvalue, ...]:
+    evs = [Eigenvalue(z=z_of(r.d), multiplicity=r.multiplicity, sector=r.sector,
+                      factor=r.factor, pinned=r.pinned) for r in roots]
+    return tuple(sorted(evs, key=lambda ev: ev.z))
+
+
+# ---------------------------------------------------------------------------
 # zero-fiber spectrum
 
+_ZERO_FIBER_FACTORS = (
+    (FactorKind.MAIN_EVEN, Sector.EVEN, 1),
+    (FactorKind.SUB_EVEN, Sector.EVEN, 1),
+    (FactorKind.ODD, Sector.ODD, 2),
+)
 
-def _merge_found(found: list[tuple[float, FactorKind, Sector, int, float, bool]],
-                 ) -> list[tuple[float, FactorKind, Sector, int, float, bool]]:
-    """Merge roots (keyed by distance) that coincide within MERGE_TOL."""
-    found = sorted(found, key=lambda t: t[0])
-    merged = []
-    for item in found:
-        if merged and abs(item[0] - merged[-1][0]) <= MERGE_TOL:
-            d, kind, sector, mult, res, pin = merged[-1]
-            d2, kind2, sector2, mult2, res2, pin2 = item
-            sector = sector if sector is sector2 else Sector.MIXED
-            kind = min(kind, kind2, key=lambda k: list(FactorKind).index(k))
-            merged[-1] = (d, kind, sector, mult + mult2, min(res, res2), pin and pin2)
-        else:
-            merged.append(item)
-    return merged
+
+def _k0_below(params: ModelParams, table: dict[tuple[str, Side], EdgeAsymptotics],
+              window: float, rel_tol: float, budget: int) -> list[_Root]:
+    """Roots of the three zero-fiber factors below the band, merged."""
+    gamma = params.gamma
+    found = []
+    for kind, sector, mult in _ZERO_FIBER_FACTORS:
+        if kind is not FactorKind.MAIN_EVEN and params.mu == 0.0:
+            continue
+        fd = lambda d: factor_value(kind, watson_integrals_at(Side.BELOW, d, gamma, rel_tol),
+                                    params)
+        b = _Budget(budget, f"{kind.value} factor scan")
+        roots, floor_val = _scan_deltas(fd, window, MESH_FLOOR, b)
+        found += [_Root(d, kind, sector, mult) for d in roots]
+        pend = _pending_root(kind, params, table, floor_val)
+        if pend is not None:
+            found.append(_Root(max(pend, 1e-13), kind, sector, mult, pinned=True))
+    return _merge_found(found)
 
 
 def spectrum_k0(params: ModelParams,
@@ -262,92 +268,42 @@ def spectrum_k0(params: ModelParams,
                 rel_tol: float = 1e-10, budget: int = 10000) -> SpectrumReport:
     """Full discrete spectrum at zero fiber via the factored determinant.
 
-    Roots of the three factors are found per side within the window
+    Roots of the three factors are found below the band at (lam, mu) and at
+    (-lam, -mu), the latter mirrored above it, within the window
     |z - edge| <= |lam| + 2|mu| + 1 (no bound state can bind deeper than the
     interaction norm allows).  Coincident roots are merged with summed
     multiplicity; odd-factor roots carry multiplicity 2.  The constants
     source steers only the near-edge pending-root resolution.
     """
-    gamma = params.gamma
-    g = params.g
     k0 = TorusPoint(0.0, 0.0)
     band = band_edges(k0, params)
     if params.lam == 0.0 and params.mu == 0.0:
         return SpectrumReport(K=k0, params=params, band=band, below=(), above=())
-    table = _asymptotics_table(gamma, constants_source)
+    table = _asymptotics_table(params.gamma, constants_source)
     window = abs(params.lam) + 2.0 * abs(params.mu) + 1.0
-
-    factor_defs = [
-        (FactorKind.MAIN_EVEN, Sector.EVEN, 1),
-        (FactorKind.SUB_EVEN, Sector.EVEN, 1),
-        (FactorKind.ODD, Sector.ODD, 2),
-    ]
-
-    sides: dict[Side, tuple[Eigenvalue, ...]] = {}
-    for side in (Side.BELOW, Side.ABOVE):
-        def ints(d: float):
-            return watson_integrals_at(side, d, gamma, rel_tol)
-
-        def factor_value(kind: FactorKind, d: float) -> float:
-            s = ints(d)
-            if kind is FactorKind.MAIN_EVEN:
-                return ((1.0 + params.lam * s.a) * (1.0 + params.mu * (s.c + s.e))
-                        - 2.0 * params.lam * params.mu * s.b * s.b)
-            if kind is FactorKind.SUB_EVEN:
-                return 1.0 + params.mu * (s.c - s.e)
-            return 1.0 + params.mu * s.f
-
-        found = []
-        for kind, sector, mult in factor_defs:
-            if kind is not FactorKind.MAIN_EVEN and params.mu == 0.0:
-                continue
-            b = _Budget(budget, f"{kind.value} factor scan ({side.value})")
-            fd = lambda d: factor_value(kind, d)
-            roots, floor_val = _scan_deltas(fd, window, MESH_FLOOR, b)
-            for d in roots:
-                res = abs(fd(d))
-                if kind is FactorKind.ODD:
-                    res = res * res
-                found.append((d, kind, sector, mult, res, False))
-            pend = _pending_root(kind, params, side, table, floor_val)
-            if pend is not None:
-                d_rep = max(pend, 1e-13)
-                found.append((d_rep, kind, sector, mult, abs(fd(d_rep)), True))
-
-        evs = []
-        for d, kind, sector, mult, res, pin in _merge_found(found):
-            z = -d if side is Side.BELOW else 4.0 * g + d
-            evs.append(Eigenvalue(z=z, multiplicity=mult, sector=sector,
-                                  factor=kind, residual=res, pinned=pin))
-        evs.sort(key=lambda ev: ev.z)
-        sides[side] = tuple(evs)
-
-    return SpectrumReport(K=k0, params=params, band=band,
-                          below=sides[Side.BELOW], above=sides[Side.ABOVE])
+    below = _k0_below(params, table, window, rel_tol, budget)
+    above = _k0_below(_mirrored(params), table, window, rel_tol, budget)
+    hi = 4.0 * params.g
+    return SpectrumReport(K=k0, params=params, band=band, below=_placed(below, lambda d: -d),
+                          above=_placed(above, lambda d: hi + d))
 
 
 # ---------------------------------------------------------------------------
 # general fiber: eigenvalue-curve counting
 
 
-def _threshold_count(j: np.ndarray, gvec: np.ndarray, side: Side) -> tuple[int, np.ndarray]:
-    """Number of Birman-Schwinger curves beyond the root threshold.
+def _threshold_count(j: np.ndarray, gvec: np.ndarray) -> tuple[int, np.ndarray]:
+    """Number of Birman-Schwinger curves below -1, and the curve values.
 
-    Returns the count and the curve values (eigenvalues of L^T G L with
-    J = L L^T below the band, -J = L L^T above).
+    The curves are the eigenvalues of L^T G L with J = L L^T, which holds
+    below the band.  Above it pass (-J, -G).
     """
     w, v = np.linalg.eigh(j)
-    if side is Side.BELOW:
-        w = np.maximum(w, 0.0)
-    else:
-        w = np.maximum(-w, 0.0)
-    sq = np.sqrt(w)
+    sq = np.sqrt(np.maximum(w, 0.0))
     core = v.T @ (gvec[:, None] * v)
     a = sq[:, None] * core * sq[None, :]
     eta = np.linalg.eigvalsh(a)
-    if side is Side.BELOW:
-        return int(np.sum(eta < -1.0)), eta
-    return int(np.sum(eta > 1.0)), eta
+    return int(np.sum(eta < -1.0)), eta
 
 
 def count_jump_scan(nfun: Callable[[float], int], delta_max: float, floor: float,
@@ -399,7 +355,7 @@ def _degenerate_spectrum(K: TorusPoint, params: ModelParams, band: Band) -> Spec
     below, above = [], []
     for z, m in cands:
         ev = Eigenvalue(z=z, multiplicity=m, sector=Sector.MIXED,
-                        factor=FactorKind.GENERAL, residual=0.0)
+                        factor=FactorKind.GENERAL)
         (below if z < e else above).append(ev)
     below.sort(key=lambda ev: ev.z)
     above.sort(key=lambda ev: ev.z)
@@ -407,12 +363,43 @@ def _degenerate_spectrum(K: TorusPoint, params: ModelParams, band: Band) -> Spec
                           below=tuple(below), above=tuple(above))
 
 
-def matrix_nullity(z: float, K: TorusPoint, params: ModelParams,
-                   rel_tol: float = 1e-10) -> int:
-    """Rank deficiency of I + G J(z), via singular values below 1e-8."""
-    m = secular_matrix(z, K, params, rel_tol)
-    sv = np.linalg.svd(m.entries, compute_uv=False)
-    return int(np.sum(sv < 1e-8 * max(1.0, float(sv[0]))))
+def _general_below(K: TorusPoint, params: ModelParams, window: float,
+                   width_tol: float, rel_tol: float, budget: int) -> list[_Root]:
+    """Roots below the band at fiber K, from the curve count and its jumps."""
+    gvec = InteractionBasis.weights(params)
+
+    def jmat(d: float) -> np.ndarray:
+        j, _ = secular_entries(0.0, K, params, rel_tol, side=Side.BELOW, delta=d)
+        return j
+
+    def nfun(d: float) -> int:
+        return _threshold_count(jmat(d), gvec)[0]
+
+    b = _Budget(budget, "curve count scan")
+    jumps = count_jump_scan(nfun, window, MESH_FLOOR, width_tol, b)
+
+    # pending-root diagnostics at and below the mesh floor; a negative
+    # divergent-channel weight lam + 2*mu drives the lowest curve to -inf
+    _, eta_floor = _threshold_count(jmat(MESH_FLOOR), gvec)
+    _, eta_deep = _threshold_count(jmat(1e-12), gvec)
+    pend = 0
+    first = 0
+    if params.lam + 2.0 * params.mu < -1e-12:
+        first = 1
+        if not eta_deep[0] < -1.0:
+            pend += 1
+    l_f, l_d = -math.log(MESH_FLOOR), -math.log(1e-12)
+    for k in range(first, len(eta_deep)):
+        if eta_deep[k] < -1.0:
+            continue
+        cc = (eta_floor[k] - eta_deep[k]) / (1.0 / l_f - 1.0 / l_d)
+        eta_inf = eta_deep[k] - cc / l_d
+        if abs(cc) < 10.0 and eta_inf < -1.0 and abs(eta_inf + 1.0) > 1e-6:
+            pend += 1
+
+    found = [_Root(d, FactorKind.GENERAL, Sector.MIXED, mult) for d, mult in jumps]
+    found += [_Root(1e-13, FactorKind.GENERAL, Sector.MIXED, 1, pinned=True)] * pend
+    return _merge_found(found)
 
 
 def spectrum_general(K: TorusPoint, params: ModelParams, rel_tol: float = 1e-10,
@@ -431,69 +418,11 @@ def spectrum_general(K: TorusPoint, params: ModelParams, rel_tol: float = 1e-10,
         return _degenerate_spectrum(K, params, band)
     if params.lam == 0.0 and params.mu == 0.0:
         return SpectrumReport(K=K, params=params, band=band, below=(), above=())
-    gvec = InteractionBasis.weights(params)
     window = abs(params.lam) + 2.0 * abs(params.mu) + 1.0
-    div_weight = params.lam + 2.0 * params.mu
-
-    sides: dict[Side, tuple[Eigenvalue, ...]] = {}
-    for side in (Side.BELOW, Side.ABOVE):
-        edge = band.e_min if side is Side.BELOW else band.e_max
-        sign = -1.0 if side is Side.BELOW else 1.0
-
-        def jmat(d: float) -> np.ndarray:
-            j, _ = secular_entries(0.0, K, params, rel_tol, side=side, delta=d)
-            return j
-
-        def nfun(d: float) -> int:
-            return _threshold_count(jmat(d), gvec, side)[0]
-
-        b = _Budget(budget, f"curve count scan ({side.value})")
-        width_tol = 1e-12 * (1.0 + abs(edge))
-        jumps = count_jump_scan(nfun, window, MESH_FLOOR, width_tol, b)
-
-        # pending-root diagnostics at and below the mesh floor
-        _, eta_floor = _threshold_count(jmat(MESH_FLOOR), gvec, side)
-        _, eta_deep = _threshold_count(jmat(1e-12), gvec, side)
-        pend = 0
-        thr = -1.0 if side is Side.BELOW else 1.0
-        crossed = (lambda x: x < thr) if side is Side.BELOW else (lambda x: x > thr)
-        div_idx = None
-        if side is Side.BELOW and div_weight < -1e-12:
-            div_idx = 0
-            if not crossed(eta_deep[0]):
-                pend += 1
-        if side is Side.ABOVE and div_weight > 1e-12:
-            div_idx = len(eta_deep) - 1
-            if not crossed(eta_deep[div_idx]):
-                pend += 1
-        l_f, l_d = -math.log(MESH_FLOOR), -math.log(1e-12)
-        for k in range(len(eta_deep)):
-            if k == div_idx or crossed(eta_deep[k]):
-                continue
-            cc = (eta_floor[k] - eta_deep[k]) / (1.0 / l_f - 1.0 / l_d)
-            eta_inf = eta_deep[k] - cc / l_d
-            if abs(cc) < 10.0 and crossed(eta_inf) and abs(eta_inf - thr) > 1e-6:
-                pend += 1
-
-        evs = []
-        for d, mult in jumps:
-            z = edge + sign * d
-            res = abs(float(np.linalg.det(np.eye(5) + gvec[:, None] * jmat(d))))
-            evs.append(Eigenvalue(z=z, multiplicity=mult, sector=Sector.MIXED,
-                                  factor=FactorKind.GENERAL, residual=res))
-        for _ in range(pend):
-            d_rep = 1e-13
-            evs.append(Eigenvalue(z=edge + sign * d_rep, multiplicity=1,
-                                  sector=Sector.MIXED, factor=FactorKind.GENERAL,
-                                  residual=float("inf"), pinned=True))
-        # merge coincident entries
-        packed = [(abs(ev.z - edge), ev.factor, ev.sector, ev.multiplicity,
-                   ev.residual, ev.pinned) for ev in evs]
-        evs = [Eigenvalue(z=edge + sign * d, multiplicity=m, sector=sec,
-                          factor=kind, residual=res, pinned=pin)
-               for d, kind, sec, m, res, pin in _merge_found(packed)]
-        evs.sort(key=lambda ev: ev.z)
-        sides[side] = tuple(evs)
-
+    below = _general_below(K, params, window, 1e-12 * (1.0 + abs(band.e_min)),
+                           rel_tol, budget)
+    above = _general_below(K, _mirrored(params), window,
+                           1e-12 * (1.0 + abs(band.e_max)), rel_tol, budget)
     return SpectrumReport(K=K, params=params, band=band,
-                          below=sides[Side.BELOW], above=sides[Side.ABOVE])
+                          below=_placed(below, lambda d: band.e_min - d),
+                          above=_placed(above, lambda d: band.e_max + d))

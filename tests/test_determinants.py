@@ -147,3 +147,5 @@ def test_entries_stable_down_to_tiny_distances():
             # the log-divergent channel keeps growing monotonically
             assert abs(j[0, 0]) > abs(prev[0, 0])
         prev = j
+    with pytest.raises(ValueError):
+        secular_entries(band.e_max + 1e-6, K, params, side="upper", delta=1e-6)

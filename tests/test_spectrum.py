@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
-from latticebound.determinants import delta_even_main
 from latticebound.errors import BudgetExceeded
-from latticebound.spectrum import (FactorKind, Sector, scan_and_bisect,
-                                   spectrum_general, spectrum_k0)
+from latticebound.integrals import watson_integrals_at
+from latticebound.spectrum import (FactorKind, Sector, spectrum_general,
+                                   spectrum_k0)
 
 
 def expand(evs):
@@ -93,21 +93,6 @@ def test_odd_double_eigenvalue():
     assert ev.z == pytest.approx(9.617496, abs=2e-6)
 
 
-def test_scan_and_bisect_single_main_root():
-    params = ModelParams(1.0, 1.0, 6.0)
-    roots = scan_and_bisect(lambda z: delta_even_main(z, params),
-                            (8.0, 8.0 + 14.0), edge=8.0)
-    assert len(roots) == 1
-    assert roots[0] == pytest.approx(9.147453, abs=2e-6)
-
-
-def test_scan_and_bisect_budget():
-    params = ModelParams(1.0, 1.0, 6.0)
-    with pytest.raises(BudgetExceeded):
-        scan_and_bisect(lambda z: delta_even_main(z, params),
-                        (8.0, 22.0), edge=8.0, budget=5)
-
-
 def test_spectrum_budget():
     with pytest.raises(BudgetExceeded):
         spectrum_k0(ModelParams(1.0, 1.0, 10.0), budget=2)
@@ -142,6 +127,16 @@ def test_zero_fiber_paths_agree(lam, mu):
     assert (fast.n_below, fast.n_above) == (slow.n_below, slow.n_above)
     assert expand(fast.below) == pytest.approx(expand(slow.below), abs=5e-9)
     assert expand(fast.above) == pytest.approx(expand(slow.above), abs=5e-9)
+
+
+def test_mirrored_couplings_reuse_every_moment():
+    # the side above the band at (lam, mu) is the side below it at
+    # (-lam, -mu), so the mirrored solve finds every moment in the cache
+    params = ModelParams(1.2345, 3.5, -2.0)
+    spectrum_k0(params)
+    misses = watson_integrals_at.cache_info().misses
+    spectrum_k0(ModelParams(params.gamma, -params.lam, -params.mu))
+    assert watson_integrals_at.cache_info().misses == misses
 
 
 def test_zero_coupling_is_empty():
