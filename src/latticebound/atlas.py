@@ -337,7 +337,7 @@ def threshold_scan(gamma: float = 1.0, mu_lo: float = 3.0, mu_hi: float = 8.0,
     integrals actually produce.
     """
     deltas = np.geomspace(1e-10, 2.0 * (1.0 + gamma), 160)
-    sets = [watson_integrals_at(Side.ABOVE, d, gamma) for d in deltas]
+    sets = [watson_integrals_at(Side.ABOVE, d, gamma, 1e-10) for d in deltas]
     ce = np.array([s.c - s.e for s in sets])
     mus = np.array(_axis_values(mu_lo, mu_hi, step))
     has_root = ((1.0 + np.outer(mus, ce)) < 0.0).any(axis=1)

@@ -247,8 +247,7 @@ def _cmd_integrals(cfg: RunConfig, z: float | None, side: str | None,
     else:
         if side is None or delta is None:
             raise ValidationError("need either z or side+delta", "z")
-        s = watson_integrals_at(Side(side), delta, cfg.gamma,
-                                rel_tol=cfg.rel_tol)
+        s = watson_integrals_at(Side(side), delta, cfg.gamma, cfg.rel_tol)
     for name in "abcef":
         print(f"{name} = {_fmt(getattr(s, name))}")
     print(f"z = {_fmt(s.z)}  est_error = {s.est_error:.2e}")

@@ -10,9 +10,14 @@ At zero fiber the matrix splits into even and odd blocks and the determinant
 factors into a main even part, a sub-even part and a squared odd part; the
 three formulas live in :func:`factor_value`.  At general fiber the entries
 reduce to 1D integrals after rotating each angle by the dispersion phase;
-the inner angle is integrated in closed form.  Only the side below the band
-is integrated: the shift p -> p + (pi, pi) reflects the band and flips the
-sign of the four trigonometric modes, which gives the matrix above it.
+the inner angle is integrated in closed form.  The 15 upper-triangle entries
+are evaluated together: a (15, 6) coefficient table, one row per mode pair
+(i, j) with i <= j in row-major order, turns the three closed-form inner
+integrals into a (15, N) array of integrands over the N outer-angle nodes,
+and each row is reduced by its own dot product with the quadrature weights.
+Only the side below the band is integrated: the shift p -> p + (pi, pi)
+reflects the band and flips the sign of the four trigonometric modes, which
+gives the matrix above it.
 """
 
 from __future__ import annotations
@@ -126,38 +131,46 @@ def slope_below(params: ModelParams) -> float:
 # secular matrix at general fiber
 
 
+_UPPER = np.triu_indices(5)
+
+
 def _pair_coefficients(c1: float, s1: float, c2: float, s2: float) -> np.ndarray:
     """Reduction table: coefficients (x0, x1, x2, y0, y1, z0) per mode pair.
 
-    Entry (i, j) expands m_i*m_j integrated over the inner angle into
+    Row k belongs to the k-th upper-triangle pair (i, j) in ``_UPPER`` order
+    (00, 01, ..., 04, 11, ..., 44).  The pair's product m_i*m_j integrated
+    over the inner angle expands into
     (x0 + x1*cq + x2*cq^2) * T0 + (y0 + y1*cq) * T1 + z0 * T2 with
-    cq = cos of the rotated outer angle.  Only the upper triangle is stored.
+    cq = cos of the rotated outer angle.
     """
     r2 = _SQRT2
-    tab = np.zeros((5, 5, 6))
-    tab[0, 0] = (1, 0, 0, 0, 0, 0)
-    tab[0, 1] = (0, r2 * c1, 0, 0, 0, 0)
-    tab[0, 2] = (0, 0, 0, r2 * c2, 0, 0)
-    tab[0, 3] = (0, r2 * s1, 0, 0, 0, 0)
-    tab[0, 4] = (0, 0, 0, r2 * s2, 0, 0)
-    tab[1, 1] = (2 * s1 * s1, 0, 2 * (c1 * c1 - s1 * s1), 0, 0, 0)
-    tab[1, 2] = (0, 0, 0, 0, 2 * c1 * c2, 0)
-    tab[1, 3] = (-2 * c1 * s1, 0, 4 * c1 * s1, 0, 0, 0)
-    tab[1, 4] = (0, 0, 0, 0, 2 * c1 * s2, 0)
-    tab[2, 2] = (2 * s2 * s2, 0, 0, 0, 0, 2 * (c2 * c2 - s2 * s2))
-    tab[2, 3] = (0, 0, 0, 0, 2 * c2 * s1, 0)
-    tab[2, 4] = (-2 * c2 * s2, 0, 0, 0, 0, 4 * c2 * s2)
-    tab[3, 3] = (2 * c1 * c1, 0, 2 * (s1 * s1 - c1 * c1), 0, 0, 0)
-    tab[3, 4] = (0, 0, 0, 0, 2 * s1 * s2, 0)
-    tab[4, 4] = (2 * c2 * c2, 0, 0, 0, 0, 2 * (s2 * s2 - c2 * c2))
-    return tab
+    return np.array([
+        (1, 0, 0, 0, 0, 0),
+        (0, r2 * c1, 0, 0, 0, 0),
+        (0, 0, 0, r2 * c2, 0, 0),
+        (0, r2 * s1, 0, 0, 0, 0),
+        (0, 0, 0, r2 * s2, 0, 0),
+        (2 * s1 * s1, 0, 2 * (c1 * c1 - s1 * s1), 0, 0, 0),
+        (0, 0, 0, 0, 2 * c1 * c2, 0),
+        (-2 * c1 * s1, 0, 4 * c1 * s1, 0, 0, 0),
+        (0, 0, 0, 0, 2 * c1 * s2, 0),
+        (2 * s2 * s2, 0, 0, 0, 0, 2 * (c2 * c2 - s2 * s2)),
+        (0, 0, 0, 0, 2 * c2 * s1, 0),
+        (-2 * c2 * s2, 0, 0, 0, 0, 4 * c2 * s2),
+        (2 * c1 * c1, 0, 2 * (s1 * s1 - c1 * c1), 0, 0, 0),
+        (0, 0, 0, 0, 2 * s1 * s2, 0),
+        (2 * c2 * c2, 0, 0, 0, 0, 2 * (s2 * s2 - c2 * c2)),
+    ], dtype=float)
 
 
 def _entries_from_nodes(x: np.ndarray, w: np.ndarray, delta: float, r1: float,
                         r2: float, tab: np.ndarray) -> np.ndarray:
     """Evaluate all 15 reduced entries below the band on one node set.
 
-    The outer angle is folded so the near-edge layer sits at x = 0.
+    The outer angle is folded so the near-edge layer sits at x = 0.  The
+    integrands form one (15, N) array, a row per upper-triangle pair of
+    ``tab``; each row is reduced by its own dot product with the weights,
+    which keeps every entry's rounding that of a single-pair evaluation.
     """
     m = delta + 2.0 * r1 * np.sin(0.5 * x) ** 2    # |A| - R2, stable
     amag = m + r2                                   # |A|
@@ -167,14 +180,14 @@ def _entries_from_nodes(x: np.ndarray, w: np.ndarray, delta: float, r1: float,
     t2 = amag / denom
     ts = 1.0 / (amag + root)                        # T0 - T2, stable
     cq = np.cos(x)                                  # rotated cos of outer angle
+    x0, x1c, x2c, y0, y1c, z0 = tab.T[:, :, None]   # six (15, 1) columns
+    p = x0 + x1c * cq + x2c * cq * cq
+    q = y0 + y1c * cq
+    rows = (p + z0) * t2 + p * ts + q * t1
+    vals = np.array([w @ row for row in rows]) / math.pi
     out = np.empty((5, 5))
-    for i in range(5):
-        for j in range(i, 5):
-            x0, x1c, x2c, y0, y1c, z0 = tab[i, j]
-            p = x0 + x1c * cq + x2c * cq * cq
-            q = y0 + y1c * cq
-            val = w @ ((p + z0) * t2 + p * ts + q * t1)
-            out[i, j] = out[j, i] = val / math.pi
+    out[_UPPER] = vals
+    out[_UPPER[::-1]] = vals                        # the lower triangle
     return out
 
 

@@ -20,7 +20,10 @@ matrix: below the band J(z) is positive semidefinite and z is a root of
 det(I + G J) exactly when an eigenvalue of L^T G L (J = L L^T) crosses -1.
 The integer count of curves below -1 jumps precisely at the roots, with the
 jump equal to the multiplicity; bisecting the jumps is robust against the
-even-multiplicity roots that defeat determinant sign scanning.
+even-multiplicity roots that defeat determinant sign scanning.  The Gram
+matrix J below the band depends on the fiber, gamma and the distance, not
+on (lam, mu), so one solve keeps a memo from distance to J that both sides
+share: each distance of the mesh is integrated once per solve.
 """
 
 from __future__ import annotations
@@ -364,13 +367,20 @@ def _degenerate_spectrum(K: TorusPoint, params: ModelParams, band: Band) -> Spec
 
 
 def _general_below(K: TorusPoint, params: ModelParams, window: float,
-                   width_tol: float, rel_tol: float, budget: int) -> list[_Root]:
-    """Roots below the band at fiber K, from the curve count and its jumps."""
+                   width_tol: float, rel_tol: float, budget: int,
+                   jmemo: dict[float, np.ndarray]) -> list[_Root]:
+    """Roots below the band at fiber K, from the curve count and its jumps.
+
+    ``jmemo`` maps a distance to its Gram matrix J; it is filled here and
+    must only be shared between calls at the same (K, gamma, rel_tol).
+    """
     gvec = InteractionBasis.weights(params)
 
     def jmat(d: float) -> np.ndarray:
-        j, _ = secular_entries(0.0, K, params, rel_tol, side=Side.BELOW, delta=d)
-        return j
+        if d not in jmemo:
+            jmemo[d], _ = secular_entries(0.0, K, params, rel_tol,
+                                          side=Side.BELOW, delta=d)
+        return jmemo[d]
 
     def nfun(d: float) -> int:
         return _threshold_count(jmat(d), gvec)[0]
@@ -411,7 +421,7 @@ def spectrum_general(K: TorusPoint, params: ModelParams, rel_tol: float = 1e-10,
     the multiplicity.  Near the mesh floor, two extra diagnostics decide
     pending roots: the divergent channel (weight proportional to lam + 2*mu,
     independent of the fiber) and a two-depth extrapolation of the finite
-    curves.
+    curves.  Both sides share one memo of Gram matrices per call.
     """
     band = band_edges(K, params)
     if band.degenerate:
@@ -419,10 +429,11 @@ def spectrum_general(K: TorusPoint, params: ModelParams, rel_tol: float = 1e-10,
     if params.lam == 0.0 and params.mu == 0.0:
         return SpectrumReport(K=K, params=params, band=band, below=(), above=())
     window = abs(params.lam) + 2.0 * abs(params.mu) + 1.0
+    jmemo: dict[float, np.ndarray] = {}
     below = _general_below(K, params, window, 1e-12 * (1.0 + abs(band.e_min)),
-                           rel_tol, budget)
+                           rel_tol, budget, jmemo)
     above = _general_below(K, _mirrored(params), window,
-                           1e-12 * (1.0 + abs(band.e_max)), rel_tol, budget)
+                           1e-12 * (1.0 + abs(band.e_max)), rel_tol, budget, jmemo)
     return SpectrumReport(K=K, params=params, band=band,
                           below=_placed(below, lambda d: band.e_min - d),
                           above=_placed(above, lambda d: band.e_max + d))

@@ -12,7 +12,8 @@ from latticebound.atlas import (CONVENTIONS, _axis_values, binding_thresholds,
                                 threshold_scan)
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
 from latticebound.errors import CalibrationMissing
-from latticebound.integrals import ConstantsSource, ensure_calibrated
+from latticebound.integrals import (ConstantsSource, Side, ensure_calibrated,
+                                    watson_integrals_at)
 from latticebound.spectrum import FactorKind, spectrum_k0
 
 
@@ -191,3 +192,14 @@ def test_threshold_scan_adjudicates_the_even_threshold():
     # scanning a window that excludes the threshold is an error
     with pytest.raises(ValueError):
         threshold_scan(mu_lo=1.0, mu_hi=2.0, step=0.1)
+
+
+def test_threshold_scan_shares_the_solvers_moment_cache_entries():
+    # the solvers pass rel_tol positionally; a differently formed call
+    # would get its own cache entry and integrate the same moments again
+    watson_integrals_at.cache_clear()
+    threshold_scan(1.0)
+    misses = watson_integrals_at.cache_info().misses
+    for d in np.geomspace(1e-10, 4.0, 160):
+        watson_integrals_at(Side.ABOVE, d, 1.0, 1e-10)
+    assert watson_integrals_at.cache_info().misses == misses

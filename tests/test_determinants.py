@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from latticebound.core import ORIGIN, ModelParams, TorusPoint, dispersion
-from latticebound.determinants import (InteractionBasis, delta_even_main,
+from latticebound.determinants import (InteractionBasis, _entries_from_nodes,
+                                       _pair_coefficients, delta_even_main,
                                        delta_even_sub, delta_odd,
                                        secular_entries, secular_matrix,
                                        slope_above, slope_below)
 from latticebound.errors import DomainError
-from latticebound.integrals import watson_integrals
+from latticebound.integrals import geometric_panels, panel_nodes, watson_integrals
 
 
 def brute_secular(z, K, params, n=600):
@@ -21,6 +22,26 @@ def brute_secular(z, K, params, n=600):
     modes = InteractionBasis.modes(p1, p2).reshape(5, -1)
     w = 1.0 / (e.ravel() - z)
     return (modes * w) @ modes.T * (2 * np.pi / n) ** 2
+
+
+def loop_entries(x, w, delta, r1, r2, tab):
+    """Reference for ``_entries_from_nodes``: one integrand per mode pair."""
+    m = delta + 2.0 * r1 * np.sin(0.5 * x) ** 2
+    amag = m + r2
+    root = np.sqrt(m * (m + 2.0 * r2))
+    denom = root * (amag + root)
+    t1 = r2 / denom
+    t2 = amag / denom
+    ts = 1.0 / (amag + root)
+    cq = np.cos(x)
+    out = np.empty((5, 5))
+    for k, (i, j) in enumerate(zip(*np.triu_indices(5))):
+        x0, x1c, x2c, y0, y1c, z0 = tab[k]
+        p = x0 + x1c * cq + x2c * cq * cq
+        q = y0 + y1c * cq
+        val = w @ ((p + z0) * t2 + p * ts + q * t1)
+        out[i, j] = out[j, i] = val / math.pi
+    return out
 
 
 def test_mode_normalization():
@@ -149,3 +170,22 @@ def test_entries_stable_down_to_tiny_distances():
         prev = j
     with pytest.raises(ValueError):
         secular_entries(band.e_max + 1e-6, K, params, side="upper", delta=1e-6)
+
+
+def test_entry_array_matches_the_per_pair_loop_exactly():
+    # the (15, N) integrand array rounds every entry as the per-pair loop does
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        delta = float(10.0 ** rng.uniform(-12, 1))
+        r1 = float(rng.uniform(0.2, 2.0))
+        r2 = float(rng.uniform(0.0, r1))
+        c1, s1, c2, s2 = (f(a) for a in rng.uniform(-math.pi, math.pi, 2)
+                          for f in (math.cos, math.sin))
+        tab = _pair_coefficients(c1, s1, c2, s2)
+        layer = math.sqrt(2.0 * delta / r1) if r1 > delta else math.pi
+        level = int(rng.integers(0, 3))
+        bp = geometric_panels(math.pi, min(layer, math.pi) / 4.0 ** level)
+        x, w = panel_nodes(bp, int(rng.choice([16, 32, 64, 128])))
+        np.testing.assert_array_equal(
+            _entries_from_nodes(x, w, delta, r1, r2, tab),
+            loop_entries(x, w, delta, r1, r2, tab))

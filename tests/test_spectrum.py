@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from latticebound import spectrum
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
 from latticebound.errors import BudgetExceeded
 from latticebound.integrals import watson_integrals_at
@@ -137,6 +138,27 @@ def test_mirrored_couplings_reuse_every_moment():
     misses = watson_integrals_at.cache_info().misses
     spectrum_k0(ModelParams(params.gamma, -params.lam, -params.mu))
     assert watson_integrals_at.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("K,lam,mu", [
+    (TorusPoint(1.0, 0.5), 6.0, 10.0),
+    (TorusPoint(0.7, -2.1), -3.0, 2.0),
+    (TorusPoint(-2.5, 0.7), 10.0, -3.0),
+])
+def test_general_solve_integrates_each_distance_once(monkeypatch, K, lam, mu):
+    # J below the band does not depend on (lam, mu), so both sides of one
+    # solve share every Gram matrix; the last two fibers have states on both
+    deltas = []
+    inner = spectrum.secular_entries
+
+    def counting(*args, **kwargs):
+        deltas.append(kwargs["delta"])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "secular_entries", counting)
+    rep = spectrum_general(K, ModelParams(1.0, lam, mu))
+    assert rep.n_below + rep.n_above > 0
+    assert deltas and len(deltas) == len(set(deltas))
 
 
 def test_zero_coupling_is_empty():
