@@ -33,7 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import ModelParams, TorusPoint, ORIGIN
-from .integrals import (ConstantsSource, Side, ensure_calibrated,
+from .errors import NUMERICAL_ERRORS
+from .integrals import (ConstantsSource, Side, check_rel_tol, ensure_calibrated,
                         predicted_asymptote, published_asymptote,
                         watson_integrals_at)
 from .spectrum import SpectrumReport, spectrum_general, spectrum_k0
@@ -239,11 +240,25 @@ def _reading_note(label: RegionLabel, pred: PredictedCounts) -> str:
             f"{pred.n_below_k0}, swapped would predict {alt}")
 
 
+def _failed_row(lam: float, mu: float, gamma: float, K: TorusPoint,
+                exc: Exception) -> SweepRow:
+    return SweepRow(lam=lam, mu=mu, gamma=gamma, K=K, label=None,
+                    pred=None, comp_below=None, comp_above=None,
+                    eigs_below=(), eigs_above=(), agree=False,
+                    error=f"{type(exc).__name__}: {exc}")
+
+
 def _sweep_point(task: tuple) -> SweepRow:
     (lam, mu, gamma, k1, k2, source_val, convention, rel_tol) = task
     source = ConstantsSource(source_val)
     K = TorusPoint(k1, k2)
     params = ModelParams(gamma=gamma, lam=lam, mu=mu)
+    # a point fails alone on an out-of-range rel_tol or a typed numerical
+    # failure; any other exception is a bug and aborts the sweep
+    try:
+        check_rel_tol(rel_tol)
+    except ValueError as exc:
+        return _failed_row(lam, mu, gamma, K, exc)
     try:
         if source is ConstantsSource.COMPUTED:
             ensure_calibrated(gamma)
@@ -254,24 +269,21 @@ def _sweep_point(task: tuple) -> SweepRow:
                                            rel_tol=rel_tol)
                                if at_zero
                                else spectrum_general(K, params, rel_tol=rel_tol))
-        nb, na = rep.n_below, rep.n_above
-        if at_zero:
-            agree = nb == pred.n_below_k0 and na == pred.n_above_k0
-        else:
-            agree = (nb >= pred.lower_bound_below_k
-                     and na >= pred.lower_bound_above_k
-                     and (not pred.exact_below_all_k or nb == 5)
-                     and (not pred.exact_above_all_k or na == 5))
-        return SweepRow(lam=lam, mu=mu, gamma=gamma, K=K, label=label,
-                        pred=pred, comp_below=nb, comp_above=na,
-                        eigs_below=_expand(rep.below),
-                        eigs_above=_expand(rep.above),
-                        agree=agree, error=_reading_note(label, pred))
-    except Exception as exc:  # noqa: BLE001 - a sweep never aborts
-        return SweepRow(lam=lam, mu=mu, gamma=gamma, K=K, label=None,
-                        pred=None, comp_below=None, comp_above=None,
-                        eigs_below=(), eigs_above=(), agree=False,
-                        error=f"{type(exc).__name__}: {exc}")
+    except NUMERICAL_ERRORS as exc:
+        return _failed_row(lam, mu, gamma, K, exc)
+    nb, na = rep.n_below, rep.n_above
+    if at_zero:
+        agree = nb == pred.n_below_k0 and na == pred.n_above_k0
+    else:
+        agree = (nb >= pred.lower_bound_below_k
+                 and na >= pred.lower_bound_above_k
+                 and (not pred.exact_below_all_k or nb == 5)
+                 and (not pred.exact_above_all_k or na == 5))
+    return SweepRow(lam=lam, mu=mu, gamma=gamma, K=K, label=label,
+                    pred=pred, comp_below=nb, comp_above=na,
+                    eigs_below=_expand(rep.below),
+                    eigs_above=_expand(rep.above),
+                    agree=agree, error=_reading_note(label, pred))
 
 
 def _axis_values(lo: float, hi: float, step: float) -> list[float]:
@@ -293,7 +305,9 @@ def sweep(lam_range: tuple[float, float], mu_range: tuple[float, float],
 
     Rows come back in row-major order (lam outer, mu inner, then K_list
     order) regardless of worker count, so equal configurations produce
-    identical tables. Per-point failures land in the row's error field.
+    identical tables. A point's typed numerical failure (``NUMERICAL_ERRORS``)
+    or out-of-range rel_tol lands in its row's error field; any other
+    exception propagates.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")

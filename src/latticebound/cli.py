@@ -14,8 +14,7 @@ from dataclasses import dataclass, fields, replace
 from . import atlas, oracle
 from .core import ModelParams, TorusPoint, band_edges
 from .determinants import delta_even_main, delta_even_sub, delta_odd, secular_matrix
-from .errors import (BudgetExceeded, CalibrationMissing, DomainError,
-                     ParseError, ToleranceError, ValidationError)
+from .errors import NUMERICAL_ERRORS, ParseError, ValidationError
 from .integrals import (ConstantsSource, Side, ensure_calibrated,
                         predicted_asymptote, watson_integrals,
                         watson_integrals_at)
@@ -61,6 +60,8 @@ class RunConfig:
             finite("K", v)
         if self.grid_N < 16:
             raise ValidationError("must be at least 16", "grid_N")
+        if self.grid_N % 2:
+            raise ValidationError("must be even", "grid_N")
         if not 0.0 < self.rel_tol <= 1e-2:
             raise ValidationError("must lie in (0, 1e-2]", "rel_tol")
         if self.convention not in atlas.CONVENTIONS:
@@ -524,8 +525,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, ToleranceError, BudgetExceeded,
-            CalibrationMissing) as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

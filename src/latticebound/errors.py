@@ -17,6 +17,11 @@ class BudgetExceeded(RuntimeError):
     """Raised when a root scan exceeds its function-evaluation budget."""
 
 
+# the typed numerical failures: the CLI exits with code 3 on them and a sweep
+# reports them in the failing point's row; anything else is a bug and aborts
+NUMERICAL_ERRORS = (DomainError, ToleranceError, BudgetExceeded, CalibrationMissing)
+
+
 class ParseError(ValueError):
     """Raised on malformed config text.  Carries the 1-based line number."""
 

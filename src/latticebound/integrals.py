@@ -160,7 +160,7 @@ def _reduced_integrals(d: float, rel_tol: float) -> tuple[np.ndarray, float]:
     )
 
 
-def _check_rel_tol(rel_tol: float) -> None:
+def check_rel_tol(rel_tol: float) -> None:
     if not (rel_tol >= 1e-13):
         raise ValueError(f"rel_tol must be >= 1e-13, got {rel_tol}")
 
@@ -182,7 +182,7 @@ def watson_integrals_at(side: Side, delta: float, gamma: float,
         s = watson_integrals_at(Side.BELOW, delta, gamma, rel_tol)
         return IntegralSet(a=-s.a, b=s.b, c=-s.c, e=-s.e, f=-s.f,
                            z=4.0 * g + delta, est_error=s.est_error)
-    _check_rel_tol(rel_tol)
+    check_rel_tol(rel_tol)
     if not (delta > 0.0) or not math.isfinite(delta):
         raise DomainError(f"distance to the band edge must be positive, got {delta}")
     vals, err = _reduced_integrals(delta / g, rel_tol)
@@ -196,7 +196,7 @@ def watson_integrals(z: float, gamma: float, rel_tol: float = 1e-10) -> Integral
     Raises DomainError for z inside the closed band (endpoints included) and
     ToleranceError when the panel quadrature cannot certify ``rel_tol``.
     """
-    _check_rel_tol(rel_tol)
+    check_rel_tol(rel_tol)
     g = 1.0 + gamma
     if z < 0.0:
         return watson_integrals_at(Side.BELOW, -z, gamma, rel_tol)

@@ -7,10 +7,28 @@ the analytic machinery, which makes it the referee for the continuum solver:
 counts converge immediately (the classification is stable) and bound-state
 positions converge spectrally once they sit a finite distance from the band.
 
+The grid problem separates into its two axes.  The dispersion is a sum
+e1(p1) + e2(p2) with e_i(q) = (1 - cos q) + gamma (1 - cos(K_i - q)), and
+each of the five modes is a product of one axis-1 and one axis-2 function
+from {1, sqrt2 cos, sqrt2 sin}.  A pair of modes therefore multiplies to
+one of six axis products on each axis, and every entry of the 5x5 secular
+matrix is
+
+    J_ij(z) = N^-2 sum_a A_ij(a) (R(z) B)[a, c(i, j)],
+    R(z) = 1 / (e1[:, None] + (e2[None, :] - z)),
+
+with A_ij the axis-1 product of the pair and c(i, j) the column of the
+(N, 6) axis-2 table B it uses: one N x N resolvent and one thin matrix
+product per energy.  For even N the shift p -> p + (pi, pi) maps the grid
+onto itself, reflects the band and flips the sign of the four trigonometric
+modes, so J(e_max + d) = -P J(e_min - d) P with P = diag(1, -1, -1, -1, -1).
+The jump counter therefore evaluates below the band only, and the states
+above it at (lam, mu) are the states below it at (-lam, -mu).
+
 Three entry points:
 
 * :func:`oracle_counts` - bound states via the 5x5 discrete secular matrix
-  (cheap; any N),
+  (cheap; any even N >= 16),
 * :func:`dense_validate` - brute-force dense diagonalization (small N),
 * :func:`minimax_values` - ordered eigenvalue sequences, clamped to the
   discrete band edge when fewer bound states exist.
@@ -25,51 +43,84 @@ import numpy as np
 
 from .core import Band, ModelParams, TorusPoint
 from .determinants import InteractionBasis
-from .errors import BudgetExceeded
 from .spectrum import (Eigenvalue, FactorKind, Sector, SpectrumReport,
                        _Budget, _threshold_count, count_jump_scan)
 from .integrals import Side
 
 TWO_PI = 2.0 * math.pi
+_SQRT2 = math.sqrt(2.0)
+
+# mode i is axis1[_AXIS1[i]] * axis2[_AXIS2[i]] over the axis functions
+# (1, sqrt2 cos, sqrt2 sin); _PRODUCT[s, t] numbers the six unordered
+# products of two axis functions
+_AXIS1 = np.array([0, 1, 0, 2, 0])
+_AXIS2 = np.array([0, 0, 1, 0, 2])
+_PRODUCT = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_PAIR1 = _PRODUCT[_AXIS1[:, None], _AXIS1[None, :]]     # (5, 5) -> row of A
+_PAIR2 = _PRODUCT[_AXIS2[:, None], _AXIS2[None, :]]     # (5, 5) -> column of B
+
+
+def _axis_functions(q: np.ndarray) -> np.ndarray:
+    return np.stack([np.ones_like(q), _SQRT2 * np.cos(q), _SQRT2 * np.sin(q)])
 
 
 @dataclass(frozen=True)
 class GridModel:
-    """Momentum-grid discretization of one fiber operator."""
+    """Momentum-grid discretization of one fiber operator, axis by axis."""
 
     K: TorusPoint
     params: ModelParams
     n: int
-    diag: np.ndarray            # dispersion samples, flat (n*n,)
-    modes: np.ndarray           # quadrature-weighted mode samples (5, n*n)
-    argmin: TorusPoint
-    argmax: TorusPoint
+    q: np.ndarray               # grid coordinates of either axis (n,)
+    e1: np.ndarray              # axis-1 dispersion samples (n,)
+    e2: np.ndarray              # axis-2 dispersion samples (n,)
+    A: np.ndarray               # axis-1 pair products over n (6, n)
+    B: np.ndarray               # axis-2 pair products over n (n, 6)
 
     @classmethod
     def build(cls, K: TorusPoint, params: ModelParams, n: int) -> "GridModel":
         if n < 16:
             raise ValueError(f"grid size must be at least 16, got {n}")
+        if n % 2:
+            raise ValueError(f"grid size must be even (the band mirror "
+                             f"p -> p + (pi, pi) needs it), got {n}")
         q = -np.pi + TWO_PI * np.arange(n) / n
-        p1, p2 = np.meshgrid(q, q, indexing="ij")
-        e = ((1.0 - np.cos(p1)) + (1.0 - np.cos(p2))
-             + params.gamma * ((1.0 - np.cos(K.p1 - p1)) + (1.0 - np.cos(K.p2 - p2))))
-        diag = e.ravel()
-        modes = InteractionBasis.modes(p1, p2).reshape(5, -1) * (TWO_PI / n)
-        imin = int(np.argmin(diag))
-        imax = int(np.argmax(diag))
-        pts = np.column_stack([p1.ravel(), p2.ravel()])
-        return cls(K=K, params=params, n=n, diag=diag, modes=modes,
-                   argmin=TorusPoint(*pts[imin]), argmax=TorusPoint(*pts[imax]))
+        e1 = (1.0 - np.cos(q)) + params.gamma * (1.0 - np.cos(K.p1 - q))
+        e2 = (1.0 - np.cos(q)) + params.gamma * (1.0 - np.cos(K.p2 - q))
+        axis = _axis_functions(q)
+        s, t = np.triu_indices(3)
+        prod = axis[s] * axis[t] / n            # _PRODUCT order
+        # both axes run over the same q, so B is A transposed
+        return cls(K=K, params=params, n=n, q=q, e1=e1, e2=e2,
+                   A=prod, B=np.ascontiguousarray(prod.T))
+
+    @property
+    def diag(self) -> np.ndarray:
+        """Dispersion samples, flat (n*n,) in row-major (p1, p2) order."""
+        return (self.e1[:, None] + self.e2[None, :]).ravel()
+
+    @property
+    def modes(self) -> np.ndarray:
+        """Quadrature-weighted mode samples (5, n*n)."""
+        axis = _axis_functions(self.q)
+        return (axis[_AXIS1][:, :, None] * axis[_AXIS2][:, None, :]
+                ).reshape(5, -1) / self.n
 
     @property
     def band(self) -> Band:
-        return Band(e_min=float(self.diag.min()), e_max=float(self.diag.max()),
-                    argmin=self.argmin, argmax=self.argmax)
+        i1, i2 = np.argmin(self.e1), np.argmin(self.e2)
+        j1, j2 = np.argmax(self.e1), np.argmax(self.e2)
+        return Band(e_min=float(self.e1[i1] + self.e2[i2]),
+                    e_max=float(self.e1[j1] + self.e2[j2]),
+                    argmin=TorusPoint(self.q[i1], self.q[i2]),
+                    argmax=TorusPoint(self.q[j1], self.q[j2]))
 
     def secular(self, z: float) -> np.ndarray:
         """Discrete resolvent Gram matrix of the five channels."""
-        w = 1.0 / (self.diag - z)
-        return (self.modes * w) @ self.modes.T
+        r = self.e1[:, None] + (self.e2[None, :] - z)
+        np.divide(1.0, r, out=r)        # in place: no second n x n array
+        t = self.A @ (r @ self.B)
+        return t[_PAIR1, _PAIR2]
 
     def dense_matrix(self) -> np.ndarray:
         h = np.diag(self.diag)
@@ -103,7 +154,9 @@ def oracle_counts(K: TorusPoint, params: ModelParams, n: int = 256,
     Uses the same curve-counting scheme as the continuum solver but against
     the discrete band edges; discrete level repulsion keeps all roots at
     power-law distances from the edge, so no asymptotic pending logic is
-    needed (the mesh floor of 1e-11 resolves everything).
+    needed (the mesh floor of 1e-11 resolves everything).  Both sides count
+    below the band, the side above at (-lam, -mu) through the grid mirror,
+    and share one memo of Gram matrices per call.
     """
     if model is None:
         model = GridModel.build(K, params, n)
@@ -112,18 +165,20 @@ def oracle_counts(K: TorusPoint, params: ModelParams, n: int = 256,
     if params.lam == 0.0 and params.mu == 0.0:
         return _grid_report(model, {Side.BELOW: [], Side.ABOVE: []})
     window = abs(params.lam) + 2.0 * abs(params.mu) + 1.0
+    jmemo: dict[float, np.ndarray] = {}
+
+    def jmat(d: float) -> np.ndarray:
+        if d not in jmemo:
+            jmemo[d] = model.secular(band.e_min - d)
+        return jmemo[d]
+
     found: dict[Side, list[tuple[float, int]]] = {}
-    for side in (Side.BELOW, Side.ABOVE):
-        edge = band.e_min if side is Side.BELOW else band.e_max
-        sgn = -1.0 if side is Side.BELOW else 1.0
-
-        # the curve count is stated below the band; above it, pass (-J, -G)
-        def nfun(d: float) -> int:
-            return _threshold_count(-sgn * model.secular(edge + sgn * d), -sgn * gvec)[0]
-
+    for side, g, edge in ((Side.BELOW, gvec, band.e_min),
+                          (Side.ABOVE, -gvec, band.e_max)):
         b = _Budget(budget, f"grid curve scan ({side.value})")
-        width_tol = 1e-12 * (1.0 + abs(edge))
-        found[side] = count_jump_scan(nfun, window, 1e-11, width_tol, b)
+        found[side] = count_jump_scan(
+            lambda d, g=g: _threshold_count(jmat(d), g)[0],
+            window, 1e-11, 1e-12 * (1.0 + abs(edge)), b)
     return _grid_report(model, found)
 
 

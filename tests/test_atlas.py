@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from latticebound import atlas
 from latticebound.atlas import (CONVENTIONS, _axis_values, binding_thresholds,
                                 classify, predicted_counts, sweep,
                                 threshold_scan)
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
-from latticebound.errors import CalibrationMissing
+from latticebound.errors import BudgetExceeded, CalibrationMissing
 from latticebound.integrals import (ConstantsSource, Side, ensure_calibrated,
                                     watson_integrals_at)
 from latticebound.spectrum import FactorKind, spectrum_k0
@@ -172,6 +173,26 @@ def test_sweep_reports_failures_per_row():
     assert rows[0].error.startswith("ValueError")
     assert "rel_tol" in rows[0].error
     assert rows[0].comp_below is None
+
+
+def test_sweep_lets_programming_errors_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(atlas, "spectrum_k0", broken)
+    with pytest.raises(TypeError, match="injected"):
+        sweep((1.0, 1.0), (10.0, 10.0), 1.0)
+
+
+def test_sweep_reports_numerical_failures_per_row(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise BudgetExceeded("injected budget failure")
+
+    monkeypatch.setattr(atlas, "spectrum_k0", exhausted)
+    rows = sweep((1.0, 1.0), (10.0, 10.0), 1.0)
+    assert len(rows) == 1
+    assert not rows[0].agree and rows[0].comp_below is None
+    assert rows[0].error == "BudgetExceeded: injected budget failure"
 
 
 def test_minus_table_reading_note():

@@ -192,6 +192,11 @@ def test_oracle_command(capsys):
     assert "below (4)" in capsys.readouterr().out
 
 
+def test_oracle_rejects_an_odd_grid(capsys):
+    assert main(["oracle", "--N", "65"]) == 2
+    assert "grid_N" in capsys.readouterr().err
+
+
 def test_oracle_dense_command(capsys):
     assert main(["oracle", "--dense", "--N", "32",
                  "--lambda", "1", "--mu", "10"]) == 0

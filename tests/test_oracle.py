@@ -124,3 +124,70 @@ def test_grid_size_limits():
         oracle_counts(ORIGIN, params, n=12)
     with pytest.raises(ValueError):
         dense_validate(ORIGIN, params, n=60)
+    # the band mirror p -> p + (pi, pi) needs an even grid
+    with pytest.raises(ValueError, match="even"):
+        GridModel.build(ORIGIN, params, 17)
+    with pytest.raises(ValueError, match="even"):
+        oracle_counts(ORIGIN, params, n=65)
+    with pytest.raises(ValueError, match="even"):
+        dense_validate(ORIGIN, params, n=33)
+
+
+def _random_fibers(seed, count):
+    rng = np.random.default_rng(seed)
+    return [(TorusPoint(*rng.uniform(-np.pi, np.pi, 2)),
+             ModelParams(rng.uniform(0.5, 2.0), 1.0, 1.0)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_separable_secular_matches_the_direct_sum(n):
+    # the per-axis form against the N^2-term sum over the flat grid; at
+    # distances d << 1 the two round z - e differently at the ulp of e, a
+    # relative 1e-16/d, so the comparison keeps d >= 0.01
+    for K, params in _random_fibers(n, 4):
+        model = GridModel.build(K, params, n)
+        band = model.band
+        for d in (0.01, 0.37, 2.5, 20.0):
+            for z in (band.e_min - d, band.e_max + d):
+                direct = (model.modes * (1.0 / (model.diag - z))) @ model.modes.T
+                got = model.secular(z)
+                assert np.abs(got - direct).max() <= 1e-13 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_secular_mirror_identity(n):
+    # p -> p + (pi, pi) maps the even grid onto itself, reflects the band
+    # and flips the four trigonometric modes: J(e_max + d) = -P J(e_min - d) P
+    P = np.diag([1.0, -1.0, -1.0, -1.0, -1.0])
+    for K, params in _random_fibers(n + 1, 4):
+        model = GridModel.build(K, params, n)
+        band = model.band
+        for d in (0.01, 0.37, 2.5, 20.0):
+            above = model.secular(band.e_max + d)
+            mirrored = -P @ model.secular(band.e_min - d) @ P
+            assert np.abs(above - mirrored).max() <= 1e-12 * np.abs(above).max()
+
+
+def test_oracle_solve_evaluates_each_distance_once(monkeypatch):
+    # both sides count below the band through the mirror and share one memo
+    # of Gram matrices, so every distance is evaluated exactly once per call
+    distances = []
+    secular = GridModel.secular
+
+    def counted(self, z):
+        band = self.band
+        distances.append(band.e_min - z if z < band.e_min else z - band.e_max)
+        return secular(self, z)
+
+    monkeypatch.setattr(GridModel, "secular", counted)
+    for K, params in [(TorusPoint(0.7, -1.2), ModelParams(1.0, -3.0, 2.0)),
+                      (TorusPoint(2.1, 0.4), ModelParams(0.6, 5.0, -4.0)),
+                      (TorusPoint(-1.0, 2.5), ModelParams(1.5, -8.0, 6.0))]:
+        distances.clear()
+        rep = oracle_counts(K, params, n=64)
+        assert rep.n_below > 0 and rep.n_above > 0
+        # distances recovered from z carry rounding at the ulp of the edge;
+        # distinct evaluation points lie more than 1e-13 apart
+        ds = np.sort(np.array(distances))
+        distinct = 1 + int(np.sum(np.diff(ds) > 1e-13))
+        assert len(distances) == distinct
