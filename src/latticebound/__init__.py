@@ -10,8 +10,8 @@ discrete-grid oracles.
 """
 
 from .core import ORIGIN, Band, ModelParams, TorusPoint, band_edges
-from .integrals import (ConstantsSource, Side, ensure_calibrated,
-                        watson_integrals, watson_integrals_at)
+from .integrals import (ConstantsSource, Side, watson_integrals,
+                        watson_integrals_at)
 from .determinants import secular_matrix
 from .spectrum import SpectrumReport, spectrum_general, spectrum_k0
 from .oracle import dense_validate, minimax_values, oracle_counts
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ORIGIN", "Band", "ModelParams", "TorusPoint", "band_edges",
-    "ConstantsSource", "Side", "ensure_calibrated", "watson_integrals",
+    "ConstantsSource", "Side", "watson_integrals",
     "watson_integrals_at", "secular_matrix", "SpectrumReport",
     "spectrum_general", "spectrum_k0", "dense_validate", "minimax_values",
     "oracle_counts", "binding_thresholds", "classify", "predicted_counts",

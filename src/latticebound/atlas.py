@@ -12,9 +12,9 @@ cutting, all scaling linearly in g = 1 + gamma:
 
 The thresholds are reciprocals of band-edge limits of integral
 combinations, so they exist in two flavors: the published closed forms and
-the values this package calibrates numerically (`ConstantsSource`).  The
-two disagree about t_s by a factor of two; `threshold_scan` measures which
-one the operator actually obeys.
+the exact edge limits this package computes (`ConstantsSource`).  The two
+disagree about t_s by a factor of two; `threshold_scan` measures which one
+the operator actually obeys.
 
 Sign-condition conventions: the default ("mirrored") uses sign conditions
 on S+ that mirror the S- family, which is what direct diagonalization
@@ -34,9 +34,8 @@ import numpy as np
 
 from .core import ModelParams, TorusPoint, ORIGIN
 from .errors import NUMERICAL_ERRORS
-from .integrals import (ConstantsSource, Side, check_rel_tol, ensure_calibrated,
-                        predicted_asymptote, published_asymptote,
-                        watson_integrals_at)
+from .integrals import (ConstantsSource, Side, check_rel_tol,
+                        predicted_asymptote, watson_integrals_at)
 from .spectrum import SpectrumReport, spectrum_general, spectrum_k0
 
 CONVENTIONS = ("mirrored", "printed")
@@ -65,11 +64,9 @@ def binding_thresholds(gamma: float,
     lower edge where they are positive; the upper edge gives the same
     numbers with opposite sign, hence the symmetric regions at -t_s, -t_d.
     """
-    fn = (published_asymptote if source is ConstantsSource.PUBLISHED
-          else predicted_asymptote)
-    off_c = fn("c", Side.BELOW, gamma).offset
-    off_e = fn("e", Side.BELOW, gamma).offset
-    off_f = fn("f", Side.BELOW, gamma).offset
+    off_c = predicted_asymptote("c", Side.BELOW, gamma, source).offset
+    off_e = predicted_asymptote("e", Side.BELOW, gamma, source).offset
+    off_f = predicted_asymptote("f", Side.BELOW, gamma, source).offset
     return Thresholds(t_s=1.0 / (off_c - off_e), t_d=1.0 / off_f,
                       gamma=gamma, source=source)
 
@@ -134,9 +131,7 @@ def classify(params: ModelParams,
              convention: str = "mirrored", tol: float = 1e-12) -> RegionLabel:
     """Place (lam, mu) in the three region families.
 
-    With the computed source this requires edge constants already
-    calibrated for this gamma (CalibrationMissing otherwise) — the caller
-    decides when to spend that time, see `ensure_calibrated`.
+    The thresholds t_s and t_d come from the edge constants of ``source``.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
@@ -226,20 +221,6 @@ def _expand(report_side) -> tuple[float, ...]:
     return tuple(ev.z for ev in report_side for _ in range(ev.multiplicity))
 
 
-def _reading_note(label: RegionLabel, pred: PredictedCounts) -> str:
-    """Flag minus-side count-table rows where the two circulating readings
-    of the decoupled-even condition (mu < -t_s vs mu > +t_s) disagree."""
-    if label.c_minus[:2] not in ("C1", "C2"):
-        return ""
-    sym = label.s_region == "S0-"
-    swapped = label.s_region == "S0+"
-    if sym == swapped:
-        return ""
-    alt = pred.n_below_k0 - (1 if sym else 0) + (1 if swapped else 0)
-    return (f"minus-table readings differ: symmetric predicts below="
-            f"{pred.n_below_k0}, swapped would predict {alt}")
-
-
 def _failed_row(lam: float, mu: float, gamma: float, K: TorusPoint,
                 exc: Exception) -> SweepRow:
     return SweepRow(lam=lam, mu=mu, gamma=gamma, K=K, label=None,
@@ -260,8 +241,6 @@ def _sweep_point(task: tuple) -> SweepRow:
     except ValueError as exc:
         return _failed_row(lam, mu, gamma, K, exc)
     try:
-        if source is ConstantsSource.COMPUTED:
-            ensure_calibrated(gamma)
         label = classify(params, source, convention)
         pred = predicted_counts(label)
         at_zero = k1 == 0.0 and k2 == 0.0
@@ -283,7 +262,7 @@ def _sweep_point(task: tuple) -> SweepRow:
                     pred=pred, comp_below=nb, comp_above=na,
                     eigs_below=_expand(rep.below),
                     eigs_above=_expand(rep.above),
-                    agree=agree, error=_reading_note(label, pred))
+                    agree=agree, error="")
 
 
 def _axis_values(lo: float, hi: float, step: float) -> list[float]:
@@ -311,8 +290,6 @@ def sweep(lam_range: tuple[float, float], mu_range: tuple[float, float],
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    if source is ConstantsSource.COMPUTED:
-        ensure_calibrated(gamma)   # also warms forked workers via the cache
     tasks = [(lam, mu, gamma, K.p1, K.p2, source.value, convention, rel_tol)
              for lam in _axis_values(*lam_range, step)
              for mu in _axis_values(*mu_range, step)

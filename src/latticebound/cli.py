@@ -15,7 +15,7 @@ from . import atlas, oracle
 from .core import ModelParams, TorusPoint, band_edges
 from .determinants import delta_even_main, delta_even_sub, delta_odd, secular_matrix
 from .errors import NUMERICAL_ERRORS, ParseError, ValidationError
-from .integrals import (ConstantsSource, Side, ensure_calibrated,
+from .integrals import (REL_TOL_FLOOR, ConstantsSource, Side,
                         predicted_asymptote, watson_integrals,
                         watson_integrals_at)
 from .spectrum import SpectrumReport, spectrum_general, spectrum_k0
@@ -62,8 +62,9 @@ class RunConfig:
             raise ValidationError("must be at least 16", "grid_N")
         if self.grid_N % 2:
             raise ValidationError("must be even", "grid_N")
-        if not 0.0 < self.rel_tol <= 1e-2:
-            raise ValidationError("must lie in (0, 1e-2]", "rel_tol")
+        if not REL_TOL_FLOOR <= self.rel_tol <= 1e-2:
+            raise ValidationError(f"must lie in [{REL_TOL_FLOOR:g}, 1e-2]",
+                                  "rel_tol")
         if self.convention not in atlas.CONVENTIONS:
             raise ValidationError("must be 'mirrored' or 'printed'", "convention")
         if self.step is not None and self.step <= 0.0:
@@ -270,8 +271,6 @@ def _cmd_det(cfg: RunConfig, z: float) -> int:
 def _cmd_spectrum(cfg: RunConfig) -> int:
     params = _params(cfg)
     if cfg.K == (0.0, 0.0):
-        if cfg.constants_source is ConstantsSource.COMPUTED:
-            ensure_calibrated(cfg.gamma)
         rep = spectrum_k0(params, constants_source=cfg.constants_source,
                           rel_tol=cfg.rel_tol)
     else:
@@ -281,8 +280,6 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def _cmd_classify(cfg: RunConfig) -> int:
-    if cfg.constants_source is ConstantsSource.COMPUTED:
-        ensure_calibrated(cfg.gamma)
     label = atlas.classify(_params(cfg), cfg.constants_source, cfg.convention)
     pred = atlas.predicted_counts(label)
     thr = label.thresholds
@@ -355,26 +352,14 @@ def _verify(quick: bool) -> int:
             worst = max(worst, r1 / scale, r2 / scale, r3 / scale)
     checks.append(_check("moment identities", worst < 1e-9, f"worst {worst:.2e}"))
 
-    # calibrated edge constants vs closed forms.  The log slope, the f
-    # limit and the a-b offset gap have gamma-generic closed forms; the
-    # individual a,b offsets carry an extra ln(1+gamma) term and reduce to
-    # the familiar 5ln2 constants only at gamma=1.
+    # exact edge models against the moments at distance 1e-7, where the
+    # neglected d*ln(d) terms are below 2e-7 for gamma >= 0.5
     for gamma in gammas:
-        ensure_calibrated(gamma)
-        g = 1.0 + gamma
-        slope = 1.0 / (2.0 * math.pi * g)
-        pa = predicted_asymptote("a", Side.BELOW, gamma)
-        pb = predicted_asymptote("b", Side.BELOW, gamma)
-        pf = predicted_asymptote("f", Side.BELOW, gamma)
-        ok = (abs(pa.log_slope - slope) < 1e-8
-              and abs(pb.log_slope - slope) < 1e-8
-              and abs(pf.offset - (math.pi - 2.0) / (math.pi * g)) < 1e-6
-              and abs(pa.offset - pb.offset - 0.5 / g) < 1e-6
-              and abs(pa.offset - math.log(16.0 * g) / (2.0 * math.pi * g)) < 1e-6)
-        if gamma == 1.0:
-            ok = ok and abs(pa.offset
-                            - 5.0 * math.log(2.0) / (2.0 * math.pi * g)) < 1e-6
-        checks.append(_check(f"edge constants (gamma={gamma:g})", ok))
+        worst = max(abs(getattr(watson_integrals_at(side, 1e-7, gamma), q)
+                        - predicted_asymptote(q, side, gamma).value_at(1e-7))
+                    for side in Side for q in "abcef")
+        checks.append(_check(f"edge constants (gamma={gamma:g})", worst < 1e-6,
+                             f"worst {worst:.2e}"))
 
     # decoupled-even threshold adjudication
     scan = atlas.threshold_scan(1.0, 3.0, 8.0, 1e-2)

@@ -117,11 +117,6 @@ def delta_even_main(z_or_set, params: ModelParams, rel_tol: float = 1e-10) -> fl
     return factor_value(FactorKind.MAIN_EVEN, s, params)
 
 
-def slope_above(params: ModelParams) -> float:
-    """Log-slope coefficient of the main even factor at the upper edge."""
-    return 2.0 * params.mu + params.lam - params.lam * params.mu / params.g
-
-
 def slope_below(params: ModelParams) -> float:
     """Log-slope coefficient of the main even factor at the lower edge."""
     return 2.0 * params.mu + params.lam + params.lam * params.mu / params.g

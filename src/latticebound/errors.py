@@ -9,17 +9,13 @@ class ToleranceError(RuntimeError):
     """Raised when adaptive quadrature cannot certify the requested tolerance."""
 
 
-class CalibrationMissing(LookupError):
-    """Raised when computed edge constants are requested before calibration."""
-
-
 class BudgetExceeded(RuntimeError):
     """Raised when a root scan exceeds its function-evaluation budget."""
 
 
 # the typed numerical failures: the CLI exits with code 3 on them and a sweep
 # reports them in the failing point's row; anything else is a bug and aborts
-NUMERICAL_ERRORS = (DomainError, ToleranceError, BudgetExceeded, CalibrationMissing)
+NUMERICAL_ERRORS = (DomainError, ToleranceError, BudgetExceeded)
 
 
 class ParseError(ValueError):

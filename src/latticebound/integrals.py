@@ -13,9 +13,9 @@ Only the side below the band is integrated.  The shift p -> p + (pi, pi)
 maps E0 to 4(1+gamma) - E0, so at the same distance above the band a, c, e
 and f change sign and b does not.
 
-Near an edge the moments behave like ``s * (-+ln|z-edge|) + offset``; the
-offsets are available in two flavors: a frozen ``PUBLISHED`` table and a
-``COMPUTED`` table calibrated here by Richardson-style extrapolation.
+Near an edge the moments behave like ``s * (-+ln|z-edge|) + offset`` with
+s = 1/(2 pi g) (f has slope 0); the offsets are available in two flavors: a
+frozen ``PUBLISHED`` table and the ``COMPUTED`` table of exact edge limits.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CalibrationMissing, DomainError, ToleranceError
+from .errors import DomainError, ToleranceError
 
 LN2 = math.log(2.0)
 PI = math.pi
@@ -117,8 +117,6 @@ def panel_nodes(breakpoints: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
 # ---------------------------------------------------------------------------
 # the reduced 1D integrals
 
-_QUANTITIES = ("a", "b", "c", "e", "f")
-
 
 def _reduced_values(x: np.ndarray, weights: np.ndarray, d: float) -> np.ndarray:
     """Evaluate the five reduced integrands at nodes x and sum.
@@ -160,9 +158,12 @@ def _reduced_integrals(d: float, rel_tol: float) -> tuple[np.ndarray, float]:
     )
 
 
+REL_TOL_FLOOR = 1e-13
+
+
 def check_rel_tol(rel_tol: float) -> None:
-    if not (rel_tol >= 1e-13):
-        raise ValueError(f"rel_tol must be >= 1e-13, got {rel_tol}")
+    if not (rel_tol >= REL_TOL_FLOOR):
+        raise ValueError(f"rel_tol must be >= {REL_TOL_FLOOR:g}, got {rel_tol}")
 
 
 @lru_cache(maxsize=65536)
@@ -261,70 +262,45 @@ def published_asymptote(which: str, side: Side, gamma: float) -> EdgeAsymptotics
                            source=ConstantsSource.PUBLISHED)
 
 
-CALIBRATION_DISTANCES = (1e-4, 1e-5, 1e-6, 1e-7)
-
-_CALIBRATED: dict[float, dict[tuple[str, Side], EdgeAsymptotics]] = {}
-
-
-def calibrate_edge_constants(gamma: float, rel_tol: float = 1e-12,
-                             ) -> dict[tuple[str, Side], EdgeAsymptotics]:
-    """Measure the edge models of all five moments on both sides.
-
-    Fits ``v(d) = t*ln d + C0 + C1*d*ln d + C2*d`` through the four sampled
-    distances below the band (an exact 4x4 solve, i.e. extrapolation to the
-    edge with the leading correction terms removed) and stores the result
-    for :func:`predicted_asymptote`.  The models above the band follow from
-    the mirror identity of :func:`watson_integrals_at`: a, c, e and f keep
-    their slope and negate their offset, b negates its slope and keeps its
-    offset.  Returns the full table.
-    """
-    cached = _CALIBRATED.get(gamma)
-    if cached is not None:
-        return cached
-    table: dict[tuple[str, Side], EdgeAsymptotics] = {}
-    deltas = np.array(CALIBRATION_DISTANCES)
-    ln = np.log(deltas)
-    design = np.column_stack([ln, np.ones_like(deltas), deltas * ln, deltas])
-    sets = [watson_integrals_at(Side.BELOW, float(d), gamma, rel_tol) for d in deltas]
-    data = np.array([s.as_array() for s in sets])              # (4 deltas, 5)
-    coef = np.linalg.solve(design, data)                       # rows: t, C0, C1, C2
-    for j, which in enumerate(_QUANTITIES):
-        t, c0 = float(coef[0, j]), float(coef[1, j])
-        parity = 1.0 if which == "b" else -1.0
-        table[(which, Side.BELOW)] = EdgeAsymptotics(
-            side=Side.BELOW, log_slope=-t, offset=c0, source=ConstantsSource.COMPUTED)
-        table[(which, Side.ABOVE)] = EdgeAsymptotics(
-            side=Side.ABOVE, log_slope=parity * t, offset=parity * c0,
-            source=ConstantsSource.COMPUTED)
-    _CALIBRATED[gamma] = table
-    return table
-
-
 def predicted_asymptote(which: str, side: Side, gamma: float,
                         source: ConstantsSource = ConstantsSource.COMPUTED,
                         ) -> EdgeAsymptotics:
     """Edge model of one moment, from either constants source.
 
-    The COMPUTED source requires a prior :func:`calibrate_edge_constants`
-    call for this gamma (CalibrationMissing otherwise).
+    The computed models are the exact edge limits.  Below the band every
+    moment but f diverges with log slope s = 1/(2 pi g); the offsets are
+    a = (4 ln 2 + ln g) s, b = a - 1/(2g), c, e = b +- (4 - pi)/(2 pi g) and
+    f = (pi - 2)/(pi g), which has slope 0.  The models above the band
+    follow from the mirror identity of :func:`watson_integrals_at`: a, c, e
+    and f keep their slope and negate their offset, b negates its slope and
+    keeps its offset.
     """
     if source is ConstantsSource.PUBLISHED:
         return published_asymptote(which, side, gamma)
-    table = _CALIBRATED.get(gamma)
-    if table is None:
-        raise CalibrationMissing(
-            f"no calibration for gamma = {gamma}; call calibrate_edge_constants")
-    return table[(which, side)]
+    g = 1.0 + gamma
+    s = 1.0 / (2.0 * PI * g)
+    a0 = (4.0 * LN2 + math.log(g)) * s
+    b0 = a0 - 0.5 / g
+    half_gap = (4.0 - PI) / (2.0 * PI * g)
+    below = {"a": (s, a0), "b": (s, b0), "c": (s, b0 + half_gap),
+             "e": (s, b0 - half_gap), "f": (0.0, (PI - 2.0) / (PI * g))}
+    slope, off = below[which]
+    if side is Side.ABOVE:
+        parity = 1.0 if which == "b" else -1.0
+        slope, off = -parity * slope, parity * off
+    return EdgeAsymptotics(side=side, log_slope=slope, offset=off,
+                           source=ConstantsSource.COMPUTED)
 
 
-def ensure_calibrated(gamma: float) -> dict[tuple[str, Side], EdgeAsymptotics]:
-    """Calibrate on demand (idempotent); used by the spectrum solver."""
-    return calibrate_edge_constants(gamma)
+def calibrate_edge_constants(gamma: float) -> dict[tuple[str, Side], EdgeAsymptotics]:
+    """The computed edge models of all five moments on both sides."""
+    return {(which, side): predicted_asymptote(which, side, gamma)
+            for which in "abcef" for side in Side}
 
 
 def calibration_report(gamma: float) -> list[dict]:
     """Computed-vs-published comparison for every moment and side."""
-    table = ensure_calibrated(gamma)
+    table = calibrate_edge_constants(gamma)
     rows = []
     for (which, side), comp in sorted(table.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
         pub = published_asymptote(which, side, gamma)

@@ -9,10 +9,12 @@ below-side routine twice, at (lam, mu) and at (-lam, -mu).
 Zero fiber: the determinant factors (main even, sub-even, odd) are scanned on
 an edge-refined mesh and bracketed roots are polished by Brent's method.  The
 mesh bottoms out at distance 1e-10 from the band edge; whether one more root
-hides between the mesh floor and the edge is decided from the asymptotic edge
-models (the log-divergent factors can pin roots at distances like exp(-1/s)
-that no fixed mesh reaches).  Such roots are reported with ``pinned=True`` at
-the model position, clamped away from the edge by at least 1e-13.
+hides between the mesh floor and the edge is decided from the exact edge
+models.  Only the main even factor diverges there, and with those models it
+is affine in ln-distance, so its last root (at distances like exp(-1/s) that
+no fixed mesh reaches) has a closed form.  Such roots are reported with
+``pinned=True`` at the model position, clamped away from the edge by at
+least 1e-13.
 
 General fiber: the determinant loses its product structure, so roots are
 counted through the eigenvalue curves of the symmetrized Birman-Schwinger
@@ -20,7 +22,9 @@ matrix: below the band J(z) is positive semidefinite and z is a root of
 det(I + G J) exactly when an eigenvalue of L^T G L (J = L L^T) crosses -1.
 The integer count of curves below -1 jumps precisely at the roots, with the
 jump equal to the multiplicity; bisecting the jumps is robust against the
-even-multiplicity roots that defeat determinant sign scanning.  The Gram
+even-multiplicity roots that defeat determinant sign scanning.  Roots
+between the mesh floor and the edge are counted from the edge limit of J,
+whose log-divergent part has rank one, and reported pinned at 1e-13.  The Gram
 matrix J below the band depends on the fiber, gamma and the distance, not
 on (lam, mu), so one solve keeps a memo from distance to J that both sides
 share: each distance of the mesh is integrated once per solve.
@@ -37,15 +41,17 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import Band, ModelParams, TorusPoint, band_edges
-from .determinants import FactorKind, InteractionBasis, factor_value, secular_entries
+from .core import Band, ModelParams, TorusPoint, band_edges, pair_amplitudes
+from .determinants import (FactorKind, InteractionBasis, factor_value,
+                           secular_entries, slope_below)
 from .errors import BudgetExceeded
 from .integrals import (ConstantsSource, EdgeAsymptotics, Side,
-                        calibrate_edge_constants, published_asymptote,
-                        watson_integrals_at)
+                        predicted_asymptote, watson_integrals_at)
 
 MESH_FLOOR = 1e-10
 MERGE_TOL = 1e-9
+_EDGE_LOG = -1e6     # ln-distance of the edge limit, far below ln 1e-308
+_SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
 
 
@@ -154,47 +160,39 @@ def _scan_deltas(fd: Callable[[float], float], delta_max: float, floor: float,
 # edge models for the zero-fiber factors
 
 
-def _asymptotics_table(gamma: float, source: ConstantsSource,
-                       ) -> dict[tuple[str, Side], EdgeAsymptotics]:
-    if source is ConstantsSource.COMPUTED:
-        return calibrate_edge_constants(gamma)
-    return {(q, Side.BELOW): published_asymptote(q, Side.BELOW, gamma)
-            for q in ("a", "b", "c", "e", "f")}
-
-
 def _pending_root(kind: FactorKind, params: ModelParams,
-                  table: dict[tuple[str, Side], EdgeAsymptotics],
+                  models: dict[str, EdgeAsymptotics],
                   floor_value: float) -> float | None:
     """Distance of a not-yet-bracketed root between the mesh floor and the edge.
 
-    Compares the factor's sign at the mesh floor with the model's limiting
-    sign; a mismatch means exactly one more crossing (the models are linear
-    in ln-distance up to calibration noise).  Returns None when the model
-    already disagrees with the measured floor sign (untrustworthy regime,
-    e.g. on a region boundary) or when no crossing is pending.
+    ``models`` holds the edge models of a, b, c and e below the band.  Only
+    the main even factor diverges at the edge, and with c + e = 2b it is
+    exactly affine in L = -ln d: alpha + s*S-*L, alpha the factor at the
+    model offsets, s the log slope and S- the coupling combination of
+    :func:`slope_below`.  A root is pending when the limiting sign, that of
+    s*S-, differs from the measured floor sign, and it sits at
+    d = exp(alpha / (s*S-)).  Returns None when the model already disagrees
+    with the measured floor sign (untrustworthy regime, e.g. on a region
+    boundary), when S- vanishes to the rounding of its terms (on the
+    hyperbola the root has merged with the edge, and the sign of S- is
+    rounding noise) or when no crossing is pending.
     """
-    edge_models = [(q, table[(q, Side.BELOW)].value_at) for q in ("a", "b", "c", "e", "f")]
-
-    def model(d: float) -> float:
-        s = SimpleNamespace(**{q: v(d) for q, v in edge_models})
-        if kind is FactorKind.MAIN_EVEN:
-            # b is squared before it is scaled here; the association of
-            # factor_value moves pinned roots in their 12th digit
-            return ((1.0 + params.lam * s.a) * (1.0 + params.mu * (s.c + s.e))
-                    - 2.0 * params.lam * params.mu * s.b ** 2)
-        return factor_value(kind, s, params)
-
-    m_floor = model(MESH_FLOOR)
-    if m_floor == 0.0 or floor_value == 0.0:
+    if kind is not FactorKind.MAIN_EVEN or floor_value == 0.0:
         return None
-    if math.copysign(1.0, m_floor) != math.copysign(1.0, floor_value):
+    s_minus = slope_below(params)
+    lam, mu = abs(params.lam), abs(params.mu)
+    if abs(s_minus) <= 8.0 * _EPS * (2.0 * mu + lam + lam * mu / params.g):
         return None
-    deep = model(1e-300)
-    if deep == 0.0 or math.copysign(1.0, deep) == math.copysign(1.0, floor_value):
+    offsets = SimpleNamespace(**{q: m.offset for q, m in models.items()})
+    alpha = factor_value(kind, offsets, params)
+    beta = models["a"].log_slope * s_minus
+    floor_sign = math.copysign(1.0, floor_value)
+    m_floor = alpha - beta * math.log(MESH_FLOOR)
+    if m_floor == 0.0 or math.copysign(1.0, m_floor) != floor_sign:
         return None
-    t = brentq(lambda u: model(math.exp(u)), math.log(1e-300),
-               math.log(MESH_FLOOR), xtol=1e-12, maxiter=300)
-    return math.exp(t)
+    if math.copysign(1.0, beta) == floor_sign:
+        return None
+    return math.exp(alpha / beta)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +245,7 @@ _ZERO_FIBER_FACTORS = (
 )
 
 
-def _k0_below(params: ModelParams, table: dict[tuple[str, Side], EdgeAsymptotics],
+def _k0_below(params: ModelParams, models: dict[str, EdgeAsymptotics],
               window: float, rel_tol: float, budget: int) -> list[_Root]:
     """Roots of the three zero-fiber factors below the band, merged."""
     gamma = params.gamma
@@ -260,7 +258,7 @@ def _k0_below(params: ModelParams, table: dict[tuple[str, Side], EdgeAsymptotics
         b = _Budget(budget, f"{kind.value} factor scan")
         roots, floor_val = _scan_deltas(fd, window, MESH_FLOOR, b)
         found += [_Root(d, kind, sector, mult) for d in roots]
-        pend = _pending_root(kind, params, table, floor_val)
+        pend = _pending_root(kind, params, models, floor_val)
         if pend is not None:
             found.append(_Root(max(pend, 1e-13), kind, sector, mult, pinned=True))
     return _merge_found(found)
@@ -282,10 +280,11 @@ def spectrum_k0(params: ModelParams,
     band = band_edges(k0, params)
     if params.lam == 0.0 and params.mu == 0.0:
         return SpectrumReport(K=k0, params=params, band=band, below=(), above=())
-    table = _asymptotics_table(params.gamma, constants_source)
+    models = {q: predicted_asymptote(q, Side.BELOW, params.gamma, constants_source)
+              for q in "abce"}
     window = abs(params.lam) + 2.0 * abs(params.mu) + 1.0
-    below = _k0_below(params, table, window, rel_tol, budget)
-    above = _k0_below(_mirrored(params), table, window, rel_tol, budget)
+    below = _k0_below(params, models, window, rel_tol, budget)
+    above = _k0_below(_mirrored(params), models, window, rel_tol, budget)
     hi = 4.0 * params.g
     return SpectrumReport(K=k0, params=params, band=band, below=_placed(below, lambda d: -d),
                           above=_placed(above, lambda d: hi + d))
@@ -366,6 +365,28 @@ def _degenerate_spectrum(K: TorusPoint, params: ModelParams, band: Band) -> Spec
                           below=tuple(below), above=tuple(above))
 
 
+def _pending_count(K: TorusPoint, gamma: float, j_floor: np.ndarray,
+                   gvec: np.ndarray) -> int:
+    """Roots between the mesh floor and the edge, from the edge limit of J.
+
+    Near the edge J(d) = S ln d + C + O(d ln d) with the rank-one slope
+    S = -u u^T / (2 pi sqrt(R1 R2)), u = (1, sqrt2 cos phi1, sqrt2 cos phi2,
+    sqrt2 sin phi1, sqrt2 sin phi2).  The count is monotone in d, so its
+    edge limit is the count of C + S t at a t far below ln of the smallest
+    double.  With R1 R2 = 0 J diverges like d^(-1/2) instead and the count
+    at the floor is already the limit.
+    """
+    r1, r2, f1, f2 = pair_amplitudes(K, gamma)
+    if r1 * r2 == 0.0:
+        return 0
+    u = np.array([1.0, _SQRT2 * math.cos(f1), _SQRT2 * math.cos(f2),
+                  _SQRT2 * math.sin(f1), _SQRT2 * math.sin(f2)])
+    slope = np.outer(u, -u) / (2.0 * math.pi * math.sqrt(r1 * r2))
+    offset = j_floor - slope * math.log(MESH_FLOOR)
+    return (_threshold_count(offset + slope * _EDGE_LOG, gvec)[0]
+            - _threshold_count(j_floor, gvec)[0])
+
+
 def _general_below(K: TorusPoint, params: ModelParams, window: float,
                    width_tol: float, rel_tol: float, budget: int,
                    jmemo: dict[float, np.ndarray]) -> list[_Root]:
@@ -388,25 +409,7 @@ def _general_below(K: TorusPoint, params: ModelParams, window: float,
     b = _Budget(budget, "curve count scan")
     jumps = count_jump_scan(nfun, window, MESH_FLOOR, width_tol, b)
 
-    # pending-root diagnostics at and below the mesh floor; a negative
-    # divergent-channel weight lam + 2*mu drives the lowest curve to -inf
-    _, eta_floor = _threshold_count(jmat(MESH_FLOOR), gvec)
-    _, eta_deep = _threshold_count(jmat(1e-12), gvec)
-    pend = 0
-    first = 0
-    if params.lam + 2.0 * params.mu < -1e-12:
-        first = 1
-        if not eta_deep[0] < -1.0:
-            pend += 1
-    l_f, l_d = -math.log(MESH_FLOOR), -math.log(1e-12)
-    for k in range(first, len(eta_deep)):
-        if eta_deep[k] < -1.0:
-            continue
-        cc = (eta_floor[k] - eta_deep[k]) / (1.0 / l_f - 1.0 / l_d)
-        eta_inf = eta_deep[k] - cc / l_d
-        if abs(cc) < 10.0 and eta_inf < -1.0 and abs(eta_inf + 1.0) > 1e-6:
-            pend += 1
-
+    pend = _pending_count(K, params.gamma, jmat(MESH_FLOOR), gvec)
     found = [_Root(d, FactorKind.GENERAL, Sector.MIXED, mult) for d, mult in jumps]
     found += [_Root(1e-13, FactorKind.GENERAL, Sector.MIXED, 1, pinned=True)] * pend
     return _merge_found(found)
@@ -418,10 +421,9 @@ def spectrum_general(K: TorusPoint, params: ModelParams, rel_tol: float = 1e-10,
 
     Counts threshold crossings of the Birman-Schwinger eigenvalue curves on
     an edge-refined mesh and bisects the crossing positions; the jump size is
-    the multiplicity.  Near the mesh floor, two extra diagnostics decide
-    pending roots: the divergent channel (weight proportional to lam + 2*mu,
-    independent of the fiber) and a two-depth extrapolation of the finite
-    curves.  Both sides share one memo of Gram matrices per call.
+    the multiplicity.  Roots between the mesh floor and the edge are counted
+    from the edge limit of the Gram matrix (see :func:`_pending_count`).
+    Both sides share one memo of Gram matrices per call.
     """
     band = band_edges(K, params)
     if band.degenerate:

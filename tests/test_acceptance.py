@@ -23,8 +23,7 @@ from latticebound.atlas import (binding_thresholds, classify, predicted_counts,
                                 sweep)
 from latticebound.cli import emit_csv
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
-from latticebound.integrals import (Side, ensure_calibrated,
-                                    predicted_asymptote, watson_integrals,
+from latticebound.integrals import (Side, predicted_asymptote, watson_integrals,
                                     watson_integrals_at)
 from latticebound.oracle import (GridModel, dense_validate, minimax_values,
                                  oracle_counts)
@@ -71,9 +70,8 @@ def test_criterion_1_moment_identities():
 # criterion 2: edge asymptotics and constant adjudication (gamma = 1)
 
 
-def test_criterion_2_edge_asymptotics():
+def test_criterion_2_edge_asymptotics(edge_fit):
     gamma, g = 1.0, 2.0
-    ensure_calibrated(gamma)
     s = 1.0 / (2.0 * math.pi * g)
     problems = []
 
@@ -95,16 +93,21 @@ def test_criterion_2_edge_asymptotics():
     if abs(off_b - (5.0 * math.log(2.0) - math.pi) * s) > 1e-4:
         problems.append(f"offset of b: {off_b:.8f}")
 
-    # finite edge limits of f on both sides
-    f_lim = (math.pi - 2.0) / (math.pi * g)
-    if abs(predicted_asymptote("f", Side.BELOW, gamma).offset - f_lim) > 1e-6:
+    # finite edge limits of f on both sides: the closed forms against the
+    # measured four-point fit
+    below, above = edge_fit(gamma, Side.BELOW), edge_fit(gamma, Side.ABOVE)
+    if abs(predicted_asymptote("f", Side.BELOW, gamma).offset - below["f"][1]) > 1e-6:
         problems.append("f limit below")
-    if abs(predicted_asymptote("f", Side.ABOVE, gamma).offset + f_lim) > 1e-6:
+    if abs(predicted_asymptote("f", Side.ABOVE, gamma).offset - above["f"][1]) > 1e-6:
         problems.append("f limit above")
 
-    # adjudicate the (c - e) limit between the two circulating candidates
-    ce = (predicted_asymptote("c", Side.BELOW, gamma).offset
-          - predicted_asymptote("e", Side.BELOW, gamma).offset)
+    # adjudicate the measured (c - e) limit between the two circulating
+    # candidates; the closed form must agree with it
+    ce = below["c"][1] - below["e"][1]
+    ce_closed = (predicted_asymptote("c", Side.BELOW, gamma).offset
+                 - predicted_asymptote("e", Side.BELOW, gamma).offset)
+    if abs(ce_closed - ce) > 1e-6:
+        problems.append(f"closed-form (c-e) limit {ce_closed:.8f}")
     cand_full = (4.0 - math.pi) / math.pi            # no 1/g factor
     cand_half = (4.0 - math.pi) / (math.pi * g)      # with the 1/g factor
     hit_full = abs(ce - cand_full) < 1e-6
@@ -136,7 +139,6 @@ CELL_TABLE = [
 def test_criterion_3_count_table():
     failures, checked = [], 0
     for gamma in (0.5, 1.0, 2.0):
-        ensure_calibrated(gamma)
         g = 1.0 + gamma
         for row, want, pts in CELL_TABLE:
             for s_, t_ in pts:
@@ -168,17 +170,16 @@ def test_criterion_3_count_table():
 
 def test_criterion_3_unrealizable_row():
     # The remaining table row asks for couplings beyond the decoupled-even
-    # threshold but short of the odd one.  The calibrated thresholds order
+    # threshold but short of the odd one.  The computed thresholds order
     # as t_s > t_d (both proportional to g), so that combination has no
     # interior points for either sign; under the alternative published t_s
     # (half as large) the row would be realizable.
-    ensure_calibrated(1.0)
     thr = binding_thresholds(1.0)
     print(f"[XFAIL] criterion 3: row pairing the even threshold with the "
           f"odd-threshold complement is empty (t_s = {thr.t_s:.6f} > "
           f"t_d = {thr.t_d:.6f}); both signs unrealizable")
     assert thr.t_s > thr.t_d
-    pytest.xfail("count-table row has empty interior under calibrated thresholds")
+    pytest.xfail("count-table row has empty interior under computed thresholds")
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +192,6 @@ def _interior_draw(rng, need_nonzero: bool = False):
         gamma = float(rng.uniform(0.5, 2.0))
         lam = float(rng.uniform(-12.0, 12.0))
         mu = float(rng.uniform(-12.0, 12.0))
-        ensure_calibrated(gamma)
         params = ModelParams(gamma, lam, mu)
         g = params.g
         thr = binding_thresholds(gamma)
@@ -225,7 +225,6 @@ def test_criterion_4_two_oracle_agreement():
     positions_compared = 0
     clusters_confirmed = 0
     for params in draws:
-        ensure_calibrated(params.gamma)
         cont = spectrum_k0(params)
         grid = oracle_counts(ORIGIN, params, n=256)
         tag = (params.gamma, params.lam, params.mu)
@@ -279,7 +278,6 @@ def test_criterion_5_counts_grow_with_quasimomentum():
     fibers_checked = 0
     five_checked = 0
     for params in draws:
-        ensure_calibrated(params.gamma)
         base = spectrum_k0(params)
         nb0, na0 = base.n_below, base.n_above
         tag = (params.gamma, params.lam, params.mu)

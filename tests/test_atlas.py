@@ -12,14 +12,12 @@ from latticebound.atlas import (CONVENTIONS, _axis_values, binding_thresholds,
                                 classify, predicted_counts, sweep,
                                 threshold_scan)
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
-from latticebound.errors import BudgetExceeded, CalibrationMissing
-from latticebound.integrals import (ConstantsSource, Side, ensure_calibrated,
-                                    watson_integrals_at)
+from latticebound.errors import BudgetExceeded
+from latticebound.integrals import ConstantsSource, Side, watson_integrals_at
 from latticebound.spectrum import FactorKind, spectrum_k0
 
 
 def test_threshold_values_by_source():
-    ensure_calibrated(1.0)
     comp = binding_thresholds(1.0, ConstantsSource.COMPUTED)
     pub = binding_thresholds(1.0, ConstantsSource.PUBLISHED)
     assert comp.t_s == pytest.approx(2 * math.pi / (4 - math.pi), rel=1e-6)
@@ -33,17 +31,10 @@ def test_threshold_values_by_source():
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
 def test_thresholds_scale_linearly_in_g(gamma):
-    ensure_calibrated(gamma)
     g = 1.0 + gamma
     thr = binding_thresholds(gamma)
     assert thr.t_s / g == pytest.approx(math.pi / (4 - math.pi), rel=1e-6)
     assert thr.t_d / g == pytest.approx(math.pi / (math.pi - 2), rel=1e-6)
-
-
-def test_computed_source_requires_calibration():
-    with pytest.raises(CalibrationMissing):
-        binding_thresholds(1.37, ConstantsSource.COMPUTED)
-    binding_thresholds(1.37, ConstantsSource.PUBLISHED)   # closed forms: fine
 
 
 def test_classify_origin_sits_on_all_boundaries():
@@ -69,7 +60,6 @@ CLASSIFY_CASES = [
 
 @pytest.mark.parametrize("lam,mu,s,d,cp,cm,nb,na", CLASSIFY_CASES)
 def test_classify_and_predict(lam, mu, s, d, cp, cm, nb, na):
-    ensure_calibrated(1.0)
     label = classify(ModelParams(1.0, lam, mu))
     assert (label.s_region, label.d_region) == (s, d)
     assert (label.c_plus, label.c_minus) == (cp, cm)
@@ -78,7 +68,6 @@ def test_classify_and_predict(lam, mu, s, d, cp, cm, nb, na):
 
 
 def test_predicted_parts_and_exactness():
-    ensure_calibrated(1.0)
     pred = predicted_counts(classify(ModelParams(1.0, 6.0, 10.0)))
     assert pred.parts_above == (2, 1, 2)
     assert pred.parts_below == (0, 0, 0)
@@ -87,7 +76,6 @@ def test_predicted_parts_and_exactness():
 
 
 def test_printed_convention_flips_the_plus_family_only():
-    ensure_calibrated(1.0)
     mirrored = classify(ModelParams(1.0, 1.0, 10.0))
     printed = classify(ModelParams(1.0, 1.0, 10.0), convention="printed")
     assert mirrored.c_plus == "C1+"
@@ -113,7 +101,6 @@ HYPERBOLA_POINTS = [
 def test_exchange_hyperbola_boundary(lam, mu, na):
     # exactly on S+ = 0 with mu > g the coupled even channel keeps one of
     # its two roots; the second is absorbed into the edge
-    ensure_calibrated(1.0)
     params = ModelParams(1.0, lam, mu)
     label = classify(params)
     assert label.c_plus == "C1+b"
@@ -195,13 +182,12 @@ def test_sweep_reports_numerical_failures_per_row(monkeypatch):
     assert rows[0].error == "BudgetExceeded: injected budget failure"
 
 
-def test_minus_table_reading_note():
-    rows = sweep((0.0, 0.0), (-12.0, -12.0), 1.0)
-    assert rows[0].agree
-    assert "readings differ" in rows[0].error
-    assert "below=4" in rows[0].error and "predict 3" in rows[0].error
-    quiet = sweep((1.0, 1.0), (10.0, 10.0), 1.0)
-    assert quiet[0].error == ""
+def test_success_rows_have_an_empty_error():
+    rows = sweep((-12.0, 12.0), (-12.0, 12.0), 1.0)
+    assert len(rows) == 625
+    ok = [r for r in rows if r.comp_below is not None]
+    assert len(ok) == len(rows)
+    assert all(r.error == "" for r in ok)
 
 
 def test_threshold_scan_adjudicates_the_even_threshold():

@@ -179,6 +179,11 @@ def test_spectrum_rejects_bad_gamma(capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+def test_spectrum_rejects_a_tolerance_the_solvers_reject(capsys):
+    assert main(["spectrum", "--lambda", "1", "--mu", "10", "--tol", "1e-18"]) == 2
+    assert "rel_tol" in capsys.readouterr().err
+
+
 def test_classify_command(capsys):
     assert main(["classify", "--lambda", "6", "--mu", "10"]) == 0
     out = capsys.readouterr().out

@@ -8,7 +8,7 @@ from latticebound.determinants import (InteractionBasis, _entries_from_nodes,
                                        _pair_coefficients, delta_even_main,
                                        delta_even_sub, delta_odd,
                                        secular_entries, secular_matrix,
-                                       slope_above, slope_below)
+                                       slope_below)
 from latticebound.errors import DomainError
 from latticebound.integrals import geometric_panels, panel_nodes, watson_integrals
 
@@ -131,7 +131,6 @@ def test_odd_factor_is_a_perfect_square():
 def test_interface_slopes():
     params = ModelParams(1.0, 2.0, 3.0)
     g = params.g
-    assert slope_above(params) == pytest.approx(2 * 3 + 2 - 2 * 3 / g)
     assert slope_below(params) == pytest.approx(2 * 3 + 2 + 2 * 3 / g)
 
 

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from latticebound.errors import CalibrationMissing, DomainError
-from latticebound.integrals import (CALIBRATION_DISTANCES, ConstantsSource,
-                                    Side, calibrate_edge_constants,
-                                    calibration_report, ensure_calibrated,
+from latticebound.errors import DomainError
+from latticebound.integrals import (Side, calibrate_edge_constants,
+                                    calibration_report,
                                     predicted_asymptote, published_asymptote,
                                     watson_integrals, watson_integrals_at,
                                     watson_integrals_grid)
@@ -116,7 +115,7 @@ def test_est_error_is_small_and_honest():
 
 
 # ---------------------------------------------------------------------------
-# edge asymptotics and calibration
+# edge asymptotics
 
 
 def test_published_constants_table():
@@ -131,28 +130,18 @@ def test_published_constants_table():
     assert f_hi.offset == pytest.approx(-(math.pi - 2) / (math.pi * g))
 
 
-def test_calibration_requires_explicit_run():
-    with pytest.raises(CalibrationMissing):
-        predicted_asymptote("a", Side.BELOW, 0.77)
-    ensure_calibrated(0.77)
-    predicted_asymptote("a", Side.BELOW, 0.77)   # now fine
-
-
 @pytest.mark.parametrize("gamma", (0.5, 1.0, 2.0))
-def test_calibrated_constants_match_closed_forms(gamma):
-    ensure_calibrated(gamma)
+def test_calibrated_constants_match_closed_forms(gamma, edge_fit):
+    # the closed forms against the measured four-point fit, both sides
+    table = calibrate_edge_constants(gamma)
+    for side in Side:
+        for which, (slope, offset) in edge_fit(gamma, side).items():
+            model = table[(which, side)]
+            assert model.log_slope == pytest.approx(slope, abs=1e-9), (which, side)
+            assert model.offset == pytest.approx(offset, abs=1e-8), (which, side)
     g = 1.0 + gamma
-    slope = 1.0 / (2 * math.pi * g)
     a = predicted_asymptote("a", Side.BELOW, gamma)
     b = predicted_asymptote("b", Side.BELOW, gamma)
-    f = predicted_asymptote("f", Side.BELOW, gamma)
-    assert a.log_slope == pytest.approx(slope, abs=1e-9)
-    assert b.log_slope == pytest.approx(slope, abs=1e-9)
-    assert f.log_slope == pytest.approx(0.0, abs=1e-9)
-    # gamma-generic closed forms
-    assert a.offset == pytest.approx(math.log(16 * g) / (2 * math.pi * g), abs=1e-8)
-    assert a.offset - b.offset == pytest.approx(0.5 / g, abs=1e-8)
-    assert f.offset == pytest.approx((math.pi - 2) / (math.pi * g), abs=1e-8)
     # the familiar 5 ln 2 forms are the gamma=1 specialization
     if gamma == 1.0:
         assert a.offset == pytest.approx(5 * math.log(2) / (2 * math.pi * g),
@@ -162,9 +151,8 @@ def test_calibrated_constants_match_closed_forms(gamma):
 
 
 def test_asymptote_model_tracks_integrals_near_edge():
-    ensure_calibrated(1.0)
     for side in Side:
-        for which in "abf":
+        for which in "abcef":
             model = predicted_asymptote(which, side, 1.0)
             for d in (1e-7, 1e-9):
                 measured = getattr(watson_integrals_at(side, d, 1.0), which)
@@ -174,8 +162,7 @@ def test_asymptote_model_tracks_integrals_near_edge():
 
 def test_decoupled_combination_adjudication():
     # lim (c - e) below: two circulating candidates a factor two apart;
-    # the calibrated value must match exactly one of them
-    ensure_calibrated(1.0)
+    # the computed limit must match exactly one of them
     g = 2.0
     c = predicted_asymptote("c", Side.BELOW, 1.0)
     e = predicted_asymptote("e", Side.BELOW, 1.0)
@@ -204,8 +191,3 @@ def test_calibration_report_contents():
     assert abs(by_key[("c", "below")]["offset_discrepancy"]) > 1e-3
     assert abs(by_key[("e", "below")]["offset_discrepancy"]) > 1e-3
 
-
-def test_calibration_distances_are_fixed():
-    assert CALIBRATION_DISTANCES == (1e-4, 1e-5, 1e-6, 1e-7)
-    out = calibrate_edge_constants(1.0)
-    assert ("a", Side.BELOW) in out

@@ -8,6 +8,8 @@ printed precision.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from latticebound import spectrum
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
 from latticebound.errors import BudgetExceeded
 from latticebound.integrals import watson_integrals_at
+from latticebound.oracle import dense_validate, oracle_counts
 from latticebound.spectrum import (FactorKind, Sector, spectrum_general,
                                    spectrum_k0)
 
@@ -181,3 +184,50 @@ def test_rank_bound_on_random_draws():
             assert ev.z < 0.0
         for ev in rep.above:
             assert ev.z > 4.0 * (1.0 + gamma)
+
+
+# ---------------------------------------------------------------------------
+# roots between the mesh floor and the edge
+
+
+@pytest.mark.parametrize("lam,mu", [(-12.0, 1.5), (-4.0, 1.0), (4.0, -1.0),
+                                    (12.0, -1.5)])
+def test_deep_main_even_root_near_the_hyperbola(lam, mu):
+    # S+- = 0.021*g here: the coupled-even root born at the hyperbola sits
+    # near exp(-1200), far beyond the smallest double; it is pinned
+    rep = spectrum_k0(ModelParams(0.990739, lam, mu))
+    assert (rep.n_below, rep.n_above) == (1, 1)
+    assert sum(ev.pinned for ev in rep.below + rep.above) == 1
+
+
+def test_general_root_just_below_the_mesh_floor():
+    # the same operator at gamma = 1.7444216 has this state at depth 1.36e-10
+    g = 1.7444216
+    rep = spectrum_general(TorusPoint(-0.3186271, -2.4640171),
+                           ModelParams(1.0 / g, 8.5705965 / g, -1.5233105 / g))
+    assert (rep.n_below, rep.n_above) == (1, 1)
+
+
+@pytest.mark.parametrize("fiber,counts", [
+    ((1.7643986693978828, -2.699552663958448, 1.1526904383849335,
+      1.392606564482814, -0.7448033237218419), (1, 1)),
+    ((2.7160006573687174, -10.01378023079775, -9.14416667675874,
+      1.5708728613412886, -0.31932214261349534), (3, 0)),
+    ((0.5124771208443804, 0.26463857474420394, -0.2190780853321037,
+      2.4514790935616046, -1.9234492530627816), (1, 0)),
+])
+def test_deep_general_roots_match_the_oracle(fiber, counts):
+    params, K = ModelParams(*fiber[:3]), TorusPoint(*fiber[3:])
+    rep = spectrum_general(K, params)
+    grid = oracle_counts(K, params, n=256)
+    assert (rep.n_below, rep.n_above) == (grid.n_below, grid.n_above) == counts
+
+
+@pytest.mark.parametrize("lam,mu", [(2.0, -1.0), (0.0, -2.0), (4.0, 4.0)])
+def test_flat_direction_fiber_has_no_edge_model_states(lam, mu):
+    # gamma = 1, K1 = pi: R1 = 0, J diverges like d**-0.5 and the count at
+    # the mesh floor is already the edge limit
+    K, params = TorusPoint(math.pi, 0.0), ModelParams(1.0, lam, mu)
+    rep = spectrum_general(K, params)
+    dense = dense_validate(K, params, n=48)
+    assert (rep.n_below, rep.n_above) == (dense.n_below, dense.n_above)

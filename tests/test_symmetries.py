@@ -5,7 +5,7 @@ reflects the band.  The others hold for the operator but the code does not
 use them, so they check it:
 
 * particle swap: spec(gamma, lam, mu, K) = gamma * spec(1/gamma, lam/gamma,
-  mu/gamma, K), on both solvers;
+  mu/gamma, K), on both solvers, in position and in count;
 * K -> -K and (K1, K2) -> (K2, K1), on the general-fiber solver.
 
 Draws lean towards region boundaries: within 0.05*g of the hyperbolas
@@ -13,19 +13,18 @@ S+- = 2*mu + lam -+ lam*mu/g = 0 and of |mu| = t_s, t_d.  States are
 compared when they lie at least 1e-8 outside the band.  Closer to the edge
 the solvers decide from their 1e-10 mesh floor and their edge models, and a
 state at depth d in one problem sits at depth d/gamma in the swapped one,
-on the other side of that floor.
+on the other side of that floor; counts compare every state.
 """
 
 from __future__ import annotations
 
 import math
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from latticebound.atlas import binding_thresholds
 from latticebound.core import ModelParams, TorusPoint
-from latticebound.integrals import ensure_calibrated
 from latticebound.spectrum import spectrum_general, spectrum_k0
 
 DEPTH = 1e-8
@@ -49,7 +48,6 @@ def couplings(draw) -> ModelParams:
         lam = (offset - 2.0 * mu) / slope
         assume(abs(lam) <= 12.0)
     elif near in ("t_s", "t_d"):
-        ensure_calibrated(gamma)
         thr = binding_thresholds(gamma)
         t = thr.t_s if near == "t_s" else thr.t_d
         mu = draw(st.sampled_from([-1.0, 1.0])) * t + offset
@@ -110,6 +108,19 @@ def test_particle_swap_at_zero_fiber(params):
 def test_particle_swap_at_general_fiber(params, K):
     assert_same_states(spectrum_general(K, params),
                        spectrum_general(K, _swapped(params)), params.gamma)
+
+
+@settings(PROPERTY, max_examples=8)
+@given(params=couplings(), K=fibers)
+@example(params=ModelParams(2.750132980407175, -5.601264639299718,
+                            10.808955568342903),
+         K=TorusPoint(0.3074099264343664, -0.246797075973884))
+def test_particle_swap_keeps_counts(params, K):
+    # every state counts, pinned ones included
+    for solve in (spectrum_k0, lambda p: spectrum_general(K, p)):
+        rep, swapped = solve(params), solve(_swapped(params))
+        assert (rep.n_below, rep.n_above) == (swapped.n_below, swapped.n_above), (
+            f"{params} at K = {K.as_tuple()}")
 
 
 @settings(PROPERTY, max_examples=6)
