@@ -17,7 +17,7 @@ from .determinants import delta_even_main, delta_even_sub, delta_odd, secular_ma
 from .errors import NUMERICAL_ERRORS, ParseError, ValidationError
 from .integrals import (REL_TOL_FLOOR, ConstantsSource, Side,
                         predicted_asymptote, watson_integrals,
-                        watson_integrals_at)
+                        watson_integrals_at, watson_integrals_grid)
 from .spectrum import SpectrumReport, spectrum_general, spectrum_k0
 
 CSV_HEADER = ("lambda,mu,gamma,K1,K2,region_s,region_d,region_cplus,"
@@ -339,8 +339,8 @@ def _verify(quick: bool) -> int:
     checks: list[tuple[str, bool, str]] = []
     gammas = (1.0,) if quick else (0.5, 1.0, 2.0)
 
-    # moment identities on both sides
-    worst = 0.0
+    # moment identities on both sides; the moments against the plain grid sum
+    worst = excess = 0.0
     for gamma in gammas:
         g = 1.0 + gamma
         for z in (-0.7, 4.0 * g + 0.9, -3.1, 4.0 * g + 2.3):
@@ -350,7 +350,12 @@ def _verify(quick: bool) -> int:
             r3 = abs(s.c + s.e - s.b * (2.0 - z / g))
             scale = max(1.0, abs(s.a))
             worst = max(worst, r1 / scale, r2 / scale, r3 / scale)
+            grid = watson_integrals_grid(z, gamma, n=512).as_array()
+            excess = max(excess, *(abs(x - y) / (1e-10 * abs(y) + 1e-12)
+                                   for x, y in zip(s.as_array(), grid)))
     checks.append(_check("moment identities", worst < 1e-9, f"worst {worst:.2e}"))
+    checks.append(_check("moments vs grid sum", excess <= 1.0,
+                         f"worst {excess:.2e} of rtol 1e-10, atol 1e-12"))
 
     # exact edge models against the moments at distance 1e-7, where the
     # neglected d*ln(d) terms are below 2e-7 for gamma >= 0.5

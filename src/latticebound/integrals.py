@@ -6,12 +6,14 @@ averages of ``w(p) / (E0(p) - z)`` for the trigonometric weights
     a: 1      b: cos p1      c: cos^2 p1      e: cos p1 cos p2      f: sin^2 p1
 
 where ``E0(p) = (1+gamma) * sum_i (1 - cos p_i)`` and z lies outside the
-closed band ``[0, 4(1+gamma)]``.  The inner angle integrates in closed form,
-leaving 1D integrals with an inverse-square-root boundary layer at the band
-edge; those are handled with geometric panels and Gauss-Legendre pairs.
-Only the side below the band is integrated.  The shift p -> p + (pi, pi)
-maps E0 to 4(1+gamma) - E0, so at the same distance above the band a, c, e
-and f change sign and b does not.
+closed band ``[0, 4(1+gamma)]``.  They are square-lattice Green's
+functions, closed forms in the complete elliptic integrals K(m), E(m) of
+m = 4/eps^2 (eps = 2 + d/(1+gamma) at distance d below the band), summed
+from power series in m for m < 0.1, where those forms cancel; both are
+accurate to rounding at every finite distance.  Only the side below the
+band is evaluated.  The shift p -> p + (pi, pi) maps E0 to 4(1+gamma) - E0,
+so at the same distance above the band a, c, e and f change sign and b does
+not.
 
 Near an edge the moments behave like ``s * (-+ln|z-edge|) + offset`` with
 s = 1/(2 pi g) (f has slope 0); the offsets are available in two flavors: a
@@ -21,13 +23,15 @@ frozen ``PUBLISHED`` table and the ``COMPUTED`` table of exact edge limits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import ellipe, ellipkm1
 
-from .errors import DomainError, ToleranceError
+from .errors import DomainError
 
 LN2 = math.log(2.0)
 PI = math.pi
@@ -49,7 +53,8 @@ class ConstantsSource(Enum):
 
 @dataclass(frozen=True)
 class IntegralSet:
-    """The five resolvent moments at a common energy, with an error estimate."""
+    """The five resolvent moments at a common energy; ``est_error`` bounds
+    their rounding error (64 ulp of a, the largest moment)."""
 
     a: float
     b: float
@@ -115,47 +120,41 @@ def panel_nodes(breakpoints: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# the reduced 1D integrals
+# the moments in closed form
+
+# Below SERIES_SWITCH the elliptic b and e cancel like m and m^2.  From K(m) =
+# (pi/2) sum k_j m^j, k_j = ((1/2)_j / j!)^2, the rows are the series of eps*a,
+# b/m, eps*c, eps*e/m and eps*f with the cancellation done exactly: all terms
+# are positive, and 18 of them reach 1e-18 at the switch.
+SERIES_SWITCH = 0.1
+_J = np.arange(18.0)
+_KJ = np.cumprod(np.concatenate(([1.0], ((2 * _J + 1) / (2 * _J + 2)) ** 2)))
+_SERIES = np.array([_KJ[:-1], _KJ[1:] / 2,
+                    _KJ[:-1] * (2 * _J * (_J + 1) + 1) / (2 * (_J + 1) ** 2),
+                    _KJ[1:] * (_J + 1) / (_J + 2),
+                    _KJ[:-1] * (2 * _J + 1) / (2 * (_J + 1) ** 2)])
+_ROUNDING = 64.0 * sys.float_info.epsilon
 
 
-def _reduced_values(x: np.ndarray, weights: np.ndarray, d: float) -> np.ndarray:
-    """Evaluate the five reduced integrands at nodes x and sum.
+def _reduced_integrals(t: float) -> tuple[float, float, float, float, float]:
+    """a, b, c, e, f at distance t below the band, in units of g = 1.
 
-    Works in units of the total hopping (g = 1): the caller rescales.  ``d``
-    is the distance below the band edge in those units; with the singularity
-    folded to x = 0 the denominator is A = 2 + d - cos x.
+    a = G00, b = G10, c = (G00 + G20)/2, e = G11 and f = a - c, with the
+    lattice Green's functions G00 = 2K/(pi eps), G10 = (eps G00 - 1)/2,
+    G11 = 2((2 - m)K - 2E)/(pi eps m) and G20 = 2 eps G10 - G00 - 2 G11.
     """
-    am1 = d + 2.0 * np.sin(0.5 * x) ** 2          # A - 1, no cancellation
-    root = np.sqrt(am1 * (am1 + 2.0))             # sqrt(A^2 - 1)
-    s0 = 1.0 / root
-    t1 = 1.0 / (root * (am1 + 1.0 + root))        # inner cos moment, >= 0
-    cx = np.cos(x)
-    vals = np.empty(5)
-    vals[0] = weights @ s0                        # a
-    vals[1] = weights @ (cx * s0)                 # b
-    vals[2] = weights @ (cx * cx * s0)            # c
-    vals[3] = weights @ (cx * t1)                 # e
-    vals[4] = weights @ ((1.0 - cx * cx) * s0)    # f
-    return vals / PI
-
-
-def _reduced_integrals(d: float, rel_tol: float) -> tuple[np.ndarray, float]:
-    layer = math.sqrt(2.0 * d) if d < 2.0 else PI
-    for level in range(3):
-        bp = geometric_panels(PI, layer / 4.0 ** level)
-        x1, w1 = panel_nodes(bp, 16 << level)
-        x2, w2 = panel_nodes(bp, 32 << level)
-        v1 = _reduced_values(x1, w1, d)
-        v2 = _reduced_values(x2, w2, d)
-        err = np.abs(v1 - v2)
-        vmax = float(np.max(np.abs(v2)))
-        tol = rel_tol * np.maximum(np.abs(v2), 1e-6 * vmax + 1e-300)
-        if np.all(err <= tol):
-            return v2, float(np.max(err))
-    raise ToleranceError(
-        f"resolvent moments at distance {d:.3e}: "
-        f"error estimate {float(np.max(err)):.3e} exceeds requested tolerance"
-    )
+    eps = 2.0 + t
+    m = (2.0 / eps) ** 2
+    if m < SERIES_SWITCH:
+        a, b, c, e, f = (_SERIES @ m ** _J).tolist()
+        return a / eps, b * m, c / eps, e * m / eps, f / eps
+    k = float(ellipkm1((t / eps) * ((4.0 + t) / eps)))     # 1 - m, no cancellation
+    g00 = 2.0 * k / (PI * eps)
+    g10 = 0.5 * (eps * g00 - 1.0)
+    g11 = 2.0 * ((2.0 - m) * k - 2.0 * float(ellipe(m))) / (PI * eps * m)
+    g20 = 2.0 * eps * g10 - g00 - 2.0 * g11
+    c = 0.5 * (g00 + g20)
+    return g00, g10, c, g11, g00 - c
 
 
 REL_TOL_FLOOR = 1e-13
@@ -174,7 +173,7 @@ def watson_integrals_at(side: Side, delta: float, gamma: float,
     Preferred over :func:`watson_integrals` near the edges: the distance is
     taken literally instead of being reconstructed from z by subtraction (a
     difference that matters once delta approaches float granularity of the
-    edge location).  Only the side below the band is integrated: the shift
+    edge location).  Only the side below the band is evaluated: the shift
     p -> p + (pi, pi) maps E0 to 4g - E0, so above the band a, c, e and f
     are the negated values below it at the same distance and b is unchanged.
     """
@@ -184,18 +183,19 @@ def watson_integrals_at(side: Side, delta: float, gamma: float,
         return IntegralSet(a=-s.a, b=s.b, c=-s.c, e=-s.e, f=-s.f,
                            z=4.0 * g + delta, est_error=s.est_error)
     check_rel_tol(rel_tol)
-    if not (delta > 0.0) or not math.isfinite(delta):
-        raise DomainError(f"distance to the band edge must be positive, got {delta}")
-    vals, err = _reduced_integrals(delta / g, rel_tol)
-    a, b, c, e, f = (vals / g).tolist()
-    return IntegralSet(a=a, b=b, c=c, e=e, f=f, z=-delta, est_error=err / g)
+    if not (delta / g >= sys.float_info.min) or not math.isfinite(delta):
+        raise DomainError(f"distance to the band edge must be at least "
+                          f"{g * sys.float_info.min:.3g} (delta/g normal), got {delta}")
+    a, b, c, e, f = (v / g for v in _reduced_integrals(delta / g))
+    return IntegralSet(a=a, b=b, c=c, e=e, f=f, z=-delta, est_error=_ROUNDING * a)
 
 
 def watson_integrals(z: float, gamma: float, rel_tol: float = 1e-10) -> IntegralSet:
     """Five moments at energy ``z`` outside the closed band [0, 4(1+gamma)].
 
-    Raises DomainError for z inside the closed band (endpoints included) and
-    ToleranceError when the panel quadrature cannot certify ``rel_tol``.
+    Raises DomainError for z inside the closed band (endpoints included).
+    The closed forms meet every accepted ``rel_tol``; it stays part of the
+    signature and of the cache key.
     """
     check_rel_tol(rel_tol)
     g = 1.0 + gamma
@@ -210,8 +210,8 @@ def watson_integrals_grid(z: float, gamma: float, n: int = 256) -> IntegralSet:
     """Independent cross-check: plain 2D periodic-trapezoid moments.
 
     Spectrally accurate only when z is well separated from the band (use
-    |z - edge| >= 0.05 or so); intended for validating the panel quadrature,
-    not for production use near the edges.
+    |z - edge| >= 0.05 or so); intended for validating the closed forms, not
+    for production use near the edges.
     """
     g = 1.0 + gamma
     if 0.0 <= z <= 4.0 * g:

@@ -14,14 +14,18 @@ from {1, sqrt2 cos, sqrt2 sin}.  A pair of modes therefore multiplies to
 one of six axis products on each axis, and every entry of the 5x5 secular
 matrix is
 
-    J_ij(z) = N^-2 sum_a A_ij(a) (R(z) B)[a, c(i, j)],
-    R(z) = 1 / (e1[:, None] + (e2[None, :] - z)),
+    J_ij(d) = N^-2 sum_a A_ij(a) (R(d) B)[a, c(i, j)],
+    R(d) = 1 / (de1[:, None] + (de2[None, :] + d)),
 
 with A_ij the axis-1 product of the pair and c(i, j) the column of the
 (N, 6) axis-2 table B it uses: one N x N resolvent and one thin matrix
-product per energy.  For even N the shift p -> p + (pi, pi) maps the grid
-onto itself, reflects the band and flips the sign of the four trigonometric
-modes, so J(e_max + d) = -P J(e_min - d) P with P = diag(1, -1, -1, -1, -1).
+product per distance d = e_min - z below the grid band.  Each axis's
+dispersion is taken relative to its grid minimum, de_i = e_i - min e_i
+(exact near it, by Sterbenz), so d keeps full precision at the 1e-11
+floor, where z itself would keep about four digits.  For even N the shift
+p -> p + (pi, pi) maps the grid onto itself, reflects the band and flips
+the sign of the four trigonometric modes, so the matrix at distance d above
+the band is -P J(d) P with P = diag(1, -1, -1, -1, -1).
 The jump counter therefore evaluates below the band only, and the states
 above it at (lam, mu) are the states below it at (-lam, -mu).
 
@@ -74,6 +78,8 @@ class GridModel:
     q: np.ndarray               # grid coordinates of either axis (n,)
     e1: np.ndarray              # axis-1 dispersion samples (n,)
     e2: np.ndarray              # axis-2 dispersion samples (n,)
+    de1: np.ndarray             # e1 - min e1 (n,)
+    de2: np.ndarray             # e2 - min e2 (n,)
     A: np.ndarray               # axis-1 pair products over n (6, n)
     B: np.ndarray               # axis-2 pair products over n (n, 6)
 
@@ -92,6 +98,7 @@ class GridModel:
         prod = axis[s] * axis[t] / n            # _PRODUCT order
         # both axes run over the same q, so B is A transposed
         return cls(K=K, params=params, n=n, q=q, e1=e1, e2=e2,
+                   de1=e1 - e1.min(), de2=e2 - e2.min(),
                    A=prod, B=np.ascontiguousarray(prod.T))
 
     @property
@@ -115,9 +122,10 @@ class GridModel:
                     argmin=TorusPoint(self.q[i1], self.q[i2]),
                     argmax=TorusPoint(self.q[j1], self.q[j2]))
 
-    def secular(self, z: float) -> np.ndarray:
-        """Discrete resolvent Gram matrix of the five channels."""
-        r = self.e1[:, None] + (self.e2[None, :] - z)
+    def secular(self, d: float) -> np.ndarray:
+        """Discrete resolvent Gram matrix of the five channels at distance d
+        below the grid band (energy e_min - d)."""
+        r = self.de1[:, None] + (self.de2[None, :] + d)
         np.divide(1.0, r, out=r)        # in place: no second n x n array
         t = self.A @ (r @ self.B)
         return t[_PAIR1, _PAIR2]
@@ -156,7 +164,8 @@ def oracle_counts(K: TorusPoint, params: ModelParams, n: int = 256,
     power-law distances from the edge, so no asymptotic pending logic is
     needed (the mesh floor of 1e-11 resolves everything).  Both sides count
     below the band, the side above at (-lam, -mu) through the grid mirror,
-    and share one memo of Gram matrices per call.
+    and share one memo of Gram matrices per call, keyed by the distance d
+    that :meth:`GridModel.secular` takes.
     """
     if model is None:
         model = GridModel.build(K, params, n)
@@ -169,7 +178,7 @@ def oracle_counts(K: TorusPoint, params: ModelParams, n: int = 256,
 
     def jmat(d: float) -> np.ndarray:
         if d not in jmemo:
-            jmemo[d] = model.secular(band.e_min - d)
+            jmemo[d] = model.secular(d)
         return jmemo[d]
 
     found: dict[Side, list[tuple[float, int]]] = {}

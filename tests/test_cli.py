@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import warnings
 
 import pytest
 
@@ -149,6 +150,15 @@ def test_integrals_side_delta_form(capsys):
     assert "z = 8.000001" in capsys.readouterr().out
 
 
+def test_integrals_at_a_huge_distance(capsys):
+    # the moments decay like 1/(g eps) and finer; nothing overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["integrals", "--side", "below", "--delta", "1e160"]) == 0
+    out = capsys.readouterr().out
+    assert "a = 1e-160" in out and "f = 5e-161" in out        # g = 2
+
+
 def test_integrals_without_energy_is_a_config_error(capsys):
     assert main(["integrals"]) == 2
     assert "need either z" in capsys.readouterr().err
@@ -259,3 +269,6 @@ def test_verify_quick(capsys):
     out = capsys.readouterr().out
     assert "[ok]" in out and "[FAIL]" not in out
     assert "checks passed" in out
+    # the closed-form moments against an independent grid sum
+    assert any(line.startswith("[ok] moments vs grid sum")
+               for line in out.splitlines())

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from latticebound.errors import DomainError
-from latticebound.integrals import (Side, calibrate_edge_constants,
+from latticebound.integrals import (SERIES_SWITCH, Side,
+                                    calibrate_edge_constants,
                                     calibration_report,
                                     predicted_asymptote, published_asymptote,
                                     watson_integrals, watson_integrals_at,
@@ -32,6 +34,8 @@ def test_rejects_energies_in_band():
         watson_integrals_at(Side.BELOW, 0.0, 1.0)
     with pytest.raises(DomainError):
         watson_integrals_at(Side.BELOW, -1e-3, 1.0)
+    with pytest.raises(DomainError):                 # delta/g underflows to 0
+        watson_integrals_at(Side.BELOW, 5e-324, 1.0)
 
 
 def test_agrees_with_plain_grid_summation():
@@ -112,6 +116,70 @@ def test_delta_parametrization_avoids_cancellation():
 def test_est_error_is_small_and_honest():
     s = watson_integrals(-0.5, 1.0)
     assert 0 <= s.est_error < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the closed forms against the panel quadrature they replaced
+
+
+@pytest.mark.parametrize("gamma", (0.3, 1.0, 2.5))
+def test_closed_form_matches_the_panel_quadrature(gamma, moment_quadrature):
+    g = 1.0 + gamma
+    for d in np.logspace(-12, 3, 200) * g:
+        for side in Side:
+            got = watson_integrals_at(side, float(d), gamma).as_array()
+            ref = moment_quadrature(side, float(d), gamma)
+            rel = np.abs(got - ref) / np.abs(ref)
+            assert rel.max() <= 1e-12, (d, side, rel)
+
+
+@pytest.mark.parametrize("gamma", (0.3, 1.0, 2.5))
+def test_series_switch_is_continuous(gamma):
+    # m = 4/eps^2 just above the switch takes the elliptic forms, just below
+    # it the power series
+    g = 1.0 + gamma
+    lo, hi = (watson_integrals_at(
+        Side.BELOW, g * (2.0 / math.sqrt(SERIES_SWITCH * f) - 2.0), gamma).as_array()
+        for f in (1.0 - 1e-13, 1.0 + 1e-13))
+    assert (np.abs(hi - lo) / np.abs(lo)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", (0.3, 1.0, 2.5))
+def test_moments_converge_to_the_edge_models(gamma):
+    # the models drop terms of order d ln d
+    g = 1.0 + gamma
+    for d in np.logspace(-14, -6, 33):
+        d = float(d)
+        for side in Side:
+            s = watson_integrals_at(side, d, gamma)
+            for which in "abcef":
+                model = predicted_asymptote(which, side, gamma).value_at(d)
+                assert abs(getattr(s, which) - model) <= d * abs(math.log(d)) / g ** 2
+
+
+EXTREME_DISTANCES = (1e-300, 1e-250, 1e100, 1e160, 1e300)
+PARITY = {Side.BELOW: np.ones(5), Side.ABOVE: np.array([-1.0, 1.0, -1.0, -1.0, -1.0])}
+
+
+@pytest.mark.parametrize("gamma", (0.3, 1.0, 2.5))
+@pytest.mark.parametrize("d", EXTREME_DISTANCES)
+def test_moments_at_extreme_distances(gamma, d):
+    g = 1.0 + gamma
+    for side in Side:
+        got = watson_integrals_at(side, d, gamma).as_array()
+        assert np.all(np.isfinite(got))
+        assert np.all(PARITY[side] * got >= 0.0)        # below the band all >= 0
+        if d < 1.0:
+            model = [predicted_asymptote(w, side, gamma).value_at(d) for w in "abcef"]
+            assert got == pytest.approx(model, rel=1e-13)
+            continue
+        # leading terms in 1/eps; tiny b and e may underflow to zero
+        r = 1.0 / (2.0 + d / g)
+        lead = PARITY[side] * np.array([r, r * r / 2, r / 2, r ** 3 / 2, r / 2]) / g
+        for value, expected in zip(got, lead):
+            if abs(expected) >= sys.float_info.min:
+                assert value == pytest.approx(expected, rel=1e-12)
+
 
 
 # ---------------------------------------------------------------------------
