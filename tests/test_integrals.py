@@ -181,7 +181,6 @@ def test_moments_at_extreme_distances(gamma, d):
                 assert value == pytest.approx(expected, rel=1e-12)
 
 
-
 # ---------------------------------------------------------------------------
 # edge asymptotics
 
