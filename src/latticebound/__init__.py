@@ -12,7 +12,7 @@ discrete-grid oracles.
 from .core import ORIGIN, Band, ModelParams, TorusPoint, band_edges
 from .integrals import (ConstantsSource, Side, watson_integrals,
                         watson_integrals_at)
-from .determinants import secular_matrix
+from .determinants import secular_det
 from .spectrum import SpectrumReport, spectrum_general, spectrum_k0
 from .oracle import dense_validate, minimax_values, oracle_counts
 from .atlas import (binding_thresholds, classify, predicted_counts, sweep,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ORIGIN", "Band", "ModelParams", "TorusPoint", "band_edges",
     "ConstantsSource", "Side", "watson_integrals",
-    "watson_integrals_at", "secular_matrix", "SpectrumReport",
+    "watson_integrals_at", "secular_det", "SpectrumReport",
     "spectrum_general", "spectrum_k0", "dense_validate", "minimax_values",
     "oracle_counts", "binding_thresholds", "classify", "predicted_counts",
     "sweep", "threshold_scan", "__version__",

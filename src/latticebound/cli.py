@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 from . import atlas, oracle
 from .core import ModelParams, TorusPoint, band_edges
-from .determinants import delta_even_main, delta_even_sub, delta_odd, secular_matrix
+from .determinants import delta_even_main, delta_even_sub, delta_odd, secular_det
 from .errors import NUMERICAL_ERRORS, ParseError, ValidationError
 from .integrals import (REL_TOL_FLOOR, ConstantsSource, Side,
                         predicted_asymptote, watson_integrals,
@@ -263,8 +263,7 @@ def _cmd_det(cfg: RunConfig, z: float) -> int:
         print(f"even_main = {_fmt(delta_even_main(z, params, cfg.rel_tol))}")
         print(f"even_sub  = {_fmt(delta_even_sub(z, params, cfg.rel_tol))}")
         print(f"odd       = {_fmt(delta_odd(z, params, cfg.rel_tol))}")
-    sm = secular_matrix(z, K, params, rel_tol=cfg.rel_tol)
-    print(f"det = {_fmt(sm.det)}")
+    print(f"det = {_fmt(secular_det(z, K, params, rel_tol=cfg.rel_tol))}")
     return 0
 
 

@@ -23,7 +23,6 @@ gives the matrix above it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -33,38 +32,13 @@ from .errors import DomainError, ToleranceError
 from .integrals import (IntegralSet, Side, geometric_panels, panel_nodes,
                         watson_integrals, watson_integrals_at)
 
-TWO_PI = 2.0 * math.pi
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class InteractionBasis:
-    """The five interaction modes and their channel weights."""
-
-    @staticmethod
-    def weights(params: ModelParams) -> np.ndarray:
-        m = 0.5 * params.mu
-        return np.array([params.lam, m, m, m, m])
-
-    @staticmethod
-    def modes(p1, p2) -> np.ndarray:
-        """Mode values at (p1, p2); accepts arrays, returns shape (5, ...)."""
-        p1 = np.asarray(p1, dtype=float)
-        p2 = np.asarray(p2, dtype=float)
-        n = 1.0 / TWO_PI
-        return np.stack([
-            np.full(np.broadcast(p1, p2).shape, n),
-            _SQRT2 * n * np.cos(p1),
-            _SQRT2 * n * np.cos(p2),
-            _SQRT2 * n * np.sin(p1),
-            _SQRT2 * n * np.sin(p2),
-        ])
-
-    @staticmethod
-    def kernel(p1, p2, q1, q2, params: ModelParams) -> np.ndarray:
-        """Difference kernel of the interaction, v(p - q)."""
-        return (params.lam + params.mu * (np.cos(np.asarray(p1) - q1)
-                                          + np.cos(np.asarray(p2) - q2))) / TWO_PI ** 2
+def interaction_weights(params: ModelParams) -> np.ndarray:
+    """Channel weights G = (lam, mu/2, mu/2, mu/2, mu/2) of the five modes."""
+    m = 0.5 * params.mu
+    return np.array([params.lam, m, m, m, m])
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +212,9 @@ def secular_entries(z: float, K: TorusPoint, params: ModelParams,
         f"error estimate {err:.3e} exceeds requested tolerance")
 
 
-@dataclass(frozen=True)
-class SecularMatrix:
-    """The 5x5 matrix I + G J(z) whose zero set is the discrete spectrum."""
-
-    z: float
-    K: TorusPoint
-    entries: np.ndarray
-    det: float
-
-
-def secular_matrix(z: float, K: TorusPoint, params: ModelParams,
-                   rel_tol: float = 1e-10) -> SecularMatrix:
-    """Assemble I + G J(z) at fiber K and evaluate its determinant.
+def secular_det(z: float, K: TorusPoint, params: ModelParams,
+                rel_tol: float = 1e-10) -> float:
+    """Determinant of the secular matrix I + G J(z) at fiber K.
 
     Zero fiber takes the fast path through the five scalar moments; the
     determinant comes from LAPACK's pivoted LU factorization.
@@ -267,5 +231,4 @@ def secular_matrix(z: float, K: TorusPoint, params: ModelParams,
         ])
     else:
         j, _ = secular_entries(z, K, params, rel_tol)
-    m = np.eye(5) + InteractionBasis.weights(params)[:, None] * j
-    return SecularMatrix(z=z, K=K, entries=m, det=float(np.linalg.det(m)))
+    return float(np.linalg.det(np.eye(5) + interaction_weights(params)[:, None] * j))

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Band, ModelParams, TorusPoint
-from .determinants import InteractionBasis
+from .determinants import interaction_weights
 from .spectrum import (Eigenvalue, FactorKind, Sector, SpectrumReport,
                        _Budget, _threshold_count, count_jump_scan)
 from .integrals import Side
@@ -132,7 +132,7 @@ class GridModel:
 
     def dense_matrix(self) -> np.ndarray:
         h = np.diag(self.diag)
-        for g, u in zip(InteractionBasis.weights(self.params), self.modes):
+        for g, u in zip(interaction_weights(self.params), self.modes):
             if g != 0.0:
                 h += g * np.outer(u, u)
         return h
@@ -170,7 +170,7 @@ def oracle_counts(K: TorusPoint, params: ModelParams, n: int = 256,
     if model is None:
         model = GridModel.build(K, params, n)
     band = model.band
-    gvec = InteractionBasis.weights(params)
+    gvec = interaction_weights(params)
     if params.lam == 0.0 and params.mu == 0.0:
         return _grid_report(model, {Side.BELOW: [], Side.ABOVE: []})
     window = abs(params.lam) + 2.0 * abs(params.mu) + 1.0

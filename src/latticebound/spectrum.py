@@ -17,17 +17,18 @@ no fixed mesh reaches) has a closed form.  Such roots are reported with
 least 1e-13.
 
 General fiber: the determinant loses its product structure, so roots are
-counted through the eigenvalue curves of the symmetrized Birman-Schwinger
+located through the eigenvalue curves of the symmetrized Birman-Schwinger
 matrix: below the band J(z) is positive semidefinite and z is a root of
 det(I + G J) exactly when an eigenvalue of L^T G L (J = L L^T) crosses -1.
-The integer count of curves below -1 jumps precisely at the roots, with the
-jump equal to the multiplicity; bisecting the jumps is robust against the
-even-multiplicity roots that defeat determinant sign scanning.  Roots
-between the mesh floor and the edge are counted from the edge limit of J,
-whose log-divergent part has rank one, and reported pinned at 1e-13.  The Gram
-matrix J below the band depends on the fiber, gamma and the distance, not
-on (lam, mu), so one solve keeps a memo from distance to J that both sides
-share: each distance of the mesh is integrated once per solve.
+The count of curves below -1 falls monotonically with the distance d, so
+the curves at the floor (d = 1e-10) and at the window give the number of
+roots between them first; then one Brent solve per sorted curve that
+crosses -1 locates its root.  A root of multiplicity m is m curves crossing
+at one distance, so the even-multiplicity roots that defeat determinant
+sign scanning come out whole.  Roots between the floor and the edge are
+counted from the edge limit of J, whose log-divergent part has rank one,
+and reported pinned at 1e-13.  J below the band depends on the fiber, gamma
+and d, not on (lam, mu), so both sides of one solve share a memo of J.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .core import Band, ModelParams, TorusPoint, band_edges, pair_amplitudes
-from .determinants import (FactorKind, InteractionBasis, factor_value,
+from .determinants import (FactorKind, factor_value, interaction_weights,
                            secular_entries, slope_below)
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ToleranceError
 from .integrals import (ConstantsSource, EdgeAsymptotics, Side,
                         predicted_asymptote, watson_integrals_at)
 
@@ -315,7 +316,8 @@ def count_jump_scan(nfun: Callable[[float], int], delta_max: float, floor: float
     Returns (distance, |jump|) pairs; segments whose endpoints agree are
     dropped, so an equal number of up and down crossings inside one segment
     is invisible (the mesh is chosen fine enough that this does not occur
-    away from parameter-space boundaries).
+    away from parameter-space boundaries).  Serves the grid oracle only;
+    :func:`spectrum_general` locates its roots with :func:`_curve_crossings`.
     """
     mesh = _delta_mesh(delta_max, floor)
     ns = []
@@ -387,15 +389,51 @@ def _pending_count(K: TorusPoint, gamma: float, j_floor: np.ndarray,
             - _threshold_count(j_floor, gvec)[0])
 
 
+def _curve_crossings(curves: Callable[[float], np.ndarray], floor: float,
+                     window: float, budget: _Budget) -> list[float]:
+    """Distances in [floor, window] where ascending curves cross -1.
+
+    ``curves(d)`` returns the curves at distance d, sorted ascending.
+    Their count below -1 falls monotonically with d, so curve k crosses -1
+    exactly once on [floor, window] for each k from the count at the window
+    to the count at the floor, and nowhere else.  Each crossing is solved by
+    Brent's method in t = ln d, from the tightest bracket that the distances
+    evaluated so far give curve k.  Every distance is evaluated once and
+    paid for from ``budget``.  Returns one distance per crossing; the
+    crossings of a multiple root are merged by :func:`_merge_found`.
+    """
+    lo, hi = math.log(floor), math.log(window)
+    ends = {lo: floor, hi: window}
+    memo: dict[float, np.ndarray] = {}
+
+    def at(t: float) -> np.ndarray:
+        if t not in memo:
+            budget.spend()
+            memo[t] = curves(ends[t] if t in ends else math.exp(t))
+        return memo[t]
+
+    roots = []
+    for k in range(int(np.sum(at(hi) < -1.0)), int(np.sum(at(lo) < -1.0))):
+        t_lo = max(t for t, eta in memo.items() if eta[k] < -1.0)
+        t_hi = min(t for t, eta in memo.items() if eta[k] >= -1.0)
+        t, res = brentq(lambda t: at(t)[k] + 1.0, t_lo, t_hi, xtol=1e-15,
+                        rtol=4 * _EPS, full_output=True, disp=False)
+        if not res.converged:
+            raise ToleranceError(f"{budget.what}: curve {k} crossing did not "
+                                 f"converge in {res.iterations} iterations")
+        roots.append(ends[t] if t in ends else math.exp(t))
+    return roots
+
+
 def _general_below(K: TorusPoint, params: ModelParams, window: float,
-                   width_tol: float, rel_tol: float, budget: int,
+                   rel_tol: float, budget: int,
                    jmemo: dict[float, np.ndarray]) -> list[_Root]:
-    """Roots below the band at fiber K, from the curve count and its jumps.
+    """Roots below the band at fiber K, one per crossing of a curve.
 
     ``jmemo`` maps a distance to its Gram matrix J; it is filled here and
     must only be shared between calls at the same (K, gamma, rel_tol).
     """
-    gvec = InteractionBasis.weights(params)
+    gvec = interaction_weights(params)
 
     def jmat(d: float) -> np.ndarray:
         if d not in jmemo:
@@ -403,14 +441,11 @@ def _general_below(K: TorusPoint, params: ModelParams, window: float,
                                           side=Side.BELOW, delta=d)
         return jmemo[d]
 
-    def nfun(d: float) -> int:
-        return _threshold_count(jmat(d), gvec)[0]
-
-    b = _Budget(budget, "curve count scan")
-    jumps = count_jump_scan(nfun, window, MESH_FLOOR, width_tol, b)
-
+    b = _Budget(budget, "curve root search")
+    crossings = _curve_crossings(lambda d: _threshold_count(jmat(d), gvec)[1],
+                                 MESH_FLOOR, window, b)
     pend = _pending_count(K, params.gamma, jmat(MESH_FLOOR), gvec)
-    found = [_Root(d, FactorKind.GENERAL, Sector.MIXED, mult) for d, mult in jumps]
+    found = [_Root(d, FactorKind.GENERAL, Sector.MIXED, 1) for d in crossings]
     found += [_Root(1e-13, FactorKind.GENERAL, Sector.MIXED, 1, pinned=True)] * pend
     return _merge_found(found)
 
@@ -419,11 +454,13 @@ def spectrum_general(K: TorusPoint, params: ModelParams, rel_tol: float = 1e-10,
                      budget: int = 10000) -> SpectrumReport:
     """Discrete spectrum at an arbitrary fiber.
 
-    Counts threshold crossings of the Birman-Schwinger eigenvalue curves on
-    an edge-refined mesh and bisects the crossing positions; the jump size is
-    the multiplicity.  Roots between the mesh floor and the edge are counted
-    from the edge limit of the Gram matrix (see :func:`_pending_count`).
-    Both sides share one memo of Gram matrices per call.
+    Counts the Birman-Schwinger curves below -1 at the mesh floor and at
+    the window, then solves each curve that crosses -1 in between (see
+    :func:`_curve_crossings`); crossings within MERGE_TOL merge into one
+    root of their number's multiplicity.  Roots between the mesh floor and
+    the edge are counted from the edge limit of the Gram matrix (see
+    :func:`_pending_count`).  Both sides share one memo of Gram matrices per
+    call; ``budget`` bounds the curve evaluations per side.
     """
     band = band_edges(K, params)
     if band.degenerate:
@@ -432,10 +469,8 @@ def spectrum_general(K: TorusPoint, params: ModelParams, rel_tol: float = 1e-10,
         return SpectrumReport(K=K, params=params, band=band, below=(), above=())
     window = abs(params.lam) + 2.0 * abs(params.mu) + 1.0
     jmemo: dict[float, np.ndarray] = {}
-    below = _general_below(K, params, window, 1e-12 * (1.0 + abs(band.e_min)),
-                           rel_tol, budget, jmemo)
-    above = _general_below(K, _mirrored(params), window,
-                           1e-12 * (1.0 + abs(band.e_max)), rel_tol, budget, jmemo)
+    below = _general_below(K, params, window, rel_tol, budget, jmemo)
+    above = _general_below(K, _mirrored(params), window, rel_tol, budget, jmemo)
     return SpectrumReport(K=K, params=params, band=band,
                           below=_placed(below, lambda d: band.e_min - d),
                           above=_placed(above, lambda d: band.e_max + d))

@@ -171,6 +171,19 @@ def test_det_command(capsys):
     assert "even_main" in out and "det = " in out
 
 
+@pytest.mark.parametrize("args,out", [
+    (["--z", "9.0", "--lambda", "1", "--mu", "10"],
+     "even_main = -0.605295840631\neven_sub  = -0.0488094282545\n"
+     "odd       = 0.0294345271742\ndet = 0.00086961790664\n"),
+    (["--z", "9.5", "--lambda", "6", "--mu", "10", "--K", "1.0,0.5"],
+     "det = -1.87666037177e-07\n"),
+])
+def test_det_output_is_pinned(capsys, args, out):
+    # one zero fiber (three factors and the full determinant), one general
+    assert main(["det"] + args) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_det_inside_band_maps_to_numerical_failure(capsys):
     assert main(["det", "--z", "1.0", "--lambda", "1", "--mu", "1"]) == 3
     assert "numerical failure" in capsys.readouterr().err

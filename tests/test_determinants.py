@@ -4,13 +4,29 @@ import numpy as np
 import pytest
 
 from latticebound.core import ORIGIN, ModelParams, TorusPoint, dispersion
-from latticebound.determinants import (InteractionBasis, _entries_from_nodes,
-                                       _pair_coefficients, delta_even_main,
-                                       delta_even_sub, delta_odd,
-                                       secular_entries, secular_matrix,
+from latticebound.determinants import (_entries_from_nodes, _pair_coefficients,
+                                       delta_even_main, delta_even_sub,
+                                       delta_odd, interaction_weights,
+                                       secular_det, secular_entries,
                                        slope_below)
 from latticebound.errors import DomainError
 from latticebound.integrals import geometric_panels, panel_nodes, watson_integrals
+
+
+def modes(p1, p2):
+    """The five interaction modes at (p1, p2); accepts arrays, shape (5, ...)."""
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    n = 1.0 / (2 * np.pi)
+    r = math.sqrt(2.0) * n
+    return np.stack([np.full(np.broadcast(p1, p2).shape, n),
+                     r * np.cos(p1), r * np.cos(p2), r * np.sin(p1), r * np.sin(p2)])
+
+
+def kernel(p1, p2, q1, q2, params):
+    """Difference kernel of the interaction, v(p - q)."""
+    return (params.lam + params.mu * (np.cos(np.asarray(p1) - q1)
+                                      + np.cos(np.asarray(p2) - q2))) / (2 * np.pi) ** 2
 
 
 def brute_secular(z, K, params, n=600):
@@ -19,9 +35,9 @@ def brute_secular(z, K, params, n=600):
     p1, p2 = np.meshgrid(q, q, indexing="ij")
     e = ((1 - np.cos(p1)) + (1 - np.cos(p2))
          + params.gamma * ((1 - np.cos(K.p1 - p1)) + (1 - np.cos(K.p2 - p2))))
-    modes = InteractionBasis.modes(p1, p2).reshape(5, -1)
+    m = modes(p1, p2).reshape(5, -1)
     w = 1.0 / (e.ravel() - z)
-    return (modes * w) @ modes.T * (2 * np.pi / n) ** 2
+    return (m * w) @ m.T * (2 * np.pi / n) ** 2
 
 
 def loop_entries(x, w, delta, r1, r2, tab):
@@ -49,7 +65,7 @@ def test_mode_normalization():
     n = 400
     q = -np.pi + 2 * np.pi * np.arange(n) / n
     p1, p2 = np.meshgrid(q, q, indexing="ij")
-    m = InteractionBasis.modes(p1, p2).reshape(5, -1)
+    m = modes(p1, p2).reshape(5, -1)
     gram = m @ m.T * (2 * np.pi / n) ** 2
     np.testing.assert_allclose(gram, np.eye(5), atol=1e-12)
 
@@ -57,12 +73,12 @@ def test_mode_normalization():
 def test_kernel_matches_weighted_modes():
     rng = np.random.default_rng(5)
     params = ModelParams(1.0, 1.7, -2.3)
-    w = InteractionBasis.weights(params)
+    w = interaction_weights(params)
     for _ in range(10):
         p1, p2, q1, q2 = rng.uniform(-np.pi, np.pi, 4)
-        lhs = InteractionBasis.kernel(p1, p2, q1, q2, params)
-        mp = InteractionBasis.modes(p1, p2)
-        mq = InteractionBasis.modes(q1, q2)
+        lhs = kernel(p1, p2, q1, q2, params)
+        mp = modes(p1, p2)
+        mq = modes(q1, q2)
         assert lhs == pytest.approx(float((w * mp * mq).sum()), abs=1e-14)
 
 
@@ -108,7 +124,7 @@ def test_factorization_product_matches_full_determinant():
         side = rng.integers(0, 2)
         z = (-float(rng.uniform(0.05, 3.0)) if side == 0
              else 4 * params.g + float(rng.uniform(0.05, 3.0)))
-        full = secular_matrix(z, ORIGIN, params).det
+        full = secular_det(z, ORIGIN, params)
         parts = (delta_even_main(z, params) * delta_even_sub(z, params)
                  * delta_odd(z, params))
         assert full == pytest.approx(parts, rel=1e-9, abs=1e-12)
@@ -137,7 +153,7 @@ def test_interface_slopes():
 def test_rejects_band_interior():
     params = ModelParams(1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
-        secular_matrix(2.0, ORIGIN, params)
+        secular_det(2.0, ORIGIN, params)
     with pytest.raises(DomainError):
         secular_entries(1.0, TorusPoint(0.3, 0.1), params)
 

@@ -9,13 +9,14 @@ printed precision.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from latticebound import spectrum
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
-from latticebound.errors import BudgetExceeded
+from latticebound.errors import BudgetExceeded, ToleranceError
 from latticebound.integrals import watson_integrals_at
 from latticebound.oracle import dense_validate, oracle_counts
 from latticebound.spectrum import (FactorKind, Sector, spectrum_general,
@@ -162,6 +163,83 @@ def test_general_solve_integrates_each_distance_once(monkeypatch, K, lam, mu):
     rep = spectrum_general(K, ModelParams(1.0, lam, mu))
     assert rep.n_below + rep.n_above > 0
     assert deltas and len(deltas) == len(set(deltas))
+
+
+@pytest.mark.parametrize("K,lam,mu", [
+    (TorusPoint(1.0, 0.5), 6.0, 10.0),
+    (TorusPoint(0.7, -2.1), -3.0, 2.0),
+    (TorusPoint(-2.5, 0.7), 10.0, -3.0),
+])
+def test_general_solve_integrates_few_distances(monkeypatch, K, lam, mu):
+    # the window, the floor and one Brent solve per crossing: the former
+    # 139-point mesh scan with bisected jumps took about 240
+    calls = []
+    inner = spectrum.secular_entries
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["delta"])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "secular_entries", counting)
+    spectrum_general(K, ModelParams(1.0, lam, mu))
+    assert len(calls) <= 60
+
+
+def test_general_budget():
+    with pytest.raises(BudgetExceeded):
+        spectrum_general(TorusPoint(1.0, 0.5), ModelParams(1.0, 6.0, 10.0), budget=3)
+
+
+# ---------------------------------------------------------------------------
+# the crossing engine on synthetic sorted curves
+
+
+def _crossings(curves, budget=100):
+    b = spectrum._Budget(budget, "synthetic")
+    return spectrum._curve_crossings(curves, spectrum.MESH_FLOOR, 10.0, b), b.used
+
+
+def _log_curve(d0, slope):
+    """A curve increasing in d that crosses -1 at d0."""
+    return lambda d: -1.0 + slope * math.log(d / d0)
+
+
+def test_crossings_none():
+    roots, used = _crossings(lambda d: np.array([-0.5, 0.3]))
+    assert roots == [] and used == 2
+
+
+def test_crossings_one():
+    c = _log_curve(0.37, 0.2)
+    roots, _ = _crossings(lambda d: np.array([c(d), 0.5]))
+    assert roots == [pytest.approx(0.37, rel=1e-13)]
+
+
+def test_crossings_double_root_merges():
+    # two curves through -1 at the same distance: a double root
+    c1, c2 = _log_curve(0.37, 0.05), _log_curve(0.37, 0.3)
+    roots, _ = _crossings(lambda d: np.sort([c1(d), c2(d), 2.0]))
+    assert len(roots) == 2
+    merged = spectrum._merge_found([
+        spectrum._Root(d, FactorKind.GENERAL, Sector.MIXED, 1) for d in roots])
+    assert [(r.d, r.multiplicity) for r in merged] == [(pytest.approx(0.37, rel=1e-13), 2)]
+
+
+def test_crossings_next_to_the_floor():
+    d0 = spectrum.MESH_FLOOR + 5e-13
+    c = _log_curve(d0, 0.01)
+    roots, _ = _crossings(lambda d: np.array([-5.0, c(d), 0.0]))
+    assert roots == [pytest.approx(d0, rel=1e-13, abs=0.0)]
+
+
+def test_crossing_that_does_not_converge_is_a_tolerance_error(monkeypatch):
+    # a Brent solve that runs out of iterations fails typed, not as the
+    # bare RuntimeError that brentq raises by default
+    monkeypatch.setattr(spectrum, "brentq", lambda f, a, b, **kwargs: (
+        a, SimpleNamespace(converged=False, iterations=100)))
+    c = _log_curve(0.37, 0.2)
+    with pytest.raises(ToleranceError):
+        _crossings(lambda d: np.array([c(d)]))
 
 
 def test_zero_coupling_is_empty():
