@@ -165,7 +165,6 @@ def check_rel_tol(rel_tol: float) -> None:
         raise ValueError(f"rel_tol must be >= {REL_TOL_FLOOR:g}, got {rel_tol}")
 
 
-@lru_cache(maxsize=65536)
 def watson_integrals_at(side: Side, delta: float, gamma: float,
                         rel_tol: float = 1e-10) -> IntegralSet:
     """Five moments at exact distance ``delta`` from the band edge.
@@ -194,8 +193,7 @@ def watson_integrals(z: float, gamma: float, rel_tol: float = 1e-10) -> Integral
     """Five moments at energy ``z`` outside the closed band [0, 4(1+gamma)].
 
     Raises DomainError for z inside the closed band (endpoints included).
-    The closed forms meet every accepted ``rel_tol``; it stays part of the
-    signature and of the cache key.
+    The closed forms meet every accepted ``rel_tol``; it is only validated.
     """
     check_rel_tol(rel_tol)
     g = 1.0 + gamma

@@ -6,29 +6,26 @@ bound states above the band at couplings (lam, mu) sit at e_max + d, where d
 runs over the distances below the band at (-lam, -mu).  Both solvers run one
 below-side routine twice, at (lam, mu) and at (-lam, -mu).
 
-Zero fiber: the determinant factors (main even, sub-even, odd) are scanned on
-an edge-refined mesh and bracketed roots are polished by Brent's method.  The
-mesh bottoms out at distance 1e-10 from the band edge; whether one more root
-hides between the mesh floor and the edge is decided from the exact edge
-models.  Only the main even factor diverges there, and with those models it
-is affine in ln-distance, so its last root (at distances like exp(-1/s) that
-no fixed mesh reaches) has a closed form.  Such roots are reported with
-``pinned=True`` at the model position, clamped away from the edge by at
-least 1e-13.
+Both solvers count first.  Below the band z is a root of det(I + G J)
+exactly when an eigenvalue of L^T G L (J = L L^T, positive semidefinite)
+crosses -1.  The count of these Birman-Schwinger curves below -1 falls
+monotonically with the distance d, so the curves at the floor (d = 1e-10)
+and at the window give the number of roots between them; then one Brent
+solve in ln d per sorted curve that crosses -1 locates its root.  A root of
+multiplicity m is m curves crossing at one distance, so even-multiplicity
+roots, which a sign scan misses, come out whole.  J below the band does not
+depend on (lam, mu), so both sides of one solve share a memo of it.
 
-General fiber: the determinant loses its product structure, so roots are
-located through the eigenvalue curves of the symmetrized Birman-Schwinger
-matrix: below the band J(z) is positive semidefinite and z is a root of
-det(I + G J) exactly when an eigenvalue of L^T G L (J = L L^T) crosses -1.
-The count of curves below -1 falls monotonically with the distance d, so
-the curves at the floor (d = 1e-10) and at the window give the number of
-roots between them first; then one Brent solve per sorted curve that
-crosses -1 locates its root.  A root of multiplicity m is m curves crossing
-at one distance, so the even-multiplicity roots that defeat determinant
-sign scanning come out whole.  Roots between the floor and the edge are
-counted from the edge limit of J, whose log-divergent part has rank one,
-and reported pinned at 1e-13.  J below the band depends on the fiber, gamma
-and d, not on (lam, mu), so both sides of one solve share a memo of J.
+Zero fiber: J is block diagonal in the five resolvent moments, and each
+determinant factor (main even, sub-even, odd) gets its own crossing pass.
+Only the main even factor diverges at the edge; with the exact edge models
+it is affine in ln-distance, so a root between the floor and the edge (at
+distances like exp(-1/s)) has a closed form.  Such roots are reported with
+``pinned=True`` at the model position, clamped to at least 1e-13.
+
+General fiber: J is the 5x5 Gram matrix of the modes.  Roots between the
+floor and the edge are counted from the edge limit of J, whose
+log-divergent part has rank one, and reported pinned at 1e-13.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -46,7 +43,7 @@ from .core import Band, ModelParams, TorusPoint, band_edges, pair_amplitudes
 from .determinants import (FactorKind, factor_value, interaction_weights,
                            secular_entries, slope_below)
 from .errors import BudgetExceeded, ToleranceError
-from .integrals import (ConstantsSource, EdgeAsymptotics, Side,
+from .integrals import (ConstantsSource, EdgeAsymptotics, IntegralSet, Side,
                         predicted_asymptote, watson_integrals_at)
 
 MESH_FLOOR = 1e-10
@@ -97,7 +94,7 @@ class SpectrumReport:
 
 
 # ---------------------------------------------------------------------------
-# meshes and bracketed scanning
+# budgets and the crossing engine
 
 
 def _delta_mesh(delta_max: float, floor: float = MESH_FLOOR,
@@ -130,31 +127,40 @@ class _Budget:
                 f"{self.what}: exceeded {self.limit} function evaluations")
 
 
-def _scan_deltas(fd: Callable[[float], float], delta_max: float, floor: float,
-                 budget: _Budget) -> tuple[list[float], float]:
-    """Sign-change scan over the descending mesh; Brent-polished roots.
+def _curve_crossings(curves: Callable[[float], Sequence[float]], floor: float,
+                     window: float, budget: _Budget) -> list[float]:
+    """Distances in [floor, window] where ascending curves cross -1.
 
-    Returns roots (as distances, any order) and the value at the mesh floor.
+    ``curves(d)`` returns the curves at distance d, sorted ascending.
+    Their count below -1 falls monotonically with d, so curve k crosses -1
+    exactly once on [floor, window] for each k from the count at the window
+    to the count at the floor, and nowhere else.  Each crossing is solved by
+    Brent's method in t = ln d, from the tightest bracket that the distances
+    evaluated so far give curve k.  Every distance is evaluated once and
+    paid for from ``budget``.  Returns one distance per crossing; the
+    crossings of a multiple root are merged by :func:`_merge_found`.
     """
-    mesh = _delta_mesh(delta_max, floor)
-    vals = []
-    for d in mesh:
-        budget.spend()
-        vals.append(fd(float(d)))
+    lo, hi = math.log(floor), math.log(window)
+    ends = {lo: floor, hi: window}
+    memo: dict[float, Sequence[float]] = {}
+
+    def at(t: float) -> Sequence[float]:
+        if t not in memo:
+            budget.spend()
+            memo[t] = curves(ends[t] if t in ends else math.exp(t))
+        return memo[t]
+
     roots = []
-    for i in range(len(mesh) - 1):
-        hi_d, lo_d = float(mesh[i]), float(mesh[i + 1])
-        v1, v2 = vals[i], vals[i + 1]
-        if v1 == 0.0:
-            roots.append(hi_d)
-            continue
-        if v1 * v2 < 0.0:
-            budget.spend(60)
-            r = brentq(fd, lo_d, hi_d, xtol=1e-13, rtol=4 * _EPS, maxiter=200)
-            roots.append(float(r))
-    if vals[-1] == 0.0:
-        roots.append(float(mesh[-1]))
-    return roots, vals[-1]
+    for k in range(sum(v < -1.0 for v in at(hi)), sum(v < -1.0 for v in at(lo))):
+        t_lo = max(t for t, eta in memo.items() if eta[k] < -1.0)
+        t_hi = min(t for t, eta in memo.items() if eta[k] >= -1.0)
+        t, res = brentq(lambda t: at(t)[k] + 1.0, t_lo, t_hi, xtol=1e-15,
+                        rtol=4 * _EPS, full_output=True, disp=False)
+        if not res.converged:
+            raise ToleranceError(f"{budget.what}: curve {k} crossing did not "
+                                 f"converge in {res.iterations} iterations")
+        roots.append(ends[t] if t in ends else math.exp(t))
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +252,48 @@ _ZERO_FIBER_FACTORS = (
 )
 
 
+def _factor_curves(kind: FactorKind, s, params: ModelParams) -> tuple[float, ...]:
+    """Ascending Birman-Schwinger curves of one zero-fiber block at moments ``s``.
+
+    The factor is the product of (1 + curve) over them.  Main even: the
+    eigenvalues of G J with G = diag(lam, mu), J = [[a, sqrt2 b], [sqrt2 b,
+    c + e]], the larger in magnitude from the discriminant and the other
+    from the determinant.  Sub-even: mu (c - e).  Odd: mu f.
+    """
+    lam, mu = params.lam, params.mu
+    if kind is FactorKind.SUB_EVEN:
+        return (mu * (s.c - s.e),)
+    if kind is FactorKind.ODD:
+        return (mu * s.f,)
+    x, y, bb = lam * s.a, mu * (s.c + s.e), 2.0 * lam * mu * s.b * s.b
+    root = math.sqrt(max(0.25 * (x - y) ** 2 + bb, 0.0))
+    big = 0.5 * (x + y) + math.copysign(root, x + y)
+    small = (x * y - bb) / big if big != 0.0 else 0.0
+    return (small, big) if small <= big else (big, small)
+
+
 def _k0_below(params: ModelParams, models: dict[str, EdgeAsymptotics],
-              window: float, rel_tol: float, budget: int) -> list[_Root]:
-    """Roots of the three zero-fiber factors below the band, merged."""
-    gamma = params.gamma
+              window: float, rel_tol: float, budget: int,
+              memo: dict[float, IntegralSet]) -> list[_Root]:
+    """Roots of the three zero-fiber factors below the band, merged.
+
+    Each factor's block gets one pass of :func:`_curve_crossings`.
+    ``memo`` maps a distance to its moments below the band; it is filled
+    here and must only be shared between calls at the same (gamma, rel_tol).
+    """
+    def moments(d: float) -> IntegralSet:
+        if d not in memo:
+            memo[d] = watson_integrals_at(Side.BELOW, d, params.gamma, rel_tol)
+        return memo[d]
+
     found = []
     for kind, sector, mult in _ZERO_FIBER_FACTORS:
-        if kind is not FactorKind.MAIN_EVEN and params.mu == 0.0:
-            continue
-        fd = lambda d: factor_value(kind, watson_integrals_at(Side.BELOW, d, gamma, rel_tol),
-                                    params)
-        b = _Budget(budget, f"{kind.value} factor scan")
-        roots, floor_val = _scan_deltas(fd, window, MESH_FLOOR, b)
-        found += [_Root(d, kind, sector, mult) for d in roots]
-        pend = _pending_root(kind, params, models, floor_val)
+        b = _Budget(budget, f"{kind.value} curve root search")
+        crossings = _curve_crossings(lambda d: _factor_curves(kind, moments(d), params),
+                                     MESH_FLOOR, window, b)
+        found += [_Root(d, kind, sector, mult) for d in crossings]
+        floor_value = factor_value(kind, moments(MESH_FLOOR), params)
+        pend = _pending_root(kind, params, models, floor_value)
         if pend is not None:
             found.append(_Root(max(pend, 1e-13), kind, sector, mult, pinned=True))
     return _merge_found(found)
@@ -275,7 +309,9 @@ def spectrum_k0(params: ModelParams,
     |z - edge| <= |lam| + 2|mu| + 1 (no bound state can bind deeper than the
     interaction norm allows).  Coincident roots are merged with summed
     multiplicity; odd-factor roots carry multiplicity 2.  The constants
-    source steers only the near-edge pending-root resolution.
+    source steers only the near-edge pending-root resolution.  Both sides
+    share one memo of moments per call; ``budget`` bounds the curve
+    evaluations per factor and side.
     """
     k0 = TorusPoint(0.0, 0.0)
     band = band_edges(k0, params)
@@ -284,8 +320,9 @@ def spectrum_k0(params: ModelParams,
     models = {q: predicted_asymptote(q, Side.BELOW, params.gamma, constants_source)
               for q in "abce"}
     window = abs(params.lam) + 2.0 * abs(params.mu) + 1.0
-    below = _k0_below(params, models, window, rel_tol, budget)
-    above = _k0_below(_mirrored(params), models, window, rel_tol, budget)
+    memo: dict[float, IntegralSet] = {}
+    below = _k0_below(params, models, window, rel_tol, budget, memo)
+    above = _k0_below(_mirrored(params), models, window, rel_tol, budget, memo)
     hi = 4.0 * params.g
     return SpectrumReport(K=k0, params=params, band=band, below=_placed(below, lambda d: -d),
                           above=_placed(above, lambda d: hi + d))
@@ -387,42 +424,6 @@ def _pending_count(K: TorusPoint, gamma: float, j_floor: np.ndarray,
     offset = j_floor - slope * math.log(MESH_FLOOR)
     return (_threshold_count(offset + slope * _EDGE_LOG, gvec)[0]
             - _threshold_count(j_floor, gvec)[0])
-
-
-def _curve_crossings(curves: Callable[[float], np.ndarray], floor: float,
-                     window: float, budget: _Budget) -> list[float]:
-    """Distances in [floor, window] where ascending curves cross -1.
-
-    ``curves(d)`` returns the curves at distance d, sorted ascending.
-    Their count below -1 falls monotonically with d, so curve k crosses -1
-    exactly once on [floor, window] for each k from the count at the window
-    to the count at the floor, and nowhere else.  Each crossing is solved by
-    Brent's method in t = ln d, from the tightest bracket that the distances
-    evaluated so far give curve k.  Every distance is evaluated once and
-    paid for from ``budget``.  Returns one distance per crossing; the
-    crossings of a multiple root are merged by :func:`_merge_found`.
-    """
-    lo, hi = math.log(floor), math.log(window)
-    ends = {lo: floor, hi: window}
-    memo: dict[float, np.ndarray] = {}
-
-    def at(t: float) -> np.ndarray:
-        if t not in memo:
-            budget.spend()
-            memo[t] = curves(ends[t] if t in ends else math.exp(t))
-        return memo[t]
-
-    roots = []
-    for k in range(int(np.sum(at(hi) < -1.0)), int(np.sum(at(lo) < -1.0))):
-        t_lo = max(t for t, eta in memo.items() if eta[k] < -1.0)
-        t_hi = min(t for t, eta in memo.items() if eta[k] >= -1.0)
-        t, res = brentq(lambda t: at(t)[k] + 1.0, t_lo, t_hi, xtol=1e-15,
-                        rtol=4 * _EPS, full_output=True, disp=False)
-        if not res.converged:
-            raise ToleranceError(f"{budget.what}: curve {k} crossing did not "
-                                 f"converge in {res.iterations} iterations")
-        roots.append(ends[t] if t in ends else math.exp(t))
-    return roots
 
 
 def _general_below(K: TorusPoint, params: ModelParams, window: float,

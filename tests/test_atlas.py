@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from latticebound import atlas
@@ -13,7 +12,7 @@ from latticebound.atlas import (CONVENTIONS, _axis_values, binding_thresholds,
                                 threshold_scan)
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
 from latticebound.errors import BudgetExceeded
-from latticebound.integrals import ConstantsSource, Side, watson_integrals_at
+from latticebound.integrals import ConstantsSource
 from latticebound.spectrum import FactorKind, spectrum_k0
 
 
@@ -114,6 +113,33 @@ def test_exchange_hyperbola_boundary(lam, mu, na):
     assert main_above == 1
 
 
+_PARTS = (FactorKind.MAIN_EVEN, FactorKind.SUB_EVEN, FactorKind.ODD)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_each_factor_carries_its_predicted_count(gamma):
+    # away from every region boundary (S+- = 0, |mu| = t_s, t_d, g) each
+    # determinant factor binds exactly the states its region family predicts
+    g = 1.0 + gamma
+    thr = binding_thresholds(gamma)
+    checked = 0
+    for lam in _axis_values(-12.0, 12.0, 0.5):
+        for mu in _axis_values(-12.0, 12.0, 0.5):
+            label = classify(ModelParams(gamma, lam, mu))
+            if (min(abs(label.s_plus), abs(label.s_minus)) < 0.25 * g
+                    or any(abs(abs(mu) - t) < 0.25 * g for t in (thr.t_s, thr.t_d, g))):
+                continue
+            pred = predicted_counts(label)
+            rep = spectrum_k0(ModelParams(gamma, lam, mu))
+            for side, parts in ((rep.below, pred.parts_below),
+                                (rep.above, pred.parts_above)):
+                got = tuple(sum(ev.multiplicity for ev in side if ev.factor is kind)
+                            for kind in _PARTS)
+                assert got == parts, (lam, mu)
+            checked += 1
+    assert checked > 1000
+
+
 def test_axis_values_are_stable():
     assert _axis_values(-1.0, 1.0, 0.5) == [-1.0, -0.5, 0.0, 0.5, 1.0]
     assert _axis_values(0.0, 0.3, 0.1) == [0.0, 0.1, 0.2, 0.3]
@@ -199,14 +225,3 @@ def test_threshold_scan_adjudicates_the_even_threshold():
     # scanning a window that excludes the threshold is an error
     with pytest.raises(ValueError):
         threshold_scan(mu_lo=1.0, mu_hi=2.0, step=0.1)
-
-
-def test_threshold_scan_shares_the_solvers_moment_cache_entries():
-    # the solvers pass rel_tol positionally; a differently formed call
-    # would get its own cache entry and integrate the same moments again
-    watson_integrals_at.cache_clear()
-    threshold_scan(1.0)
-    misses = watson_integrals_at.cache_info().misses
-    for d in np.geomspace(1e-10, 4.0, 160):
-        watson_integrals_at(Side.ABOVE, d, 1.0, 1e-10)
-    assert watson_integrals_at.cache_info().misses == misses

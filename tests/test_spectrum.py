@@ -14,10 +14,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from latticebound import spectrum
+from latticebound import integrals, spectrum
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
 from latticebound.errors import BudgetExceeded, ToleranceError
-from latticebound.integrals import watson_integrals_at
+from latticebound.determinants import factor_value
+from latticebound.integrals import Side, watson_integrals_at
 from latticebound.oracle import dense_validate, oracle_counts
 from latticebound.spectrum import (FactorKind, Sector, spectrum_general,
                                    spectrum_k0)
@@ -134,14 +135,43 @@ def test_zero_fiber_paths_agree(lam, mu):
     assert expand(fast.above) == pytest.approx(expand(slow.above), abs=5e-9)
 
 
-def test_mirrored_couplings_reuse_every_moment():
-    # the side above the band at (lam, mu) is the side below it at
-    # (-lam, -mu), so the mirrored solve finds every moment in the cache
-    params = ModelParams(1.2345, 3.5, -2.0)
-    spectrum_k0(params)
-    misses = watson_integrals_at.cache_info().misses
-    spectrum_k0(ModelParams(params.gamma, -params.lam, -params.mu))
-    assert watson_integrals_at.cache_info().misses == misses
+@pytest.mark.parametrize("lam,mu", [(6.0, 10.0), (-6.0, -10.0), (-3.0, 2.0),
+                                    (3.5, -2.0)])
+def test_k0_solve_evaluates_each_distance_once(monkeypatch, lam, mu):
+    # the moments below the band do not depend on (lam, mu), so all three
+    # factors and both sides of one solve share every evaluation, the
+    # floor and the window included
+    ts = []
+    inner = integrals._reduced_integrals
+
+    def counting(t):
+        ts.append(t)
+        return inner(t)
+
+    monkeypatch.setattr(integrals, "_reduced_integrals", counting)
+    params = ModelParams(1.2345, lam, mu)
+    rep = spectrum_k0(params)
+    assert rep.n_below + rep.n_above > 0
+    assert len(ts) == len(set(ts))
+    assert spectrum.MESH_FLOOR / params.g in ts
+    assert (abs(lam) + 2.0 * abs(mu) + 1.0) / params.g in ts
+    assert len(ts) <= 60
+
+
+def test_shallow_k0_root_sits_on_the_sign_change():
+    # a state a hair above the 1e-10 floor: the former scan polished it with
+    # an absolute 1e-13 tolerance and reported it 5.6e-6 relative off, where
+    # the factor reads -3.9e-7 on both sides
+    params = ModelParams(1.0, -10.5, -3.5)
+    rep = spectrum_k0(params)
+    shallow = rep.below[-1]
+    assert shallow.factor is FactorKind.MAIN_EVEN and not shallow.pinned
+    d = -shallow.z
+    assert 1e-10 < d < 1.1e-10
+    lo, hi = (factor_value(FactorKind.MAIN_EVEN,
+                           watson_integrals_at(Side.BELOW, d * (1.0 + r), 1.0), params)
+              for r in (-1e-9, 1e-9))
+    assert lo * hi < 0.0
 
 
 @pytest.mark.parametrize("K,lam,mu", [
