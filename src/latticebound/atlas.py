@@ -39,6 +39,7 @@ from .integrals import (ConstantsSource, Side, check_rel_tol,
 from .spectrum import SpectrumReport, spectrum_general, spectrum_k0
 
 CONVENTIONS = ("mirrored", "printed")
+BOUNDARY_TOL = 1e-12   # distance from a defining equality that labels "b"
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +80,10 @@ def binding_thresholds(gamma: float,
 class RegionLabel:
     """Which cell of each region family a coupling pair falls in.
 
-    Labels ending in "b" sit within ``tol`` of a defining equality; the
-    label then names the cell whose count survives in the closure (smaller
-    count wins: a root absorbed exactly at threshold is not a bound state).
+    Labels ending in "b" sit within ``BOUNDARY_TOL`` of a defining
+    equality; the label then names the cell whose count survives in the
+    closure (smaller count wins: a root absorbed exactly at threshold is not
+    a bound state).
     """
 
     s_region: str
@@ -96,8 +98,8 @@ class RegionLabel:
     thresholds: Thresholds
 
 
-def _axis_region(mu: float, t: float, stem: str, tol: float) -> str:
-    if abs(mu - t) <= tol or abs(mu + t) <= tol:
+def _axis_region(mu: float, t: float, stem: str) -> str:
+    if abs(mu - t) <= BOUNDARY_TOL or abs(mu + t) <= BOUNDARY_TOL:
         return f"{stem}b"
     if mu > t:
         return f"{stem}+"
@@ -106,7 +108,7 @@ def _axis_region(mu: float, t: float, stem: str, tol: float) -> str:
     return stem
 
 
-def _c_family(s_val: float, mu: float, g: float, plus: bool, tol: float) -> str:
+def _c_family(s_val: float, mu: float, g: float, plus: bool) -> str:
     """Coupled-even cell from the sign of S+- and of mu -+ g.
 
     Plus family (above the band): C0 = {S+ < 0, mu < g}, C1 = {S+ > 0},
@@ -115,20 +117,20 @@ def _c_family(s_val: float, mu: float, g: float, plus: bool, tol: float) -> str:
     """
     sgn = "+" if plus else "-"
     inner = s_val < 0.0 if plus else s_val > 0.0   # the C0/C2 side of S=0
-    outer_mu = mu > g + tol if plus else mu < -g - tol
-    if abs(s_val) <= tol:
+    outer_mu = mu > g + BOUNDARY_TOL if plus else mu < -g - BOUNDARY_TOL
+    if abs(s_val) <= BOUNDARY_TOL:
         return f"C1{sgn}b" if outer_mu else f"C0{sgn}b"
     if not inner:
         return f"C1{sgn}"
     if outer_mu:
         return f"C2{sgn}"
-    near_g = abs(mu - g) <= tol if plus else abs(mu + g) <= tol
+    near_g = abs(mu - g if plus else mu + g) <= BOUNDARY_TOL
     return f"C0{sgn}b" if near_g else f"C0{sgn}"
 
 
 def classify(params: ModelParams,
              source: ConstantsSource = ConstantsSource.COMPUTED,
-             convention: str = "mirrored", tol: float = 1e-12) -> RegionLabel:
+             convention: str = "mirrored") -> RegionLabel:
     """Place (lam, mu) in the three region families.
 
     The thresholds t_s and t_d come from the edge constants of ``source``.
@@ -142,10 +144,10 @@ def classify(params: ModelParams,
     # the printed plus-side table carries the opposite S+ sign conditions
     eff_plus = s_plus if convention == "mirrored" else -s_plus
     return RegionLabel(
-        s_region=_axis_region(params.mu, thr.t_s, "S0", tol),
-        d_region=_axis_region(params.mu, thr.t_d, "D0", tol),
-        c_plus=_c_family(eff_plus, params.mu, g, True, tol),
-        c_minus=_c_family(s_minus, params.mu, g, False, tol),
+        s_region=_axis_region(params.mu, thr.t_s, "S0"),
+        d_region=_axis_region(params.mu, thr.t_d, "D0"),
+        c_plus=_c_family(eff_plus, params.mu, g, True),
+        c_minus=_c_family(s_minus, params.mu, g, False),
         gamma=params.gamma, source=source, convention=convention,
         s_plus=s_plus, s_minus=s_minus, thresholds=thr,
     )
@@ -244,9 +246,7 @@ def _sweep_point(task: tuple) -> SweepRow:
         label = classify(params, source, convention)
         pred = predicted_counts(label)
         at_zero = k1 == 0.0 and k2 == 0.0
-        rep: SpectrumReport = (spectrum_k0(params, constants_source=source,
-                                           rel_tol=rel_tol)
-                               if at_zero
+        rep: SpectrumReport = (spectrum_k0(params) if at_zero
                                else spectrum_general(K, params, rel_tol=rel_tol))
     except NUMERICAL_ERRORS as exc:
         return _failed_row(lam, mu, gamma, K, exc)
@@ -328,7 +328,7 @@ def threshold_scan(gamma: float = 1.0, mu_lo: float = 3.0, mu_hi: float = 8.0,
     integrals actually produce.
     """
     deltas = np.geomspace(1e-10, 2.0 * (1.0 + gamma), 160)
-    sets = [watson_integrals_at(Side.ABOVE, d, gamma, 1e-10) for d in deltas]
+    sets = [watson_integrals_at(Side.ABOVE, d, gamma) for d in deltas]
     ce = np.array([s.c - s.e for s in sets])
     mus = np.array(_axis_values(mu_lo, mu_hi, step))
     has_root = ((1.0 + np.outer(mus, ce)) < 0.0).any(axis=1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 from . import atlas, oracle
 from .core import ModelParams, TorusPoint, band_edges
-from .determinants import delta_even_main, delta_even_sub, delta_odd, secular_det
+from .determinants import FactorKind, factor_value, secular_det
 from .errors import NUMERICAL_ERRORS, ParseError, ValidationError
 from .integrals import (REL_TOL_FLOOR, ConstantsSource, Side,
                         predicted_asymptote, watson_integrals,
@@ -245,11 +245,11 @@ def _cmd_edges(cfg: RunConfig) -> int:
 def _cmd_integrals(cfg: RunConfig, z: float | None, side: str | None,
                    delta: float | None) -> int:
     if z is not None:
-        s = watson_integrals(z, cfg.gamma, rel_tol=cfg.rel_tol)
+        s = watson_integrals(z, cfg.gamma)
     else:
         if side is None or delta is None:
             raise ValidationError("need either z or side+delta", "z")
-        s = watson_integrals_at(Side(side), delta, cfg.gamma, cfg.rel_tol)
+        s = watson_integrals_at(Side(side), delta, cfg.gamma)
     for name in "abcef":
         print(f"{name} = {_fmt(getattr(s, name))}")
     print(f"z = {_fmt(s.z)}  est_error = {s.est_error:.2e}")
@@ -260,9 +260,10 @@ def _cmd_det(cfg: RunConfig, z: float) -> int:
     params = _params(cfg)
     K = _point(cfg)
     if cfg.K == (0.0, 0.0):
-        print(f"even_main = {_fmt(delta_even_main(z, params, cfg.rel_tol))}")
-        print(f"even_sub  = {_fmt(delta_even_sub(z, params, cfg.rel_tol))}")
-        print(f"odd       = {_fmt(delta_odd(z, params, cfg.rel_tol))}")
+        s = watson_integrals(z, params.gamma)
+        print(f"even_main = {_fmt(factor_value(FactorKind.MAIN_EVEN, s, params))}")
+        print(f"even_sub  = {_fmt(factor_value(FactorKind.SUB_EVEN, s, params))}")
+        print(f"odd       = {_fmt(factor_value(FactorKind.ODD, s, params) ** 2)}")
     print(f"det = {_fmt(secular_det(z, K, params, rel_tol=cfg.rel_tol))}")
     return 0
 
@@ -270,8 +271,7 @@ def _cmd_det(cfg: RunConfig, z: float) -> int:
 def _cmd_spectrum(cfg: RunConfig) -> int:
     params = _params(cfg)
     if cfg.K == (0.0, 0.0):
-        rep = spectrum_k0(params, constants_source=cfg.constants_source,
-                          rel_tol=cfg.rel_tol)
+        rep = spectrum_k0(params)
     else:
         rep = spectrum_general(_point(cfg), params, rel_tol=cfg.rel_tol)
     _print_spectrum(rep)
@@ -481,8 +481,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             overrides[f.name] = value
-    if getattr(args, "K", None) is not None:
-        overrides["K"] = tuple(args.K)
     return replace(cfg, **overrides).validate()
 
 

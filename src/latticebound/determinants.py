@@ -29,8 +29,7 @@ import numpy as np
 
 from .core import ModelParams, TorusPoint, edges_closed, pair_amplitudes
 from .errors import DomainError, ToleranceError
-from .integrals import (IntegralSet, Side, geometric_panels, panel_nodes,
-                        watson_integrals, watson_integrals_at)
+from .integrals import Side, geometric_panels, panel_nodes, watson_integrals
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -54,12 +53,6 @@ class FactorKind(Enum):
     GENERAL = "general"
 
 
-def _ints_for(z_or_set, params: ModelParams, rel_tol: float) -> IntegralSet:
-    if isinstance(z_or_set, IntegralSet):
-        return z_or_set
-    return watson_integrals(float(z_or_set), params.gamma, rel_tol)
-
-
 def factor_value(kind: FactorKind, s, params: ModelParams) -> float:
     """One zero-fiber determinant factor from moments ``s`` (any object with
     fields a, b, c, e, f).  The odd one is the unsquared 1 + mu*f."""
@@ -71,24 +64,6 @@ def factor_value(kind: FactorKind, s, params: ModelParams) -> float:
     if kind is FactorKind.ODD:
         return 1.0 + params.mu * s.f
     raise ValueError(f"{kind} is not a zero-fiber determinant factor")
-
-
-def delta_odd(z_or_set, params: ModelParams, rel_tol: float = 1e-10) -> float:
-    """Odd-sector determinant factor (1 + mu*f)^2 at zero fiber."""
-    s = _ints_for(z_or_set, params, rel_tol)
-    return factor_value(FactorKind.ODD, s, params) ** 2
-
-
-def delta_even_sub(z_or_set, params: ModelParams, rel_tol: float = 1e-10) -> float:
-    """Antisymmetric-cosine even factor 1 + mu*(c - e) at zero fiber."""
-    s = _ints_for(z_or_set, params, rel_tol)
-    return factor_value(FactorKind.SUB_EVEN, s, params)
-
-
-def delta_even_main(z_or_set, params: ModelParams, rel_tol: float = 1e-10) -> float:
-    """Main even factor (1+lam*a)(1+mu*(c+e)) - 2*lam*mu*b^2 at zero fiber."""
-    s = _ints_for(z_or_set, params, rel_tol)
-    return factor_value(FactorKind.MAIN_EVEN, s, params)
 
 
 def slope_below(params: ModelParams) -> float:
@@ -220,7 +195,7 @@ def secular_det(z: float, K: TorusPoint, params: ModelParams,
     determinant comes from LAPACK's pivoted LU factorization.
     """
     if K.p1 == 0.0 and K.p2 == 0.0:
-        s = watson_integrals(z, params.gamma, rel_tol)
+        s = watson_integrals(z, params.gamma)
         b2 = _SQRT2 * s.b
         j = np.array([
             [s.a, b2, b2, 0.0, 0.0],

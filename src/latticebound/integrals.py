@@ -18,6 +18,8 @@ not.
 Near an edge the moments behave like ``s * (-+ln|z-edge|) + offset`` with
 s = 1/(2 pi g) (f has slope 0); the offsets are available in two flavors: a
 frozen ``PUBLISHED`` table and the ``COMPUTED`` table of exact edge limits.
+The spectrum solvers always use the computed models; the published table
+feeds only the predicted region table (thresholds and classification).
 """
 
 from __future__ import annotations
@@ -96,13 +98,18 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def geometric_panels(length: float, scale: float, hard_floor: float = 1e-280) -> np.ndarray:
+_PANEL_HARD_FLOOR = 1e-280
+
+
+def geometric_panels(length: float, scale: float) -> np.ndarray:
     """Breakpoints on [0, length], halving toward the singular end at 0.
 
     ``scale`` is the width of the boundary layer; panels stop shrinking once
-    they resolve it (about scale/8), or at ``hard_floor`` in desperate cases.
+    they resolve it (about scale/8), or at ``_PANEL_HARD_FLOOR`` in
+    desperate cases.
     """
-    floor = max(min(scale / 8.0, length / 16.0), hard_floor, length * 2.0 ** -60)
+    floor = max(min(scale / 8.0, length / 16.0), _PANEL_HARD_FLOOR,
+                length * 2.0 ** -60)
     k = max(4, int(math.ceil(math.log2(length / floor))))
     bp = length * 2.0 ** (-np.arange(k + 1, dtype=float))
     return np.concatenate(([0.0], bp[::-1]))
@@ -165,8 +172,7 @@ def check_rel_tol(rel_tol: float) -> None:
         raise ValueError(f"rel_tol must be >= {REL_TOL_FLOOR:g}, got {rel_tol}")
 
 
-def watson_integrals_at(side: Side, delta: float, gamma: float,
-                        rel_tol: float = 1e-10) -> IntegralSet:
+def watson_integrals_at(side: Side, delta: float, gamma: float) -> IntegralSet:
     """Five moments at exact distance ``delta`` from the band edge.
 
     Preferred over :func:`watson_integrals` near the edges: the distance is
@@ -178,10 +184,9 @@ def watson_integrals_at(side: Side, delta: float, gamma: float,
     """
     g = 1.0 + gamma
     if side is not Side.BELOW:
-        s = watson_integrals_at(Side.BELOW, delta, gamma, rel_tol)
+        s = watson_integrals_at(Side.BELOW, delta, gamma)
         return IntegralSet(a=-s.a, b=s.b, c=-s.c, e=-s.e, f=-s.f,
                            z=4.0 * g + delta, est_error=s.est_error)
-    check_rel_tol(rel_tol)
     if not (delta / g >= sys.float_info.min) or not math.isfinite(delta):
         raise DomainError(f"distance to the band edge must be at least "
                           f"{g * sys.float_info.min:.3g} (delta/g normal), got {delta}")
@@ -189,18 +194,16 @@ def watson_integrals_at(side: Side, delta: float, gamma: float,
     return IntegralSet(a=a, b=b, c=c, e=e, f=f, z=-delta, est_error=_ROUNDING * a)
 
 
-def watson_integrals(z: float, gamma: float, rel_tol: float = 1e-10) -> IntegralSet:
+def watson_integrals(z: float, gamma: float) -> IntegralSet:
     """Five moments at energy ``z`` outside the closed band [0, 4(1+gamma)].
 
     Raises DomainError for z inside the closed band (endpoints included).
-    The closed forms meet every accepted ``rel_tol``; it is only validated.
     """
-    check_rel_tol(rel_tol)
     g = 1.0 + gamma
     if z < 0.0:
-        return watson_integrals_at(Side.BELOW, -z, gamma, rel_tol)
+        return watson_integrals_at(Side.BELOW, -z, gamma)
     if z > 4.0 * g:
-        return watson_integrals_at(Side.ABOVE, z - 4.0 * g, gamma, rel_tol)
+        return watson_integrals_at(Side.ABOVE, z - 4.0 * g, gamma)
     raise DomainError(f"z = {z} lies inside the closed band [0, {4.0 * g}]")
 
 
@@ -294,22 +297,3 @@ def calibrate_edge_constants(gamma: float) -> dict[tuple[str, Side], EdgeAsympto
     """The computed edge models of all five moments on both sides."""
     return {(which, side): predicted_asymptote(which, side, gamma)
             for which in "abcef" for side in Side}
-
-
-def calibration_report(gamma: float) -> list[dict]:
-    """Computed-vs-published comparison for every moment and side."""
-    table = calibrate_edge_constants(gamma)
-    rows = []
-    for (which, side), comp in sorted(table.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-        pub = published_asymptote(which, side, gamma)
-        rows.append({
-            "which": which,
-            "side": side.value,
-            "computed_slope": comp.log_slope,
-            "published_slope": pub.log_slope,
-            "computed_offset": comp.offset,
-            "published_offset": pub.offset,
-            "offset_discrepancy": comp.offset - pub.offset,
-            "slope_discrepancy": comp.log_slope - pub.log_slope,
-        })
-    return rows

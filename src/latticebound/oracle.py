@@ -53,6 +53,7 @@ from .integrals import Side
 
 TWO_PI = 2.0 * math.pi
 _SQRT2 = math.sqrt(2.0)
+CLUSTER_GAP = 1e-8   # dense eigenvalues this close merge into one state
 
 # mode i is axis1[_AXIS1[i]] * axis2[_AXIS2[i]] over the axis functions
 # (1, sqrt2 cos, sqrt2 sin); _PRODUCT[s, t] numbers the six unordered
@@ -155,8 +156,7 @@ def _grid_report(model: GridModel, found: dict[Side, list[tuple[float, int]]],
 
 
 def oracle_counts(K: TorusPoint, params: ModelParams, n: int = 256,
-                  model: GridModel | None = None, budget: int = 20000,
-                  ) -> SpectrumReport:
+                  budget: int = 20000) -> SpectrumReport:
     """Bound states of the grid model through its 5x5 secular matrix.
 
     Uses the same curve-counting scheme as the continuum solver but against
@@ -167,8 +167,7 @@ def oracle_counts(K: TorusPoint, params: ModelParams, n: int = 256,
     and share one memo of Gram matrices per call, keyed by the distance d
     that :meth:`GridModel.secular` takes.
     """
-    if model is None:
-        model = GridModel.build(K, params, n)
+    model = GridModel.build(K, params, n)
     band = model.band
     gvec = interaction_weights(params)
     if params.lam == 0.0 and params.mu == 0.0:
@@ -191,13 +190,12 @@ def oracle_counts(K: TorusPoint, params: ModelParams, n: int = 256,
     return _grid_report(model, found)
 
 
-def dense_validate(K: TorusPoint, params: ModelParams, n: int = 32,
-                   cluster_gap: float = 1e-8) -> SpectrumReport:
+def dense_validate(K: TorusPoint, params: ModelParams, n: int = 32) -> SpectrumReport:
     """Brute-force check: diagonalize the full grid matrix.
 
     Limited to n <= 48 (the matrix is n^2 x n^2).  Eigenvalues outside the
     discrete band by a relative margin are the bound states; values within
-    ``cluster_gap`` of each other merge into one entry with multiplicity.
+    ``CLUSTER_GAP`` of each other merge into one entry with multiplicity.
     """
     if n > 48:
         raise ValueError(f"dense validation is limited to n <= 48, got {n}")
@@ -214,7 +212,7 @@ def dense_validate(K: TorusPoint, params: ModelParams, n: int = 32,
         out: list[tuple[float, int]] = []
         for v in vals:
             d = abs(v - edge)
-            if out and abs(d - out[-1][0]) <= cluster_gap:
+            if out and abs(d - out[-1][0]) <= CLUSTER_GAP:
                 out[-1] = (out[-1][0], out[-1][1] + 1)
             else:
                 out.append((d, 1))

@@ -21,7 +21,9 @@ determinant factor (main even, sub-even, odd) gets its own crossing pass.
 Only the main even factor diverges at the edge; with the exact edge models
 it is affine in ln-distance, so a root between the floor and the edge (at
 distances like exp(-1/s)) has a closed form.  Such roots are reported with
-``pinned=True`` at the model position, clamped to at least 1e-13.
+``pinned=True`` at the model position, clamped to at least 1e-13.  The
+edge models are always the computed ones: the zero-fiber count depends on
+the operator alone, never on a table of published constants.
 
 General fiber: J is the 5x5 Gram matrix of the modes.  Roots between the
 floor and the edge are counted from the edge limit of J, whose
@@ -43,10 +45,11 @@ from .core import Band, ModelParams, TorusPoint, band_edges, pair_amplitudes
 from .determinants import (FactorKind, factor_value, interaction_weights,
                            secular_entries, slope_below)
 from .errors import BudgetExceeded, ToleranceError
-from .integrals import (ConstantsSource, EdgeAsymptotics, IntegralSet, Side,
-                        predicted_asymptote, watson_integrals_at)
+from .integrals import (EdgeAsymptotics, IntegralSet, Side, predicted_asymptote,
+                        watson_integrals_at)
 
 MESH_FLOOR = 1e-10
+MESH_COARSE = 0.25   # step of the oracle mesh beyond distance 1
 MERGE_TOL = 1e-9
 _EDGE_LOG = -1e6     # ln-distance of the edge limit, far below ln 1e-308
 _SQRT2 = math.sqrt(2.0)
@@ -97,13 +100,12 @@ class SpectrumReport:
 # budgets and the crossing engine
 
 
-def _delta_mesh(delta_max: float, floor: float = MESH_FLOOR,
-                coarse: float = 0.25) -> np.ndarray:
+def _delta_mesh(delta_max: float, floor: float = MESH_FLOOR) -> np.ndarray:
     """Descending distances from the edge: coarse steps far out, halving in."""
     vals = [delta_max]
     d = delta_max
-    while d - coarse > 1.0:
-        d -= coarse
+    while d - MESH_COARSE > 1.0:
+        d -= MESH_COARSE
         vals.append(d)
     d = min(delta_max, 1.0)
     while d > floor * 1.0000001:
@@ -172,12 +174,12 @@ def _pending_root(kind: FactorKind, params: ModelParams,
                   floor_value: float) -> float | None:
     """Distance of a not-yet-bracketed root between the mesh floor and the edge.
 
-    ``models`` holds the edge models of a, b, c and e below the band.  Only
-    the main even factor diverges at the edge, and with c + e = 2b it is
-    exactly affine in L = -ln d: alpha + s*S-*L, alpha the factor at the
-    model offsets, s the log slope and S- the coupling combination of
-    :func:`slope_below`.  A root is pending when the limiting sign, that of
-    s*S-, differs from the measured floor sign, and it sits at
+    ``models`` holds the computed edge models of a, b, c and e below the
+    band.  Only the main even factor diverges at the edge, and with
+    c + e = 2b it is exactly affine in L = -ln d: alpha + s*S-*L, alpha the
+    factor at the model offsets, s the log slope and S- the coupling
+    combination of :func:`slope_below`.  A root is pending when the limiting
+    sign, that of s*S-, differs from the measured floor sign, and it sits at
     d = exp(alpha / (s*S-)).  Returns None when the model already disagrees
     with the measured floor sign (untrustworthy regime, e.g. on a region
     boundary), when S- vanishes to the rounding of its terms (on the
@@ -273,17 +275,17 @@ def _factor_curves(kind: FactorKind, s, params: ModelParams) -> tuple[float, ...
 
 
 def _k0_below(params: ModelParams, models: dict[str, EdgeAsymptotics],
-              window: float, rel_tol: float, budget: int,
+              window: float, budget: int,
               memo: dict[float, IntegralSet]) -> list[_Root]:
     """Roots of the three zero-fiber factors below the band, merged.
 
     Each factor's block gets one pass of :func:`_curve_crossings`.
     ``memo`` maps a distance to its moments below the band; it is filled
-    here and must only be shared between calls at the same (gamma, rel_tol).
+    here and must only be shared between calls at the same gamma.
     """
     def moments(d: float) -> IntegralSet:
         if d not in memo:
-            memo[d] = watson_integrals_at(Side.BELOW, d, params.gamma, rel_tol)
+            memo[d] = watson_integrals_at(Side.BELOW, d, params.gamma)
         return memo[d]
 
     found = []
@@ -299,30 +301,27 @@ def _k0_below(params: ModelParams, models: dict[str, EdgeAsymptotics],
     return _merge_found(found)
 
 
-def spectrum_k0(params: ModelParams,
-                constants_source: ConstantsSource = ConstantsSource.COMPUTED,
-                rel_tol: float = 1e-10, budget: int = 10000) -> SpectrumReport:
+def spectrum_k0(params: ModelParams, budget: int = 10000) -> SpectrumReport:
     """Full discrete spectrum at zero fiber via the factored determinant.
 
     Roots of the three factors are found below the band at (lam, mu) and at
     (-lam, -mu), the latter mirrored above it, within the window
     |z - edge| <= |lam| + 2|mu| + 1 (no bound state can bind deeper than the
     interaction norm allows).  Coincident roots are merged with summed
-    multiplicity; odd-factor roots carry multiplicity 2.  The constants
-    source steers only the near-edge pending-root resolution.  Both sides
-    share one memo of moments per call; ``budget`` bounds the curve
-    evaluations per factor and side.
+    multiplicity; odd-factor roots carry multiplicity 2.  The moments are
+    closed forms, so no tolerance applies.  Both sides share one memo of
+    moments per call; ``budget`` bounds the curve evaluations per factor
+    and side.
     """
     k0 = TorusPoint(0.0, 0.0)
     band = band_edges(k0, params)
     if params.lam == 0.0 and params.mu == 0.0:
         return SpectrumReport(K=k0, params=params, band=band, below=(), above=())
-    models = {q: predicted_asymptote(q, Side.BELOW, params.gamma, constants_source)
-              for q in "abce"}
+    models = {q: predicted_asymptote(q, Side.BELOW, params.gamma) for q in "abce"}
     window = abs(params.lam) + 2.0 * abs(params.mu) + 1.0
     memo: dict[float, IntegralSet] = {}
-    below = _k0_below(params, models, window, rel_tol, budget, memo)
-    above = _k0_below(_mirrored(params), models, window, rel_tol, budget, memo)
+    below = _k0_below(params, models, window, budget, memo)
+    above = _k0_below(_mirrored(params), models, window, budget, memo)
     hi = 4.0 * params.g
     return SpectrumReport(K=k0, params=params, band=band, below=_placed(below, lambda d: -d),
                           above=_placed(above, lambda d: hi + d))
@@ -408,22 +407,37 @@ def _pending_count(K: TorusPoint, gamma: float, j_floor: np.ndarray,
                    gvec: np.ndarray) -> int:
     """Roots between the mesh floor and the edge, from the edge limit of J.
 
-    Near the edge J(d) = S ln d + C + O(d ln d) with the rank-one slope
-    S = -u u^T / (2 pi sqrt(R1 R2)), u = (1, sqrt2 cos phi1, sqrt2 cos phi2,
-    sqrt2 sin phi1, sqrt2 sin phi2).  The count is monotone in d, so its
-    edge limit is the count of C + S t at a t far below ln of the smallest
-    double.  With R1 R2 = 0 J diverges like d^(-1/2) instead and the count
-    at the floor is already the limit.
+    Near the edge J(d) = J_floor - sigma u u^T (t - t_f) + O(d ln d) in
+    t = ln d, t_f = ln MESH_FLOOR, with sigma = 1/(2 pi sqrt(R1 R2)) and
+    u = (1, sqrt2 cos phi1, sqrt2 cos phi2, sqrt2 sin phi1, sqrt2 sin phi2).
+    With A = I + G J_floor the matrix determinant lemma makes the model
+    determinant exactly affine in t:
+
+        det(I + G J(t)) = det A + sigma (t - t_f) det([[A, G u], [u^T, 0]]),
+
+    and the bordered determinant needs no inverse of a nearly singular A.
+    The determinant is the product of (1 + curve), the count is monotone in
+    d and a rank-one change moves at most one curve across -1, so one root
+    is pending exactly when the sign at t = -1e6, far below ln of the
+    smallest double, differs from that of det A.  With R1 R2 = 0 J diverges
+    like d^(-1/2) instead and the count at the floor is already the limit.
     """
     r1, r2, f1, f2 = pair_amplitudes(K, gamma)
     if r1 * r2 == 0.0:
         return 0
     u = np.array([1.0, _SQRT2 * math.cos(f1), _SQRT2 * math.cos(f2),
                   _SQRT2 * math.sin(f1), _SQRT2 * math.sin(f2)])
-    slope = np.outer(u, -u) / (2.0 * math.pi * math.sqrt(r1 * r2))
-    offset = j_floor - slope * math.log(MESH_FLOOR)
-    return (_threshold_count(offset + slope * _EDGE_LOG, gvec)[0]
-            - _threshold_count(j_floor, gvec)[0])
+    bordered = np.zeros((6, 6))
+    bordered[:5, :5] = np.eye(5) + gvec[:, None] * j_floor
+    bordered[:5, 5] = gvec * u
+    bordered[5, :5] = u
+    det_floor = float(np.linalg.det(bordered[:5, :5]))
+    if det_floor == 0.0:
+        return 0
+    sigma = 1.0 / (2.0 * math.pi * math.sqrt(r1 * r2))
+    det_edge = det_floor + (sigma * (_EDGE_LOG - math.log(MESH_FLOOR))
+                            * float(np.linalg.det(bordered)))
+    return int(math.copysign(1.0, det_floor) * det_edge < 0.0)
 
 
 def _general_below(K: TorusPoint, params: ModelParams, window: float,

@@ -24,7 +24,7 @@ def fitted_edge_constants(gamma: float, side: Side) -> dict[str, tuple[float, fl
     deltas = np.array(FIT_DISTANCES)
     ln = np.log(deltas)
     design = np.column_stack([ln, np.ones_like(deltas), deltas * ln, deltas])
-    data = np.array([watson_integrals_at(side, float(d), gamma, 1e-12).as_array()
+    data = np.array([watson_integrals_at(side, float(d), gamma).as_array()
                      for d in deltas])                       # (4 deltas, 5)
     coef = np.linalg.solve(design, data)                     # rows: t, C0, C1, C2
     sign = -1.0 if side is Side.BELOW else 1.0

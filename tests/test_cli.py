@@ -197,6 +197,19 @@ def test_spectrum_command(capsys):
     assert "below: none" in out
 
 
+def test_spectrum_does_not_depend_on_the_constants_source(capsys):
+    # a pinned state just below the band: the published table once moved it
+    # (to -5.3e-12 instead of -9.3e-12); the spectrum is the operator's alone
+    fiber = ["spectrum", "--gamma", "2.5005130961117974",
+             "--lambda", "8.014728996633973", "--mu", "-2.286876893573355"]
+    printed = []
+    for source in ("published", "computed"):
+        assert main(fiber + ["--source", source]) == 0
+        printed.append(capsys.readouterr().out)
+    assert "(edge-model)" in printed[1]
+    assert printed[0] == printed[1]
+
+
 def test_spectrum_rejects_bad_gamma(capsys):
     assert main(["spectrum", "--gamma", "-1"]) == 2
     assert "gamma" in capsys.readouterr().err

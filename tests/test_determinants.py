@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from latticebound.core import ORIGIN, ModelParams, TorusPoint, dispersion
-from latticebound.determinants import (_entries_from_nodes, _pair_coefficients,
-                                       delta_even_main, delta_even_sub,
-                                       delta_odd, interaction_weights,
-                                       secular_det, secular_entries,
-                                       slope_below)
+from latticebound.determinants import (FactorKind, _entries_from_nodes,
+                                       _pair_coefficients, factor_value,
+                                       interaction_weights, secular_det,
+                                       secular_entries, slope_below)
 from latticebound.errors import DomainError
 from latticebound.integrals import geometric_panels, panel_nodes, watson_integrals
 
@@ -125,17 +124,20 @@ def test_factorization_product_matches_full_determinant():
         z = (-float(rng.uniform(0.05, 3.0)) if side == 0
              else 4 * params.g + float(rng.uniform(0.05, 3.0)))
         full = secular_det(z, ORIGIN, params)
-        parts = (delta_even_main(z, params) * delta_even_sub(z, params)
-                 * delta_odd(z, params))
+        s = watson_integrals(z, params.gamma)
+        parts = (factor_value(FactorKind.MAIN_EVEN, s, params)
+                 * factor_value(FactorKind.SUB_EVEN, s, params)
+                 * factor_value(FactorKind.ODD, s, params) ** 2)
         assert full == pytest.approx(parts, rel=1e-9, abs=1e-12)
 
 
 def test_odd_factor_is_a_perfect_square():
-    # the odd channel contributes twice: delta_odd = (1 + mu*f)^2, so it
-    # touches zero at a double root instead of changing sign
+    # the odd channel contributes twice: its determinant factor is
+    # (1 + mu*f)^2, so it touches zero at a double root instead of changing sign
     params = ModelParams(1.0, 0.0, -12.0)
     zs = np.linspace(-3.5, -0.2, 61)
-    vals = np.array([delta_odd(z, params) for z in zs])
+    vals = np.array([factor_value(FactorKind.ODD, watson_integrals(z, params.gamma),
+                                  params) ** 2 for z in zs])
     assert (vals >= 0).all()
     lin = np.array([1.0 + params.mu * watson_integrals(z, params.gamma).f
                     for z in zs])

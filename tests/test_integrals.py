@@ -7,7 +7,6 @@ import pytest
 from latticebound.errors import DomainError
 from latticebound.integrals import (SERIES_SWITCH, Side,
                                     calibrate_edge_constants,
-                                    calibration_report,
                                     predicted_asymptote, published_asymptote,
                                     watson_integrals, watson_integrals_at,
                                     watson_integrals_grid)
@@ -241,20 +240,26 @@ def test_decoupled_combination_adjudication():
 
 
 def test_calibration_report_contents():
-    rows = calibration_report(1.0)
-    assert len(rows) == 10                      # five moments, two sides
-    by_key = {(r["which"], r["side"]): r for r in rows}
+    # computed minus published edge models, every moment and side (gamma = 1)
+    slip, off = {}, {}
+    for which in "abcef":
+        for side in Side:
+            comp = predicted_asymptote(which, side, 1.0)
+            pub = published_asymptote(which, side, 1.0)
+            slip[(which, side)] = comp.log_slope - pub.log_slope
+            off[(which, side)] = comp.offset - pub.offset
+    assert len(slip) == 10                      # five moments, two sides
     # slopes agree except for the reference table's sign slip on b above
-    for r in rows:
-        if (r["which"], r["side"]) == ("b", "above"):
+    for key, d in slip.items():
+        if key == ("b", Side.ABOVE):
             continue
-        assert abs(r["slope_discrepancy"]) < 1e-8, r
-    assert by_key[("b", "above")]["slope_discrepancy"] == pytest.approx(
+        assert abs(d) < 1e-8, key
+    assert slip[("b", Side.ABOVE)] == pytest.approx(
         -1.0 / (math.pi * 2.0), abs=1e-6)      # -2s at g = 2
     # a, b, f offsets agree below the band (gamma = 1)
     for which in "abf":
-        assert abs(by_key[(which, "below")]["offset_discrepancy"]) < 1e-6
+        assert abs(off[(which, Side.BELOW)]) < 1e-6
     # c and e offsets genuinely differ from the reference table
-    assert abs(by_key[("c", "below")]["offset_discrepancy"]) > 1e-3
-    assert abs(by_key[("e", "below")]["offset_discrepancy"]) > 1e-3
+    assert abs(off[("c", Side.BELOW)]) > 1e-3
+    assert abs(off[("e", Side.BELOW)]) > 1e-3
 

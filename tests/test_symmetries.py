@@ -115,6 +115,7 @@ def test_particle_swap_at_general_fiber(params, K):
 @example(params=ModelParams(2.750132980407175, -5.601264639299718,
                             10.808955568342903),
          K=TorusPoint(0.3074099264343664, -0.246797075973884))
+@example(params=ModelParams(2.0, 0.0, -10.97937709897646), K=TorusPoint(0.0, 0.0))
 def test_particle_swap_keeps_counts(params, K):
     # every state counts, pinned ones included
     for solve in (spectrum_k0, lambda p: spectrum_general(K, p)):
