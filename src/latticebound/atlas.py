@@ -34,8 +34,8 @@ import numpy as np
 
 from .core import ModelParams, TorusPoint, ORIGIN
 from .errors import NUMERICAL_ERRORS
-from .integrals import (ConstantsSource, Side, check_rel_tol,
-                        predicted_asymptote, watson_integrals_at)
+from .integrals import (ConstantsSource, Side, predicted_asymptote,
+                        watson_integrals_at)
 from .spectrum import SpectrumReport, spectrum_general, spectrum_k0
 
 CONVENTIONS = ("mirrored", "printed")
@@ -232,22 +232,18 @@ def _failed_row(lam: float, mu: float, gamma: float, K: TorusPoint,
 
 
 def _sweep_point(task: tuple) -> SweepRow:
-    (lam, mu, gamma, k1, k2, source_val, convention, rel_tol) = task
+    (lam, mu, gamma, k1, k2, source_val, convention) = task
     source = ConstantsSource(source_val)
     K = TorusPoint(k1, k2)
     params = ModelParams(gamma=gamma, lam=lam, mu=mu)
-    # a point fails alone on an out-of-range rel_tol or a typed numerical
-    # failure; any other exception is a bug and aborts the sweep
-    try:
-        check_rel_tol(rel_tol)
-    except ValueError as exc:
-        return _failed_row(lam, mu, gamma, K, exc)
+    # a point fails alone on a typed numerical failure; any other exception
+    # is a bug and aborts the sweep
     try:
         label = classify(params, source, convention)
         pred = predicted_counts(label)
         at_zero = k1 == 0.0 and k2 == 0.0
         rep: SpectrumReport = (spectrum_k0(params) if at_zero
-                               else spectrum_general(K, params, rel_tol=rel_tol))
+                               else spectrum_general(K, params))
     except NUMERICAL_ERRORS as exc:
         return _failed_row(lam, mu, gamma, K, exc)
     nb, na = rep.n_below, rep.n_above
@@ -278,19 +274,17 @@ def sweep(lam_range: tuple[float, float], mu_range: tuple[float, float],
           step: float, gamma: float = 1.0,
           K_list: Sequence[TorusPoint] = (ORIGIN,),
           source: ConstantsSource = ConstantsSource.COMPUTED,
-          convention: str = "mirrored", rel_tol: float = 1e-10,
-          workers: int = 1) -> list[SweepRow]:
+          convention: str = "mirrored", workers: int = 1) -> list[SweepRow]:
     """Evaluate prediction vs computation over a coupling grid.
 
     Rows come back in row-major order (lam outer, mu inner, then K_list
     order) regardless of worker count, so equal configurations produce
     identical tables. A point's typed numerical failure (``NUMERICAL_ERRORS``)
-    or out-of-range rel_tol lands in its row's error field; any other
-    exception propagates.
+    lands in its row's error field; any other exception propagates.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    tasks = [(lam, mu, gamma, K.p1, K.p2, source.value, convention, rel_tol)
+    tasks = [(lam, mu, gamma, K.p1, K.p2, source.value, convention)
              for lam in _axis_values(*lam_range, step)
              for mu in _axis_values(*mu_range, step)
              for K in K_list]

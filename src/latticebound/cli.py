@@ -1,7 +1,7 @@
 """Command-line interface: config parsing, subcommands, CSV emission.
 
-Exit codes: 0 success, 2 configuration problem, 3 numerical-tolerance
-failure, 4 verification failure.
+Exit codes: 0 success, 2 configuration problem, 3 numerical failure,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -11,13 +11,15 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from . import atlas, oracle
 from .core import ModelParams, TorusPoint, band_edges
-from .determinants import FactorKind, factor_value, secular_det
+from .determinants import FactorKind, factor_value, secular_det, secular_entries
 from .errors import NUMERICAL_ERRORS, ParseError, ValidationError
-from .integrals import (REL_TOL_FLOOR, ConstantsSource, Side,
-                        predicted_asymptote, watson_integrals,
-                        watson_integrals_at, watson_integrals_grid)
+from .integrals import (ConstantsSource, Side, predicted_asymptote,
+                        watson_integrals, watson_integrals_at,
+                        watson_integrals_grid)
 from .spectrum import SpectrumReport, spectrum_general, spectrum_k0
 
 CSV_HEADER = ("lambda,mu,gamma,K1,K2,region_s,region_d,region_cplus,"
@@ -36,7 +38,6 @@ class RunConfig:
     mu: float = 0.0
     K: tuple[float, float] = (0.0, 0.0)
     grid_N: int = 256
-    rel_tol: float = 1e-10
     constants_source: ConstantsSource = ConstantsSource.COMPUTED
     convention: str = "mirrored"
     lambda_range: tuple[float, float] | None = None
@@ -62,9 +63,6 @@ class RunConfig:
             raise ValidationError("must be at least 16", "grid_N")
         if self.grid_N % 2:
             raise ValidationError("must be even", "grid_N")
-        if not REL_TOL_FLOOR <= self.rel_tol <= 1e-2:
-            raise ValidationError(f"must lie in [{REL_TOL_FLOOR:g}, 1e-2]",
-                                  "rel_tol")
         if self.convention not in atlas.CONVENTIONS:
             raise ValidationError("must be 'mirrored' or 'printed'", "convention")
         if self.step is not None and self.step <= 0.0:
@@ -113,21 +111,25 @@ def _parse_k_list(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(_parse_pair(p) for p in pairs)
 
 
-_CONFIG_PARSERS = {
-    "gamma": ("gamma", float),
-    "lambda": ("lam", float),
-    "mu": ("mu", float),
-    "K": ("K", _parse_pair),
-    "grid_N": ("grid_N", int),
-    "rel_tol": ("rel_tol", float),
-    "constants_source": ("constants_source", _parse_source),
-    "convention": ("convention", str.strip),
-    "lambda_range": ("lambda_range", _parse_range),
-    "mu_range": ("mu_range", _parse_range),
-    "step": ("step", float),
-    "K_list": ("K_list", _parse_k_list),
-    "workers": ("workers", int),
-    "out": ("out", str.strip),
+# Every run setting, by config-file key: its command-line flag, its RunConfig
+# field, the parser of its text and its help.  Both the config-file parser and
+# the command-line options are built from this table.
+_SETTINGS = {
+    "gamma": ("--gamma", "gamma", float, "mass ratio, positive"),
+    "lambda": ("--lambda", "lam", float, "on-site coupling"),
+    "mu": ("--mu", "mu", float, "nearest-neighbour coupling"),
+    "K": ("--K", "K", _parse_pair, "fiber quasi-momentum K1,K2"),
+    "grid_N": ("--N", "grid_N", int, "oracle grid size, even, at least 16"),
+    "constants_source": ("--source", "constants_source", _parse_source,
+                         "edge-constant source: published or computed"),
+    "convention": ("--convention", "convention", str.strip,
+                   "sign conventions: " + " or ".join(atlas.CONVENTIONS)),
+    "lambda_range": ("--lambda-range", "lambda_range", _parse_range, "LO:HI"),
+    "mu_range": ("--mu-range", "mu_range", _parse_range, "LO:HI"),
+    "step": ("--step", "step", float, "grid step of both ranges"),
+    "K_list": ("--K-list", "K_list", _parse_k_list, "fibers K1,K2;K1,K2;..."),
+    "workers": ("--workers", "workers", int, "worker processes"),
+    "out": ("--out", "out", str.strip, "CSV file; standard output if unset"),
 }
 
 
@@ -146,9 +148,9 @@ def parse_config(text: str) -> RunConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in _SETTINGS:
             raise ParseError(f"unknown key {key!r}", lineno)
-        attr, conv = _CONFIG_PARSERS[key]
+        _, attr, conv, _ = _SETTINGS[key]
         try:
             values[attr] = conv(val)
         except ValidationError:
@@ -264,7 +266,7 @@ def _cmd_det(cfg: RunConfig, z: float) -> int:
         print(f"even_main = {_fmt(factor_value(FactorKind.MAIN_EVEN, s, params))}")
         print(f"even_sub  = {_fmt(factor_value(FactorKind.SUB_EVEN, s, params))}")
         print(f"odd       = {_fmt(factor_value(FactorKind.ODD, s, params) ** 2)}")
-    print(f"det = {_fmt(secular_det(z, K, params, rel_tol=cfg.rel_tol))}")
+    print(f"det = {_fmt(secular_det(z, K, params))}")
     return 0
 
 
@@ -273,7 +275,7 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     if cfg.K == (0.0, 0.0):
         rep = spectrum_k0(params)
     else:
-        rep = spectrum_general(_point(cfg), params, rel_tol=cfg.rel_tol)
+        rep = spectrum_general(_point(cfg), params)
     _print_spectrum(rep)
     return 0
 
@@ -304,8 +306,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
                        gamma=cfg.gamma,
                        K_list=[TorusPoint(*k) for k in cfg.K_list],
                        source=cfg.constants_source,
-                       convention=cfg.convention,
-                       rel_tol=cfg.rel_tol, workers=cfg.workers)
+                       convention=cfg.convention, workers=cfg.workers)
     if cfg.out:
         emit_csv(rows, cfg.out)
         n_bad = sum(1 for r in rows if not r.agree)
@@ -355,6 +356,23 @@ def _verify(quick: bool) -> int:
     checks.append(_check("moment identities", worst < 1e-9, f"worst {worst:.2e}"))
     checks.append(_check("moments vs grid sum", excess <= 1.0,
                          f"worst {excess:.2e} of rtol 1e-10, atol 1e-12"))
+
+    # the general-fiber Gram matrix against the plain mean of m_i m_j / (E - z)
+    # over a 128 x 128 torus grid, which uses no reduction: fibers with
+    # R1 > R2, R1 < R2 and R2 = 0, at distances where the mean converges
+    # exponentially; both Gram-matrix regimes run
+    worst = 0.0
+    for gamma, k in ((2.0, (0.4, 2.2)), (2.0, (2.2, 0.4)), (1.0, (0.9, math.pi))):
+        params, K = ModelParams(gamma), TorusPoint(*k)
+        band, grid = band_edges(K, params), oracle.GridModel.build(K, params, 128)
+        modes, diag = grid.modes, grid.diag
+        for d in (0.5, 3.0):
+            for side, z in ((Side.BELOW, band.e_min - d), (Side.ABOVE, band.e_max + d)):
+                j = secular_entries(z, K, params, side=side, delta=d)
+                mean = (modes / (diag - z)) @ modes.T
+                worst = max(worst, float(np.max(np.abs(j - mean)) / np.max(np.abs(mean))))
+    checks.append(_check("Gram matrix vs grid sum", worst < 1e-12,
+                         f"worst {worst:.2e} of max|J|, bound 1e-12"))
 
     # exact edge models against the moments at distance 1e-7, where the
     # neglected d*ln(d) terms are below 2e-7 for gamma >= 0.5
@@ -413,61 +431,31 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key = value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, couplings: bool = True) -> None:
-        p.add_argument("--gamma", type=float, default=None)
-        if couplings:
-            p.add_argument("--lambda", dest="lam", type=float, default=None)
-            p.add_argument("--mu", type=float, default=None)
-        p.add_argument("--K", type=_parse_pair, default=None,
-                       metavar="K1,K2")
-        p.add_argument("--tol", dest="rel_tol", type=float, default=None)
-        p.add_argument("--source", type=_parse_source, default=None,
-                       dest="constants_source",
-                       help="edge-constant source: published or computed")
+    def command(name: str, text: str, *keys: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
+        for key in keys:
+            flag, dest, conv, help_text = _SETTINGS[key]
+            p.add_argument(flag, dest=dest, type=conv, default=None, help=help_text)
+        return p
 
-    p_edges = sub.add_parser("edges", help="band interval of one fiber")
-    common(p_edges, couplings=False)
-
-    p_int = sub.add_parser("integrals", help="resolvent moments at an energy")
-    common(p_int, couplings=False)
+    fiber = ("gamma", "K", "constants_source")
+    coupled = ("gamma", "lambda", "mu", "K", "constants_source")
+    command("edges", "band interval of one fiber", *fiber)
+    p_int = command("integrals", "resolvent moments at an energy", *fiber)
     p_int.add_argument("--z", type=float, default=None)
     p_int.add_argument("--side", choices=[s.value for s in Side], default=None)
     p_int.add_argument("--delta", type=float, default=None)
-
-    p_det = sub.add_parser("det", help="secular determinant factors")
-    common(p_det)
+    p_det = command("det", "secular determinant factors", *coupled)
     p_det.add_argument("--z", type=float, required=True)
-
-    p_spec = sub.add_parser("spectrum", help="bound states of one fiber")
-    common(p_spec)
-
-    p_cls = sub.add_parser("classify", help="coupling-plane region and counts")
-    common(p_cls)
-    p_cls.add_argument("--convention", choices=atlas.CONVENTIONS, default=None)
-
-    p_sweep = sub.add_parser("sweep", help="grid sweep to CSV")
-    common(p_sweep)
-    p_sweep.add_argument("--lambda-range", dest="lambda_range",
-                         type=_parse_range, default=None, metavar="LO:HI")
-    p_sweep.add_argument("--mu-range", dest="mu_range", type=_parse_range,
-                         default=None, metavar="LO:HI")
-    p_sweep.add_argument("--step", type=float, default=None)
-    p_sweep.add_argument("--K-list", dest="K_list", type=_parse_k_list,
-                         default=None, metavar="K1,K2;K1,K2;...")
-    p_sweep.add_argument("--workers", type=int, default=None)
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--convention", choices=atlas.CONVENTIONS,
-                         default=None)
-
-    p_orc = sub.add_parser("oracle", help="discrete-grid reference spectrum")
-    common(p_orc)
-    p_orc.add_argument("--N", dest="grid_N", type=int, default=None)
+    command("spectrum", "bound states of one fiber", *coupled)
+    command("classify", "coupling-plane region and counts", *coupled, "convention")
+    command("sweep", "grid sweep to CSV", *coupled, "lambda_range", "mu_range",
+            "step", "K_list", "workers", "out", "convention")
+    p_orc = command("oracle", "discrete-grid reference spectrum", *coupled, "grid_N")
     p_orc.add_argument("--dense", action="store_true",
                        help="full dense eigensolve instead of the secular scan")
-
     p_ver = sub.add_parser("verify", help="run the self-check suite")
     p_ver.add_argument("--quick", action="store_true")
-
     return parser
 
 

@@ -8,16 +8,40 @@ A bound state at energy z outside the band is a zero of
 
 At zero fiber the matrix splits into even and odd blocks and the determinant
 factors into a main even part, a sub-even part and a squared odd part; the
-three formulas live in :func:`factor_value`.  At general fiber the entries
-reduce to 1D integrals after rotating each angle by the dispersion phase;
-the inner angle is integrated in closed form.  The 15 upper-triangle entries
-are evaluated together: a (15, 6) coefficient table, one row per mode pair
-(i, j) with i <= j in row-major order, turns the three closed-form inner
-integrals into a (15, N) array of integrands over the N outer-angle nodes,
-and each row is reduced by its own dot product with the quadrature weights.
-Only the side below the band is integrated: the shift p -> p + (pi, pi)
+three formulas live in :func:`factor_value`.
+
+At general fiber J is a closed form with no tolerance.  Write
+E_K = 2g - R1 cos(p1 - phi1) - R2 cos(p2 - phi2) and rotate each angle by
+its phase.  The rotated sine modes decouple by parity, so J = R M R^T with
+R the rotation of each (cos, sin) mode pair by phi_i.  The inner angle
+integrates in closed form, and M needs seven averages over the outer angle
+x: of 1, cos x, cos^2 x and sin^2 x divided by rho = sqrt(m (m + 2 R_in)),
+and of the inner moments t1, cos x t1 and t2, where
+m = delta + 2 R_out sin^2(x/2) at distance delta below the band.
+
+Orientation: the smaller amplitude is R_out, so the inner moments divide
+only by the larger one; with the larger amplitude outside, their 1/R_in
+terms would cancel to about (R_max/R_min)^2 ulp.
+
+Regime map:
+
+* delta >= R_out (R_out = 0 included): a fixed 32-node periodic trapezoid
+  rule in x.  The integrand is analytic in a strip of half-width
+  arccosh(1 + delta/R_out) >= arccosh 2, so the error is about
+  exp(-32 arccosh 2) ~ 1e-18.
+* delta < R_out: Carlson integrals.  With v = sin^2(x/2) and
+  s = (1 + cos x)/(1 - cos x), q1 = 1 + 2 R_out/delta and
+  q2 = 1 + 2 R_out/(delta + 2 R_in), the average of v^k / rho is
+  int_0^inf (s + 1)^-k ds / sqrt(s (s + q1)(s + q2)), divided by
+  pi sqrt(delta (delta + 2 R_in)): 2 R_F(0, q1, q2), (2/3) R_J(0, q1, q2, 1)
+  and the double-pole integral of :func:`_double_pole` for k = 0, 1, 2.
+  The inner moments enter through A = delta + R_in + 2 R_out v, whose terms
+  do not cancel.
+
+Only the side below the band is evaluated: the shift p -> p + (pi, pi)
 reflects the band and flips the sign of the four trigonometric modes, which
-gives the matrix above it.
+gives the matrix above it.  References: DLMF section 19.29; B. C. Carlson,
+Math. Comp. 49, 595 (1987) and 51, 267 (1988).
 """
 
 from __future__ import annotations
@@ -26,10 +50,11 @@ import math
 from enum import Enum
 
 import numpy as np
+from scipy.special import elliprd, elliprf, elliprj
 
 from .core import ModelParams, TorusPoint, edges_closed, pair_amplitudes
-from .errors import DomainError, ToleranceError
-from .integrals import Side, geometric_panels, panel_nodes, watson_integrals
+from .errors import DomainError
+from .integrals import Side, watson_integrals
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -72,83 +97,101 @@ def slope_below(params: ModelParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# secular matrix at general fiber
+# Gram matrix at general fiber
+
+# The 32-node periodic trapezoid rule in the outer angle, folded onto [0, pi]
+# by x -> -x: 17 nodes, the two ends at half weight, the weights divided by pi.
+_X = np.arange(17) * (math.pi / 16.0)
+_HALF_SIN2 = np.sin(0.5 * _X) ** 2
+_W = np.full(17, 1.0 / 16.0)
+_W[[0, -1]] = 1.0 / 32.0
+_TRAPEZOID = np.array([_W, _W * np.cos(_X), _W * np.cos(_X) ** 2, _W * np.sin(_X) ** 2])
 
 
-_UPPER = np.triu_indices(5)
+def _trapezoid_averages(delta: float, r_out: float, r_in: float) -> tuple[float, ...]:
+    """The seven outer-angle averages by the fixed periodic rule (delta >= r_out)."""
+    m = delta + 2.0 * r_out * _HALF_SIN2          # A - R_in, no cancellation
+    amag = m + r_in                               # A
+    rho = np.sqrt(m * (m + 2.0 * r_in))           # sqrt(A^2 - R_in^2)
+    inv = 1.0 / rho
+    t = inv / (amag + rho)                        # t1 = R_in t, t2 = A t
+    p0, p1, p2, ps = (_TRAPEZOID @ inv).tolist()
+    t1_0, t1_1 = (_TRAPEZOID[:2] @ t).tolist()
+    return p0, p1, p2, ps, r_in * t1_0, r_in * t1_1, float((_W * amag) @ t)
 
 
-def _pair_coefficients(c1: float, s1: float, c2: float, s2: float) -> np.ndarray:
-    """Reduction table: coefficients (x0, x1, x2, y0, y1, z0) per mode pair.
+# Below F2_SERIES_SWITCH the closed form of F2 divides by eps and loses about
+# 1/eps ulp; there F2 is summed as a series in eps instead, whose terms fall
+# like eps^n: at the switch the 18th is below 1e-17 of the sum.
+F2_SERIES_SWITCH = 0.1
+_F2_BINOMIAL = np.cumprod(np.concatenate(([1.0], -(np.arange(17) + 0.5)
+                                          / (np.arange(17) + 1.0)))).tolist()
 
-    Row k belongs to the k-th upper-triangle pair (i, j) in ``_UPPER`` order
-    (00, 01, ..., 04, 11, ..., 44).  The pair's product m_i*m_j integrated
-    over the inner angle expands into
-    (x0 + x1*cq + x2*cq^2) * T0 + (y0 + y1*cq) * T1 + z0 * T2 with
-    cq = cos of the rotated outer angle.
+
+def _double_pole(q1: float, eps: float, b0: float, b1: float) -> float:
+    """F2 = int_0^inf ds / ((s + 1)^2 sqrt(s (s + q1)(s + 1 + eps))), q1 > 3.
+
+    ``b0`` and ``b1`` are the k = 0 and k = 1 integrals of the module
+    docstring.  For eps >= F2_SERIES_SWITCH: differentiating
+    sqrt(s (s + q1)) / ((s + 1) sqrt(s + q2)) along s and integrating over
+    (0, inf) gives F2 from b0, b1 and D = (2/3) R_D(0, q1, q2).  Below it:
+    expand (s + 1 + eps)^(-1/2) in eps; the n-th term is
+    binom(-1/2, n) eps^n L_(n+2), where L_k = int ds / ((s + 1)^k
+    sqrt(s (s + q1)(s + 1))) starts from L_0 = 2 R_F(0, 1, q1) and
+    L_1 = (2/3) R_D(0, q1, 1) and follows the recurrence that the
+    derivative of sqrt(s (s + q1)(s + 1)) / (s + 1)^k gives.  Its other
+    solution falls like (q1 - 1)^-k, so the recurrence is stable upward.
     """
-    r2 = _SQRT2
-    return np.array([
-        (1, 0, 0, 0, 0, 0),
-        (0, r2 * c1, 0, 0, 0, 0),
-        (0, 0, 0, r2 * c2, 0, 0),
-        (0, r2 * s1, 0, 0, 0, 0),
-        (0, 0, 0, r2 * s2, 0, 0),
-        (2 * s1 * s1, 0, 2 * (c1 * c1 - s1 * s1), 0, 0, 0),
-        (0, 0, 0, 0, 2 * c1 * c2, 0),
-        (-2 * c1 * s1, 0, 4 * c1 * s1, 0, 0, 0),
-        (0, 0, 0, 0, 2 * c1 * s2, 0),
-        (2 * s2 * s2, 0, 0, 0, 0, 2 * (c2 * c2 - s2 * s2)),
-        (0, 0, 0, 0, 2 * c2 * s1, 0),
-        (-2 * c2 * s2, 0, 0, 0, 0, 4 * c2 * s2),
-        (2 * c1 * c1, 0, 2 * (s1 * s1 - c1 * c1), 0, 0, 0),
-        (0, 0, 0, 0, 2 * s1 * s2, 0),
-        (2 * c2 * c2, 0, 0, 0, 0, 2 * (s2 * s2 - c2 * c2)),
-    ], dtype=float)
+    q2 = 1.0 + eps
+    if eps >= F2_SERIES_SWITCH:
+        d = (2.0 / 3.0) * float(elliprd(0.0, q1, q2))
+        return ((b0 + (q1 - 2.0 + (1.0 - q1) / eps) * b1
+                 + q2 * (q1 - q2) / eps * d) / (2.0 * (q1 - 1.0)))
+    l_prev = 2.0 * float(elliprf(0.0, 1.0, q1))
+    l_cur = (2.0 / 3.0) * float(elliprd(0.0, q1, 1.0))
+    total, power = 0.0, 1.0
+    for n, coef in enumerate(_F2_BINOMIAL):
+        k = n + 2
+        l_prev, l_cur = l_cur, (((3 - 2 * k) * l_prev + (2 - 2 * k) * (q1 - 2.0) * l_cur)
+                                / ((2 * k - 1) * (1.0 - q1)))
+        total += coef * power * l_cur
+        power *= eps
+    return total
 
 
-def _entries_from_nodes(x: np.ndarray, w: np.ndarray, delta: float, r1: float,
-                        r2: float, tab: np.ndarray) -> np.ndarray:
-    """Evaluate all 15 reduced entries below the band on one node set.
-
-    The outer angle is folded so the near-edge layer sits at x = 0.  The
-    integrands form one (15, N) array, a row per upper-triangle pair of
-    ``tab``; each row is reduced by its own dot product with the weights,
-    which keeps every entry's rounding that of a single-pair evaluation.
-    """
-    m = delta + 2.0 * r1 * np.sin(0.5 * x) ** 2    # |A| - R2, stable
-    amag = m + r2                                   # |A|
-    root = np.sqrt(m * (m + 2.0 * r2))              # sqrt(A^2 - R2^2)
-    denom = root * (amag + root)
-    t1 = r2 / denom
-    t2 = amag / denom
-    ts = 1.0 / (amag + root)                        # T0 - T2, stable
-    cq = np.cos(x)                                  # rotated cos of outer angle
-    x0, x1c, x2c, y0, y1c, z0 = tab.T[:, :, None]   # six (15, 1) columns
-    p = x0 + x1c * cq + x2c * cq * cq
-    q = y0 + y1c * cq
-    rows = (p + z0) * t2 + p * ts + q * t1
-    vals = np.array([w @ row for row in rows]) / math.pi
-    out = np.empty((5, 5))
-    out[_UPPER] = vals
-    out[_UPPER[::-1]] = vals                        # the lower triangle
-    return out
+def _carlson_averages(delta: float, r_out: float, r_in: float) -> tuple[float, ...]:
+    """The seven outer-angle averages from Carlson integrals (delta < r_out)."""
+    wide = delta + 2.0 * r_in
+    q1 = 1.0 + 2.0 * r_out / delta
+    eps = 2.0 * r_out / wide                      # q2 - 1, exact
+    b0 = 2.0 * float(elliprf(0.0, q1, 1.0 + eps))
+    b1 = (2.0 / 3.0) * float(elliprj(0.0, q1, 1.0 + eps, 1.0))
+    b2 = _double_pole(q1, eps, b0, b1)
+    scale = 1.0 / (math.pi * math.sqrt(delta * wide))
+    f0, f1, f2 = b0 * scale, b1 * scale, b2 * scale    # averages of v^k / rho
+    a = delta + r_in                              # A = a + 2 r_out v
+    return (f0, f0 - 2.0 * f1, f0 - 4.0 * f1 + 4.0 * f2, 4.0 * (f1 - f2),
+            (a * f0 + 2.0 * r_out * f1 - 1.0) / r_in,
+            (a * (f0 - 2.0 * f1) + 2.0 * r_out * (f1 - 2.0 * f2)) / r_in,
+            (a * a * f0 + 4.0 * a * r_out * f1 + 4.0 * r_out * r_out * f2
+             - (a + r_out)) / (r_in * r_in))
 
 
-# The shift p -> p + (pi, pi) maps E_K to e_min + e_max - E_K and flips the
-# sign of the four trigonometric modes, so above the band J = -P J_below P.
-_MIRROR = np.array([1.0, -1.0, -1.0, -1.0, -1.0])
+def _rotated_block(c: float, s: float, a: float, b: float) -> tuple[float, float, float]:
+    """(cos-cos, cos-sin, sin-sin) entries of rot(phi) diag(a, b) rot(phi)^T."""
+    return c * c * a + s * s * b, c * s * (a - b), s * s * a + c * c * b
 
 
-def secular_entries(z: float, K: TorusPoint, params: ModelParams,
-                    rel_tol: float = 1e-10, *, side: Side | None = None,
-                    delta: float | None = None) -> tuple[np.ndarray, float]:
-    """Resolvent Gram matrix J(z) of the five modes at fiber K.
+def secular_entries(z: float, K: TorusPoint, params: ModelParams, *,
+                    side: Side | None = None,
+                    delta: float | None = None) -> np.ndarray:
+    """Resolvent Gram matrix J(z) of the five modes at fiber K, in closed form.
 
     Either pass z directly, or (side, delta) for an exact distance to the
-    band edge.  Only the side below the band is integrated; above it the
+    band edge.  Only the side below the band is evaluated; above it the
     matrix is -P J P with J the matrix at the same distance below and
-    P = diag(1, -1, -1, -1, -1).  Returns (J, est_error).
+    P = diag(1, -1, -1, -1, -1).  The modes are ordered (1, cos p1, cos p2,
+    sin p1, sin p2).
     """
     r1, r2, f1, f2 = pair_amplitudes(K, params.gamma)
     if delta is None:
@@ -159,36 +202,32 @@ def secular_entries(z: float, K: TorusPoint, params: ModelParams,
             side, delta = Side.ABOVE, z - hi
         else:
             raise DomainError(f"z = {z} lies inside the closed band [{lo}, {hi}]")
-    side = Side(side)
-    # Order the two angles so the outer one carries the larger amplitude;
-    # swapping angles permutes modes (1<->2, 3<->4).
-    perm = None
-    if r2 > r1:
-        r1, r2, f1, f2 = r2, r1, f2, f1
-        perm = [0, 2, 1, 4, 3]
-    tab = _pair_coefficients(math.cos(f1), math.sin(f1), math.cos(f2), math.sin(f2))
-    layer = math.sqrt(2.0 * delta / r1) if r1 > delta else math.pi
-    for level in range(3):
-        bp = geometric_panels(math.pi, min(layer, math.pi) / 4.0 ** level)
-        x1, w1 = panel_nodes(bp, 16 << level)
-        x2, w2 = panel_nodes(bp, 32 << level)
-        j1 = _entries_from_nodes(x1, w1, delta, r1, r2, tab)
-        j2 = _entries_from_nodes(x2, w2, delta, r1, r2, tab)
-        err = float(np.max(np.abs(j1 - j2)))
-        scale = float(np.max(np.abs(j2)))
-        if err <= rel_tol * max(scale, 1e-300):
-            if perm is not None:
-                j2 = j2[np.ix_(perm, perm)]
-            if side is Side.ABOVE:
-                j2 = -_MIRROR[:, None] * j2 * _MIRROR
-            return j2, err
-    raise ToleranceError(
-        f"secular entries at K={K.as_tuple()}, distance {delta:.3e}: "
-        f"error estimate {err:.3e} exceeds requested tolerance")
+    # above the band J = -P J_below P: the constant mode's diagonal and the
+    # trigonometric block change sign, their couplings to the constant mode not
+    sign = 1.0 if Side(side) is Side.BELOW else -1.0
+    first_outer = r1 <= r2
+    r_out, r_in = (r1, r2) if first_outer else (r2, r1)
+    averages = _trapezoid_averages if delta >= r_out else _carlson_averages
+    p0, p1, p2, ps, t1_0, t1_1, t2 = averages(delta, r_out, r_in)
+    # per angle: coupling to the constant mode, then the cos-cos and sin-sin
+    # entries of M in the rotated angles
+    outer = (_SQRT2 * p1, 2.0 * sign * p2, 2.0 * sign * ps)
+    inner = (_SQRT2 * t1_0, 2.0 * sign * t2, 2.0 * sign * (p0 - t2))
+    (e1, a1, b1), (e2, a2, b2) = (outer, inner) if first_outer else (inner, outer)
+    c1, s1, c2, s2 = math.cos(f1), math.sin(f1), math.cos(f2), math.sin(f2)
+    cc1, cs1, ss1 = _rotated_block(c1, s1, a1, b1)
+    cc2, cs2, ss2 = _rotated_block(c2, s2, a2, b2)
+    x = 2.0 * sign * t1_1                         # the cos x1 cos x2 entry of M
+    return np.array([
+        [sign * p0, c1 * e1, c2 * e2, s1 * e1, s2 * e2],
+        [c1 * e1, cc1, c1 * c2 * x, cs1, c1 * s2 * x],
+        [c2 * e2, c1 * c2 * x, cc2, s1 * c2 * x, cs2],
+        [s1 * e1, cs1, s1 * c2 * x, ss1, s1 * s2 * x],
+        [s2 * e2, c1 * s2 * x, cs2, s1 * s2 * x, ss2],
+    ])
 
 
-def secular_det(z: float, K: TorusPoint, params: ModelParams,
-                rel_tol: float = 1e-10) -> float:
+def secular_det(z: float, K: TorusPoint, params: ModelParams) -> float:
     """Determinant of the secular matrix I + G J(z) at fiber K.
 
     Zero fiber takes the fast path through the five scalar moments; the
@@ -205,5 +244,5 @@ def secular_det(z: float, K: TorusPoint, params: ModelParams,
             [0.0, 0.0, 0.0, 0.0, 2 * s.f],
         ])
     else:
-        j, _ = secular_entries(z, K, params, rel_tol)
+        j = secular_entries(z, K, params)
     return float(np.linalg.det(np.eye(5) + interaction_weights(params)[:, None] * j))

@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class ToleranceError(RuntimeError):
-    """Raised when adaptive quadrature cannot certify the requested tolerance."""
+    """Raised when a root solve does not converge."""
 
 
 class BudgetExceeded(RuntimeError):

@@ -28,7 +28,6 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ellipe, ellipkm1
@@ -89,44 +88,6 @@ class EdgeAsymptotics:
 
 
 # ---------------------------------------------------------------------------
-# quadrature plumbing
-
-
-@lru_cache(maxsize=None)
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-_PANEL_HARD_FLOOR = 1e-280
-
-
-def geometric_panels(length: float, scale: float) -> np.ndarray:
-    """Breakpoints on [0, length], halving toward the singular end at 0.
-
-    ``scale`` is the width of the boundary layer; panels stop shrinking once
-    they resolve it (about scale/8), or at ``_PANEL_HARD_FLOOR`` in
-    desperate cases.
-    """
-    floor = max(min(scale / 8.0, length / 16.0), _PANEL_HARD_FLOOR,
-                length * 2.0 ** -60)
-    k = max(4, int(math.ceil(math.log2(length / floor))))
-    bp = length * 2.0 ** (-np.arange(k + 1, dtype=float))
-    return np.concatenate(([0.0], bp[::-1]))
-
-
-def panel_nodes(breakpoints: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights for every panel, flattened."""
-    x, w = _gl_nodes(n)
-    lo = breakpoints[:-1][:, None]
-    hi = breakpoints[1:][:, None]
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo) + half * x[None, :]).ravel()
-    weights = (half * w[None, :]).ravel()
-    return nodes, weights
-
-
-# ---------------------------------------------------------------------------
 # the moments in closed form
 
 # Below SERIES_SWITCH the elliptic b and e cancel like m and m^2.  From K(m) =
@@ -162,14 +123,6 @@ def _reduced_integrals(t: float) -> tuple[float, float, float, float, float]:
     g20 = 2.0 * eps * g10 - g00 - 2.0 * g11
     c = 0.5 * (g00 + g20)
     return g00, g10, c, g11, g00 - c
-
-
-REL_TOL_FLOOR = 1e-13
-
-
-def check_rel_tol(rel_tol: float) -> None:
-    if not (rel_tol >= REL_TOL_FLOOR):
-        raise ValueError(f"rel_tol must be >= {REL_TOL_FLOOR:g}, got {rel_tol}")
 
 
 def watson_integrals_at(side: Side, delta: float, gamma: float) -> IntegralSet:

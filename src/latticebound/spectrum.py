@@ -51,7 +51,6 @@ from .integrals import (EdgeAsymptotics, IntegralSet, Side, predicted_asymptote,
 MESH_FLOOR = 1e-10
 MESH_COARSE = 0.25   # step of the oracle mesh beyond distance 1
 MERGE_TOL = 1e-9
-_EDGE_LOG = -1e6     # ln-distance of the edge limit, far below ln 1e-308
 _SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
 
@@ -408,7 +407,7 @@ def _pending_count(K: TorusPoint, gamma: float, j_floor: np.ndarray,
     """Roots between the mesh floor and the edge, from the edge limit of J.
 
     Near the edge J(d) = J_floor - sigma u u^T (t - t_f) + O(d ln d) in
-    t = ln d, t_f = ln MESH_FLOOR, with sigma = 1/(2 pi sqrt(R1 R2)) and
+    t = ln d, t_f = ln MESH_FLOOR, with sigma = 1/(2 pi sqrt(R1 R2)) > 0 and
     u = (1, sqrt2 cos phi1, sqrt2 cos phi2, sqrt2 sin phi1, sqrt2 sin phi2).
     With A = I + G J_floor the matrix determinant lemma makes the model
     determinant exactly affine in t:
@@ -418,42 +417,45 @@ def _pending_count(K: TorusPoint, gamma: float, j_floor: np.ndarray,
     and the bordered determinant needs no inverse of a nearly singular A.
     The determinant is the product of (1 + curve), the count is monotone in
     d and a rank-one change moves at most one curve across -1, so one root
-    is pending exactly when the sign at t = -1e6, far below ln of the
-    smallest double, differs from that of det A.  With R1 R2 = 0 J diverges
-    like d^(-1/2) instead and the count at the floor is already the limit.
+    is pending exactly when the sign as t -> -inf, that of -det(bordered),
+    differs from that of det A: when det A and det(bordered) have the same
+    sign.  The border column G u is scaled to unit maximum, which keeps the
+    sign; a bordered determinant within 64 ulp of the product of its column
+    norms (Hadamard's bound on the cofactors its rounding multiplies) has no
+    sign, as on a region boundary, and counts no root.  With R1 R2 = 0 J
+    diverges like d^(-1/2) instead and the count at the floor is already the
+    limit.
     """
     r1, r2, f1, f2 = pair_amplitudes(K, gamma)
     if r1 * r2 == 0.0:
         return 0
     u = np.array([1.0, _SQRT2 * math.cos(f1), _SQRT2 * math.cos(f2),
                   _SQRT2 * math.sin(f1), _SQRT2 * math.sin(f2)])
+    gu = gvec * u
     bordered = np.zeros((6, 6))
     bordered[:5, :5] = np.eye(5) + gvec[:, None] * j_floor
-    bordered[:5, 5] = gvec * u
+    bordered[:5, 5] = gu / np.max(np.abs(gu))
     bordered[5, :5] = u
     det_floor = float(np.linalg.det(bordered[:5, :5]))
-    if det_floor == 0.0:
+    det_bordered = float(np.linalg.det(bordered))
+    noise = 64.0 * _EPS * float(np.prod(np.linalg.norm(bordered, axis=0)))
+    if det_floor == 0.0 or abs(det_bordered) <= noise:
         return 0
-    sigma = 1.0 / (2.0 * math.pi * math.sqrt(r1 * r2))
-    det_edge = det_floor + (sigma * (_EDGE_LOG - math.log(MESH_FLOOR))
-                            * float(np.linalg.det(bordered)))
-    return int(math.copysign(1.0, det_floor) * det_edge < 0.0)
+    return int((det_floor > 0.0) == (det_bordered > 0.0))
 
 
 def _general_below(K: TorusPoint, params: ModelParams, window: float,
-                   rel_tol: float, budget: int,
-                   jmemo: dict[float, np.ndarray]) -> list[_Root]:
+                   budget: int, jmemo: dict[float, np.ndarray]) -> list[_Root]:
     """Roots below the band at fiber K, one per crossing of a curve.
 
     ``jmemo`` maps a distance to its Gram matrix J; it is filled here and
-    must only be shared between calls at the same (K, gamma, rel_tol).
+    must only be shared between calls at the same (K, gamma).
     """
     gvec = interaction_weights(params)
 
     def jmat(d: float) -> np.ndarray:
         if d not in jmemo:
-            jmemo[d], _ = secular_entries(0.0, K, params, rel_tol,
-                                          side=Side.BELOW, delta=d)
+            jmemo[d] = secular_entries(0.0, K, params, side=Side.BELOW, delta=d)
         return jmemo[d]
 
     b = _Budget(budget, "curve root search")
@@ -465,7 +467,7 @@ def _general_below(K: TorusPoint, params: ModelParams, window: float,
     return _merge_found(found)
 
 
-def spectrum_general(K: TorusPoint, params: ModelParams, rel_tol: float = 1e-10,
+def spectrum_general(K: TorusPoint, params: ModelParams,
                      budget: int = 10000) -> SpectrumReport:
     """Discrete spectrum at an arbitrary fiber.
 
@@ -484,8 +486,8 @@ def spectrum_general(K: TorusPoint, params: ModelParams, rel_tol: float = 1e-10,
         return SpectrumReport(K=K, params=params, band=band, below=(), above=())
     window = abs(params.lam) + 2.0 * abs(params.mu) + 1.0
     jmemo: dict[float, np.ndarray] = {}
-    below = _general_below(K, params, window, rel_tol, budget, jmemo)
-    above = _general_below(K, _mirrored(params), window, rel_tol, budget, jmemo)
+    below = _general_below(K, params, window, budget, jmemo)
+    above = _general_below(K, _mirrored(params), window, budget, jmemo)
     return SpectrumReport(K=K, params=params, band=band,
                           below=_placed(below, lambda d: band.e_min - d),
                           above=_placed(above, lambda d: band.e_max + d))

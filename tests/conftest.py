@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from latticebound.integrals import (Side, geometric_panels, panel_nodes,
-                                    watson_integrals_at)
+from latticebound.integrals import Side, watson_integrals_at
+from panel_rule import geometric_panels, panel_nodes
 
 FIT_DISTANCES = (1e-4, 1e-5, 1e-6, 1e-7)
 

@@ -11,7 +11,7 @@ from latticebound.atlas import (CONVENTIONS, _axis_values, binding_thresholds,
                                 classify, predicted_counts, sweep,
                                 threshold_scan)
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
-from latticebound.errors import BudgetExceeded
+from latticebound.errors import BudgetExceeded, DomainError
 from latticebound.integrals import ConstantsSource
 from latticebound.spectrum import FactorKind, spectrum_k0
 
@@ -179,13 +179,19 @@ def test_sweep_covers_nonzero_fibers():
     assert at_zero.agree and at_k.agree
 
 
-def test_sweep_reports_failures_per_row():
-    rows = sweep((1.0, 1.0), (10.0, 10.0), 1.0, rel_tol=1e-18)
-    assert len(rows) == 1
-    assert not rows[0].agree
-    assert rows[0].error.startswith("ValueError")
-    assert "rel_tol" in rows[0].error
-    assert rows[0].comp_below is None
+def test_sweep_reports_failures_per_row(monkeypatch):
+    # a typed failure of the general-fiber solver at one fiber fails that
+    # row alone; the K = 0 row of the same point still solves
+    def inside(K, params):
+        raise DomainError(f"injected at K = {K.as_tuple()}")
+
+    monkeypatch.setattr(atlas, "spectrum_general", inside)
+    rows = sweep((1.0, 1.0), (10.0, 10.0), 1.0, K_list=(ORIGIN, TorusPoint(1.0, 0.5)))
+    assert len(rows) == 2
+    assert rows[0].agree and rows[0].error == ""
+    assert not rows[1].agree
+    assert rows[1].error == "DomainError: injected at K = (1.0, 0.5)"
+    assert rows[1].comp_below is None and rows[1].label is None
 
 
 def test_sweep_lets_programming_errors_propagate(monkeypatch):

@@ -216,8 +216,12 @@ def test_spectrum_rejects_bad_gamma(capsys):
 
 
 def test_spectrum_rejects_a_tolerance_the_solvers_reject(capsys):
-    assert main(["spectrum", "--lambda", "1", "--mu", "10", "--tol", "1e-18"]) == 2
-    assert "rel_tol" in capsys.readouterr().err
+    # every solve is closed form or a fixed rule: no solver takes a tolerance,
+    # and neither the command line nor a config file sets one
+    assert main(["spectrum", "--lambda", "1", "--mu", "10", "--tol", "1e-10"]) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    with pytest.raises(ParseError, match="unknown key 'rel_tol'"):
+        parse_config("rel_tol = 1e-10\n")
 
 
 def test_classify_command(capsys):

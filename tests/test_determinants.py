@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from latticebound.core import ORIGIN, ModelParams, TorusPoint, dispersion
-from latticebound.determinants import (FactorKind, _entries_from_nodes,
-                                       _pair_coefficients, factor_value,
+from latticebound.core import (ORIGIN, ModelParams, TorusPoint, band_edges,
+                               pair_amplitudes)
+from latticebound.determinants import (F2_SERIES_SWITCH, FactorKind, factor_value,
                                        interaction_weights, secular_det,
                                        secular_entries, slope_below)
 from latticebound.errors import DomainError
-from latticebound.integrals import geometric_panels, panel_nodes, watson_integrals
+from latticebound.integrals import Side, watson_integrals
+from panel_rule import pair_coefficients, panel_gram
 
 
 def modes(p1, p2):
@@ -37,26 +38,6 @@ def brute_secular(z, K, params, n=600):
     m = modes(p1, p2).reshape(5, -1)
     w = 1.0 / (e.ravel() - z)
     return (m * w) @ m.T * (2 * np.pi / n) ** 2
-
-
-def loop_entries(x, w, delta, r1, r2, tab):
-    """Reference for ``_entries_from_nodes``: one integrand per mode pair."""
-    m = delta + 2.0 * r1 * np.sin(0.5 * x) ** 2
-    amag = m + r2
-    root = np.sqrt(m * (m + 2.0 * r2))
-    denom = root * (amag + root)
-    t1 = r2 / denom
-    t2 = amag / denom
-    ts = 1.0 / (amag + root)
-    cq = np.cos(x)
-    out = np.empty((5, 5))
-    for k, (i, j) in enumerate(zip(*np.triu_indices(5))):
-        x0, x1c, x2c, y0, y1c, z0 = tab[k]
-        p = x0 + x1c * cq + x2c * cq * cq
-        q = y0 + y1c * cq
-        val = w @ ((p + z0) * t2 + p * ts + q * t1)
-        out[i, j] = out[j, i] = val / math.pi
-    return out
 
 
 def test_mode_normalization():
@@ -87,15 +68,13 @@ def test_entries_match_brute_force_integration():
         gamma = float(rng.choice([0.5, 1.0, 2.0]))
         params = ModelParams(gamma=gamma)
         K = TorusPoint(*rng.uniform(-math.pi, math.pi, 2))
-        from latticebound.core import band_edges
         band = band_edges(K, params)
         z = band.e_min - float(rng.uniform(0.5, 2.0))
-        j, est = secular_entries(z, K, params)
+        j = secular_entries(z, K, params)
         jb = brute_secular(z, K, params)
         np.testing.assert_allclose(j, jb, rtol=1e-9, atol=1e-11)
-        assert est < 1e-9
         z2 = band.e_max + float(rng.uniform(0.5, 2.0))
-        j2, _ = secular_entries(z2, K, params)
+        j2 = secular_entries(z2, K, params)
         np.testing.assert_allclose(j2, brute_secular(z2, K, params),
                                    rtol=1e-9, atol=1e-11)
 
@@ -104,7 +83,7 @@ def test_zero_fiber_entries_reduce_to_moments():
     params = ModelParams(gamma=1.3)
     z = -0.9
     s = watson_integrals(z, params.gamma)
-    j, _ = secular_entries(z, ORIGIN, params)
+    j = secular_entries(z, ORIGIN, params)
     assert j[0, 0] == pytest.approx(s.a, rel=1e-10)
     assert j[0, 1] == pytest.approx(math.sqrt(2) * s.b, rel=1e-10)
     assert j[1, 1] == pytest.approx(2 * s.c, rel=1e-10)
@@ -166,21 +145,18 @@ def test_degenerate_fiber_entries():
     params = ModelParams(1.0, 1.0, 1.0)
     K = TorusPoint(math.pi, math.pi)
     z = 6.0
-    j, _ = secular_entries(z, K, params)
+    j = secular_entries(z, K, params)
     np.testing.assert_allclose(j, np.eye(5) / (4.0 - z), atol=1e-12)
 
 
 def test_entries_stable_down_to_tiny_distances():
     params = ModelParams(gamma=1.0)
     K = TorusPoint(0.9, -0.4)
-    from latticebound.core import band_edges
     band = band_edges(K, params)
     prev = None
     for d in (1e-6, 1e-9, 1e-12):
-        j, est = secular_entries(band.e_max + d, K, params,
-                                 side="above", delta=d)
+        j = secular_entries(band.e_max + d, K, params, side="above", delta=d)
         assert np.isfinite(j).all()
-        assert est < 1e-7 * max(1.0, float(np.abs(j).max()))
         if prev is not None:
             # the log-divergent channel keeps growing monotonically
             assert abs(j[0, 0]) > abs(prev[0, 0])
@@ -189,20 +165,119 @@ def test_entries_stable_down_to_tiny_distances():
         secular_entries(band.e_max + 1e-6, K, params, side="upper", delta=1e-6)
 
 
-def test_entry_array_matches_the_per_pair_loop_exactly():
-    # the (15, N) integrand array rounds every entry as the per-pair loop does
-    rng = np.random.default_rng(29)
-    for _ in range(20):
-        delta = float(10.0 ** rng.uniform(-12, 1))
-        r1 = float(rng.uniform(0.2, 2.0))
-        r2 = float(rng.uniform(0.0, r1))
-        c1, s1, c2, s2 = (f(a) for a in rng.uniform(-math.pi, math.pi, 2)
-                          for f in (math.cos, math.sin))
-        tab = _pair_coefficients(c1, s1, c2, s2)
-        layer = math.sqrt(2.0 * delta / r1) if r1 > delta else math.pi
-        level = int(rng.integers(0, 3))
-        bp = geometric_panels(math.pi, min(layer, math.pi) / 4.0 ** level)
-        x, w = panel_nodes(bp, int(rng.choice([16, 32, 64, 128])))
-        np.testing.assert_array_equal(
-            _entries_from_nodes(x, w, delta, r1, r2, tab),
-            loop_entries(x, w, delta, r1, r2, tab))
+# ---------------------------------------------------------------------------
+# the closed-form Gram matrix against independent references
+
+RATIOS = (1.0, 0.3, 1e-2, 1e-4, 1e-8, 0.0)
+
+
+def fiber_with_ratio(gamma, ratio, small_first):
+    """A fiber with R_min/R_max near ``ratio`` and nonzero phases, or None.
+
+    The larger amplitude sits at K_i = 0.7; the smaller one at the K_j that
+    gives ratio * R_max, which exists only down to |1 - gamma| / R_max.
+    """
+    r_big = math.sqrt(1.0 + gamma * gamma + 2.0 * gamma * math.cos(0.7))
+    c = ((ratio * r_big) ** 2 - 1.0 - gamma * gamma) / (2.0 * gamma)
+    if c < -1.0:
+        return None
+    k_small = -math.acos(min(c, 1.0))
+    return TorusPoint(k_small, 0.7) if small_first else TorusPoint(0.7, k_small)
+
+
+@pytest.mark.parametrize("gamma", (0.5, 1.0, 2.0))
+def test_gram_matrix_matches_the_panel_rule(gamma):
+    # all 15 entries on both sides, to 1e-13 of the largest, from the edge
+    # out to distance 30, with the smaller amplitude first and second; below
+    # gamma = 1 and above it the smallest amplitude is |1 - gamma|, at K_i = pi
+    params = ModelParams(gamma)
+    fibers = [fiber_with_ratio(gamma, r, first) for r in RATIOS for first in (True, False)]
+    fibers = [K for K in fibers if K is not None]
+    if gamma != 1.0:
+        fibers += [TorusPoint(math.pi, 0.7), TorusPoint(0.7, math.pi)]
+    assert len(fibers) == (12 if gamma == 1.0 else 4)
+    worst = 0.0
+    for K in fibers:
+        for delta in np.logspace(-12, math.log10(30.0), 15):
+            for side in Side:
+                j = secular_entries(0.0, K, params, side=side, delta=float(delta))
+                ref = panel_gram(K, params, side, float(delta))
+                worst = max(worst, np.max(np.abs(j - ref)) / np.max(np.abs(ref)))
+    assert worst <= 1e-13
+
+
+def test_gram_matrix_matches_the_grid_sum():
+    # the plain torus mean of psi_i psi_j / (E_K - z) uses no reduction; at
+    # distance 0.5 and beyond it converges exponentially.  Fibers with
+    # R1 > R2, R1 < R2 and R2 = 0 (gamma = 1, K2 = pi)
+    for gamma, k in ((2.0, (0.4, 2.2)), (2.0, (2.2, 0.4)), (1.0, (0.9, math.pi))):
+        params, K = ModelParams(gamma), TorusPoint(*k)
+        band = band_edges(K, params)
+        for d in (0.5, 3.0):
+            for side, z in ((Side.BELOW, band.e_min - d), (Side.ABOVE, band.e_max + d)):
+                grid = brute_secular(z, K, params, n=128)
+                j = secular_entries(z, K, params, side=side, delta=d)
+                assert np.max(np.abs(j - grid)) <= 1e-13 * np.max(np.abs(grid))
+
+
+def _mp_gram(K, params, delta):
+    """J below the band to 40 digits: the reduced outer-angle integrals in
+    mpmath, combined by the mode-pair table with the larger amplitude outside."""
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    r1, r2, f1, f2 = pair_amplitudes(K, params.gamma)
+    perm = None
+    if r2 > r1:
+        r1, r2, f1, f2 = r2, r1, f2, f1
+        perm = [0, 2, 1, 4, 3]
+    d, a, b = mp.mpf(delta), mp.mpf(r1), mp.mpf(r2)
+
+    def basis(x):
+        m = d + 2 * a * mp.sin(x / 2) ** 2
+        amag = m + b
+        root = mp.sqrt(m * (m + 2 * b))
+        den = root * (amag + root)
+        c = mp.cos(x)
+        return (1 / root, c / root, c * c / root, b / den, c * b / den, amag / den)
+
+    breaks = [mp.mpf(0)] + [min(mp.sqrt(d / a), mp.pi / 8) * 4 ** k for k in range(30)
+                            if min(mp.sqrt(d / a), mp.pi / 8) * 4 ** k < mp.pi]
+    w = [mp.quad(lambda x, k=k: basis(x)[k], breaks + [mp.pi]) / mp.pi for k in range(6)]
+    tab = pair_coefficients(math.cos(f1), math.sin(f1), math.cos(f2), math.sin(f2))
+    vals = [float(mp.fsum(mp.mpf(float(t)) * wk for t, wk in zip(row, w))) for row in tab]
+    out = np.empty((5, 5))
+    out[np.triu_indices(5)] = vals
+    out[np.tril_indices(5, -1)] = out.T[np.tril_indices(5, -1)]
+    return out if perm is None else out[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("gamma,k,delta", [
+    (1.0, (math.pi - 2e-4, 0.7), 1e-12),   # R_min/R_max ~ 1e-4 at the edge: the F2 series
+    (2.0, (0.7, 2.9), 0.9),                # just inside the Carlson regime, F2 closed form
+    (1.0, (math.pi - 1.4e-3, math.pi - 1.4e-3), 30.0),   # tiny amplitudes far out: the rule
+])
+def test_gram_matrix_corners_against_40_digit_quadrature(gamma, k, delta):
+    params, K = ModelParams(gamma), TorusPoint(*k)
+    ref = _mp_gram(K, params, delta)
+    j = secular_entries(0.0, K, params, side=Side.BELOW, delta=delta)
+    assert np.max(np.abs(j - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_double_pole_integral_on_both_sides_of_the_switch():
+    # F2 by its closed form and by its series agree with a 40-digit
+    # quadrature across the switch, the series down to eps = 1e-9 where the
+    # closed form loses about 1/eps ulp
+    import mpmath as mp
+
+    from latticebound.determinants import _double_pole, elliprf, elliprj
+
+    mp.mp.dps = 40
+    for q1 in (3.5, 2e12):
+        for eps in (1e-9, 0.5 * F2_SERIES_SWITCH, F2_SERIES_SWITCH, 0.7):
+            q2 = 1.0 + eps
+            ref = mp.quad(lambda s: 1 / ((s + 1) ** 2 * mp.sqrt(s * (s + q1) * (s + q2))),
+                          [0, 1e-12, 1e-6, 1e-3, 1, 1e3, 1e6, mp.inf])
+            b0 = 2.0 * float(elliprf(0.0, q1, q2))
+            b1 = (2.0 / 3.0) * float(elliprj(0.0, q1, q2, 1.0))
+            assert _double_pole(q1, eps, b0, b1) == pytest.approx(float(ref), rel=4e-15)

@@ -135,6 +135,63 @@ def test_zero_fiber_paths_agree(lam, mu):
     assert expand(fast.above) == pytest.approx(expand(slow.above), abs=5e-9)
 
 
+def _on_the_hyperbola(gamma, mu, rel):
+    """(gamma, lam, mu) with lam a relative ``rel`` off the S- = 0 hyperbola."""
+    g = 1.0 + gamma
+    return gamma, -2.0 * mu * g / (g + mu) * (1.0 + rel), mu
+
+
+ZERO_FIBER_COUPLINGS = [
+    # generic, pinned states and the near-hyperbola fibers of gamma = 0.990739
+    (1.0, 1.0, 10.0), (1.0, 6.0, 10.0), (1.0, 0.0, -12.0), (1.0, -3.0, 2.0),
+    (0.5, 3.75, 9.0), (2.0, -7.0, 4.0), (1.5, -4.0, 8.0), (0.7, 10.0, -3.0),
+    (2.5, -11.0, -9.0), (1.2, 5.0, 5.0), (0.8, -2.0, -6.0), (1.0, 8.5, 4.0),
+    (0.990739, -12.0, 1.5), (0.990739, 4.0, -1.0),
+    # weak couplings: the edge model changes sign beyond any fixed depth
+    (2.0, 1e-5, 0.0), (2.0, 1e-8, 0.0), (1.0, 0.0, 1e-6), (1.0, -1e-7, 0.0),
+    (0.5, 0.0, -1e-9), (1.0, 3e-5, -2e-5), (2.0, 1.06e-163, 0.0),
+    # next to the S- = 0 hyperbola, on both sides, and on it
+    _on_the_hyperbola(1.0, 1.5, 1e-2), _on_the_hyperbola(1.0, 1.5, -1e-2),
+    _on_the_hyperbola(1.0, 1.5, 1e-4), _on_the_hyperbola(1.0, 1.5, -1e-4),
+    _on_the_hyperbola(1.0, 1.5, 1e-8), _on_the_hyperbola(0.6, -0.8, 1e-3),
+    _on_the_hyperbola(0.6, -0.8, -1e-3), _on_the_hyperbola(2.2, 5.0, 1e-6),
+    _on_the_hyperbola(2.2, 5.0, -1e-6), _on_the_hyperbola(1.0, 1.5, 0.0),
+]
+
+
+@pytest.mark.parametrize("gamma,lam,mu", ZERO_FIBER_COUPLINGS)
+def test_general_solver_reproduces_the_zero_fiber_solver(gamma, lam, mu):
+    # the two solvers share no Gram matrix, curve or edge model: the same
+    # states, multiplicities and pinned flags, and the unpinned positions
+    params = ModelParams(gamma, lam, mu)
+    fast, slow = spectrum_k0(params), spectrum_general(ORIGIN, params)
+    for a, b in ((fast.below, slow.below), (fast.above, slow.above)):
+        assert [(ev.multiplicity, ev.pinned) for ev in a] == \
+            [(ev.multiplicity, ev.pinned) for ev in b]
+        for x, y in zip(a, b):
+            if not x.pinned:
+                assert y.z == pytest.approx(x.z, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("params,K", [
+    (ModelParams(2.0, 1e-5, 0.0), ORIGIN),
+    (ModelParams(2.0, 1e-8, 0.0), ORIGIN),
+    (ModelParams(2.0, 1.06e-163, 0.0), ORIGIN),
+    (ModelParams(1.0, 0.0, 1e-6), TorusPoint(0.5, 0.3)),
+    (ModelParams(1.0, 0.0, 1e-6), ORIGIN),
+])
+def test_weak_coupling_keeps_its_edge_state(params, K):
+    # the rank-one edge model of det(I + G J) changes sign near
+    # ln d = -1/(coupling * sigma), beyond any fixed depth: the count reads
+    # its t -> -inf limit.  At K = (0.5, 0.3) a count of 0 would also fall
+    # below the count at K = 0, against the paper's lower bound
+    rep = spectrum_general(K, params)
+    assert (rep.n_below, rep.n_above) == (0, 1)
+    assert rep.above[0].pinned
+    k0 = spectrum_k0(params)
+    assert (k0.n_below, k0.n_above) == (0, 1)
+
+
 @pytest.mark.parametrize("lam,mu", [(6.0, 10.0), (-6.0, -10.0), (-3.0, 2.0),
                                     (3.5, -2.0)])
 def test_k0_solve_evaluates_each_distance_once(monkeypatch, lam, mu):
