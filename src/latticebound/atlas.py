@@ -21,6 +21,10 @@ on S+ that mirror the S- family, which is what direct diagonalization
 confirms; the alternative ("printed") keeps the swapped plus-side sign
 conditions found in circulating statements of the count table and is
 retained for side-by-side comparison only.
+
+Sweeps solve every K = 0 point of the grid in-process as one batch
+(`spectrum.spectra_k0`); a worker pool serves only the general-fiber
+points, because a whole batched plane costs less than starting one worker.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .core import ModelParams, TorusPoint, ORIGIN
 from .errors import NUMERICAL_ERRORS
 from .integrals import (ConstantsSource, Side, predicted_asymptote,
                         watson_integrals_at)
-from .spectrum import SpectrumReport, spectrum_general, spectrum_k0
+from .spectrum import SpectrumReport, spectra_k0, spectrum_general
 
 CONVENTIONS = ("mirrored", "printed")
 BOUNDARY_TOL = 1e-12   # distance from a defining equality that labels "b"
@@ -137,7 +141,11 @@ def classify(params: ModelParams,
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    thr = binding_thresholds(params.gamma, source)
+    return _classify(params, binding_thresholds(params.gamma, source), convention)
+
+
+def _classify(params: ModelParams, thr: Thresholds, convention: str) -> RegionLabel:
+    """:func:`classify` with the thresholds given, as a sweep computes them once."""
     g = params.g
     s_plus = 2.0 * params.mu + params.lam - params.lam * params.mu / g
     s_minus = 2.0 * params.mu + params.lam + params.lam * params.mu / g
@@ -148,7 +156,7 @@ def classify(params: ModelParams,
         d_region=_axis_region(params.mu, thr.t_d, "D0"),
         c_plus=_c_family(eff_plus, params.mu, g, True),
         c_minus=_c_family(s_minus, params.mu, g, False),
-        gamma=params.gamma, source=source, convention=convention,
+        gamma=params.gamma, source=thr.source, convention=convention,
         s_plus=s_plus, s_minus=s_minus, thresholds=thr,
     )
 
@@ -231,23 +239,24 @@ def _failed_row(lam: float, mu: float, gamma: float, K: TorusPoint,
                     error=f"{type(exc).__name__}: {exc}")
 
 
-def _sweep_point(task: tuple) -> SweepRow:
-    (lam, mu, gamma, k1, k2, source_val, convention) = task
-    source = ConstantsSource(source_val)
-    K = TorusPoint(k1, k2)
-    params = ModelParams(gamma=gamma, lam=lam, mu=mu)
-    # a point fails alone on a typed numerical failure; any other exception
-    # is a bug and aborts the sweep
+def _general_point(task: tuple) -> SpectrumReport | Exception:
+    """One general-fiber solve of a sweep; a typed numerical failure is returned."""
+    lam, mu, gamma, k1, k2 = task
     try:
-        label = classify(params, source, convention)
-        pred = predicted_counts(label)
-        at_zero = k1 == 0.0 and k2 == 0.0
-        rep: SpectrumReport = (spectrum_k0(params) if at_zero
-                               else spectrum_general(K, params))
+        return spectrum_general(TorusPoint(k1, k2), ModelParams(gamma, lam, mu))
     except NUMERICAL_ERRORS as exc:
-        return _failed_row(lam, mu, gamma, K, exc)
+        return exc
+
+
+def _sweep_row(lam: float, mu: float, gamma: float, K: TorusPoint,
+               rep: SpectrumReport | Exception, thr: Thresholds,
+               convention: str) -> SweepRow:
+    if isinstance(rep, NUMERICAL_ERRORS):
+        return _failed_row(lam, mu, gamma, K, rep)
+    label = _classify(rep.params, thr, convention)
+    pred = predicted_counts(label)
     nb, na = rep.n_below, rep.n_above
-    if at_zero:
+    if K == ORIGIN:
         agree = nb == pred.n_below_k0 and na == pred.n_above_k0
     else:
         agree = (nb >= pred.lower_bound_below_k
@@ -280,19 +289,27 @@ def sweep(lam_range: tuple[float, float], mu_range: tuple[float, float],
     Rows come back in row-major order (lam outer, mu inner, then K_list
     order) regardless of worker count, so equal configurations produce
     identical tables. A point's typed numerical failure (``NUMERICAL_ERRORS``)
-    lands in its row's error field; any other exception propagates.
+    lands in its row's error field; any other exception propagates.  The
+    K = 0 points are solved in-process as one batch; with ``workers > 1``
+    the pool serves the other fibers.  The thresholds are built once.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    tasks = [(lam, mu, gamma, K.p1, K.p2, source.value, convention)
-             for lam in _axis_values(*lam_range, step)
-             for mu in _axis_values(*mu_range, step)
-             for K in K_list]
-    if workers <= 1:
-        return [_sweep_point(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(tasks) // (workers * 8))
-        return list(pool.map(_sweep_point, tasks, chunksize=chunk))
+    thr = binding_thresholds(gamma, source)
+    points = [(lam, mu, K) for lam in _axis_values(*lam_range, step)
+              for mu in _axis_values(*mu_range, step) for K in K_list]
+    zero = [(lam, mu) for lam, mu, K in points if K == ORIGIN]
+    at_zero = spectra_k0(gamma, [lam for lam, _ in zero], [mu for _, mu in zero])
+    tasks = [(lam, mu, gamma, K.p1, K.p2) for lam, mu, K in points if K != ORIGIN]
+    if workers <= 1 or not tasks:
+        general = [_general_point(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tasks) // (workers * 8))
+            general = list(pool.map(_general_point, tasks, chunksize=chunk))
+    reps = iter(at_zero), iter(general)
+    return [_sweep_row(lam, mu, gamma, K, next(reps[K != ORIGIN]), thr, convention)
+            for lam, mu, K in points]
 
 
 # ---------------------------------------------------------------------------

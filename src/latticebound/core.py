@@ -89,14 +89,18 @@ def pair_amplitudes(K: TorusPoint, gamma: float) -> tuple[float, float, float, f
     """Amplitude/phase form of the dispersion.
 
     Writing E_K(p) = 2(1+gamma) - R1*cos(p1-phi1) - R2*cos(p2-phi2), returns
-    (R1, R2, phi1, phi2) with R_i = sqrt(1 + gamma^2 + 2*gamma*cos K_i) and
-    phi_i = atan2(gamma*sin K_i, 1 + gamma*cos K_i).  R_i vanishes only at
-    gamma = 1, K_i = pi.
+    (R1, R2, phi1, phi2) with R_i = |1 + gamma*exp(i K_i)| and phi_i its
+    argument.  Both are taken from 1 + gamma*cos K_i = (1 - gamma) +
+    2*gamma*cos^2(K_i/2), so R_i^2 = (1 - gamma)^2 + 4*gamma*cos^2(K_i/2):
+    a sum of non-negative terms, which keeps small amplitudes accurate where
+    1 + gamma^2 + 2*gamma*cos K_i cancels.  R_i vanishes only at gamma = 1,
+    K_i = pi.
     """
     out = []
     for k in (K.p1, K.p2):
-        r = math.sqrt(max(1.0 + gamma * gamma + 2.0 * gamma * math.cos(k), 0.0))
-        phi = math.atan2(gamma * math.sin(k), 1.0 + gamma * math.cos(k))
+        c2 = math.cos(0.5 * k) ** 2
+        r = math.sqrt((1.0 - gamma) ** 2 + 4.0 * gamma * c2)
+        phi = math.atan2(gamma * math.sin(k), (1.0 - gamma) + 2.0 * gamma * c2)
         out.append((r, phi))
     (r1, f1), (r2, f2) = out
     return r1, r2, f1, f2

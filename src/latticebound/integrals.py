@@ -125,6 +125,34 @@ def _reduced_integrals(t: float) -> tuple[float, float, float, float, float]:
     return g00, g10, c, g11, g00 - c
 
 
+def _reduced_integrals_array(t: np.ndarray) -> np.ndarray:
+    """:func:`_reduced_integrals` elementwise over a 1-d array of t.
+
+    Returns the rows a, b, c, e, f.  The elliptic branch repeats the scalar
+    arithmetic; the series branch is summed by Horner's rule over the same
+    table, with no reduction across the array, so each column depends on
+    its own t alone, whatever else the array holds.
+    """
+    eps = 2.0 + t
+    m = (2.0 / eps) ** 2
+    out = np.empty((5, t.size))
+    ser = m < SERIES_SWITCH
+    ms, es = m[ser], eps[ser]
+    acc = np.zeros((5, ms.size))
+    for coef in _SERIES.T[::-1]:
+        acc = acc * ms + coef[:, None]
+    out[:, ser] = acc[0] / es, acc[1] * ms, acc[2] / es, acc[3] * ms / es, acc[4] / es
+    t, eps, m = t[~ser], eps[~ser], m[~ser]
+    k = ellipkm1((t / eps) * ((4.0 + t) / eps))
+    g00 = 2.0 * k / (PI * eps)
+    g10 = 0.5 * (eps * g00 - 1.0)
+    g11 = 2.0 * ((2.0 - m) * k - 2.0 * ellipe(m)) / (PI * eps * m)
+    g20 = 2.0 * eps * g10 - g00 - 2.0 * g11
+    c = 0.5 * (g00 + g20)
+    out[:, ~ser] = g00, g10, c, g11, g00 - c
+    return out
+
+
 def watson_integrals_at(side: Side, delta: float, gamma: float) -> IntegralSet:
     """Five moments at exact distance ``delta`` from the band edge.
 

@@ -25,6 +25,12 @@ distances like exp(-1/s)) has a closed form.  Such roots are reported with
 edge models are always the computed ones: the zero-fiber count depends on
 the operator alone, never on a table of published constants.
 
+Zero-fiber batches: the moments do not depend on (lam, mu), so
+:func:`spectra_k0` solves a whole coupling plane as one elementwise problem
+in ln d (one root finder call for every crossing of every point), for
+sweeps.  A single point keeps the scalar engine of :func:`spectrum_k0`,
+which costs less than a batch of one.
+
 General fiber: J is the 5x5 Gram matrix of the modes.  Roots between the
 floor and the edge are counted from the edge limit of J, whose
 log-divergent part has rank one, and reported pinned at 1e-13.
@@ -40,13 +46,14 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
-from .core import Band, ModelParams, TorusPoint, band_edges, pair_amplitudes
+from .core import ORIGIN, Band, ModelParams, TorusPoint, band_edges, pair_amplitudes
 from .determinants import (FactorKind, factor_value, interaction_weights,
                            secular_entries, slope_below)
 from .errors import BudgetExceeded, ToleranceError
-from .integrals import (EdgeAsymptotics, IntegralSet, Side, predicted_asymptote,
-                        watson_integrals_at)
+from .integrals import (EdgeAsymptotics, IntegralSet, Side, _reduced_integrals_array,
+                        predicted_asymptote, watson_integrals_at)
 
 MESH_FLOOR = 1e-10
 MESH_COARSE = 0.25   # step of the oracle mesh beyond distance 1
@@ -324,6 +331,105 @@ def spectrum_k0(params: ModelParams, budget: int = 10000) -> SpectrumReport:
     hi = 4.0 * params.g
     return SpectrumReport(K=k0, params=params, band=band, below=_placed(below, lambda d: -d),
                           above=_placed(above, lambda d: hi + d))
+
+
+# the rows of _curves_array: (factor, sector, multiplicity) of each curve
+_CURVE_ROWS = _ZERO_FIBER_FACTORS[:1] + _ZERO_FIBER_FACTORS
+
+
+def _curves_array(lam: np.ndarray, mu: np.ndarray, s) -> np.ndarray:
+    """The curves of :func:`_factor_curves` for all three factors, elementwise.
+
+    ``s`` holds the moments a, b, c, e, f as rows.  Returns the rows main
+    even smaller and larger, sub-even and odd, with the scalar arithmetic.
+    """
+    a, b, c, e, f = s
+    x, y, bb = lam * a, mu * (c + e), 2.0 * lam * mu * b * b
+    root = np.sqrt(np.maximum(0.25 * (x - y) ** 2 + bb, 0.0))
+    big = 0.5 * (x + y) + np.copysign(root, x + y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        small = np.where(big != 0.0, (x * y - bb) / big, 0.0)
+    return np.stack([np.minimum(small, big), np.maximum(small, big), mu * (c - e), mu * f])
+
+
+def spectra_k0(gamma: float, lams: Sequence[float],
+               mus: Sequence[float]) -> list[SpectrumReport | ToleranceError]:
+    """:func:`spectrum_k0` at every (lams[i], mus[i]), solved as one batch.
+
+    The moments do not depend on the couplings, so the count-first scheme
+    of :func:`_curve_crossings` runs on arrays: the four curves of every
+    point at the floor and at its window give each curve's crossing, and
+    one elementwise root finder (Chandrupatla's method in t = ln d) solves
+    all crossings at once.  Pending roots, merging and placement are those
+    of the scalar solver.  The side above at (lam, mu) is the side below at
+    (-lam, -mu), so each distinct one-sided problem is solved once.  Every
+    step is elementwise, so a point's result does not depend on the other
+    points of the batch.  A crossing that does not converge fails the
+    points whose sides need it: their entry is the ``ToleranceError``.
+    """
+    params = [ModelParams(gamma, lam, mu) for lam, mu in zip(lams, mus)]
+    if not params:
+        return []
+    # one-sided problem (lam, mu) -> index, with -0.0 read as 0.0; each point
+    # needs the problem below at (lam, mu) and the one above at (-lam, -mu)
+    problems: dict[tuple[float, float], int] = {}
+    sides = [(problems.setdefault((p.lam + 0.0, p.mu + 0.0), len(problems)),
+              problems.setdefault((-p.lam + 0.0, -p.mu + 0.0), len(problems)))
+             for p in params]
+    g, floor = 1.0 + gamma, watson_integrals_at(Side.BELOW, MESH_FLOOR, gamma)
+    lam, mu = np.array(list(problems)).T
+    window = np.abs(lam) + 2.0 * np.abs(mu) + 1.0
+    eta_floor = _curves_array(lam, mu, floor.as_array()[:, None])
+    eta_window = _curves_array(lam, mu, _reduced_integrals_array(window / g) / g)
+    # one crossing per curve (row) of a problem that is below -1 at the
+    # floor and not at the window
+    row, prob = np.nonzero((eta_floor < -1.0) & (eta_window >= -1.0))
+    t_lo, ends = math.log(MESH_FLOOR), window[prob]
+    t_hi = np.log(ends)
+
+    def distance(t, t_hi, ends):
+        # the bracket ends are the exact floor and window, as in _curve_crossings
+        return np.where(t == t_hi, ends, np.where(t == t_lo, MESH_FLOOR, np.exp(t)))
+
+    def residual(t, lam, mu, row, t_hi, ends):
+        s = _reduced_integrals_array(distance(t, t_hi, ends) / g) / g
+        return np.take_along_axis(_curves_array(lam, mu, s), row[None, :], 0)[0] + 1.0
+
+    res = find_root(residual, (np.full(row.size, t_lo), t_hi),
+                    args=(lam[prob], mu[prob], row, t_hi, ends),
+                    tolerances=dict(xatol=1e-15, xrtol=4 * _EPS, fatol=0.0, frtol=0.0))
+    found: list[list[_Root]] = [[] for _ in problems]
+    failed: dict[int, ToleranceError] = {}
+    for r, p, d, ok, status, nit in zip(row.tolist(), prob.tolist(),
+                                        distance(res.x, t_hi, ends).tolist(),
+                                        res.success.tolist(), res.status.tolist(),
+                                        res.nit.tolist()):
+        kind, sector, mult = _CURVE_ROWS[r]
+        if ok:
+            found[p].append(_Root(d, kind, sector, mult))
+        else:
+            failed[p] = ToleranceError(
+                f"{kind.value} curve crossing below the band at (lam, mu) = "
+                f"({lam[p]}, {mu[p]}) did not converge (status {status}) in {nit} iterations")
+    models = {q: predicted_asymptote(q, Side.BELOW, gamma) for q in "abce"}
+    kind, sector, mult = _CURVE_ROWS[0]
+    for (lam_p, mu_p), p in problems.items():
+        q = ModelParams(gamma, lam_p, mu_p)
+        pend = _pending_root(kind, q, models, factor_value(kind, floor, q))
+        if pend is not None:
+            found[p].append(_Root(max(pend, 1e-13), kind, sector, mult, pinned=True))
+    roots = [_merge_found(f) for f in found]
+    band, hi = band_edges(ORIGIN, ModelParams(gamma)), 4.0 * g
+    reports: list[SpectrumReport | ToleranceError] = []
+    for p, (below, above) in zip(params, sides):
+        if below in failed or above in failed:
+            reports.append(failed.get(below) or failed[above])
+            continue
+        reports.append(SpectrumReport(
+            K=ORIGIN, params=p, band=band,
+            below=_placed(roots[below], lambda d: -d),
+            above=_placed(roots[above], lambda d: hi + d)))
+    return reports
 
 
 # ---------------------------------------------------------------------------

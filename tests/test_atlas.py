@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from latticebound import atlas
+from latticebound import atlas, spectrum
 from latticebound.atlas import (CONVENTIONS, _axis_values, binding_thresholds,
                                 classify, predicted_counts, sweep,
                                 threshold_scan)
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
-from latticebound.errors import BudgetExceeded, DomainError
+from latticebound.errors import DomainError
 from latticebound.integrals import ConstantsSource
 from latticebound.spectrum import FactorKind, spectrum_k0
 
@@ -157,11 +158,15 @@ def _row_key(row):
 
 
 def test_sweep_order_and_worker_invariance():
-    rows1 = sweep((-1.0, 1.0), (-1.0, 1.0), 1.0, workers=1)
-    rows2 = sweep((-1.0, 1.0), (-1.0, 1.0), 1.0, workers=2)
-    assert len(rows1) == 9
-    assert [(r.lam, r.mu) for r in rows1] == [
-        (lam, mu) for lam in (-1.0, 0.0, 1.0) for mu in (-1.0, 0.0, 1.0)]
+    # the K = 0 points solve in-process as one batch; the pool serves the
+    # nonzero fiber, so workers 1 and 2 compare both paths
+    fibers = (ORIGIN, TorusPoint(1.0, 0.5))
+    rows1 = sweep((-1.0, 1.0), (-1.0, 1.0), 1.0, K_list=fibers, workers=1)
+    rows2 = sweep((-1.0, 1.0), (-1.0, 1.0), 1.0, K_list=fibers, workers=2)
+    assert len(rows1) == 18
+    assert [(r.lam, r.mu, r.K) for r in rows1] == [
+        (lam, mu, K) for lam in (-1.0, 0.0, 1.0) for mu in (-1.0, 0.0, 1.0)
+        for K in fibers]
     assert [_row_key(r) for r in rows1] == [_row_key(r) for r in rows2]
     assert all(r.agree for r in rows1)
     zero = next(r for r in rows1 if r.lam == 0.0 and r.mu == 0.0)
@@ -198,20 +203,74 @@ def test_sweep_lets_programming_errors_propagate(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("injected")
 
-    monkeypatch.setattr(atlas, "spectrum_k0", broken)
+    monkeypatch.setattr(spectrum, "find_root", broken)
     with pytest.raises(TypeError, match="injected"):
         sweep((1.0, 1.0), (10.0, 10.0), 1.0)
 
 
 def test_sweep_reports_numerical_failures_per_row(monkeypatch):
-    def exhausted(*args, **kwargs):
-        raise BudgetExceeded("injected budget failure")
+    # a K = 0 crossing that does not converge fails the row whose sides need
+    # it and no other row of the batch: here the crossings with the widest
+    # bracket, which belong to (2, 10) below and above
+    real = spectrum.find_root
 
-    monkeypatch.setattr(atlas, "spectrum_k0", exhausted)
-    rows = sweep((1.0, 1.0), (10.0, 10.0), 1.0)
-    assert len(rows) == 1
-    assert not rows[0].agree and rows[0].comp_below is None
-    assert rows[0].error == "BudgetExceeded: injected budget failure"
+    def stalls_on_the_widest(f, init, **kwargs):
+        res = real(f, init, **kwargs)
+        widest = init[1] == np.max(init[1])
+        res.success = res.success & ~widest
+        res.status = np.where(widest, -2, res.status)
+        return res
+
+    monkeypatch.setattr(spectrum, "find_root", stalls_on_the_widest)
+    rows = sweep((1.0, 2.0), (10.0, 10.0), 1.0)
+    assert len(rows) == 2
+    assert rows[0].agree and rows[0].error == "" and rows[0].comp_above == 4
+    assert not rows[1].agree and rows[1].comp_below is None and rows[1].label is None
+    assert rows[1].error.startswith("ToleranceError: ")
+    assert "did not converge (status -2)" in rows[1].error
+
+
+def _plane_points(step: float = 0.5) -> tuple[list[float], list[float]]:
+    axis = _axis_values(-12.0, 12.0, step)
+    return [lam for lam in axis for _ in axis], [mu for _ in axis for mu in axis]
+
+
+def _shape(side):
+    return [(ev.multiplicity, ev.pinned, ev.factor, ev.sector) for ev in side]
+
+
+@pytest.mark.parametrize(
+    "gamma", [1.0, *np.random.default_rng(17).uniform(0.3, 3.0, 3).round(4).tolist()])
+def test_batched_sweep_matches_the_scalar_solver(gamma):
+    # gamma = 1 and three random gammas; every K = 0 row of a sweep comes from the batch; the scalar solver must
+    # give the same states, multiplicities, pinned flags and factors, and
+    # positions within 1e-9 of their depth (plus the rounding of the edge)
+    rows = sweep((-12.0, 12.0), (-12.0, 12.0), 0.5, gamma=gamma)
+    reps = spectrum.spectra_k0(gamma, *_plane_points())
+    assert len(rows) == len(reps) == 2401
+    top = 4.0 * (1.0 + gamma)
+    for row, rep in zip(rows, reps):
+        ref = spectrum_k0(ModelParams(gamma, row.lam, row.mu))
+        assert (row.comp_below, row.comp_above) == (ref.n_below, ref.n_above)
+        for got, want, eigs, edge in ((rep.below, ref.below, row.eigs_below, 0.0),
+                                      (rep.above, ref.above, row.eigs_above, top)):
+            assert _shape(got) == _shape(want), (row.lam, row.mu)
+            assert eigs == tuple(ev.z for ev in got for _ in range(ev.multiplicity))
+            for a, b in zip(got, want):
+                assert abs(a.z - b.z) <= 1e-9 * abs(b.z - edge) + 2 * math.ulp(edge)
+
+
+def test_batch_rows_do_not_depend_on_the_batch():
+    # each point's spectrum is bit-identical whether the plane is solved as
+    # one batch, in reversed order, or in batches of 7 consecutive points
+    # (which split every mirrored pair of one-sided problems)
+    lams, mus = _plane_points()
+    whole = spectrum.spectra_k0(1.0, lams, mus)
+    backwards = spectrum.spectra_k0(1.0, lams[::-1], mus[::-1])[::-1]
+    sevens = [rep for i in range(0, len(lams), 7)
+              for rep in spectrum.spectra_k0(1.0, lams[i:i + 7], mus[i:i + 7])]
+    assert backwards == whole
+    assert sevens == whole
 
 
 def test_success_rows_have_an_empty_error():

@@ -60,6 +60,21 @@ def test_amplitude_form_matches_dispersion():
         assert dispersion(K, p, params) == pytest.approx(closed, abs=1e-12)
 
 
+@pytest.mark.parametrize("theta", [1e-3, 1e-6, 1e-8])
+def test_small_amplitudes_against_40_digits(theta):
+    # near gamma = 1, K_i = pi the form 1 + gamma^2 + 2 gamma cos K_i cancels
+    # (R2 came out exactly 0 at theta = 1e-8); amplitudes and phases must
+    # match |1 + gamma e^{iK}| and its argument to a few ulp
+    import mpmath as mp
+    mp.mp.dps = 40
+    K = TorusPoint(0.3, math.pi - theta)
+    got = pair_amplitudes(K, 1.0)
+    for i, k in enumerate(K.as_tuple()):
+        w = 1 + mp.expj(mp.mpf(k))
+        assert abs(got[i] - abs(w)) <= 4e-16 * abs(w)
+        assert abs(got[2 + i] - mp.arg(w)) <= 4e-16 * abs(mp.arg(w))
+
+
 def test_band_edges_match_closed_form():
     rng = np.random.default_rng(11)
     for _ in range(15):

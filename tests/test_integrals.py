@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from latticebound import integrals
 from latticebound.errors import DomainError
 from latticebound.integrals import (SERIES_SWITCH, Side,
                                     calibrate_edge_constants,
@@ -141,6 +142,18 @@ def test_series_switch_is_continuous(gamma):
         Side.BELOW, g * (2.0 / math.sqrt(SERIES_SWITCH * f) - 2.0), gamma).as_array()
         for f in (1.0 - 1e-13, 1.0 + 1e-13))
     assert (np.abs(hi - lo) / np.abs(lo)).max() <= 1e-12
+
+
+def test_array_moments_match_the_scalar_closed_form():
+    # the batch twin repeats the elliptic arithmetic bit for bit; its series
+    # sums by Horner instead of a matrix product, within 4 ulp
+    t = np.geomspace(1e-14, 1e4, 2000)
+    got = integrals._reduced_integrals_array(t)
+    want = np.array([integrals._reduced_integrals(float(x)) for x in t]).T
+    series = (2.0 / (2.0 + t)) ** 2 < SERIES_SWITCH
+    assert 0 < series.sum() < t.size
+    assert np.array_equal(got[:, ~series], want[:, ~series])
+    assert np.all(np.abs(got - want) <= 4 * sys.float_info.epsilon * np.abs(want))
 
 
 @pytest.mark.parametrize("gamma", (0.3, 1.0, 2.5))

@@ -335,6 +335,10 @@ def test_zero_coupling_is_empty():
     assert spectrum_k0(params).n_above == 0
     rep = spectrum_general(TorusPoint(0.7, -1.1), params)
     assert rep.below == () and rep.above == ()
+    # a batch with no crossing to solve, and an empty batch
+    assert spectrum.spectra_k0(1.0, [0.0, -0.0], [0.0, 0.0]) == [
+        spectrum_k0(params), spectrum_k0(ModelParams(1.0, -0.0, 0.0))]
+    assert spectrum.spectra_k0(1.0, [], []) == []
 
 
 def test_rank_bound_on_random_draws():
