@@ -13,9 +13,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import atlas, oracle
+from . import atlas, oracle, spectrum
 from .core import ModelParams, TorusPoint, band_edges
-from .determinants import FactorKind, factor_value, secular_det, secular_entries
+from .determinants import (FactorKind, factor_value, gram_blocks, interaction_weights,
+                           secular_det, secular_entries)
 from .errors import NUMERICAL_ERRORS, ParseError, ValidationError
 from .integrals import (ConstantsSource, Side, predicted_asymptote,
                         watson_integrals, watson_integrals_at,
@@ -360,19 +361,31 @@ def _verify(quick: bool) -> int:
     # the general-fiber Gram matrix against the plain mean of m_i m_j / (E - z)
     # over a 128 x 128 torus grid, which uses no reduction: fibers with
     # R1 > R2, R1 < R2 and R2 = 0, at distances where the mean converges
-    # exponentially; both Gram-matrix regimes run
-    worst = 0.0
+    # exponentially; both Gram-matrix regimes run.  The solver's curves, read
+    # from the parity blocks, against the curves of the mean; above the band
+    # the curves at (lam, mu) are those of (-J, -G), the blocks' at (-lam, -mu)
+    worst = worst_curves = 0.0
     for gamma, k in ((2.0, (0.4, 2.2)), (2.0, (2.2, 0.4)), (1.0, (0.9, math.pi))):
         params, K = ModelParams(gamma), TorusPoint(*k)
         band, grid = band_edges(K, params), oracle.GridModel.build(K, params, 128)
         modes, diag = grid.modes, grid.diag
         for d in (0.5, 3.0):
+            blocks = gram_blocks(K, gamma, d)
             for side, z in ((Side.BELOW, band.e_min - d), (Side.ABOVE, band.e_max + d)):
                 j = secular_entries(z, K, params, side=side, delta=d)
                 mean = (modes / (diag - z)) @ modes.T
                 worst = max(worst, float(np.max(np.abs(j - mean)) / np.max(np.abs(mean))))
+                sign = 1.0 if side is Side.BELOW else -1.0
+                for lam, mu in ((6.0, 10.0), (-3.0, 2.0)):
+                    below = ModelParams(gamma, sign * lam, sign * mu)
+                    curves = spectrum._fiber_curves(K, below, d, blocks)
+                    ref = spectrum._threshold_count(sign * mean, interaction_weights(below))[1]
+                    worst_curves = max(worst_curves, float(np.max(np.abs(curves - ref))
+                                                           / np.max(np.abs(ref))))
     checks.append(_check("Gram matrix vs grid sum", worst < 1e-12,
                          f"worst {worst:.2e} of max|J|, bound 1e-12"))
+    checks.append(_check("general-fiber curves vs grid sum", worst_curves < 1e-12,
+                         f"worst {worst_curves:.2e} of max|eta|, bound 1e-12"))
 
     # exact edge models against the moments at distance 1e-7, where the
     # neglected d*ln(d) terms are below 2e-7 for gamma >= 0.5

@@ -12,12 +12,16 @@ three formulas live in :func:`factor_value`.
 
 At general fiber J is a closed form with no tolerance.  Write
 E_K = 2g - R1 cos(p1 - phi1) - R2 cos(p2 - phi2) and rotate each angle by
-its phase.  The rotated sine modes decouple by parity, so J = R M R^T with
-R the rotation of each (cos, sin) mode pair by phi_i.  The inner angle
-integrates in closed form, and M needs seven averages over the outer angle
-x: of 1, cos x, cos^2 x and sin^2 x divided by rho = sqrt(m (m + 2 R_in)),
-and of the inner moments t1, cos x t1 and t2, where
-m = delta + 2 R_out sin^2(x/2) at distance delta below the band.
+its phase, x_i = p_i - phi_i.  The dispersion is even in each x_i, so the
+rotated sine modes decouple by parity: J = R blockdiag(M3, s1, s2) R^T,
+with R the rotation of each (cos, sin) mode pair by phi_i, M3 the even
+block over (1, cos x1, cos x2) and s1, s2 the sine entries
+(:func:`gram_blocks`).  G is a scalar on each mode pair, so it commutes
+with R and the solvers work on the blocks alone.  The inner angle
+integrates in closed form, and the blocks need seven averages over the
+outer angle x: of 1, cos x, cos^2 x and sin^2 x divided by
+rho = sqrt(m (m + 2 R_in)), and of the inner moments t1, cos x t1 and t2,
+where m = delta + 2 R_out sin^2(x/2) at distance delta below the band.
 
 Orientation: the smaller amplitude is R_out, so the inner moments divide
 only by the larger one; with the larger amplitude outside, their 1/R_in
@@ -177,9 +181,35 @@ def _carlson_averages(delta: float, r_out: float, r_in: float) -> tuple[float, .
              - (a + r_out)) / (r_in * r_in))
 
 
-def _rotated_block(c: float, s: float, a: float, b: float) -> tuple[float, float, float]:
-    """(cos-cos, cos-sin, sin-sin) entries of rot(phi) diag(a, b) rot(phi)^T."""
-    return c * c * a + s * s * b, c * s * (a - b), s * s * a + c * c * b
+# the parity blocks of J: the 3x3 even block and the two sine entries
+GramBlocks = tuple[np.ndarray, float, float]
+
+
+def gram_blocks(K: TorusPoint, gamma: float, delta: float) -> GramBlocks:
+    """Gram matrix J below the band at distance ``delta``, in the rotated frame.
+
+    Returns its two parity blocks: the 3x3 even block over the rotated modes
+    (1, cos x1, cos x2) and the two sine entries, of sin x1 and sin x2.  The
+    sine modes couple to nothing else, so J = R blockdiag(even, s1, s2) R^T,
+    with R the rotation of each (cos p_i, sin p_i) mode pair by phi_i.
+    """
+    r1, r2, _, _ = pair_amplitudes(K, gamma)
+    first_outer = r1 <= r2
+    r_out, r_in = (r1, r2) if first_outer else (r2, r1)
+    averages = _trapezoid_averages if delta >= r_out else _carlson_averages
+    p0, p1, p2, ps, t1_0, t1_1, t2 = averages(delta, r_out, r_in)
+    # per angle: coupling to the constant mode, then the cos-cos and sin-sin
+    # entries in the rotated angles
+    outer = (_SQRT2 * p1, 2.0 * p2, 2.0 * ps)
+    inner = (_SQRT2 * t1_0, 2.0 * t2, 2.0 * (p0 - t2))
+    (e1, a1, s1), (e2, a2, s2) = (outer, inner) if first_outer else (inner, outer)
+    x = 2.0 * t1_1                                # the cos x1 cos x2 entry
+    return np.array([[p0, e1, e2], [e1, a1, x], [e2, x, a2]]), s1, s2
+
+
+# above the band J = -P J_below P with P = diag(1, -1, -1, -1, -1), which
+# commutes with R: the sign of each entry of blockdiag(even, s1, s2)
+_ABOVE_SIGNS = -np.outer([1.0, -1.0, -1.0, -1.0, -1.0], [1.0, -1.0, -1.0, -1.0, -1.0])
 
 
 def secular_entries(z: float, K: TorusPoint, params: ModelParams, *,
@@ -188,12 +218,11 @@ def secular_entries(z: float, K: TorusPoint, params: ModelParams, *,
     """Resolvent Gram matrix J(z) of the five modes at fiber K, in closed form.
 
     Either pass z directly, or (side, delta) for an exact distance to the
-    band edge.  Only the side below the band is evaluated; above it the
-    matrix is -P J P with J the matrix at the same distance below and
-    P = diag(1, -1, -1, -1, -1).  The modes are ordered (1, cos p1, cos p2,
-    sin p1, sin p2).
+    band edge.  J = R blockdiag(even, s1, s2) R^T from :func:`gram_blocks`.
+    Above the band the matrix is -P J P with J the matrix at the same
+    distance below and P = diag(1, -1, -1, -1, -1).  The modes are ordered
+    (1, cos p1, cos p2, sin p1, sin p2).
     """
-    r1, r2, f1, f2 = pair_amplitudes(K, params.gamma)
     if delta is None:
         lo, hi = edges_closed(K, params)
         if z < lo:
@@ -202,29 +231,19 @@ def secular_entries(z: float, K: TorusPoint, params: ModelParams, *,
             side, delta = Side.ABOVE, z - hi
         else:
             raise DomainError(f"z = {z} lies inside the closed band [{lo}, {hi}]")
-    # above the band J = -P J_below P: the constant mode's diagonal and the
-    # trigonometric block change sign, their couplings to the constant mode not
-    sign = 1.0 if Side(side) is Side.BELOW else -1.0
-    first_outer = r1 <= r2
-    r_out, r_in = (r1, r2) if first_outer else (r2, r1)
-    averages = _trapezoid_averages if delta >= r_out else _carlson_averages
-    p0, p1, p2, ps, t1_0, t1_1, t2 = averages(delta, r_out, r_in)
-    # per angle: coupling to the constant mode, then the cos-cos and sin-sin
-    # entries of M in the rotated angles
-    outer = (_SQRT2 * p1, 2.0 * sign * p2, 2.0 * sign * ps)
-    inner = (_SQRT2 * t1_0, 2.0 * sign * t2, 2.0 * sign * (p0 - t2))
-    (e1, a1, b1), (e2, a2, b2) = (outer, inner) if first_outer else (inner, outer)
-    c1, s1, c2, s2 = math.cos(f1), math.sin(f1), math.cos(f2), math.sin(f2)
-    cc1, cs1, ss1 = _rotated_block(c1, s1, a1, b1)
-    cc2, cs2, ss2 = _rotated_block(c2, s2, a2, b2)
-    x = 2.0 * sign * t1_1                         # the cos x1 cos x2 entry of M
-    return np.array([
-        [sign * p0, c1 * e1, c2 * e2, s1 * e1, s2 * e2],
-        [c1 * e1, cc1, c1 * c2 * x, cs1, c1 * s2 * x],
-        [c2 * e2, c1 * c2 * x, cc2, s1 * c2 * x, cs2],
-        [s1 * e1, cs1, s1 * c2 * x, ss1, s1 * s2 * x],
-        [s2 * e2, c1 * s2 * x, cs2, s1 * s2 * x, ss2],
-    ])
+    even, s1, s2 = gram_blocks(K, params.gamma, delta)
+    block = np.zeros((5, 5))
+    block[:3, :3], block[3, 3], block[4, 4] = even, s1, s2
+    if Side(side) is Side.ABOVE:
+        block *= _ABOVE_SIGNS
+    _, _, f1, f2 = pair_amplitudes(K, params.gamma)
+    c1, n1, c2, n2 = math.cos(f1), math.sin(f1), math.cos(f2), math.sin(f2)
+    rot = np.array([[1.0, 0.0, 0.0, 0.0, 0.0],
+                    [0.0, c1, 0.0, -n1, 0.0],
+                    [0.0, 0.0, c2, 0.0, -n2],
+                    [0.0, n1, 0.0, c1, 0.0],
+                    [0.0, 0.0, n2, 0.0, c2]])
+    return rot @ block @ rot.T
 
 
 def secular_det(z: float, K: TorusPoint, params: ModelParams) -> float:

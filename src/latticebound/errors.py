@@ -13,9 +13,13 @@ class BudgetExceeded(RuntimeError):
     """Raised when a root scan exceeds its function-evaluation budget."""
 
 
+class GramMatrixError(ArithmeticError):
+    """Raised when a Gram matrix below the band is not positive definite."""
+
+
 # the typed numerical failures: the CLI exits with code 3 on them and a sweep
 # reports them in the failing point's row; anything else is a bug and aborts
-NUMERICAL_ERRORS = (DomainError, ToleranceError, BudgetExceeded)
+NUMERICAL_ERRORS = (DomainError, ToleranceError, BudgetExceeded, GramMatrixError)
 
 
 class ParseError(ValueError):

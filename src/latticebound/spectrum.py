@@ -31,9 +31,16 @@ in ln d (one root finder call for every crossing of every point), for
 sweeps.  A single point keeps the scalar engine of :func:`spectrum_k0`,
 which costs less than a batch of one.
 
-General fiber: J is the 5x5 Gram matrix of the modes.  Roots between the
-floor and the edge are counted from the edge limit of J, whose
-log-divergent part has rank one, and reported pinned at 1e-13.
+General fiber: J is the 5x5 Gram matrix of the modes, R blockdiag(M3, s1,
+s2) R^T in the frame where each angle is rotated by its dispersion phase
+(see :mod:`latticebound.determinants`).  R rotates each (cos p_i, sin p_i)
+mode pair, and G = diag(lam, mu/2, mu/2, mu/2, mu/2) is the scalar mu/2 on
+each pair, so G commutes with R: the curves of J are mu/2 s1, mu/2 s2 and
+those of the 3x3 even block with weights diag(lam, mu/2, mu/2), one
+Cholesky factorization and one 3x3 eigensolve per distance.  Roots between
+the floor and the edge are counted from the edge limit of J, whose
+log-divergent part has rank one and lies in the even block, and reported
+pinned at 1e-13.
 """
 
 from __future__ import annotations
@@ -45,13 +52,14 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dsyevd
 from scipy.optimize import brentq
 from scipy.optimize.elementwise import find_root
 
 from .core import ORIGIN, Band, ModelParams, TorusPoint, band_edges, pair_amplitudes
-from .determinants import (FactorKind, factor_value, interaction_weights,
-                           secular_entries, slope_below)
-from .errors import BudgetExceeded, ToleranceError
+from .determinants import (FactorKind, GramBlocks, factor_value, gram_blocks,
+                           interaction_weights, slope_below)
+from .errors import BudgetExceeded, GramMatrixError, ToleranceError
 from .integrals import (EdgeAsymptotics, IntegralSet, Side, _reduced_integrals_array,
                         predicted_asymptote, watson_integrals_at)
 
@@ -440,7 +448,10 @@ def _threshold_count(j: np.ndarray, gvec: np.ndarray) -> tuple[int, np.ndarray]:
     """Number of Birman-Schwinger curves below -1, and the curve values.
 
     The curves are the eigenvalues of L^T G L with J = L L^T, which holds
-    below the band.  Above it pass (-J, -G).
+    below the band.  Above it pass (-J, -G).  Serves the grid oracle only,
+    whose Gram matrix has no parity split in the rotated frame (the grid is
+    not invariant under the phase rotation); :func:`spectrum_general` reads
+    its curves from the blocks with :func:`_fiber_curves`.
     """
     w, v = np.linalg.eigh(j)
     sq = np.sqrt(np.maximum(w, 0.0))
@@ -448,6 +459,27 @@ def _threshold_count(j: np.ndarray, gvec: np.ndarray) -> tuple[int, np.ndarray]:
     a = sq[:, None] * core * sq[None, :]
     eta = np.linalg.eigvalsh(a)
     return int(np.sum(eta < -1.0)), eta
+
+
+def _fiber_curves(K: TorusPoint, params: ModelParams, d: float,
+                  blocks: GramBlocks) -> list[float]:
+    """Ascending Birman-Schwinger curves below the band at distance d.
+
+    ``blocks`` is the :func:`gram_blocks` split (even, s1, s2) of J.  G is a
+    scalar on each rotated mode pair, so the curves of J are those of the
+    blocks: mu/2 s1, mu/2 s2 and the eigenvalues of L^T diag(lam, mu/2,
+    mu/2) L with even = L L^T.  An even block that is not positive definite
+    raises :class:`GramMatrixError`.
+    """
+    even, s1, s2 = blocks
+    chol, info = dpotrf(even, lower=1)
+    if info:
+        raise GramMatrixError(
+            f"Gram matrix below the band at K = ({K.p1}, {K.p2}), gamma = "
+            f"{params.gamma}, d = {d} is not positive definite (leading minor {info})")
+    half_mu = 0.5 * params.mu
+    core = (chol.T * (params.lam, half_mu, half_mu)) @ chol
+    return sorted(dsyevd(core, compute_v=0)[0].tolist() + [half_mu * s1, half_mu * s2])
 
 
 def count_jump_scan(nfun: Callable[[float], int], delta_max: float, floor: float,
@@ -508,8 +540,12 @@ def _degenerate_spectrum(K: TorusPoint, params: ModelParams, band: Band) -> Spec
                           below=tuple(below), above=tuple(above))
 
 
-def _pending_count(K: TorusPoint, gamma: float, j_floor: np.ndarray,
-                   gvec: np.ndarray) -> int:
+# R^T u, the rank-one edge slope of J in the rotated frame, on the even block;
+# its sine components vanish
+_EDGE_MODES = np.array([1.0, _SQRT2, _SQRT2])
+
+
+def _pending_count(K: TorusPoint, params: ModelParams, even_floor: np.ndarray) -> int:
     """Roots between the mesh floor and the edge, from the edge limit of J.
 
     Near the edge J(d) = J_floor - sigma u u^T (t - t_f) + O(d ln d) in
@@ -521,6 +557,9 @@ def _pending_count(K: TorusPoint, gamma: float, j_floor: np.ndarray,
         det(I + G J(t)) = det A + sigma (t - t_f) det([[A, G u], [u^T, 0]]),
 
     and the bordered determinant needs no inverse of a nearly singular A.
+    In the rotated frame of :func:`gram_blocks` R^T u = (1, sqrt2, sqrt2, 0,
+    0), so the sine factors (1 + mu/2 s_i) multiply det A and the bordered
+    determinant alike, and both reduce to the even block ``even_floor``.
     The determinant is the product of (1 + curve), the count is monotone in
     d and a rank-one change moves at most one curve across -1, so one root
     is pending exactly when the sign as t -> -inf, that of -det(bordered),
@@ -532,17 +571,16 @@ def _pending_count(K: TorusPoint, gamma: float, j_floor: np.ndarray,
     diverges like d^(-1/2) instead and the count at the floor is already the
     limit.
     """
-    r1, r2, f1, f2 = pair_amplitudes(K, gamma)
+    r1, r2, _, _ = pair_amplitudes(K, params.gamma)
     if r1 * r2 == 0.0:
         return 0
-    u = np.array([1.0, _SQRT2 * math.cos(f1), _SQRT2 * math.cos(f2),
-                  _SQRT2 * math.sin(f1), _SQRT2 * math.sin(f2)])
-    gu = gvec * u
-    bordered = np.zeros((6, 6))
-    bordered[:5, :5] = np.eye(5) + gvec[:, None] * j_floor
-    bordered[:5, 5] = gu / np.max(np.abs(gu))
-    bordered[5, :5] = u
-    det_floor = float(np.linalg.det(bordered[:5, :5]))
+    gvec = interaction_weights(params)[:3]
+    gu = gvec * _EDGE_MODES
+    bordered = np.zeros((4, 4))
+    bordered[:3, :3] = np.eye(3) + gvec[:, None] * even_floor
+    bordered[:3, 3] = gu / np.max(np.abs(gu))
+    bordered[3, :3] = _EDGE_MODES
+    det_floor = float(np.linalg.det(bordered[:3, :3]))
     det_bordered = float(np.linalg.det(bordered))
     noise = 64.0 * _EPS * float(np.prod(np.linalg.norm(bordered, axis=0)))
     if det_floor == 0.0 or abs(det_bordered) <= noise:
@@ -550,24 +588,23 @@ def _pending_count(K: TorusPoint, gamma: float, j_floor: np.ndarray,
     return int((det_floor > 0.0) == (det_bordered > 0.0))
 
 
-def _general_below(K: TorusPoint, params: ModelParams, window: float,
-                   budget: int, jmemo: dict[float, np.ndarray]) -> list[_Root]:
+def _general_below(K: TorusPoint, params: ModelParams, window: float, budget: int,
+                   memo: dict[float, GramBlocks]) -> list[_Root]:
     """Roots below the band at fiber K, one per crossing of a curve.
 
-    ``jmemo`` maps a distance to its Gram matrix J; it is filled here and
-    must only be shared between calls at the same (K, gamma).
+    ``memo`` maps a distance to the parity blocks of its Gram matrix J; it
+    is filled here and must only be shared between calls at the same
+    (K, gamma).
     """
-    gvec = interaction_weights(params)
-
-    def jmat(d: float) -> np.ndarray:
-        if d not in jmemo:
-            jmemo[d] = secular_entries(0.0, K, params, side=Side.BELOW, delta=d)
-        return jmemo[d]
+    def blocks(d: float) -> GramBlocks:
+        if d not in memo:
+            memo[d] = gram_blocks(K, params.gamma, d)
+        return memo[d]
 
     b = _Budget(budget, "curve root search")
-    crossings = _curve_crossings(lambda d: _threshold_count(jmat(d), gvec)[1],
+    crossings = _curve_crossings(lambda d: _fiber_curves(K, params, d, blocks(d)),
                                  MESH_FLOOR, window, b)
-    pend = _pending_count(K, params.gamma, jmat(MESH_FLOOR), gvec)
+    pend = _pending_count(K, params, blocks(MESH_FLOOR)[0])
     found = [_Root(d, FactorKind.GENERAL, Sector.MIXED, 1) for d in crossings]
     found += [_Root(1e-13, FactorKind.GENERAL, Sector.MIXED, 1, pinned=True)] * pend
     return _merge_found(found)
@@ -582,8 +619,8 @@ def spectrum_general(K: TorusPoint, params: ModelParams,
     :func:`_curve_crossings`); crossings within MERGE_TOL merge into one
     root of their number's multiplicity.  Roots between the mesh floor and
     the edge are counted from the edge limit of the Gram matrix (see
-    :func:`_pending_count`).  Both sides share one memo of Gram matrices per
-    call; ``budget`` bounds the curve evaluations per side.
+    :func:`_pending_count`).  Both sides share one memo of Gram-matrix
+    blocks per call; ``budget`` bounds the curve evaluations per side.
     """
     band = band_edges(K, params)
     if band.degenerate:
@@ -591,9 +628,9 @@ def spectrum_general(K: TorusPoint, params: ModelParams,
     if params.lam == 0.0 and params.mu == 0.0:
         return SpectrumReport(K=K, params=params, band=band, below=(), above=())
     window = abs(params.lam) + 2.0 * abs(params.mu) + 1.0
-    jmemo: dict[float, np.ndarray] = {}
-    below = _general_below(K, params, window, budget, jmemo)
-    above = _general_below(K, _mirrored(params), window, budget, jmemo)
+    memo: dict[float, GramBlocks] = {}
+    below = _general_below(K, params, window, budget, memo)
+    above = _general_below(K, _mirrored(params), window, budget, memo)
     return SpectrumReport(K=K, params=params, band=band,
                           below=_placed(below, lambda d: band.e_min - d),
                           above=_placed(above, lambda d: band.e_max + d))

@@ -299,6 +299,8 @@ def test_verify_quick(capsys):
     out = capsys.readouterr().out
     assert "[ok]" in out and "[FAIL]" not in out
     assert "checks passed" in out
-    # the closed-form moments against an independent grid sum
-    assert any(line.startswith("[ok] moments vs grid sum")
-               for line in out.splitlines())
+    # the closed-form moments and the general-fiber curves against
+    # independent grid sums
+    lines = out.splitlines()
+    assert any(line.startswith("[ok] moments vs grid sum") for line in lines)
+    assert any(line.startswith("[ok] general-fiber curves vs grid sum") for line in lines)

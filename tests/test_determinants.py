@@ -6,7 +6,7 @@ import pytest
 from latticebound.core import (ORIGIN, ModelParams, TorusPoint, band_edges,
                                pair_amplitudes)
 from latticebound.determinants import (F2_SERIES_SWITCH, FactorKind, factor_value,
-                                       interaction_weights, secular_det,
+                                       gram_blocks, interaction_weights, secular_det,
                                        secular_entries, slope_below)
 from latticebound.errors import DomainError
 from latticebound.integrals import Side, watson_integrals
@@ -163,6 +163,31 @@ def test_entries_stable_down_to_tiny_distances():
         prev = j
     with pytest.raises(ValueError):
         secular_entries(band.e_max + 1e-6, K, params, side="upper", delta=1e-6)
+
+
+def test_entries_are_the_rotated_parity_blocks():
+    # cos p_i = cos phi_i cos x_i - sin phi_i sin x_i and sin p_i = sin phi_i
+    # cos x_i + cos phi_i sin x_i with x_i = p_i - phi_i; above the band the
+    # matrix is -P J P, P = diag(1, -1, -1, -1, -1)
+    rng = np.random.default_rng(29)
+    flip = np.diag([1.0, -1.0, -1.0, -1.0, -1.0])
+    for _ in range(200):
+        gamma = float(rng.uniform(0.2, 4.0))
+        K = TorusPoint(*rng.uniform(-math.pi, math.pi, 2))
+        d = float(np.exp(rng.uniform(math.log(1e-10), math.log(40.0))))
+        _, _, f1, f2 = pair_amplitudes(K, gamma)
+        rot = np.eye(5)
+        for i, f in ((1, f1), (2, f2)):
+            rot[[i, i, i + 2, i + 2], [i, i + 2, i, i + 2]] = (
+                math.cos(f), -math.sin(f), math.sin(f), math.cos(f))
+        even, s1, s2 = gram_blocks(K, gamma, d)
+        block = np.zeros((5, 5))
+        block[:3, :3], block[3, 3], block[4, 4] = even, s1, s2
+        below = rot @ block @ rot.T
+        params = ModelParams(gamma)
+        for side, ref in ((Side.BELOW, below), (Side.ABOVE, -flip @ below @ flip)):
+            j = secular_entries(0.0, K, params, side=side, delta=d)
+            np.testing.assert_allclose(j, ref, rtol=0.0, atol=4e-16 * np.max(np.abs(ref)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ import pytest
 
 from latticebound import integrals, spectrum
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
-from latticebound.errors import BudgetExceeded, ToleranceError
-from latticebound.determinants import factor_value
+from latticebound.errors import BudgetExceeded, GramMatrixError, ToleranceError
+from latticebound.determinants import (factor_value, gram_blocks, interaction_weights,
+                                       secular_entries)
 from latticebound.integrals import Side, watson_integrals_at
 from latticebound.oracle import dense_validate, oracle_counts
 from latticebound.spectrum import (FactorKind, Sector, spectrum_general,
@@ -240,13 +241,13 @@ def test_general_solve_integrates_each_distance_once(monkeypatch, K, lam, mu):
     # J below the band does not depend on (lam, mu), so both sides of one
     # solve share every Gram matrix; the last two fibers have states on both
     deltas = []
-    inner = spectrum.secular_entries
+    inner = spectrum.gram_blocks
 
-    def counting(*args, **kwargs):
-        deltas.append(kwargs["delta"])
-        return inner(*args, **kwargs)
+    def counting(K, gamma, delta):
+        deltas.append(delta)
+        return inner(K, gamma, delta)
 
-    monkeypatch.setattr(spectrum, "secular_entries", counting)
+    monkeypatch.setattr(spectrum, "gram_blocks", counting)
     rep = spectrum_general(K, ModelParams(1.0, lam, mu))
     assert rep.n_below + rep.n_above > 0
     assert deltas and len(deltas) == len(set(deltas))
@@ -261,15 +262,52 @@ def test_general_solve_integrates_few_distances(monkeypatch, K, lam, mu):
     # the window, the floor and one Brent solve per crossing: the former
     # 139-point mesh scan with bisected jumps took about 240
     calls = []
-    inner = spectrum.secular_entries
+    inner = spectrum.gram_blocks
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["delta"])
-        return inner(*args, **kwargs)
+    def counting(K, gamma, delta):
+        calls.append(delta)
+        return inner(K, gamma, delta)
 
-    monkeypatch.setattr(spectrum, "secular_entries", counting)
+    monkeypatch.setattr(spectrum, "gram_blocks", counting)
     spectrum_general(K, ModelParams(1.0, lam, mu))
-    assert len(calls) <= 60
+    assert calls and len(calls) <= 60
+
+
+def test_block_curves_are_the_curves_of_the_gram_matrix():
+    # G is a scalar on each rotated (cos, sin) mode pair, so the curves of
+    # the five-mode J and of its parity blocks agree; the draws cover
+    # lam = 0, mu = 0, couplings near 1e-6 and R1 R2 = 0 (gamma = 1, K_i = pi)
+    rng = np.random.default_rng(23)
+    worst = 0.0
+    for i in range(2000):
+        gamma = 1.0 if i % 4 == 0 else float(rng.uniform(0.2, 4.0))
+        k = rng.uniform(-math.pi, math.pi, 2)
+        if i % 7 == 0:
+            gamma, k[i % 2] = 1.0, math.pi
+        K = TorusPoint(float(k[0]), float(k[1]))
+        d = float(np.exp(rng.uniform(math.log(1e-10), math.log(40.0))))
+        lam, mu = rng.uniform(-12.0, 12.0, 2) * (1e-6 if i % 5 == 1 else 1.0)
+        lam, mu = (0.0 if i % 6 == 2 else lam), (0.0 if i % 6 == 3 else mu)
+        params = ModelParams(gamma, float(lam), float(mu))
+        curves = spectrum._fiber_curves(K, params, d, gram_blocks(K, gamma, d))
+        j = secular_entries(0.0, K, params, side=Side.BELOW, delta=d)
+        ref = spectrum._threshold_count(j, interaction_weights(params))[1]
+        assert curves == sorted(curves)
+        scale = np.max(np.abs(ref))
+        err = np.max(np.abs(np.array(curves) - ref))
+        assert err <= 1e-13 * scale, (K, params, d)
+        worst = max(worst, err / scale if scale else 0.0)
+    assert worst > 0.0
+
+
+def test_even_block_that_is_not_positive_definite_is_a_typed_error(monkeypatch):
+    K, params = TorusPoint(1.0, 0.5), ModelParams(1.0, 6.0, 10.0)
+    bad = (np.diag([1.0, -1e-3, 1.0]), 0.1, 0.1)
+    with pytest.raises(GramMatrixError, match=r"K = \(1\.0, 0\.5\), gamma = 1\.0, d = 0\.25"):
+        spectrum._fiber_curves(K, params, 0.25, bad)
+    monkeypatch.setattr(spectrum, "gram_blocks", lambda K, gamma, d: bad)
+    with pytest.raises(GramMatrixError, match="not positive definite"):
+        spectrum_general(K, params)
 
 
 def test_general_budget():
