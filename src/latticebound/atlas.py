@@ -37,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ModelParams, TorusPoint, ORIGIN
+from .determinants import slope_below
 from .errors import NUMERICAL_ERRORS
 from .integrals import (ConstantsSource, Side, predicted_asymptote,
                         watson_integrals_at)
@@ -148,7 +149,7 @@ def _classify(params: ModelParams, thr: Thresholds, convention: str) -> RegionLa
     """:func:`classify` with the thresholds given, as a sweep computes them once."""
     g = params.g
     s_plus = 2.0 * params.mu + params.lam - params.lam * params.mu / g
-    s_minus = 2.0 * params.mu + params.lam + params.lam * params.mu / g
+    s_minus = slope_below(params)
     # the printed plus-side table carries the opposite S+ sign conditions
     eff_plus = s_plus if convention == "mirrored" else -s_plus
     return RegionLabel(
@@ -346,9 +347,8 @@ def threshold_scan(gamma: float = 1.0, mu_lo: float = 3.0, mu_hi: float = 8.0,
     if not has_root.any():
         raise ValueError("no binding threshold inside the scanned mu range")
     appearance = float(mus[int(np.argmax(has_root))])
-    g = 1.0 + gamma
     cand_pub = binding_thresholds(gamma, ConstantsSource.PUBLISHED).t_s
-    cand_comp = math.pi * g / (4.0 - math.pi)
+    cand_comp = binding_thresholds(gamma, ConstantsSource.COMPUTED).t_s
     nearest = (ConstantsSource.PUBLISHED
                if abs(appearance - cand_pub) < abs(appearance - cand_comp)
                else ConstantsSource.COMPUTED)

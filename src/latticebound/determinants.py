@@ -58,7 +58,7 @@ from scipy.special import elliprd, elliprf, elliprj
 
 from .core import ModelParams, TorusPoint, edges_closed, pair_amplitudes
 from .errors import DomainError
-from .integrals import Side, watson_integrals
+from .integrals import Side
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -249,19 +249,9 @@ def secular_entries(z: float, K: TorusPoint, params: ModelParams, *,
 def secular_det(z: float, K: TorusPoint, params: ModelParams) -> float:
     """Determinant of the secular matrix I + G J(z) at fiber K.
 
-    Zero fiber takes the fast path through the five scalar moments; the
-    determinant comes from LAPACK's pivoted LU factorization.
+    J comes from :func:`secular_entries` at every fiber, at the distance from
+    z to the band edges of :func:`edges_closed`; the determinant comes from
+    LAPACK's pivoted LU factorization.
     """
-    if K.p1 == 0.0 and K.p2 == 0.0:
-        s = watson_integrals(z, params.gamma)
-        b2 = _SQRT2 * s.b
-        j = np.array([
-            [s.a, b2, b2, 0.0, 0.0],
-            [b2, 2 * s.c, 2 * s.e, 0.0, 0.0],
-            [b2, 2 * s.e, 2 * s.c, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 2 * s.f, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 2 * s.f],
-        ])
-    else:
-        j = secular_entries(z, K, params)
+    j = secular_entries(z, K, params)
     return float(np.linalg.det(np.eye(5) + interaction_weights(params)[:, None] * j))

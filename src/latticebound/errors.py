@@ -10,7 +10,7 @@ class ToleranceError(RuntimeError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when a root scan exceeds its function-evaluation budget."""
+    """Raised when the grid oracle's window needs a mesh longer than oracle.MESH_LIMIT."""
 
 
 class GramMatrixError(ArithmeticError):

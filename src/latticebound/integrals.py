@@ -273,8 +273,3 @@ def predicted_asymptote(which: str, side: Side, gamma: float,
     return EdgeAsymptotics(side=side, log_slope=slope, offset=off,
                            source=ConstantsSource.COMPUTED)
 
-
-def calibrate_edge_constants(gamma: float) -> dict[tuple[str, Side], EdgeAsymptotics]:
-    """The computed edge models of all five moments on both sides."""
-    return {(which, side): predicted_asymptote(which, side, gamma)
-            for which in "abcef" for side in Side}

@@ -47,13 +47,16 @@ import numpy as np
 
 from .core import Band, ModelParams, TorusPoint
 from .determinants import interaction_weights
-from .spectrum import (Eigenvalue, FactorKind, Sector, SpectrumReport,
-                       _Budget, _threshold_count, count_jump_scan)
+from .errors import BudgetExceeded
+from .spectrum import (FactorKind, Sector, SpectrumReport, _delta_mesh_size, _placed, _Root,
+                       _search_window, _threshold_count, count_jump_scan)
 from .integrals import Side
 
 TWO_PI = 2.0 * math.pi
 _SQRT2 = math.sqrt(2.0)
 CLUSTER_GAP = 1e-8   # dense eigenvalues this close merge into one state
+GRID_FLOOR = 1e-11   # smallest distance the oracle evaluates
+MESH_LIMIT = 20000   # most mesh distances one side of an oracle call evaluates
 
 # mode i is axis1[_AXIS1[i]] * axis2[_AXIS2[i]] over the axis functions
 # (1, sqrt2 cos, sqrt2 sin); _PRODUCT[s, t] numbers the six unordered
@@ -142,37 +145,34 @@ class GridModel:
 def _grid_report(model: GridModel, found: dict[Side, list[tuple[float, int]]],
                  ) -> SpectrumReport:
     band = model.band
-    out: dict[Side, tuple[Eigenvalue, ...]] = {}
-    for side, items in found.items():
-        edge = band.e_min if side is Side.BELOW else band.e_max
-        sgn = -1.0 if side is Side.BELOW else 1.0
-        evs = [Eigenvalue(z=edge + sgn * d, multiplicity=m, sector=Sector.MIXED,
-                          factor=FactorKind.GENERAL)
-               for d, m in items]
-        evs.sort(key=lambda ev: ev.z)
-        out[side] = tuple(evs)
+    roots = {side: [_Root(d, FactorKind.GENERAL, Sector.MIXED, m) for d, m in items]
+             for side, items in found.items()}
     return SpectrumReport(K=model.K, params=model.params, band=band,
-                          below=out[Side.BELOW], above=out[Side.ABOVE])
+                          below=_placed(roots[Side.BELOW], lambda d: band.e_min - d),
+                          above=_placed(roots[Side.ABOVE], lambda d: band.e_max + d))
 
 
-def oracle_counts(K: TorusPoint, params: ModelParams, n: int = 256,
-                  budget: int = 20000) -> SpectrumReport:
+def oracle_counts(K: TorusPoint, params: ModelParams, n: int = 256) -> SpectrumReport:
     """Bound states of the grid model through its 5x5 secular matrix.
 
     Uses the same curve-counting scheme as the continuum solver but against
     the discrete band edges; discrete level repulsion keeps all roots at
     power-law distances from the edge, so no asymptotic pending logic is
-    needed (the mesh floor of 1e-11 resolves everything).  Both sides count
-    below the band, the side above at (-lam, -mu) through the grid mirror,
-    and share one memo of Gram matrices per call, keyed by the distance d
-    that :meth:`GridModel.secular` takes.
+    needed (the mesh floor of 1e-11 resolves everything).  A window whose
+    mesh would exceed MESH_LIMIT distances raises :class:`BudgetExceeded`
+    up front.  Both sides count below the band, the side above at (-lam,
+    -mu) through the grid mirror, and share one memo of Gram matrices per
+    call, keyed by the distance d that :meth:`GridModel.secular` takes.
     """
+    window = _search_window(params.lam, params.mu)
+    if _delta_mesh_size(window, GRID_FLOOR) > MESH_LIMIT:
+        raise BudgetExceeded(f"grid oracle: the window {window:.6g} needs a mesh of "
+                             f"more than {MESH_LIMIT} distances per side")
     model = GridModel.build(K, params, n)
     band = model.band
     gvec = interaction_weights(params)
     if params.lam == 0.0 and params.mu == 0.0:
         return _grid_report(model, {Side.BELOW: [], Side.ABOVE: []})
-    window = abs(params.lam) + 2.0 * abs(params.mu) + 1.0
     jmemo: dict[float, np.ndarray] = {}
 
     def jmat(d: float) -> np.ndarray:
@@ -183,10 +183,9 @@ def oracle_counts(K: TorusPoint, params: ModelParams, n: int = 256,
     found: dict[Side, list[tuple[float, int]]] = {}
     for side, g, edge in ((Side.BELOW, gvec, band.e_min),
                           (Side.ABOVE, -gvec, band.e_max)):
-        b = _Budget(budget, f"grid curve scan ({side.value})")
         found[side] = count_jump_scan(
             lambda d, g=g: _threshold_count(jmat(d), g)[0],
-            window, 1e-11, 1e-12 * (1.0 + abs(edge)), b)
+            window, GRID_FLOOR, 1e-12 * (1.0 + abs(edge)))
     return _grid_report(model, found)
 
 
@@ -207,8 +206,7 @@ def dense_validate(K: TorusPoint, params: ModelParams, n: int = 32) -> SpectrumR
     below = ev[ev < band.e_min - margin_lo]
     above = ev[ev > band.e_max + margin_hi]
 
-    def cluster(vals: np.ndarray, side: Side) -> list[tuple[float, int]]:
-        edge = band.e_min if side is Side.BELOW else band.e_max
+    def cluster(vals: np.ndarray, edge: float) -> list[tuple[float, int]]:
         out: list[tuple[float, int]] = []
         for v in vals:
             d = abs(v - edge)
@@ -218,8 +216,8 @@ def dense_validate(K: TorusPoint, params: ModelParams, n: int = 32) -> SpectrumR
                 out.append((d, 1))
         return out
 
-    return _grid_report(model, {Side.BELOW: cluster(below, Side.BELOW),
-                                Side.ABOVE: cluster(above, Side.ABOVE)})
+    return _grid_report(model, {Side.BELOW: cluster(below, band.e_min),
+                                Side.ABOVE: cluster(above, band.e_max)})
 
 
 def minimax_values(K: TorusPoint, params: ModelParams, n: int = 128,

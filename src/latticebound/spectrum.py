@@ -59,13 +59,14 @@ from scipy.optimize.elementwise import find_root
 from .core import ORIGIN, Band, ModelParams, TorusPoint, band_edges, pair_amplitudes
 from .determinants import (FactorKind, GramBlocks, factor_value, gram_blocks,
                            interaction_weights, slope_below)
-from .errors import BudgetExceeded, GramMatrixError, ToleranceError
-from .integrals import (EdgeAsymptotics, IntegralSet, Side, _reduced_integrals_array,
-                        predicted_asymptote, watson_integrals_at)
+from .errors import GramMatrixError, ToleranceError
+from .integrals import (IntegralSet, Side, _reduced_integrals_array, predicted_asymptote,
+                        watson_integrals_at)
 
 MESH_FLOOR = 1e-10
 MESH_COARSE = 0.25   # step of the oracle mesh beyond distance 1
 MERGE_TOL = 1e-9
+PINNED_MIN = 1e-13   # pinned roots sit at least this far from the edge
 _SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
 
@@ -111,7 +112,12 @@ class SpectrumReport:
 
 
 # ---------------------------------------------------------------------------
-# budgets and the crossing engine
+# the search window and the crossing engine
+
+
+def _search_window(lam, mu):
+    """|lam| + 2|mu| + 1, floats or arrays: no state binds deeper than the interaction norm."""
+    return abs(lam) + 2.0 * abs(mu) + 1.0
 
 
 def _delta_mesh(delta_max: float, floor: float = MESH_FLOOR) -> np.ndarray:
@@ -130,21 +136,15 @@ def _delta_mesh(delta_max: float, floor: float = MESH_FLOOR) -> np.ndarray:
     return np.array(vals)
 
 
-class _Budget:
-    def __init__(self, limit: int, what: str) -> None:
-        self.limit = limit
-        self.used = 0
-        self.what = what
-
-    def spend(self, n: int = 1) -> None:
-        self.used += n
-        if self.used > self.limit:
-            raise BudgetExceeded(
-                f"{self.what}: exceeded {self.limit} function evaluations")
+def _delta_mesh_size(delta_max: float, floor: float) -> float:
+    """Length of :func:`_delta_mesh`, to within two points, with no loop: beyond
+    about 4.5e15 the mesh never ends, because there d - MESH_COARSE == d."""
+    coarse = max((delta_max - 1.0) / MESH_COARSE, 1.0)
+    return coarse + math.log2(min(delta_max, 1.0) / floor) + 1.0
 
 
 def _curve_crossings(curves: Callable[[float], Sequence[float]], floor: float,
-                     window: float, budget: _Budget) -> list[float]:
+                     window: float, what: str) -> list[float]:
     """Distances in [floor, window] where ascending curves cross -1.
 
     ``curves(d)`` returns the curves at distance d, sorted ascending.
@@ -152,9 +152,12 @@ def _curve_crossings(curves: Callable[[float], Sequence[float]], floor: float,
     exactly once on [floor, window] for each k from the count at the window
     to the count at the floor, and nowhere else.  Each crossing is solved by
     Brent's method in t = ln d, from the tightest bracket that the distances
-    evaluated so far give curve k.  Every distance is evaluated once and
-    paid for from ``budget``.  Returns one distance per crossing; the
-    crossings of a multiple root are merged by :func:`_merge_found`.
+    evaluated so far give curve k.  Every distance is evaluated once, the
+    two ends and at most 100 Brent iterations per crossing, whose bracket
+    ends are known: at most 2 + 100 n for n crossings.  A crossing that
+    does not converge raises :class:`ToleranceError` naming ``what``.
+    Returns one distance per crossing; the crossings of a multiple root are
+    merged by :func:`_merge_found`.
     """
     lo, hi = math.log(floor), math.log(window)
     ends = {lo: floor, hi: window}
@@ -162,7 +165,6 @@ def _curve_crossings(curves: Callable[[float], Sequence[float]], floor: float,
 
     def at(t: float) -> Sequence[float]:
         if t not in memo:
-            budget.spend()
             memo[t] = curves(ends[t] if t in ends else math.exp(t))
         return memo[t]
 
@@ -173,7 +175,7 @@ def _curve_crossings(curves: Callable[[float], Sequence[float]], floor: float,
         t, res = brentq(lambda t: at(t)[k] + 1.0, t_lo, t_hi, xtol=1e-15,
                         rtol=4 * _EPS, full_output=True, disp=False)
         if not res.converged:
-            raise ToleranceError(f"{budget.what}: curve {k} crossing did not "
+            raise ToleranceError(f"{what}: curve {k} crossing did not "
                                  f"converge in {res.iterations} iterations")
         roots.append(ends[t] if t in ends else math.exp(t))
     return roots
@@ -183,39 +185,47 @@ def _curve_crossings(curves: Callable[[float], Sequence[float]], floor: float,
 # edge models for the zero-fiber factors
 
 
-def _pending_root(kind: FactorKind, params: ModelParams,
-                  models: dict[str, EdgeAsymptotics],
-                  floor_value: float) -> float | None:
-    """Distance of a not-yet-bracketed root between the mesh floor and the edge.
+def _main_even_edge(gamma: float) -> SimpleNamespace:
+    """Edge models of a, b, c and e below the band: offsets by name, log slope as ``slope``."""
+    models = {q: predicted_asymptote(q, Side.BELOW, gamma) for q in "abce"}
+    offsets = {q: m.offset for q, m in models.items()}
+    return SimpleNamespace(slope=models["a"].log_slope, **offsets)
 
-    ``models`` holds the computed edge models of a, b, c and e below the
-    band.  Only the main even factor diverges at the edge, and with
-    c + e = 2b it is exactly affine in L = -ln d: alpha + s*S-*L, alpha the
-    factor at the model offsets, s the log slope and S- the coupling
-    combination of :func:`slope_below`.  A root is pending when the limiting
-    sign, that of s*S-, differs from the measured floor sign, and it sits at
-    d = exp(alpha / (s*S-)).  Returns None when the model already disagrees
-    with the measured floor sign (untrustworthy regime, e.g. on a region
-    boundary), when S- vanishes to the rounding of its terms (on the
+
+def _pending_root(params: ModelParams, edge: SimpleNamespace,
+                  floor: IntegralSet) -> list[_Root]:
+    """The main even root between the mesh floor and the edge, if one is pending.
+
+    ``edge`` holds the :func:`_main_even_edge` models and ``floor`` the
+    moments at the mesh floor.  Only the main even factor diverges at the
+    edge, and with c + e = 2b it is exactly affine in L = -ln d:
+    alpha + s*S-*L, alpha the factor at the model offsets, s their slope
+    and S- the coupling combination of :func:`slope_below`.  A root is
+    pending when the limiting sign, that of s*S-, differs from the measured
+    floor sign, and it sits at d = exp(alpha / (s*S-)), reported pinned and
+    clamped to PINNED_MIN.  Returns no root when the model already
+    disagrees with the measured floor sign (untrustworthy regime, e.g. on a
+    region boundary), when S- vanishes to the rounding of its terms (on the
     hyperbola the root has merged with the edge, and the sign of S- is
     rounding noise) or when no crossing is pending.
     """
-    if kind is not FactorKind.MAIN_EVEN or floor_value == 0.0:
-        return None
+    floor_value = factor_value(FactorKind.MAIN_EVEN, floor, params)
+    if floor_value == 0.0:
+        return []
     s_minus = slope_below(params)
     lam, mu = abs(params.lam), abs(params.mu)
     if abs(s_minus) <= 8.0 * _EPS * (2.0 * mu + lam + lam * mu / params.g):
-        return None
-    offsets = SimpleNamespace(**{q: m.offset for q, m in models.items()})
-    alpha = factor_value(kind, offsets, params)
-    beta = models["a"].log_slope * s_minus
+        return []
+    alpha = factor_value(FactorKind.MAIN_EVEN, edge, params)
+    beta = edge.slope * s_minus
     floor_sign = math.copysign(1.0, floor_value)
     m_floor = alpha - beta * math.log(MESH_FLOOR)
     if m_floor == 0.0 or math.copysign(1.0, m_floor) != floor_sign:
-        return None
+        return []
     if math.copysign(1.0, beta) == floor_sign:
-        return None
-    return math.exp(alpha / beta)
+        return []
+    d = max(math.exp(alpha / beta), PINNED_MIN)
+    return [_Root(d, *_ZERO_FIBER_FACTORS[0], pinned=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +298,14 @@ def _factor_curves(kind: FactorKind, s, params: ModelParams) -> tuple[float, ...
     return (small, big) if small <= big else (big, small)
 
 
-def _k0_below(params: ModelParams, models: dict[str, EdgeAsymptotics],
-              window: float, budget: int,
+def _k0_below(params: ModelParams, edge: SimpleNamespace, window: float,
               memo: dict[float, IntegralSet]) -> list[_Root]:
     """Roots of the three zero-fiber factors below the band, merged.
 
-    Each factor's block gets one pass of :func:`_curve_crossings`.
-    ``memo`` maps a distance to its moments below the band; it is filled
-    here and must only be shared between calls at the same gamma.
+    Each factor's block gets one pass of :func:`_curve_crossings`, the main
+    even factor also :func:`_pending_root`.  ``memo`` maps a distance to its
+    moments below the band; it is filled here and must only be shared
+    between calls at the same gamma.
     """
     def moments(d: float) -> IntegralSet:
         if d not in memo:
@@ -304,40 +314,33 @@ def _k0_below(params: ModelParams, models: dict[str, EdgeAsymptotics],
 
     found = []
     for kind, sector, mult in _ZERO_FIBER_FACTORS:
-        b = _Budget(budget, f"{kind.value} curve root search")
         crossings = _curve_crossings(lambda d: _factor_curves(kind, moments(d), params),
-                                     MESH_FLOOR, window, b)
+                                     MESH_FLOOR, window, f"{kind.value} curve root search")
         found += [_Root(d, kind, sector, mult) for d in crossings]
-        floor_value = factor_value(kind, moments(MESH_FLOOR), params)
-        pend = _pending_root(kind, params, models, floor_value)
-        if pend is not None:
-            found.append(_Root(max(pend, 1e-13), kind, sector, mult, pinned=True))
-    return _merge_found(found)
+    return _merge_found(found + _pending_root(params, edge, moments(MESH_FLOOR)))
 
 
-def spectrum_k0(params: ModelParams, budget: int = 10000) -> SpectrumReport:
+def spectrum_k0(params: ModelParams) -> SpectrumReport:
     """Full discrete spectrum at zero fiber via the factored determinant.
 
     Roots of the three factors are found below the band at (lam, mu) and at
-    (-lam, -mu), the latter mirrored above it, within the window
-    |z - edge| <= |lam| + 2|mu| + 1 (no bound state can bind deeper than the
-    interaction norm allows).  Coincident roots are merged with summed
-    multiplicity; odd-factor roots carry multiplicity 2.  The moments are
-    closed forms, so no tolerance applies.  Both sides share one memo of
-    moments per call; ``budget`` bounds the curve evaluations per factor
-    and side.
+    (-lam, -mu), the latter mirrored above it, within |z - edge| <= |lam| +
+    2|mu| + 1.  Coincident roots are merged with summed multiplicity;
+    odd-factor roots carry multiplicity 2.  The moments are closed forms, so
+    no tolerance applies, and :func:`_curve_crossings` bounds the work.
+    Both sides share one memo of moments per call.
     """
-    k0 = TorusPoint(0.0, 0.0)
-    band = band_edges(k0, params)
+    band = band_edges(ORIGIN, params)
     if params.lam == 0.0 and params.mu == 0.0:
-        return SpectrumReport(K=k0, params=params, band=band, below=(), above=())
-    models = {q: predicted_asymptote(q, Side.BELOW, params.gamma) for q in "abce"}
-    window = abs(params.lam) + 2.0 * abs(params.mu) + 1.0
+        return SpectrumReport(K=ORIGIN, params=params, band=band, below=(), above=())
+    edge = _main_even_edge(params.gamma)
+    window = _search_window(params.lam, params.mu)
     memo: dict[float, IntegralSet] = {}
-    below = _k0_below(params, models, window, budget, memo)
-    above = _k0_below(_mirrored(params), models, window, budget, memo)
+    below = _k0_below(params, edge, window, memo)
+    above = _k0_below(_mirrored(params), edge, window, memo)
     hi = 4.0 * params.g
-    return SpectrumReport(K=k0, params=params, band=band, below=_placed(below, lambda d: -d),
+    return SpectrumReport(K=ORIGIN, params=params, band=band,
+                          below=_placed(below, lambda d: -d),
                           above=_placed(above, lambda d: hi + d))
 
 
@@ -386,7 +389,7 @@ def spectra_k0(gamma: float, lams: Sequence[float],
              for p in params]
     g, floor = 1.0 + gamma, watson_integrals_at(Side.BELOW, MESH_FLOOR, gamma)
     lam, mu = np.array(list(problems)).T
-    window = np.abs(lam) + 2.0 * np.abs(mu) + 1.0
+    window = _search_window(lam, mu)
     eta_floor = _curves_array(lam, mu, floor.as_array()[:, None])
     eta_window = _curves_array(lam, mu, _reduced_integrals_array(window / g) / g)
     # one crossing per curve (row) of a problem that is below -1 at the
@@ -412,20 +415,15 @@ def spectra_k0(gamma: float, lams: Sequence[float],
                                         distance(res.x, t_hi, ends).tolist(),
                                         res.success.tolist(), res.status.tolist(),
                                         res.nit.tolist()):
-        kind, sector, mult = _CURVE_ROWS[r]
         if ok:
-            found[p].append(_Root(d, kind, sector, mult))
+            found[p].append(_Root(d, *_CURVE_ROWS[r]))
         else:
             failed[p] = ToleranceError(
-                f"{kind.value} curve crossing below the band at (lam, mu) = "
+                f"{_CURVE_ROWS[r][0].value} curve crossing below the band at (lam, mu) = "
                 f"({lam[p]}, {mu[p]}) did not converge (status {status}) in {nit} iterations")
-    models = {q: predicted_asymptote(q, Side.BELOW, gamma) for q in "abce"}
-    kind, sector, mult = _CURVE_ROWS[0]
+    edge = _main_even_edge(gamma)
     for (lam_p, mu_p), p in problems.items():
-        q = ModelParams(gamma, lam_p, mu_p)
-        pend = _pending_root(kind, q, models, factor_value(kind, floor, q))
-        if pend is not None:
-            found[p].append(_Root(max(pend, 1e-13), kind, sector, mult, pinned=True))
+        found[p] += _pending_root(ModelParams(gamma, lam_p, mu_p), edge, floor)
     roots = [_merge_found(f) for f in found]
     band, hi = band_edges(ORIGIN, ModelParams(gamma)), 4.0 * g
     reports: list[SpectrumReport | ToleranceError] = []
@@ -483,7 +481,7 @@ def _fiber_curves(K: TorusPoint, params: ModelParams, d: float,
 
 
 def count_jump_scan(nfun: Callable[[float], int], delta_max: float, floor: float,
-                    width_tol: float, budget: _Budget) -> list[tuple[float, int]]:
+                    width_tol: float) -> list[tuple[float, int]]:
     """Locate jumps of an integer-valued function of the edge distance.
 
     Returns (distance, |jump|) pairs; segments whose endpoints agree are
@@ -493,10 +491,7 @@ def count_jump_scan(nfun: Callable[[float], int], delta_max: float, floor: float
     :func:`spectrum_general` locates its roots with :func:`_curve_crossings`.
     """
     mesh = _delta_mesh(delta_max, floor)
-    ns = []
-    for d in mesh:
-        budget.spend()
-        ns.append(nfun(float(d)))
+    ns = [nfun(float(d)) for d in mesh]
     roots = []
     stack = [(float(mesh[i]), ns[i], float(mesh[i + 1]), ns[i + 1])
              for i in range(len(mesh) - 1)]
@@ -509,7 +504,6 @@ def count_jump_scan(nfun: Callable[[float], int], delta_max: float, floor: float
             continue
         mid = math.sqrt(d_hi * d_lo) if d_hi / max(d_lo, 1e-300) > 4.0 \
             else 0.5 * (d_hi + d_lo)
-        budget.spend()
         n_mid = nfun(mid)
         stack.append((d_hi, n_hi, mid, n_mid))
         stack.append((mid, n_mid, d_lo, n_lo))
@@ -523,21 +517,16 @@ def _degenerate_spectrum(K: TorusPoint, params: ModelParams, band: Band) -> Spec
         cands.append((e + params.lam, 1))
     if params.mu != 0.0:
         zmu = e + 0.5 * params.mu
-        merged = False
         if cands and abs(cands[0][0] - zmu) <= MERGE_TOL:
             cands[0] = (cands[0][0], cands[0][1] + 4)
-            merged = True
-        if not merged:
+        else:
             cands.append((zmu, 4))
-    below, above = [], []
-    for z, m in cands:
-        ev = Eigenvalue(z=z, multiplicity=m, sector=Sector.MIXED,
-                        factor=FactorKind.GENERAL)
-        (below if z < e else above).append(ev)
-    below.sort(key=lambda ev: ev.z)
-    above.sort(key=lambda ev: ev.z)
+    evs = sorted((Eigenvalue(z=z, multiplicity=m, sector=Sector.MIXED,
+                             factor=FactorKind.GENERAL) for z, m in cands),
+                 key=lambda ev: ev.z)
     return SpectrumReport(K=K, params=params, band=band,
-                          below=tuple(below), above=tuple(above))
+                          below=tuple(ev for ev in evs if ev.z < e),
+                          above=tuple(ev for ev in evs if ev.z >= e))
 
 
 # R^T u, the rank-one edge slope of J in the rotated frame, on the even block;
@@ -588,7 +577,7 @@ def _pending_count(K: TorusPoint, params: ModelParams, even_floor: np.ndarray) -
     return int((det_floor > 0.0) == (det_bordered > 0.0))
 
 
-def _general_below(K: TorusPoint, params: ModelParams, window: float, budget: int,
+def _general_below(K: TorusPoint, params: ModelParams, window: float,
                    memo: dict[float, GramBlocks]) -> list[_Root]:
     """Roots below the band at fiber K, one per crossing of a curve.
 
@@ -601,17 +590,15 @@ def _general_below(K: TorusPoint, params: ModelParams, window: float, budget: in
             memo[d] = gram_blocks(K, params.gamma, d)
         return memo[d]
 
-    b = _Budget(budget, "curve root search")
     crossings = _curve_crossings(lambda d: _fiber_curves(K, params, d, blocks(d)),
-                                 MESH_FLOOR, window, b)
+                                 MESH_FLOOR, window, "curve root search")
     pend = _pending_count(K, params, blocks(MESH_FLOOR)[0])
     found = [_Root(d, FactorKind.GENERAL, Sector.MIXED, 1) for d in crossings]
-    found += [_Root(1e-13, FactorKind.GENERAL, Sector.MIXED, 1, pinned=True)] * pend
+    found += [_Root(PINNED_MIN, FactorKind.GENERAL, Sector.MIXED, 1, pinned=True)] * pend
     return _merge_found(found)
 
 
-def spectrum_general(K: TorusPoint, params: ModelParams,
-                     budget: int = 10000) -> SpectrumReport:
+def spectrum_general(K: TorusPoint, params: ModelParams) -> SpectrumReport:
     """Discrete spectrum at an arbitrary fiber.
 
     Counts the Birman-Schwinger curves below -1 at the mesh floor and at
@@ -620,17 +607,17 @@ def spectrum_general(K: TorusPoint, params: ModelParams,
     root of their number's multiplicity.  Roots between the mesh floor and
     the edge are counted from the edge limit of the Gram matrix (see
     :func:`_pending_count`).  Both sides share one memo of Gram-matrix
-    blocks per call; ``budget`` bounds the curve evaluations per side.
+    blocks per call; :func:`_curve_crossings` bounds the work.
     """
     band = band_edges(K, params)
     if band.degenerate:
         return _degenerate_spectrum(K, params, band)
     if params.lam == 0.0 and params.mu == 0.0:
         return SpectrumReport(K=K, params=params, band=band, below=(), above=())
-    window = abs(params.lam) + 2.0 * abs(params.mu) + 1.0
+    window = _search_window(params.lam, params.mu)
     memo: dict[float, GramBlocks] = {}
-    below = _general_below(K, params, window, budget, memo)
-    above = _general_below(K, _mirrored(params), window, budget, memo)
+    below = _general_below(K, params, window, memo)
+    above = _general_below(K, _mirrored(params), window, memo)
     return SpectrumReport(K=K, params=params, band=band,
                           below=_placed(below, lambda d: band.e_min - d),
                           above=_placed(above, lambda d: band.e_max + d))

@@ -237,6 +237,12 @@ def test_oracle_command(capsys):
     assert "below (4)" in capsys.readouterr().out
 
 
+def test_oracle_window_too_wide_is_a_numerical_failure(capsys):
+    # its mesh would never end; the window check fails it at once
+    assert main(["oracle", "--lambda", "1e17", "--N", "16"]) == 3
+    assert "numerical failure: grid oracle" in capsys.readouterr().err
+
+
 def test_oracle_rejects_an_odd_grid(capsys):
     assert main(["oracle", "--N", "65"]) == 2
     assert "grid_N" in capsys.readouterr().err

@@ -10,9 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from latticebound import spectrum
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
-from latticebound.oracle import (GridModel, dense_validate, minimax_values,
-                                 oracle_counts)
+from latticebound.errors import BudgetExceeded
+from latticebound.oracle import (GRID_FLOOR, MESH_LIMIT, GridModel, dense_validate,
+                                 minimax_values, oracle_counts)
 from latticebound.spectrum import spectrum_general, spectrum_k0
 
 
@@ -114,6 +116,39 @@ def test_grid_refinement_reaches_frozen_positions():
     for n in (128, 256):
         rep = oracle_counts(ORIGIN, params, n=n)
         assert rep.below[0].z == pytest.approx(deepest, abs=5e-7)
+
+
+@pytest.mark.parametrize("lam", [1e5, 1e17])
+def test_too_wide_a_window_fails_before_any_grid_work(monkeypatch, lam):
+    # the mesh of a 1e5 window has about 400,000 distances per side; the
+    # check reads its length in closed form, so no mesh, grid or secular
+    # matrix is built.  Beyond about 4.5e15 the mesh itself never ends
+    calls = []
+    for name in ("build", "secular"):
+        inner = GridModel.__dict__[name]
+        fn = inner.__func__ if isinstance(inner, classmethod) else inner
+
+        def counting(*args, fn=fn, name=name):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(GridModel, name, classmethod(counting)
+                            if isinstance(inner, classmethod) else counting)
+    monkeypatch.setattr(spectrum, "_delta_mesh", lambda *args: calls.append("mesh"))
+    with pytest.raises(BudgetExceeded, match="more than 20000"):
+        oracle_counts(TorusPoint(0.4, 1.3), ModelParams(1.0, lam, 0.0), n=16)
+    assert calls == []
+
+
+def test_mesh_size_in_closed_form():
+    # the closed-form length against the mesh itself, from the narrowest
+    # window to past the limit
+    for window in [0.3, 1.0, 1.1, 1.25, 1.2500001, 1.3, 2.0, 37.0, 37.123,
+                   4990.0, 4991.0, 4992.625, 5000.0]:
+        size = spectrum._delta_mesh_size(window, GRID_FLOOR)
+        assert abs(size - len(spectrum._delta_mesh(window, GRID_FLOOR))) < 2.0, window
+    assert spectrum._delta_mesh_size(4990.0, GRID_FLOOR) <= MESH_LIMIT
+    assert spectrum._delta_mesh_size(5000.0, GRID_FLOOR) > MESH_LIMIT
 
 
 def test_grid_size_limits():

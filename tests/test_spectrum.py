@@ -16,7 +16,7 @@ import pytest
 
 from latticebound import integrals, spectrum
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
-from latticebound.errors import BudgetExceeded, GramMatrixError, ToleranceError
+from latticebound.errors import GramMatrixError, ToleranceError
 from latticebound.determinants import (factor_value, gram_blocks, interaction_weights,
                                        secular_entries)
 from latticebound.integrals import Side, watson_integrals_at
@@ -98,11 +98,6 @@ def test_odd_double_eigenvalue():
     assert ev.sector is Sector.ODD
     assert ev.factor is FactorKind.ODD
     assert ev.z == pytest.approx(9.617496, abs=2e-6)
-
-
-def test_spectrum_budget():
-    with pytest.raises(BudgetExceeded):
-        spectrum_k0(ModelParams(1.0, 1.0, 10.0), budget=2)
 
 
 def test_degenerate_fiber_closed_form():
@@ -310,18 +305,20 @@ def test_even_block_that_is_not_positive_definite_is_a_typed_error(monkeypatch):
         spectrum_general(K, params)
 
 
-def test_general_budget():
-    with pytest.raises(BudgetExceeded):
-        spectrum_general(TorusPoint(1.0, 0.5), ModelParams(1.0, 6.0, 10.0), budget=3)
-
-
 # ---------------------------------------------------------------------------
 # the crossing engine on synthetic sorted curves
 
 
-def _crossings(curves, budget=100):
-    b = spectrum._Budget(budget, "synthetic")
-    return spectrum._curve_crossings(curves, spectrum.MESH_FLOOR, 10.0, b), b.used
+def _crossings(curves):
+    """The crossings of ``curves`` on [MESH_FLOOR, 10], and the number of
+    distances the engine evaluated."""
+    used = []
+
+    def counted(d):
+        used.append(d)
+        return curves(d)
+
+    return spectrum._curve_crossings(counted, spectrum.MESH_FLOOR, 10.0, "synthetic"), len(used)
 
 
 def _log_curve(d0, slope):
@@ -355,6 +352,42 @@ def test_crossings_next_to_the_floor():
     c = _log_curve(d0, 0.01)
     roots, _ = _crossings(lambda d: np.array([-5.0, c(d), 0.0]))
     assert roots == [pytest.approx(d0, rel=1e-13, abs=0.0)]
+
+
+def test_curve_passes_stay_within_their_bound(monkeypatch):
+    # with no budget to stop it, a pass is bounded by its structure: the two
+    # ends, then at most 100 Brent iterations per crossing curve; the draws
+    # span couplings from 1e-9 to 1e12 and include R1 R2 = 0 fibers
+    passes = []
+    inner = spectrum._curve_crossings
+
+    def counting(curves, floor, window, what):
+        used = []
+
+        def counted(d):
+            used.append(d)
+            return curves(d)
+
+        roots = inner(counted, floor, window, what)
+        passes.append((len(used), len(roots)))
+        return roots
+
+    monkeypatch.setattr(spectrum, "_curve_crossings", counting)
+    rng = np.random.default_rng(41)
+    for i in range(48):
+        gamma = float(rng.uniform(0.2, 4.0))
+        lam, mu = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-9.0, 12.0, 2)
+        lam, mu = (0.0 if i % 8 == 3 else lam), (0.0 if i % 8 == 5 else mu)
+        params = ModelParams(gamma, float(lam), float(mu))
+        k = rng.uniform(-math.pi, math.pi, 2)
+        if i % 6 == 0:
+            params, k[i % 2] = ModelParams(1.0, params.lam, params.mu), math.pi
+        spectrum_k0(params)
+        spectrum_general(TorusPoint(float(k[0]), float(k[1])), params)
+    assert len(passes) >= 48 * 8
+    assert any(n for _, n in passes)
+    for used, crossings in passes:
+        assert used <= 2 + 100 * crossings
 
 
 def test_crossing_that_does_not_converge_is_a_tolerance_error(monkeypatch):
