@@ -16,11 +16,12 @@ the exact edge limits this package computes (`ConstantsSource`).  The two
 disagree about t_s by a factor of two; `threshold_scan` measures which one
 the operator actually obeys.
 
-Sign-condition conventions: the default ("mirrored") uses sign conditions
-on S+ that mirror the S- family, which is what direct diagonalization
-confirms; the alternative ("printed") keeps the swapped plus-side sign
-conditions found in circulating statements of the count table and is
-retained for side-by-side comparison only.
+The shift p -> p + (pi, pi) maps the count above the band at (lam, mu) to
+the count below it at (-lam, -mu), and S+(lam, mu) = -S-(-lam, -mu), so the
+plus family is the minus family read at (-lam, -mu).  Circulating
+statements of the count table swap the plus-side sign conditions on S+;
+that reading predicts 5 states above the band at (lam, mu) = (1, 10), where
+direct diagonalization and the grid oracle find 4.
 
 Sweeps solve every K = 0 point of the grid in-process as one batch
 (`spectrum.spectra_k0`); a worker pool serves only the general-fiber
@@ -43,7 +44,6 @@ from .integrals import (ConstantsSource, Side, predicted_asymptote,
                         watson_integrals_at)
 from .spectrum import SpectrumReport, spectra_k0, spectrum_general
 
-CONVENTIONS = ("mirrored", "printed")
 BOUNDARY_TOL = 1e-12   # distance from a defining equality that labels "b"
 
 
@@ -95,9 +95,6 @@ class RegionLabel:
     d_region: str
     c_plus: str
     c_minus: str
-    gamma: float
-    source: ConstantsSource
-    convention: str
     s_plus: float
     s_minus: float
     thresholds: Thresholds
@@ -113,51 +110,42 @@ def _axis_region(mu: float, t: float, stem: str) -> str:
     return stem
 
 
-def _c_family(s_val: float, mu: float, g: float, plus: bool) -> str:
-    """Coupled-even cell from the sign of S+- and of mu -+ g.
-
-    Plus family (above the band): C0 = {S+ < 0, mu < g}, C1 = {S+ > 0},
-    C2 = {S+ < 0, mu > g}; the minus family is the mu -> -mu, S- > 0 mirror.
-    Boundary resolution follows closure precedence C0 -> C1 -> C2.
-    """
-    sgn = "+" if plus else "-"
-    inner = s_val < 0.0 if plus else s_val > 0.0   # the C0/C2 side of S=0
-    outer_mu = mu > g + BOUNDARY_TOL if plus else mu < -g - BOUNDARY_TOL
-    if abs(s_val) <= BOUNDARY_TOL:
-        return f"C1{sgn}b" if outer_mu else f"C0{sgn}b"
+def _c_family(s_minus: float, mu: float, g: float, sign: str) -> str:
+    """Coupled-even cell below the band, suffixed with ``sign``: C0 = {S- > 0,
+    mu > -g}, C1 = {S- < 0}, C2 = {S- > 0, mu < -g}.  Boundary resolution
+    follows closure precedence C0 -> C1 -> C2."""
+    inner = s_minus > 0.0   # the C0/C2 side of S- = 0
+    outer_mu = mu < -g - BOUNDARY_TOL
+    if abs(s_minus) <= BOUNDARY_TOL:
+        return f"C1{sign}b" if outer_mu else f"C0{sign}b"
     if not inner:
-        return f"C1{sgn}"
+        return f"C1{sign}"
     if outer_mu:
-        return f"C2{sgn}"
-    near_g = abs(mu - g if plus else mu + g) <= BOUNDARY_TOL
-    return f"C0{sgn}b" if near_g else f"C0{sgn}"
+        return f"C2{sign}"
+    return f"C0{sign}b" if abs(mu + g) <= BOUNDARY_TOL else f"C0{sign}"
 
 
 def classify(params: ModelParams,
-             source: ConstantsSource = ConstantsSource.COMPUTED,
-             convention: str = "mirrored") -> RegionLabel:
+             source: ConstantsSource = ConstantsSource.COMPUTED) -> RegionLabel:
     """Place (lam, mu) in the three region families.
 
     The thresholds t_s and t_d come from the edge constants of ``source``.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    return _classify(params, binding_thresholds(params.gamma, source), convention)
+    return _classify(params, binding_thresholds(params.gamma, source))
 
 
-def _classify(params: ModelParams, thr: Thresholds, convention: str) -> RegionLabel:
+def _classify(params: ModelParams, thr: Thresholds) -> RegionLabel:
     """:func:`classify` with the thresholds given, as a sweep computes them once."""
     g = params.g
     s_plus = 2.0 * params.mu + params.lam - params.lam * params.mu / g
     s_minus = slope_below(params)
-    # the printed plus-side table carries the opposite S+ sign conditions
-    eff_plus = s_plus if convention == "mirrored" else -s_plus
     return RegionLabel(
         s_region=_axis_region(params.mu, thr.t_s, "S0"),
         d_region=_axis_region(params.mu, thr.t_d, "D0"),
-        c_plus=_c_family(eff_plus, params.mu, g, True),
-        c_minus=_c_family(s_minus, params.mu, g, False),
-        gamma=params.gamma, source=thr.source, convention=convention,
+        # above the band: the minus family at (-lam, -mu), where S- = -S+
+        # exactly, because rounding to nearest is symmetric
+        c_plus=_c_family(-s_plus, -params.mu, g, "+"),
+        c_minus=_c_family(s_minus, params.mu, g, "-"),
         s_plus=s_plus, s_minus=s_minus, thresholds=thr,
     )
 
@@ -250,11 +238,10 @@ def _general_point(task: tuple) -> SpectrumReport | Exception:
 
 
 def _sweep_row(lam: float, mu: float, gamma: float, K: TorusPoint,
-               rep: SpectrumReport | Exception, thr: Thresholds,
-               convention: str) -> SweepRow:
+               rep: SpectrumReport | Exception, thr: Thresholds) -> SweepRow:
     if isinstance(rep, NUMERICAL_ERRORS):
         return _failed_row(lam, mu, gamma, K, rep)
-    label = _classify(rep.params, thr, convention)
+    label = _classify(rep.params, thr)
     pred = predicted_counts(label)
     nb, na = rep.n_below, rep.n_above
     if K == ORIGIN:
@@ -284,7 +271,7 @@ def sweep(lam_range: tuple[float, float], mu_range: tuple[float, float],
           step: float, gamma: float = 1.0,
           K_list: Sequence[TorusPoint] = (ORIGIN,),
           source: ConstantsSource = ConstantsSource.COMPUTED,
-          convention: str = "mirrored", workers: int = 1) -> list[SweepRow]:
+          workers: int = 1) -> list[SweepRow]:
     """Evaluate prediction vs computation over a coupling grid.
 
     Rows come back in row-major order (lam outer, mu inner, then K_list
@@ -294,8 +281,6 @@ def sweep(lam_range: tuple[float, float], mu_range: tuple[float, float],
     K = 0 points are solved in-process as one batch; with ``workers > 1``
     the pool serves the other fibers.  The thresholds are built once.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
     thr = binding_thresholds(gamma, source)
     points = [(lam, mu, K) for lam in _axis_values(*lam_range, step)
               for mu in _axis_values(*mu_range, step) for K in K_list]
@@ -309,7 +294,7 @@ def sweep(lam_range: tuple[float, float], mu_range: tuple[float, float],
             chunk = max(1, len(tasks) // (workers * 8))
             general = list(pool.map(_general_point, tasks, chunksize=chunk))
     reps = iter(at_zero), iter(general)
-    return [_sweep_row(lam, mu, gamma, K, next(reps[K != ORIGIN]), thr, convention)
+    return [_sweep_row(lam, mu, gamma, K, next(reps[K != ORIGIN]), thr)
             for lam, mu, K in points]
 
 

@@ -40,7 +40,6 @@ class RunConfig:
     K: tuple[float, float] = (0.0, 0.0)
     grid_N: int = 256
     constants_source: ConstantsSource = ConstantsSource.COMPUTED
-    convention: str = "mirrored"
     lambda_range: tuple[float, float] | None = None
     mu_range: tuple[float, float] | None = None
     step: float | None = None
@@ -64,8 +63,6 @@ class RunConfig:
             raise ValidationError("must be at least 16", "grid_N")
         if self.grid_N % 2:
             raise ValidationError("must be even", "grid_N")
-        if self.convention not in atlas.CONVENTIONS:
-            raise ValidationError("must be 'mirrored' or 'printed'", "convention")
         if self.step is not None and self.step <= 0.0:
             raise ValidationError("must be positive", "step")
         for rng, name in ((self.lambda_range, "lambda_range"),
@@ -123,8 +120,6 @@ _SETTINGS = {
     "grid_N": ("--N", "grid_N", int, "oracle grid size, even, at least 16"),
     "constants_source": ("--source", "constants_source", _parse_source,
                          "edge-constant source: published or computed"),
-    "convention": ("--convention", "convention", str.strip,
-                   "sign conventions: " + " or ".join(atlas.CONVENTIONS)),
     "lambda_range": ("--lambda-range", "lambda_range", _parse_range, "LO:HI"),
     "mu_range": ("--mu-range", "mu_range", _parse_range, "LO:HI"),
     "step": ("--step", "step", float, "grid step of both ranges"),
@@ -255,7 +250,7 @@ def _cmd_integrals(cfg: RunConfig, z: float | None, side: str | None,
         s = watson_integrals_at(Side(side), delta, cfg.gamma)
     for name in "abcef":
         print(f"{name} = {_fmt(getattr(s, name))}")
-    print(f"z = {_fmt(s.z)}  est_error = {s.est_error:.2e}")
+    print(f"z = {_fmt(s.z)}")
     return 0
 
 
@@ -282,13 +277,13 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def _cmd_classify(cfg: RunConfig) -> int:
-    label = atlas.classify(_params(cfg), cfg.constants_source, cfg.convention)
+    label = atlas.classify(_params(cfg), cfg.constants_source)
     pred = atlas.predicted_counts(label)
     thr = label.thresholds
     print(f"regions: {label.s_region} {label.d_region} {label.c_plus} "
           f"{label.c_minus}   (S+ = {_fmt(label.s_plus)}, "
           f"S- = {_fmt(label.s_minus)})")
-    print(f"thresholds ({label.source.value}): t_s = {_fmt(thr.t_s)}, "
+    print(f"thresholds ({thr.source.value}): t_s = {_fmt(thr.t_s)}, "
           f"t_d = {_fmt(thr.t_d)}")
     print(f"predicted at K=0: below = {pred.n_below_k0}, "
           f"above = {pred.n_above_k0}")
@@ -306,8 +301,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     rows = atlas.sweep(cfg.lambda_range, cfg.mu_range, cfg.step,
                        gamma=cfg.gamma,
                        K_list=[TorusPoint(*k) for k in cfg.K_list],
-                       source=cfg.constants_source,
-                       convention=cfg.convention, workers=cfg.workers)
+                       source=cfg.constants_source, workers=cfg.workers)
     if cfg.out:
         emit_csv(rows, cfg.out)
         n_bad = sum(1 for r in rows if not r.agree)
@@ -336,9 +330,9 @@ def _check(name: str, ok: bool, detail: str = "") -> tuple[str, bool, str]:
     return name, ok, detail
 
 
-def _verify(quick: bool) -> int:
+def _verify() -> int:
     checks: list[tuple[str, bool, str]] = []
-    gammas = (1.0,) if quick else (0.5, 1.0, 2.0)
+    gammas = (0.5, 1.0, 2.0)
 
     # moment identities on both sides; the moments against the plain grid sum
     worst = excess = 0.0
@@ -380,8 +374,8 @@ def _verify(quick: bool) -> int:
                     below = ModelParams(gamma, sign * lam, sign * mu)
                     curves = spectrum._fiber_curves(K, below, d, blocks)
                     ref = spectrum._threshold_count(sign * mean, interaction_weights(below))[1]
-                    worst_curves = max(worst_curves, float(np.max(np.abs(curves - ref))
-                                                           / np.max(np.abs(ref))))
+                    err = np.max(np.abs(np.subtract(curves, ref))) / np.max(np.abs(ref))
+                    worst_curves = max(worst_curves, float(err))
     checks.append(_check("Gram matrix vs grid sum", worst < 1e-12,
                          f"worst {worst:.2e} of max|J|, bound 1e-12"))
     checks.append(_check("general-fiber curves vs grid sum", worst_curves < 1e-12,
@@ -413,19 +407,18 @@ def _verify(quick: bool) -> int:
         checks.append(_check(f"counts at ({lam:g},{mu:g})", ok,
                              f"{rep.n_below}/{rep.n_above} expected {nb}/{na}"))
 
-    if not quick:
-        # continuum vs discrete oracle
-        for lam, mu in ((1.0, 10.0), (0.0, -12.0)):
-            params = ModelParams(1.0, lam, mu)
-            orep = oracle.oracle_counts(TorusPoint(0.0, 0.0), params, n=128)
-            crep = spectrum_k0(params)
-            ok = (orep.n_below, orep.n_above) == (crep.n_below, crep.n_above)
-            checks.append(_check(f"grid oracle agreement ({lam:g},{mu:g})", ok))
-        # general-fiber path against the zero-fiber path
-        params = ModelParams(1.0, 6.0, 10.0)
-        grep = spectrum_general(TorusPoint(1.0, 0.5), params)
-        checks.append(_check("top-region count at K=(1,0.5)",
-                             grep.n_above == 5, f"{grep.n_above}"))
+    # continuum vs discrete oracle
+    for lam, mu in ((1.0, 10.0), (0.0, -12.0)):
+        params = ModelParams(1.0, lam, mu)
+        orep = oracle.oracle_counts(TorusPoint(0.0, 0.0), params, n=128)
+        crep = spectrum_k0(params)
+        ok = (orep.n_below, orep.n_above) == (crep.n_below, crep.n_above)
+        checks.append(_check(f"grid oracle agreement ({lam:g},{mu:g})", ok))
+    # general-fiber path against the zero-fiber path
+    params = ModelParams(1.0, 6.0, 10.0)
+    grep = spectrum_general(TorusPoint(1.0, 0.5), params)
+    checks.append(_check("top-region count at K=(1,0.5)",
+                         grep.n_above == 5, f"{grep.n_above}"))
 
     failed = [c for c in checks if not c[1]]
     print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
@@ -444,31 +437,34 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key = value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # no abbreviations: sweep must not read --K, --lambda or --mu as a
+    # prefix of --K-list, --lambda-range or --mu-range
     def command(name: str, text: str, *keys: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
         for key in keys:
             flag, dest, conv, help_text = _SETTINGS[key]
             p.add_argument(flag, dest=dest, type=conv, default=None, help=help_text)
         return p
 
-    fiber = ("gamma", "K", "constants_source")
-    coupled = ("gamma", "lambda", "mu", "K", "constants_source")
-    command("edges", "band interval of one fiber", *fiber)
-    p_int = command("integrals", "resolvent moments at an energy", *fiber)
+    # each command takes only the settings it reads; --source steers the
+    # predictions of classify and sweep and nothing else
+    fiber = ("gamma", "lambda", "mu", "K")
+    command("edges", "band interval of one fiber", "gamma", "K")
+    p_int = command("integrals", "resolvent moments at an energy", "gamma")
     p_int.add_argument("--z", type=float, default=None)
     p_int.add_argument("--side", choices=[s.value for s in Side], default=None)
     p_int.add_argument("--delta", type=float, default=None)
-    p_det = command("det", "secular determinant factors", *coupled)
+    p_det = command("det", "secular determinant factors", *fiber)
     p_det.add_argument("--z", type=float, required=True)
-    command("spectrum", "bound states of one fiber", *coupled)
-    command("classify", "coupling-plane region and counts", *coupled, "convention")
-    command("sweep", "grid sweep to CSV", *coupled, "lambda_range", "mu_range",
-            "step", "K_list", "workers", "out", "convention")
-    p_orc = command("oracle", "discrete-grid reference spectrum", *coupled, "grid_N")
+    command("spectrum", "bound states of one fiber", *fiber)
+    command("classify", "coupling-plane region and counts", "gamma", "lambda", "mu",
+            "constants_source")
+    command("sweep", "grid sweep to CSV", "gamma", "constants_source", "lambda_range",
+            "mu_range", "step", "K_list", "workers", "out")
+    p_orc = command("oracle", "discrete-grid reference spectrum", *fiber, "grid_N")
     p_orc.add_argument("--dense", action="store_true",
                        help="full dense eigensolve instead of the secular scan")
-    p_ver = sub.add_parser("verify", help="run the self-check suite")
-    p_ver.add_argument("--quick", action="store_true")
+    sub.add_parser("verify", help="run the self-check suite")
     return parser
 
 
@@ -493,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         if args.command == "verify":
-            return _verify(args.quick)
+            return _verify()
         cfg = _merge_config(args)
         if args.command == "edges":
             return _cmd_edges(cfg)

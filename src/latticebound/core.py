@@ -107,10 +107,16 @@ def pair_amplitudes(K: TorusPoint, gamma: float) -> tuple[float, float, float, f
 
 
 def edges_closed(K: TorusPoint, params: ModelParams) -> tuple[float, float]:
-    """Band endpoints from the amplitude form: sum_i (g -/+ R_i)."""
+    """Band endpoints from the amplitude form: sum_i (g -/+ R_i).
+
+    g - R_i = 4*gamma*sin^2(K_i/2) / (g + R_i) has no cancellation, so the
+    lower edge is exactly 0 at K = 0; the upper edge is 4g minus it.
+    """
     g = params.g
     r1, r2, _, _ = pair_amplitudes(K, params.gamma)
-    return (g - r1) + (g - r2), (g + r1) + (g + r2)
+    lo = sum(4.0 * params.gamma * math.sin(0.5 * k) ** 2 / (g + r)
+             for k, r in ((K.p1, r1), (K.p2, r2)))
+    return lo, 4.0 * g - lo
 
 
 @dataclass(frozen=True)

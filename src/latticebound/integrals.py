@@ -54,8 +54,7 @@ class ConstantsSource(Enum):
 
 @dataclass(frozen=True)
 class IntegralSet:
-    """The five resolvent moments at a common energy; ``est_error`` bounds
-    their rounding error (64 ulp of a, the largest moment)."""
+    """The five resolvent moments at a common energy."""
 
     a: float
     b: float
@@ -63,7 +62,6 @@ class IntegralSet:
     e: float
     f: float
     z: float
-    est_error: float
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c, self.e, self.f])
@@ -80,7 +78,6 @@ class EdgeAsymptotics:
     side: Side
     log_slope: float
     offset: float
-    source: ConstantsSource
 
     def value_at(self, delta: float) -> float:
         ln = math.log(delta)
@@ -101,7 +98,6 @@ _SERIES = np.array([_KJ[:-1], _KJ[1:] / 2,
                     _KJ[:-1] * (2 * _J * (_J + 1) + 1) / (2 * (_J + 1) ** 2),
                     _KJ[1:] * (_J + 1) / (_J + 2),
                     _KJ[:-1] * (2 * _J + 1) / (2 * (_J + 1) ** 2)])
-_ROUNDING = 64.0 * sys.float_info.epsilon
 
 
 def _reduced_integrals(t: float) -> tuple[float, float, float, float, float]:
@@ -167,12 +163,12 @@ def watson_integrals_at(side: Side, delta: float, gamma: float) -> IntegralSet:
     if side is not Side.BELOW:
         s = watson_integrals_at(Side.BELOW, delta, gamma)
         return IntegralSet(a=-s.a, b=s.b, c=-s.c, e=-s.e, f=-s.f,
-                           z=4.0 * g + delta, est_error=s.est_error)
+                           z=4.0 * g + delta)
     if not (delta / g >= sys.float_info.min) or not math.isfinite(delta):
         raise DomainError(f"distance to the band edge must be at least "
                           f"{g * sys.float_info.min:.3g} (delta/g normal), got {delta}")
     a, b, c, e, f = (v / g for v in _reduced_integrals(delta / g))
-    return IntegralSet(a=a, b=b, c=c, e=e, f=f, z=-delta, est_error=_ROUNDING * a)
+    return IntegralSet(a=a, b=b, c=c, e=e, f=f, z=-delta)
 
 
 def watson_integrals(z: float, gamma: float) -> IntegralSet:
@@ -198,25 +194,15 @@ def watson_integrals_grid(z: float, gamma: float, n: int = 256) -> IntegralSet:
     g = 1.0 + gamma
     if 0.0 <= z <= 4.0 * g:
         raise DomainError(f"z = {z} lies inside the closed band [0, {4.0 * g}]")
-
-    def moments(m: int) -> np.ndarray:
-        q = -PI + 2.0 * PI * np.arange(m) / m
-        p1, p2 = np.meshgrid(q, q, indexing="ij")
-        den = g * ((1.0 - np.cos(p1)) + (1.0 - np.cos(p2))) - z
-        inv = 1.0 / den
-        c1 = np.cos(p1)
-        return np.array([
-            inv.mean(),
-            (c1 * inv).mean(),
-            (c1 * c1 * inv).mean(),
-            (c1 * np.cos(p2) * inv).mean(),
-            ((1.0 - c1 * c1) * inv).mean(),
-        ])
-
-    v = moments(n)
-    err = float(np.max(np.abs(v - moments(n // 2))))
-    a, b, c, e, f = v.tolist()
-    return IntegralSet(a=a, b=b, c=c, e=e, f=f, z=z, est_error=err)
+    q = -PI + 2.0 * PI * np.arange(n) / n
+    p1, p2 = np.meshgrid(q, q, indexing="ij")
+    den = g * ((1.0 - np.cos(p1)) + (1.0 - np.cos(p2))) - z
+    inv = 1.0 / den
+    c1 = np.cos(p1)
+    return IntegralSet(a=float(inv.mean()), b=float((c1 * inv).mean()),
+                       c=float((c1 * c1 * inv).mean()),
+                       e=float((c1 * np.cos(p2) * inv).mean()),
+                       f=float(((1.0 - c1 * c1) * inv).mean()), z=z)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +226,7 @@ def published_asymptote(which: str, side: Side, gamma: float) -> EdgeAsymptotics
     off = offsets_below[which]
     if side is Side.ABOVE:
         off = -off
-    return EdgeAsymptotics(side=side, log_slope=slope, offset=off,
-                           source=ConstantsSource.PUBLISHED)
+    return EdgeAsymptotics(side=side, log_slope=slope, offset=off)
 
 
 def predicted_asymptote(which: str, side: Side, gamma: float,
@@ -270,6 +255,5 @@ def predicted_asymptote(which: str, side: Side, gamma: float,
     if side is Side.ABOVE:
         parity = 1.0 if which == "b" else -1.0
         slope, off = -parity * slope, parity * off
-    return EdgeAsymptotics(side=side, log_slope=slope, offset=off,
-                           source=ConstantsSource.COMPUTED)
+    return EdgeAsymptotics(side=side, log_slope=slope, offset=off)
 

@@ -46,6 +46,7 @@ pinned at 1e-13.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
@@ -442,21 +443,19 @@ def spectra_k0(gamma: float, lams: Sequence[float],
 # general fiber: eigenvalue-curve counting
 
 
-def _threshold_count(j: np.ndarray, gvec: np.ndarray) -> tuple[int, np.ndarray]:
-    """Number of Birman-Schwinger curves below -1, and the curve values.
+def _threshold_count(j: np.ndarray, gvec: Sequence[float]) -> tuple[int, list[float]]:
+    """Number of Birman-Schwinger curves below -1, and the ascending curves.
 
-    The curves are the eigenvalues of L^T G L with J = L L^T, which holds
-    below the band.  Above it pass (-J, -G).  Serves the grid oracle only,
-    whose Gram matrix has no parity split in the rotated frame (the grid is
-    not invariant under the phase rotation); :func:`spectrum_general` reads
-    its curves from the blocks with :func:`_fiber_curves`.
+    The curves are the eigenvalues of L^T G L with J = L L^T (one Cholesky
+    factorization and one symmetric eigensolve), G = diag(``gvec``), which
+    holds below the band.  Above it pass (-J, -G).  A J that is not positive
+    definite raises :class:`GramMatrixError`.
     """
-    w, v = np.linalg.eigh(j)
-    sq = np.sqrt(np.maximum(w, 0.0))
-    core = v.T @ (gvec[:, None] * v)
-    a = sq[:, None] * core * sq[None, :]
-    eta = np.linalg.eigvalsh(a)
-    return int(np.sum(eta < -1.0)), eta
+    chol, info = dpotrf(j, lower=1)
+    if info:
+        raise GramMatrixError(f"Gram matrix is not positive definite (leading minor {info})")
+    eta = dsyevd((chol.T * gvec) @ chol, compute_v=0)[0].tolist()
+    return bisect_left(eta, -1.0), eta
 
 
 def _fiber_curves(K: TorusPoint, params: ModelParams, d: float,
@@ -465,19 +464,18 @@ def _fiber_curves(K: TorusPoint, params: ModelParams, d: float,
 
     ``blocks`` is the :func:`gram_blocks` split (even, s1, s2) of J.  G is a
     scalar on each rotated mode pair, so the curves of J are those of the
-    blocks: mu/2 s1, mu/2 s2 and the eigenvalues of L^T diag(lam, mu/2,
-    mu/2) L with even = L L^T.  An even block that is not positive definite
-    raises :class:`GramMatrixError`.
+    blocks: mu/2 s1, mu/2 s2 and the :func:`_threshold_count` curves of the
+    even block with weights diag(lam, mu/2, mu/2).  An even block that is
+    not positive definite raises :class:`GramMatrixError`.
     """
     even, s1, s2 = blocks
-    chol, info = dpotrf(even, lower=1)
-    if info:
-        raise GramMatrixError(
-            f"Gram matrix below the band at K = ({K.p1}, {K.p2}), gamma = "
-            f"{params.gamma}, d = {d} is not positive definite (leading minor {info})")
     half_mu = 0.5 * params.mu
-    core = (chol.T * (params.lam, half_mu, half_mu)) @ chol
-    return sorted(dsyevd(core, compute_v=0)[0].tolist() + [half_mu * s1, half_mu * s2])
+    try:
+        eta = _threshold_count(even, (params.lam, half_mu, half_mu))[1]
+    except GramMatrixError as exc:
+        raise GramMatrixError(f"below the band at K = ({K.p1}, {K.p2}), gamma = "
+                              f"{params.gamma}, d = {d}: {exc}") from None
+    return sorted(eta + [half_mu * s1, half_mu * s2])
 
 
 def count_jump_scan(nfun: Callable[[float], int], delta_max: float, floor: float,

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from latticebound import atlas, spectrum
-from latticebound.atlas import (CONVENTIONS, _axis_values, binding_thresholds,
-                                classify, predicted_counts, sweep,
-                                threshold_scan)
+from latticebound.atlas import (_axis_values, binding_thresholds, classify,
+                                predicted_counts, sweep, threshold_scan)
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
 from latticebound.errors import DomainError
 from latticebound.integrals import ConstantsSource
@@ -75,16 +74,39 @@ def test_predicted_parts_and_exactness():
     assert pred.lower_bound_above_k == 5
 
 
-def test_printed_convention_flips_the_plus_family_only():
-    mirrored = classify(ModelParams(1.0, 1.0, 10.0))
-    printed = classify(ModelParams(1.0, 1.0, 10.0), convention="printed")
-    assert mirrored.c_plus == "C1+"
-    assert printed.c_plus == "C2+"
-    assert printed.c_minus == mirrored.c_minus
-    assert printed.s_region == mirrored.s_region
-    with pytest.raises(ValueError):
-        classify(ModelParams(1.0, 1.0, 1.0), convention="bogus")
-    assert set(CONVENTIONS) == {"mirrored", "printed"}
+def _flip(label: str) -> str:
+    return label.translate(str.maketrans("+-", "-+"))
+
+
+def _sides(pred):
+    return ((pred.n_below_k0, pred.parts_below, pred.lower_bound_below_k,
+             pred.exact_below_all_k),
+            (pred.n_above_k0, pred.parts_above, pred.lower_bound_above_k,
+             pred.exact_above_all_k))
+
+
+@pytest.mark.parametrize("source", list(ConstantsSource))
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_labels_and_counts_mirror_under_negated_couplings(gamma, source):
+    # p -> p + (pi, pi) maps the states above the band at (lam, mu) to those
+    # below it at (-lam, -mu): labels, S+- and predicted counts mirror bit
+    # for bit, on the plane grid, on mu = +-g and on the hyperbolas S+- = 0
+    g = 1.0 + gamma
+    axis = _axis_values(-12.0, 12.0, 0.5)
+    points = [(lam, mu) for lam in axis for mu in axis]
+    points += [(lam, sign * g) for lam in axis for sign in (1.0, -1.0)]
+    points += [(2.0 * mu / (mu / g - 1.0), mu) for mu in axis if mu != g]      # S+ = 0
+    points += [(-2.0 * mu / (1.0 + mu / g), mu) for mu in axis if mu != -g]    # S- = 0
+    boundary = 0
+    for lam, mu in points:
+        a = classify(ModelParams(gamma, lam, mu), source)
+        b = classify(ModelParams(gamma, -lam, -mu), source)
+        assert (b.s_region, b.d_region) == (_flip(a.s_region), _flip(a.d_region))
+        assert (b.c_plus, b.c_minus) == (_flip(a.c_minus), _flip(a.c_plus)), (lam, mu)
+        assert (b.s_plus, b.s_minus) == (-a.s_minus, -a.s_plus)
+        assert _sides(predicted_counts(b)) == _sides(predicted_counts(a))[::-1]
+        boundary += a.c_plus.endswith("b") + a.c_minus.endswith("b")
+    assert boundary >= 2 * (len(axis) - 1)     # each point of S+- = 0 is one
 
 
 HYPERBOLA_POINTS = [

@@ -24,7 +24,9 @@ def test_parse_config_fills_defaults():
     assert cfg.grid_N == 256
     assert cfg.workers == 1
     assert cfg.constants_source is ConstantsSource.COMPUTED
-    assert cfg.convention == "mirrored"
+    # the count table has one reading, so no key selects a convention
+    with pytest.raises(ParseError, match="unknown key 'convention'"):
+        parse_config("convention = printed\n")
 
 
 def test_empty_config_is_all_defaults():
@@ -142,7 +144,7 @@ def test_integrals_command(capsys):
     assert main(["integrals", "--z", "-1.0"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("a = ")
-    assert "est_error" in out
+    assert "z = -1\n" in out
 
 
 def test_integrals_side_delta_form(capsys):
@@ -197,17 +199,33 @@ def test_spectrum_command(capsys):
     assert "below: none" in out
 
 
-def test_spectrum_does_not_depend_on_the_constants_source(capsys):
+def test_spectrum_rejects_the_constants_source(capsys):
     # a pinned state just below the band: the published table once moved it
-    # (to -5.3e-12 instead of -9.3e-12); the spectrum is the operator's alone
+    # (to -5.3e-12 instead of -9.3e-12); the spectrum is the operator's alone,
+    # so the command takes no constants source
     fiber = ["spectrum", "--gamma", "2.5005130961117974",
              "--lambda", "8.014728996633973", "--mu", "-2.286876893573355"]
-    printed = []
-    for source in ("published", "computed"):
-        assert main(fiber + ["--source", source]) == 0
-        printed.append(capsys.readouterr().out)
-    assert "(edge-model)" in printed[1]
-    assert printed[0] == printed[1]
+    assert main(fiber) == 0
+    assert "(edge-model)" in capsys.readouterr().out
+    assert main(fiber + ["--source", "published"]) == 2
+    assert "unrecognized arguments: --source published" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["edges", "--source", "published"],
+    ["integrals", "--z", "-1", "--source", "published"],
+    ["det", "--z", "9", "--source", "published"],
+    ["spectrum", "--source", "published"],
+    ["oracle", "--source", "published"],
+    ["integrals", "--z", "-1", "--K", "1,0.5"],   # the moments are K = 0 only
+    ["classify", "--K", "1,0.5"],                 # the regions do not depend on K
+    ["sweep", "--K", "1,0.5"],                    # a sweep reads --K-list,
+    ["sweep", "--lambda", "1"],                   # --lambda-range
+    ["sweep", "--mu", "1"],                       # and --mu-range
+])
+def test_flags_that_the_command_does_not_read_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
 
 
 def test_spectrum_rejects_bad_gamma(capsys):
@@ -300,13 +318,15 @@ def test_source_alias_and_rejection(capsys):
                  "--source", "bogus"]) == 2
 
 
-def test_verify_quick(capsys):
-    assert main(["verify", "--quick"]) == 0
+def test_verify(capsys):
+    assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "[ok]" in out and "[FAIL]" not in out
-    assert "checks passed" in out
+    assert "16/16 checks passed" in out
     # the closed-form moments and the general-fiber curves against
     # independent grid sums
     lines = out.splitlines()
     assert any(line.startswith("[ok] moments vs grid sum") for line in lines)
     assert any(line.startswith("[ok] general-fiber curves vs grid sum") for line in lines)
+    # every check always runs: there is no shorter mode
+    assert main(["verify", "--quick"]) == 2

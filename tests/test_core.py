@@ -98,6 +98,15 @@ def test_band_at_zero_fiber():
         assert not band.degenerate
 
 
+def test_zero_fiber_edges_are_exact():
+    # g - R_i is computed without cancellation, so at K = 0 the edges are
+    # exactly 0 and 4g, not off by a rounding of R_i = g
+    for gamma in np.random.default_rng(1).uniform(0.05, 20.0, 300).tolist():
+        band = band_edges(ORIGIN, ModelParams(gamma=gamma))
+        assert (band.e_min, band.e_max) == (0.0, 4.0 * (1.0 + gamma))
+        assert edges_closed(ORIGIN, ModelParams(gamma=gamma)) == (0.0, 4.0 * (1.0 + gamma))
+
+
 def test_degenerate_corner():
     # equal masses at the corner fiber: the dispersion is identically 4
     band = band_edges(TorusPoint(math.pi, math.pi), ModelParams(gamma=1.0))

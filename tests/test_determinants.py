@@ -110,6 +110,27 @@ def test_factorization_product_matches_full_determinant():
         assert full == pytest.approx(parts, rel=1e-9, abs=1e-12)
 
 
+def test_zero_fiber_determinant_matches_its_factors_next_to_the_edge():
+    # secular_det reads the distance from z against the band edges; at K = 0
+    # the lower edge is exactly 0, so d = -z keeps every digit down to the
+    # 1e-10 floor (a lower edge off by one rounding moved det by 6e-7 there).
+    # Above the band z = 4g + d cannot carry d, so only the side below runs
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for _ in range(3000):
+        gamma = float(rng.uniform(0.2, 4.0))
+        lam, mu = (float(x) for x in rng.uniform(-12.0, 12.0, 2))
+        params = ModelParams(gamma, lam, mu)
+        z = -float(np.exp(rng.uniform(math.log(1e-10), math.log(30.0))))
+        s = watson_integrals(z, gamma)
+        parts = (factor_value(FactorKind.MAIN_EVEN, s, params)
+                 * factor_value(FactorKind.SUB_EVEN, s, params)
+                 * factor_value(FactorKind.ODD, s, params) ** 2)
+        err = abs(secular_det(z, ORIGIN, params) - parts) / max(1.0, abs(parts))
+        worst = max(worst, err)
+    assert worst <= 1e-11
+
+
 def test_odd_factor_is_a_perfect_square():
     # the odd channel contributes twice: its determinant factor is
     # (1 + mu*f)^2, so it touches zero at a double root instead of changing sign
