@@ -23,9 +23,12 @@ statements of the count table swap the plus-side sign conditions on S+;
 that reading predicts 5 states above the band at (lam, mu) = (1, 10), where
 direct diagonalization and the grid oracle find 4.
 
-Sweeps solve every K = 0 point of the grid in-process as one batch
-(`spectrum.spectra_k0`); a worker pool serves only the general-fiber
-points, because a whole batched plane costs less than starting one worker.
+Sweeps solve every K = 0 point of the grid in-process as one batch and
+build its rows straight from the batch's one-sided roots
+(`spectrum._k0_batch`), with no report per point; labels and counts are
+computed once per grid point and shared by its fibers.  A worker pool
+serves only the general-fiber points, because a whole batched plane costs
+less than starting one worker.
 """
 
 from __future__ import annotations
@@ -38,11 +41,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import ModelParams, TorusPoint, ORIGIN
-from .determinants import slope_below
 from .errors import NUMERICAL_ERRORS
 from .integrals import (ConstantsSource, Side, predicted_asymptote,
                         watson_integrals_at)
-from .spectrum import SpectrumReport, spectra_k0, spectrum_general
+from .spectrum import _k0_batch, spectrum_general
 
 BOUNDARY_TOL = 1e-12   # distance from a defining equality that labels "b"
 
@@ -125,20 +127,20 @@ def _c_family(s_minus: float, mu: float, g: float, sign: str) -> str:
     return f"C0{sign}b" if abs(mu + g) <= BOUNDARY_TOL else f"C0{sign}"
 
 
+def _slopes(lam, mu, g):
+    """S+ and S- at (lam, mu), floats or arrays alike."""
+    return 2.0 * mu + lam - lam * mu / g, 2.0 * mu + lam + lam * mu / g
+
+
 def classify(params: ModelParams,
              source: ConstantsSource = ConstantsSource.COMPUTED) -> RegionLabel:
     """Place (lam, mu) in the three region families.
 
     The thresholds t_s and t_d come from the edge constants of ``source``.
     """
-    return _classify(params, binding_thresholds(params.gamma, source))
-
-
-def _classify(params: ModelParams, thr: Thresholds) -> RegionLabel:
-    """:func:`classify` with the thresholds given, as a sweep computes them once."""
+    thr = binding_thresholds(params.gamma, source)
     g = params.g
-    s_plus = 2.0 * params.mu + params.lam - params.lam * params.mu / g
-    s_minus = slope_below(params)
+    s_plus, s_minus = _slopes(params.lam, params.mu, g)
     return RegionLabel(
         s_region=_axis_region(params.mu, thr.t_s, "S0"),
         d_region=_axis_region(params.mu, thr.t_d, "D0"),
@@ -228,23 +230,62 @@ def _failed_row(lam: float, mu: float, gamma: float, K: TorusPoint,
                     error=f"{type(exc).__name__}: {exc}")
 
 
-def _general_point(task: tuple) -> SpectrumReport | Exception:
-    """One general-fiber solve of a sweep; a typed numerical failure is returned."""
+def _general_point(task: tuple) -> tuple[tuple[float, ...], tuple[float, ...]] | Exception:
+    """The states below and above of one general-fiber solve of a sweep; a
+    typed numerical failure is returned."""
     lam, mu, gamma, k1, k2 = task
     try:
-        return spectrum_general(TorusPoint(k1, k2), ModelParams(gamma, lam, mu))
+        rep = spectrum_general(TorusPoint(k1, k2), ModelParams(gamma, lam, mu))
     except NUMERICAL_ERRORS as exc:
         return exc
+    return _expand(rep.below), _expand(rep.above)
 
 
-def _sweep_row(lam: float, mu: float, gamma: float, K: TorusPoint,
-               rep: SpectrumReport | Exception, thr: Thresholds) -> SweepRow:
-    if isinstance(rep, NUMERICAL_ERRORS):
-        return _failed_row(lam, mu, gamma, K, rep)
-    label = _classify(rep.params, thr)
-    pred = predicted_counts(label)
-    nb, na = rep.n_below, rep.n_above
-    if K == ORIGIN:
+def _zero_fiber_states(gamma: float, lams: Sequence[float], mus: Sequence[float]) -> list:
+    """The states below and above of every (lams[i], mus[i]) at K = 0, read
+    from the one-sided roots of :func:`spectrum._k0_batch`: -d below the
+    band and 4g + d above it, each repeated by its multiplicity.  A point
+    whose side failed to converge gets the ``ToleranceError``."""
+    batch = _k0_batch(gamma, lams, mus)
+    hi = 4.0 * (1.0 + gamma)
+    depths = [[r.d for r in roots for _ in range(r.multiplicity)] for roots in batch.roots]
+    return [batch.failure(below, above) or (tuple(sorted(-d for d in depths[below])),
+                                            tuple(sorted(hi + d for d in depths[above])))
+            for below, above in batch.sides]
+
+
+def _grid_labels(lams: list[float], mus: list[float], gamma: float,
+                 thr: Thresholds) -> list[tuple[RegionLabel, PredictedCounts]]:
+    """:func:`classify` and :func:`predicted_counts` at every (lam, mu) of
+    the grid, lam outer.  S+ and S- are computed elementwise with the
+    scalar arithmetic, the mu-axis regions once per mu, and the counts once
+    per distinct label, on which alone they depend."""
+    g = 1.0 + gamma
+    s_plus, s_minus = (a.tolist() for a in _slopes(np.array(lams)[:, None], np.array(mus), g))
+    axis = [(_axis_region(mu, thr.t_s, "S0"), _axis_region(mu, thr.t_d, "D0")) for mu in mus]
+    preds: dict[tuple[str, str, str, str], PredictedCounts] = {}
+    out = []
+    for sp_row, sm_row in zip(s_plus, s_minus):
+        for mu, regions, sp, sm in zip(mus, axis, sp_row, sm_row):
+            label = RegionLabel(*regions, c_plus=_c_family(-sp, -mu, g, "+"),
+                                c_minus=_c_family(sm, mu, g, "-"), s_plus=sp,
+                                s_minus=sm, thresholds=thr)
+            key = (*regions, label.c_plus, label.c_minus)
+            if key not in preds:
+                preds[key] = predicted_counts(label)
+            out.append((label, preds[key]))
+    return out
+
+
+def _row(lam: float, mu: float, gamma: float, K: TorusPoint, zero: bool,
+         states, label: RegionLabel, pred: PredictedCounts) -> SweepRow:
+    """One sweep row from the states below and above of one solve, or its
+    typed numerical failure; ``zero`` is K == ORIGIN."""
+    if isinstance(states, NUMERICAL_ERRORS):
+        return _failed_row(lam, mu, gamma, K, states)
+    below, above = states
+    nb, na = len(below), len(above)
+    if zero:
         agree = nb == pred.n_below_k0 and na == pred.n_above_k0
     else:
         agree = (nb >= pred.lower_bound_below_k
@@ -253,13 +294,13 @@ def _sweep_row(lam: float, mu: float, gamma: float, K: TorusPoint,
                  and (not pred.exact_above_all_k or na == 5))
     return SweepRow(lam=lam, mu=mu, gamma=gamma, K=K, label=label,
                     pred=pred, comp_below=nb, comp_above=na,
-                    eigs_below=_expand(rep.below),
-                    eigs_above=_expand(rep.above),
-                    agree=agree, error="")
+                    eigs_below=below, eigs_above=above, agree=agree, error="")
 
 
 def _axis_values(lo: float, hi: float, step: float) -> list[float]:
-    if step <= 0.0:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("sweep range must be finite")
+    if not step > 0.0:
         raise ValueError("sweep step must be positive")
     if hi < lo:
         raise ValueError("empty sweep range")
@@ -278,24 +319,32 @@ def sweep(lam_range: tuple[float, float], mu_range: tuple[float, float],
     order) regardless of worker count, so equal configurations produce
     identical tables. A point's typed numerical failure (``NUMERICAL_ERRORS``)
     lands in its row's error field; any other exception propagates.  The
-    K = 0 points are solved in-process as one batch; with ``workers > 1``
-    the pool serves the other fibers.  The thresholds are built once.
+    K = 0 points are solved in-process as one batch, once however often
+    K_list holds the origin; with ``workers > 1`` the pool serves the other
+    fibers.  The thresholds and labels are built once per grid point.  A
+    gamma that is not a positive real and a range that is not finite raise
+    ``ValueError`` before any solve.
     """
+    ModelParams(gamma)   # rejects a gamma that is not a positive real
+    lams, mus = _axis_values(*lam_range, step), _axis_values(*mu_range, step)
+    grid = [(lam, mu) for lam in lams for mu in mus]
+    # by position in K_list, not by K: TorusPoint(-0.0, 0.0) == ORIGIN
+    zero = [K == ORIGIN for K in K_list]
     thr = binding_thresholds(gamma, source)
-    points = [(lam, mu, K) for lam in _axis_values(*lam_range, step)
-              for mu in _axis_values(*mu_range, step) for K in K_list]
-    zero = [(lam, mu) for lam, mu, K in points if K == ORIGIN]
-    at_zero = spectra_k0(gamma, [lam for lam, _ in zero], [mu for _, mu in zero])
-    tasks = [(lam, mu, gamma, K.p1, K.p2) for lam, mu, K in points if K != ORIGIN]
+    at_zero = _zero_fiber_states(gamma, *zip(*grid)) if any(zero) else []
+    tasks = [(lam, mu, gamma, K.p1, K.p2) for lam, mu in grid
+             for K, z in zip(K_list, zero) if not z]
     if workers <= 1 or not tasks:
         general = [_general_point(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (workers * 8))
             general = list(pool.map(_general_point, tasks, chunksize=chunk))
-    reps = iter(at_zero), iter(general)
-    return [_sweep_row(lam, mu, gamma, K, next(reps[K != ORIGIN]), thr)
-            for lam, mu, K in points]
+    rest = iter(general)
+    return [_row(lam, mu, gamma, K, z, at_zero[i] if z else next(rest), label, pred)
+            for i, ((lam, mu), (label, pred)) in enumerate(
+                zip(grid, _grid_labels(lams, mus, gamma, thr)))
+            for K, z in zip(K_list, zero)]
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,11 @@ edge models are always the computed ones: the zero-fiber count depends on
 the operator alone, never on a table of published constants.
 
 Zero-fiber batches: the moments do not depend on (lam, mu), so
-:func:`spectra_k0` solves a whole coupling plane as one elementwise problem
-in ln d (one root finder call for every crossing of every point), for
-sweeps.  A single point keeps the scalar engine of :func:`spectrum_k0`,
+:func:`_k0_batch` solves a whole coupling plane as one elementwise problem
+in ln d (one root finder call for every crossing of every point) and
+returns the merged roots of each distinct one-sided problem.  Sweeps read
+their rows from these roots directly; :func:`spectra_k0` places them into
+reports.  A single point keeps the scalar engine of :func:`spectrum_k0`,
 which costs less than a batch of one.
 
 General fiber: J is the 5x5 Gram matrix of the modes, R blockdiag(M3, s1,
@@ -225,8 +227,13 @@ def _pending_root(params: ModelParams, edge: SimpleNamespace,
         return []
     if math.copysign(1.0, beta) == floor_sign:
         return []
-    d = max(math.exp(alpha / beta), PINNED_MIN)
-    return [_Root(d, *_ZERO_FIBER_FACTORS[0], pinned=True)]
+    return [_Root(_pinned_depth(alpha, beta), *_ZERO_FIBER_FACTORS[0], pinned=True)]
+
+
+def _pinned_depth(alpha: float, beta: float) -> float:
+    """exp(alpha / beta), clamped to PINNED_MIN.  A beta that underflowed to
+    zero (S- of order 1e-323) puts the root at the edge, its limit."""
+    return max(math.exp(alpha / beta), PINNED_MIN) if beta else PINNED_MIN
 
 
 # ---------------------------------------------------------------------------
@@ -364,32 +371,74 @@ def _curves_array(lam: np.ndarray, mu: np.ndarray, s) -> np.ndarray:
     return np.stack([np.minimum(small, big), np.maximum(small, big), mu * (c - e), mu * f])
 
 
-def spectra_k0(gamma: float, lams: Sequence[float],
-               mus: Sequence[float]) -> list[SpectrumReport | ToleranceError]:
-    """:func:`spectrum_k0` at every (lams[i], mus[i]), solved as one batch.
+def _pending_depths(gamma: float, lam: np.ndarray, mu: np.ndarray, edge: SimpleNamespace,
+                    floor: IntegralSet) -> dict[int, float]:
+    """:func:`_pending_root` over arrays of one-sided problems, as one mask.
+
+    The test reuses :func:`factor_value` and :func:`slope_below` on arrays,
+    so every problem sees the scalar arithmetic in the scalar order; the
+    pinned depth is computed with ``math.exp`` for the flagged problems
+    only, by :func:`_pinned_depth`.  Returns the depth of each problem with
+    a pending root, by index.
+    """
+    p = SimpleNamespace(lam=lam, mu=mu, g=1.0 + gamma)
+    floor_value = factor_value(FactorKind.MAIN_EVEN, floor, p)
+    s_minus = slope_below(p)
+    abs_lam, abs_mu = np.abs(lam), np.abs(mu)
+    alpha = factor_value(FactorKind.MAIN_EVEN, edge, p)
+    beta = edge.slope * s_minus
+    m_floor = alpha - beta * math.log(MESH_FLOOR)
+    negative = np.signbit(floor_value)
+    flagged = np.flatnonzero(
+        (floor_value != 0.0)
+        & (np.abs(s_minus) > 8.0 * _EPS * (2.0 * abs_mu + abs_lam + abs_lam * abs_mu / p.g))
+        & (m_floor != 0.0) & (np.signbit(m_floor) == negative)
+        & (np.signbit(beta) != negative))
+    return {i: _pinned_depth(a, b) for i, a, b in
+            zip(flagged.tolist(), alpha[flagged].tolist(), beta[flagged].tolist())}
+
+
+class _K0Batch(NamedTuple):
+    """Roots of a batch of zero-fiber points, by distinct one-sided problem."""
+
+    sides: list[tuple[int, int]]    # per point: its problems below and above
+    roots: list[list[_Root]]        # per problem: merged, ascending in d
+    failed: dict[int, ToleranceError]
+
+    def failure(self, below: int, above: int) -> ToleranceError | None:
+        """The error of a point whose problems are ``below`` and ``above``, if one failed."""
+        return self.failed.get(below) or self.failed.get(above)
+
+
+def _k0_batch(gamma: float, lams: Sequence[float], mus: Sequence[float]) -> _K0Batch:
+    """The one-sided roots of every (lams[i], mus[i]) at zero fiber, as one batch.
 
     The moments do not depend on the couplings, so the count-first scheme
     of :func:`_curve_crossings` runs on arrays: the four curves of every
-    point at the floor and at its window give each curve's crossing, and
+    problem at the floor and at its window give each curve's crossing, and
     one elementwise root finder (Chandrupatla's method in t = ln d) solves
-    all crossings at once.  Pending roots, merging and placement are those
-    of the scalar solver.  The side above at (lam, mu) is the side below at
-    (-lam, -mu), so each distinct one-sided problem is solved once.  Every
-    step is elementwise, so a point's result does not depend on the other
-    points of the batch.  A crossing that does not converge fails the
-    points whose sides need it: their entry is the ``ToleranceError``.
+    all crossings at once.  Pending roots (:func:`_pending_depths`) and
+    merging are those of the scalar solver.  The side above at (lam, mu)
+    is the side below at (-lam, -mu), so each distinct problem, with -0.0
+    read as 0.0, is solved once.  Every step is elementwise, so a problem's
+    roots do not depend on the other problems of the batch.  A crossing
+    that does not converge fails its problem with a ``ToleranceError``.
+    A gamma that is not a positive real and couplings that are not finite
+    raise ``ValueError`` before any solve.
     """
-    params = [ModelParams(gamma, lam, mu) for lam, mu in zip(lams, mus)]
-    if not params:
-        return []
-    # one-sided problem (lam, mu) -> index, with -0.0 read as 0.0; each point
-    # needs the problem below at (lam, mu) and the one above at (-lam, -mu)
-    problems: dict[tuple[float, float], int] = {}
-    sides = [(problems.setdefault((p.lam + 0.0, p.mu + 0.0), len(problems)),
-              problems.setdefault((-p.lam + 0.0, -p.mu + 0.0), len(problems)))
-             for p in params]
+    ModelParams(gamma)   # rejects a gamma that is not a positive real
+    points = np.column_stack([np.asarray(lams, dtype=float), np.asarray(mus, dtype=float)])
+    for name, col in (("lam", points[:, 0]), ("mu", points[:, 1])):
+        if not np.isfinite(col).all():
+            raise ValueError(f"{name} must be finite")
+    if not len(points):
+        return _K0Batch([], [], {})
+    # each (lam, mu) as one complex number, which np.unique sorts fast
+    problems, index = np.unique((np.concatenate([points, -points]) + 0.0).view(complex),
+                                return_inverse=True)
+    below, above = index.reshape(2, -1).tolist()
     g, floor = 1.0 + gamma, watson_integrals_at(Side.BELOW, MESH_FLOOR, gamma)
-    lam, mu = np.array(list(problems)).T
+    lam, mu = problems.real, problems.imag
     window = _search_window(lam, mu)
     eta_floor = _curves_array(lam, mu, floor.as_array()[:, None])
     eta_window = _curves_array(lam, mu, _reduced_integrals_array(window / g) / g)
@@ -422,20 +471,27 @@ def spectra_k0(gamma: float, lams: Sequence[float],
             failed[p] = ToleranceError(
                 f"{_CURVE_ROWS[r][0].value} curve crossing below the band at (lam, mu) = "
                 f"({lam[p]}, {mu[p]}) did not converge (status {status}) in {nit} iterations")
-    edge = _main_even_edge(gamma)
-    for (lam_p, mu_p), p in problems.items():
-        found[p] += _pending_root(ModelParams(gamma, lam_p, mu_p), edge, floor)
-    roots = [_merge_found(f) for f in found]
-    band, hi = band_edges(ORIGIN, ModelParams(gamma)), 4.0 * g
+    for p, d in _pending_depths(gamma, lam, mu, _main_even_edge(gamma), floor).items():
+        found[p].append(_Root(d, *_ZERO_FIBER_FACTORS[0], pinned=True))
+    return _K0Batch(list(zip(below, above)), [_merge_found(f) for f in found], failed)
+
+
+def spectra_k0(gamma: float, lams: Sequence[float],
+               mus: Sequence[float]) -> list[SpectrumReport | ToleranceError]:
+    """:func:`spectrum_k0` at every (lams[i], mus[i]), solved as one batch.
+
+    The roots come from :func:`_k0_batch` and are placed as the scalar
+    solver places them.  A point whose side failed to converge gets the
+    ``ToleranceError`` as its entry.
+    """
+    batch = _k0_batch(gamma, lams, mus)
+    band, hi = band_edges(ORIGIN, ModelParams(gamma)), 4.0 * (1.0 + gamma)
     reports: list[SpectrumReport | ToleranceError] = []
-    for p, (below, above) in zip(params, sides):
-        if below in failed or above in failed:
-            reports.append(failed.get(below) or failed[above])
-            continue
-        reports.append(SpectrumReport(
-            K=ORIGIN, params=p, band=band,
-            below=_placed(roots[below], lambda d: -d),
-            above=_placed(roots[above], lambda d: hi + d)))
+    for lam, mu, (below, above) in zip(lams, mus, batch.sides):
+        reports.append(batch.failure(below, above) or SpectrumReport(
+            K=ORIGIN, params=ModelParams(gamma, lam, mu), band=band,
+            below=_placed(batch.roots[below], lambda d: -d),
+            above=_placed(batch.roots[above], lambda d: hi + d)))
     return reports
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -293,6 +294,64 @@ def test_batch_rows_do_not_depend_on_the_batch():
               for rep in spectrum.spectra_k0(1.0, lams[i:i + 7], mus[i:i + 7])]
     assert backwards == whole
     assert sevens == whole
+
+
+# gamma = 1 on the 49x49 plane, and a random dyadic gamma on a grid of
+# step g/4 over [-4g, 4g]^2: both land exactly on lam, mu = +-g
+_DYADIC_G = 1.0 + int(np.random.default_rng(29).integers(20, 190)) / 64
+
+
+@pytest.mark.parametrize("gamma,bound,step", [
+    (1.0, 12.0, 0.5), (_DYADIC_G - 1.0, 4.0 * _DYADIC_G, _DYADIC_G / 4.0)])
+def test_zero_fiber_rows_match_classify(gamma, bound, step):
+    # the rows built from the batch roots carry the labels and counts of
+    # classify and predicted_counts, and agree exactly when the computed
+    # counts equal the predicted ones; at mu = +-g the S-+ = 0 corners
+    # (lam = -+g) take the boundary labels
+    g = 1.0 + gamma
+    rows = sweep((-bound, bound), (-bound, bound), step, gamma=gamma)
+    assert {(-g, g), (g, -g)} <= {(r.lam, r.mu) for r in rows}
+    boundary = set()
+    for r in rows:
+        label = classify(ModelParams(gamma, r.lam, r.mu))
+        pred = predicted_counts(label)
+        assert (r.label, r.pred) == (label, pred), (r.lam, r.mu)
+        assert r.agree == ((r.comp_below, r.comp_above) == (pred.n_below_k0, pred.n_above_k0))
+        if abs(r.mu) == g:
+            boundary |= {c for c in (label.c_plus, label.c_minus) if c.endswith("b")}
+    assert {"C0+b", "C0-b"} <= boundary
+
+
+def test_zero_fiber_rows_do_not_depend_on_the_fiber_list():
+    # the K = 0 rows are bit-identical whatever other fibers the sweep
+    # carries; an origin written as (-0.0, 0.0) is a zero fiber too, and
+    # its rows keep that K
+    grid = ((-3.0, 3.0), (-3.0, 3.0), 1.0)
+    alone = sweep(*grid, K_list=(ORIGIN,))
+    mixed = sweep(*grid, K_list=(ORIGIN, TorusPoint(1.0, 0.5)))
+    assert [repr(r) for r in mixed[::2]] == [repr(r) for r in alone]
+    assert all(r.K == TorusPoint(1.0, 0.5) for r in mixed[1::2])
+    signed = TorusPoint(-0.0, 0.0)
+    twice = sweep(*grid, K_list=(ORIGIN, signed))
+    assert [repr(r) for r in twice[::2]] == [repr(r) for r in alone]
+    assert [repr(r) for r in twice[1::2]] == [repr(replace(r, K=signed)) for r in alone]
+    assert math.copysign(1.0, twice[1].K.p1) == -1.0
+
+
+@pytest.mark.parametrize("gamma,lam_range,mu_range", [
+    (0.0, (1.0, 2.0), (1.0, 2.0)), (-0.5, (1.0, 2.0), (1.0, 2.0)),
+    (math.nan, (1.0, 2.0), (1.0, 2.0)), (math.inf, (1.0, 2.0), (1.0, 2.0)),
+    (1.0, (math.nan, 2.0), (1.0, 2.0)), (1.0, (-math.inf, 2.0), (1.0, 2.0)),
+    (1.0, (1.0, 2.0), (1.0, math.nan)), (1.0, (1.0, 2.0), (1.0, math.inf)),
+])
+def test_sweep_rejects_invalid_input_before_solving(monkeypatch, gamma, lam_range, mu_range):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the sweep started a solve")
+
+    monkeypatch.setattr(atlas, "_k0_batch", no_solve)
+    monkeypatch.setattr(atlas, "spectrum_general", no_solve)
+    with pytest.raises(ValueError):
+        sweep(lam_range, mu_range, 1.0, gamma=gamma, K_list=(ORIGIN, TorusPoint(1.0, 0.5)))
 
 
 def test_success_rows_have_an_empty_error():

@@ -13,6 +13,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from latticebound import integrals, spectrum
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
@@ -430,6 +432,91 @@ def test_rank_bound_on_random_draws():
 # roots between the mesh floor and the edge
 
 
+def _pending_bits(gamma, lams, mus):
+    """The pending depths of the batch mask and of the scalar test, by
+    index, as hex strings (equal strings are equal bits)."""
+    edge = spectrum._main_even_edge(gamma)
+    floor = watson_integrals_at(Side.BELOW, spectrum.MESH_FLOOR, gamma)
+    mask = spectrum._pending_depths(gamma, np.array(lams, dtype=float),
+                                    np.array(mus, dtype=float), edge, floor)
+    scalar = {}
+    for i, (lam, mu) in enumerate(zip(lams, mus)):
+        roots = spectrum._pending_root(ModelParams(gamma, lam, mu), edge, floor)
+        assert len(roots) <= 1
+        if roots:
+            assert roots[0].pinned and roots[0].factor is FactorKind.MAIN_EVEN
+            scalar[i] = roots[0].d.hex()
+    return {i: d.hex() for i, d in mask.items()}, scalar
+
+
+def _on_the_hyperbola(mu, g):
+    """lam with S- = 2 mu + lam + lam mu / g = 0, to rounding."""
+    return -2.0 * mu / (1.0 + mu / g)
+
+
+@pytest.mark.parametrize(
+    "gamma", [1.0, *np.random.default_rng(23).uniform(0.3, 3.0, 2).round(4).tolist()])
+def test_pending_mask_matches_the_scalar_test(gamma):
+    # every one-sided problem of the 49x49 plane, and problems on and next to
+    # the S- = 0 hyperbola, where pending roots are born
+    g = 1.0 + gamma
+    axis = [-12.0 + 0.5 * i for i in range(49)]
+    lams, mus = [lam for lam in axis for _ in axis], [mu for _ in axis for mu in axis]
+    mask, scalar = _pending_bits(gamma, lams, mus)
+    assert mask == scalar
+    assert len(scalar) > 10
+    near = [mu for mu in np.linspace(-12.0, 12.0, 97).tolist() if abs(1.0 + mu / g) > 0.05]
+    lams = [_on_the_hyperbola(mu, g) * (1.0 + eps)
+            for eps in (0.0, 1e-12, -1e-12, 1e-3, -1e-3, 1e-2, -1e-2) for mu in near]
+    mask, scalar = _pending_bits(gamma, lams, near * 7)
+    assert mask == scalar
+    assert len(scalar) > 100
+
+
+@st.composite
+def _hyperbola_batches(draw):
+    gamma = draw(st.floats(0.3, 3.0))
+    g = 1.0 + gamma
+    lams, mus = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        mu = draw(st.floats(-12.0, 12.0))
+        if draw(st.booleans()):
+            assume(abs(1.0 + mu / g) > 1e-3)
+            lam = _on_the_hyperbola(mu, g)
+            # on it, a few ulp off it, or a small relative step off it
+            lam = draw(st.sampled_from([
+                lam, math.nextafter(lam, math.inf), math.nextafter(lam, -math.inf),
+                lam * (1.0 + draw(st.floats(-0.05, 0.05)))]))
+        else:
+            lam = draw(st.floats(-12.0, 12.0))
+        lams.append(lam)
+        mus.append(mu)
+    return gamma, lams, mus
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(batch=_hyperbola_batches())
+def test_pending_mask_matches_the_scalar_test_on_draws(batch):
+    mask, scalar = _pending_bits(*batch)
+    assert mask == scalar
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the batch started a solve")
+
+
+@pytest.mark.parametrize("gamma,lam,mu", [
+    (0.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
+    (1.0, math.nan, 1.0), (1.0, -math.inf, 1.0), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf),
+])
+def test_batch_rejects_invalid_input_before_solving(monkeypatch, gamma, lam, mu):
+    monkeypatch.setattr(spectrum, "find_root", _no_solve)
+    monkeypatch.setattr(spectrum, "watson_integrals_at", _no_solve)
+    with pytest.raises(ValueError):
+        spectrum.spectra_k0(gamma, [0.5, lam], [2.0, mu])
+
+
 @pytest.mark.parametrize("lam,mu", [(-12.0, 1.5), (-4.0, 1.0), (4.0, -1.0),
                                     (12.0, -1.5)])
 def test_deep_main_even_root_near_the_hyperbola(lam, mu):
@@ -438,6 +525,17 @@ def test_deep_main_even_root_near_the_hyperbola(lam, mu):
     rep = spectrum_k0(ModelParams(0.990739, lam, mu))
     assert (rep.n_below, rep.n_above) == (1, 1)
     assert sum(ev.pinned for ev in rep.below + rep.above) == 1
+
+
+@pytest.mark.parametrize("lam", [-1e-300, -5e-324])
+def test_weakest_attraction_binds_at_the_edge(lam):
+    # in two dimensions any on-site attraction binds; at -5e-324 the edge
+    # slope of the main even factor underflows to -0.0, and the root is
+    # still pinned at the edge instead of dividing by zero
+    rep = spectrum_k0(ModelParams(1.0, lam, 0.0))
+    assert [(ev.z, ev.pinned) for ev in rep.below] == [(-spectrum.PINNED_MIN, True)]
+    assert rep.above == ()
+    assert spectrum.spectra_k0(1.0, [lam], [0.0]) == [rep]
 
 
 def test_general_root_just_below_the_mesh_floor():
