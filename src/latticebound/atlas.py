@@ -10,11 +10,9 @@ cutting, all scaling linearly in g = 1 + gamma:
 * |mu| against the decoupled-even threshold t_s adds one root;
 * |mu| against the odd-channel threshold t_d adds a double root.
 
-The thresholds are reciprocals of band-edge limits of integral
-combinations, so they exist in two flavors: the published closed forms and
-the exact edge limits this package computes (`ConstantsSource`).  The two
-disagree about t_s by a factor of two; `threshold_scan` measures which one
-the operator actually obeys.
+The thresholds are reciprocals of the exact band-edge limits of integral
+combinations.  A circulating closed form puts t_s at half the computed
+value; `threshold_scan` measures which one the operator actually obeys.
 
 The shift p -> p + (pi, pi) maps the count above the band at (lam, mu) to
 the count below it at (-lam, -mu), and S+(lam, mu) = -S-(-lam, -mu), so the
@@ -42,8 +40,7 @@ import numpy as np
 
 from .core import ModelParams, TorusPoint, ORIGIN
 from .errors import NUMERICAL_ERRORS
-from .integrals import (ConstantsSource, Side, predicted_asymptote,
-                        watson_integrals_at)
+from .integrals import Side, predicted_asymptote, watson_integrals_at
 from .spectrum import _k0_batch, spectrum_general
 
 BOUNDARY_TOL = 1e-12   # distance from a defining equality that labels "b"
@@ -60,23 +57,19 @@ class Thresholds:
     t_s: float
     t_d: float
     gamma: float
-    source: ConstantsSource
 
 
-def binding_thresholds(gamma: float,
-                       source: ConstantsSource = ConstantsSource.COMPUTED,
-                       ) -> Thresholds:
+def binding_thresholds(gamma: float) -> Thresholds:
     """mu levels at which the decoupled channels start binding.
 
     t_s = 1 / lim (c - e) and t_d = 1 / lim f, both limits taken at the
     lower edge where they are positive; the upper edge gives the same
     numbers with opposite sign, hence the symmetric regions at -t_s, -t_d.
     """
-    off_c = predicted_asymptote("c", Side.BELOW, gamma, source).offset
-    off_e = predicted_asymptote("e", Side.BELOW, gamma, source).offset
-    off_f = predicted_asymptote("f", Side.BELOW, gamma, source).offset
-    return Thresholds(t_s=1.0 / (off_c - off_e), t_d=1.0 / off_f,
-                      gamma=gamma, source=source)
+    off_c = predicted_asymptote("c", Side.BELOW, gamma).offset
+    off_e = predicted_asymptote("e", Side.BELOW, gamma).offset
+    off_f = predicted_asymptote("f", Side.BELOW, gamma).offset
+    return Thresholds(t_s=1.0 / (off_c - off_e), t_d=1.0 / off_f, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +125,9 @@ def _slopes(lam, mu, g):
     return 2.0 * mu + lam - lam * mu / g, 2.0 * mu + lam + lam * mu / g
 
 
-def classify(params: ModelParams,
-             source: ConstantsSource = ConstantsSource.COMPUTED) -> RegionLabel:
-    """Place (lam, mu) in the three region families.
-
-    The thresholds t_s and t_d come from the edge constants of ``source``.
-    """
-    thr = binding_thresholds(params.gamma, source)
+def classify(params: ModelParams) -> RegionLabel:
+    """Place (lam, mu) in the three region families."""
+    thr = binding_thresholds(params.gamma)
     g = params.g
     s_plus, s_minus = _slopes(params.lam, params.mu, g)
     return RegionLabel(
@@ -311,7 +300,6 @@ def _axis_values(lo: float, hi: float, step: float) -> list[float]:
 def sweep(lam_range: tuple[float, float], mu_range: tuple[float, float],
           step: float, gamma: float = 1.0,
           K_list: Sequence[TorusPoint] = (ORIGIN,),
-          source: ConstantsSource = ConstantsSource.COMPUTED,
           workers: int = 1) -> list[SweepRow]:
     """Evaluate prediction vs computation over a coupling grid.
 
@@ -330,7 +318,7 @@ def sweep(lam_range: tuple[float, float], mu_range: tuple[float, float],
     grid = [(lam, mu) for lam in lams for mu in mus]
     # by position in K_list, not by K: TorusPoint(-0.0, 0.0) == ORIGIN
     zero = [K == ORIGIN for K in K_list]
-    thr = binding_thresholds(gamma, source)
+    thr = binding_thresholds(gamma)
     at_zero = _zero_fiber_states(gamma, *zip(*grid)) if any(zero) else []
     tasks = [(lam, mu, gamma, K.p1, K.p2) for lam, mu in grid
              for K, z in zip(K_list, zero) if not z]
@@ -357,9 +345,9 @@ class ThresholdScanResult:
 
     gamma: float
     appearance_mu: float            # first grid mu with a bound state
-    candidate_published: float
+    candidate_published: float      # pi g / (2 (4 - pi)), the circulating t_s
     candidate_computed: float
-    nearest: ConstantsSource
+    matches_computed: bool          # the computed candidate is the nearer
     mu_step: float
 
 
@@ -369,9 +357,9 @@ def threshold_scan(gamma: float = 1.0, mu_lo: float = 3.0, mu_hi: float = 8.0,
 
     The decoupled even channel binds above the band once 1 + mu*(c-e) goes
     negative near the edge, so the channel's threshold is visible as the mu
-    where a sign change first appears.  Both closed-form candidates for the
-    threshold differ by a factor two; the scan reports which one the
-    integrals actually produce.
+    where a sign change first appears.  The computed t_s and the circulating
+    closed form pi g / (2 (4 - pi)) differ by a factor two; the scan reports
+    whether the integrals produce the computed one.
     """
     deltas = np.geomspace(1e-10, 2.0 * (1.0 + gamma), 160)
     sets = [watson_integrals_at(Side.ABOVE, d, gamma) for d in deltas]
@@ -381,12 +369,10 @@ def threshold_scan(gamma: float = 1.0, mu_lo: float = 3.0, mu_hi: float = 8.0,
     if not has_root.any():
         raise ValueError("no binding threshold inside the scanned mu range")
     appearance = float(mus[int(np.argmax(has_root))])
-    cand_pub = binding_thresholds(gamma, ConstantsSource.PUBLISHED).t_s
-    cand_comp = binding_thresholds(gamma, ConstantsSource.COMPUTED).t_s
-    nearest = (ConstantsSource.PUBLISHED
-               if abs(appearance - cand_pub) < abs(appearance - cand_comp)
-               else ConstantsSource.COMPUTED)
-    return ThresholdScanResult(gamma=gamma, appearance_mu=appearance,
-                               candidate_published=cand_pub,
-                               candidate_computed=cand_comp,
-                               nearest=nearest, mu_step=step)
+    cand_pub = math.pi * (1.0 + gamma) / (2.0 * (4.0 - math.pi))
+    cand_comp = binding_thresholds(gamma).t_s
+    return ThresholdScanResult(
+        gamma=gamma, appearance_mu=appearance, candidate_published=cand_pub,
+        candidate_computed=cand_comp,
+        matches_computed=abs(appearance - cand_comp) <= abs(appearance - cand_pub),
+        mu_step=step)

@@ -18,9 +18,8 @@ from .core import ModelParams, TorusPoint, band_edges
 from .determinants import (FactorKind, factor_value, gram_blocks, interaction_weights,
                            secular_det, secular_entries)
 from .errors import NUMERICAL_ERRORS, ParseError, ValidationError
-from .integrals import (ConstantsSource, Side, predicted_asymptote,
-                        watson_integrals, watson_integrals_at,
-                        watson_integrals_grid)
+from .integrals import (Side, predicted_asymptote, watson_integrals,
+                        watson_integrals_at, watson_integrals_grid)
 from .spectrum import SpectrumReport, spectrum_general, spectrum_k0
 
 CSV_HEADER = ("lambda,mu,gamma,K1,K2,region_s,region_d,region_cplus,"
@@ -32,6 +31,11 @@ CSV_HEADER = ("lambda,mu,gamma,K1,K2,region_s,region_d,region_cplus,"
 # run configuration
 
 
+def _finite(name: str, v: float) -> None:
+    if not math.isfinite(v):
+        raise ValidationError("must be finite", name)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     gamma: float = 1.0
@@ -39,7 +43,6 @@ class RunConfig:
     mu: float = 0.0
     K: tuple[float, float] = (0.0, 0.0)
     grid_N: int = 256
-    constants_source: ConstantsSource = ConstantsSource.COMPUTED
     lambda_range: tuple[float, float] | None = None
     mu_range: tuple[float, float] | None = None
     step: float | None = None
@@ -48,44 +51,34 @@ class RunConfig:
     out: str | None = None
 
     def validate(self) -> "RunConfig":
-        def finite(name: str, v: float) -> None:
-            if not math.isfinite(v):
-                raise ValidationError("must be finite", name)
-
-        finite("gamma", self.gamma)
-        finite("lambda", self.lam)
-        finite("mu", self.mu)
+        _finite("gamma", self.gamma)
+        _finite("lambda", self.lam)
+        _finite("mu", self.mu)
         if self.gamma <= 0.0:
             raise ValidationError("must be positive", "gamma")
         for v in self.K:
-            finite("K", v)
+            _finite("K", v)
         if self.grid_N < 16:
             raise ValidationError("must be at least 16", "grid_N")
         if self.grid_N % 2:
             raise ValidationError("must be even", "grid_N")
-        if self.step is not None and self.step <= 0.0:
-            raise ValidationError("must be positive", "step")
+        if self.step is not None:
+            _finite("step", self.step)
+            if self.step <= 0.0:
+                raise ValidationError("must be positive", "step")
         for rng, name in ((self.lambda_range, "lambda_range"),
                           (self.mu_range, "mu_range")):
             if rng is not None:
-                finite(name, rng[0])
-                finite(name, rng[1])
+                _finite(name, rng[0])
+                _finite(name, rng[1])
                 if rng[1] < rng[0]:
                     raise ValidationError("upper end below lower end", name)
         if self.workers < 1:
             raise ValidationError("must be at least 1", "workers")
         for pair in self.K_list:
-            finite("K_list", pair[0])
-            finite("K_list", pair[1])
+            _finite("K_list", pair[0])
+            _finite("K_list", pair[1])
         return self
-
-
-def _parse_source(text: str) -> ConstantsSource:
-    alias = {"paper": "published"}
-    try:
-        return ConstantsSource(alias.get(text.strip().lower(), text.strip().lower()))
-    except ValueError:
-        raise ValueError(f"unknown constants source {text!r}") from None
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
@@ -118,8 +111,6 @@ _SETTINGS = {
     "mu": ("--mu", "mu", float, "nearest-neighbour coupling"),
     "K": ("--K", "K", _parse_pair, "fiber quasi-momentum K1,K2"),
     "grid_N": ("--N", "grid_N", int, "oracle grid size, even, at least 16"),
-    "constants_source": ("--source", "constants_source", _parse_source,
-                         "edge-constant source: published or computed"),
     "lambda_range": ("--lambda-range", "lambda_range", _parse_range, "LO:HI"),
     "mu_range": ("--mu-range", "mu_range", _parse_range, "LO:HI"),
     "step": ("--step", "step", float, "grid step of both ranges"),
@@ -243,10 +234,12 @@ def _cmd_edges(cfg: RunConfig) -> int:
 def _cmd_integrals(cfg: RunConfig, z: float | None, side: str | None,
                    delta: float | None) -> int:
     if z is not None:
+        _finite("z", z)
         s = watson_integrals(z, cfg.gamma)
     else:
         if side is None or delta is None:
             raise ValidationError("need either z or side+delta", "z")
+        _finite("delta", delta)
         s = watson_integrals_at(Side(side), delta, cfg.gamma)
     for name in "abcef":
         print(f"{name} = {_fmt(getattr(s, name))}")
@@ -255,6 +248,7 @@ def _cmd_integrals(cfg: RunConfig, z: float | None, side: str | None,
 
 
 def _cmd_det(cfg: RunConfig, z: float) -> int:
+    _finite("z", z)
     params = _params(cfg)
     K = _point(cfg)
     if cfg.K == (0.0, 0.0):
@@ -277,14 +271,13 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def _cmd_classify(cfg: RunConfig) -> int:
-    label = atlas.classify(_params(cfg), cfg.constants_source)
+    label = atlas.classify(_params(cfg))
     pred = atlas.predicted_counts(label)
     thr = label.thresholds
     print(f"regions: {label.s_region} {label.d_region} {label.c_plus} "
           f"{label.c_minus}   (S+ = {_fmt(label.s_plus)}, "
           f"S- = {_fmt(label.s_minus)})")
-    print(f"thresholds ({thr.source.value}): t_s = {_fmt(thr.t_s)}, "
-          f"t_d = {_fmt(thr.t_d)}")
+    print(f"thresholds: t_s = {_fmt(thr.t_s)}, t_d = {_fmt(thr.t_d)}")
     print(f"predicted at K=0: below = {pred.n_below_k0}, "
           f"above = {pred.n_above_k0}")
     print(f"lower bounds for K != 0: below >= {pred.lower_bound_below_k}, "
@@ -301,7 +294,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     rows = atlas.sweep(cfg.lambda_range, cfg.mu_range, cfg.step,
                        gamma=cfg.gamma,
                        K_list=[TorusPoint(*k) for k in cfg.K_list],
-                       source=cfg.constants_source, workers=cfg.workers)
+                       workers=cfg.workers)
     if cfg.out:
         emit_csv(rows, cfg.out)
         n_bad = sum(1 for r in rows if not r.agree)
@@ -394,7 +387,7 @@ def _verify() -> int:
     scan = atlas.threshold_scan(1.0, 3.0, 8.0, 1e-2)
     checks.append(_check(
         "decoupled-even threshold",
-        scan.nearest is ConstantsSource.COMPUTED,
+        scan.matches_computed,
         f"appears at mu={scan.appearance_mu:.3f}; candidates "
         f"{scan.candidate_published:.4f} / {scan.candidate_computed:.4f}"))
 
@@ -446,8 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, dest=dest, type=conv, default=None, help=help_text)
         return p
 
-    # each command takes only the settings it reads; --source steers the
-    # predictions of classify and sweep and nothing else
+    # each command takes only the settings it reads
     fiber = ("gamma", "lambda", "mu", "K")
     command("edges", "band interval of one fiber", "gamma", "K")
     p_int = command("integrals", "resolvent moments at an energy", "gamma")
@@ -457,10 +449,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_det = command("det", "secular determinant factors", *fiber)
     p_det.add_argument("--z", type=float, required=True)
     command("spectrum", "bound states of one fiber", *fiber)
-    command("classify", "coupling-plane region and counts", "gamma", "lambda", "mu",
-            "constants_source")
-    command("sweep", "grid sweep to CSV", "gamma", "constants_source", "lambda_range",
-            "mu_range", "step", "K_list", "workers", "out")
+    command("classify", "coupling-plane region and counts", "gamma", "lambda", "mu")
+    command("sweep", "grid sweep to CSV", "gamma", "lambda_range", "mu_range", "step",
+            "K_list", "workers", "out")
     p_orc = command("oracle", "discrete-grid reference spectrum", *fiber, "grid_N")
     p_orc.add_argument("--dense", action="store_true",
                        help="full dense eigensolve instead of the secular scan")

@@ -16,10 +16,8 @@ so at the same distance above the band a, c, e and f change sign and b does
 not.
 
 Near an edge the moments behave like ``s * (-+ln|z-edge|) + offset`` with
-s = 1/(2 pi g) (f has slope 0); the offsets are available in two flavors: a
-frozen ``PUBLISHED`` table and the ``COMPUTED`` table of exact edge limits.
-The spectrum solvers always use the computed models; the published table
-feeds only the predicted region table (thresholds and classification).
+s = 1/(2 pi g) (f has slope 0); :func:`predicted_asymptote` gives the exact
+edge limits, which both the spectrum solvers and the region thresholds use.
 """
 
 from __future__ import annotations
@@ -43,13 +41,6 @@ class Side(Enum):
 
     BELOW = "below"
     ABOVE = "above"
-
-
-class ConstantsSource(Enum):
-    """Which set of edge constants to use for predictions."""
-
-    PUBLISHED = "published"
-    COMPUTED = "computed"
 
 
 @dataclass(frozen=True)
@@ -209,41 +200,16 @@ def watson_integrals_grid(z: float, gamma: float, n: int = 256) -> IntegralSet:
 # edge constants
 
 
-def published_asymptote(which: str, side: Side, gamma: float) -> EdgeAsymptotics:
-    """The frozen reference table of edge constants."""
-    g = 1.0 + gamma
-    s = 1.0 / (2.0 * PI * g)
-    offsets_below = {
-        "a": 5.0 * LN2 * s,
-        "b": (5.0 * LN2 - PI) * s,
-        "c": (5.0 * LN2 - 3.0 * PI + 8.0) * s,
-        "e": (5.0 * LN2 + PI - 8.0) * s,
-        "f": (PI - 2.0) / (PI * g),
-    }
-    if which not in offsets_below:
-        raise KeyError(f"unknown moment {which!r}")
-    slope = 0.0 if which == "f" else s
-    off = offsets_below[which]
-    if side is Side.ABOVE:
-        off = -off
-    return EdgeAsymptotics(side=side, log_slope=slope, offset=off)
+def predicted_asymptote(which: str, side: Side, gamma: float) -> EdgeAsymptotics:
+    """Edge model of one moment: its exact edge limit.
 
-
-def predicted_asymptote(which: str, side: Side, gamma: float,
-                        source: ConstantsSource = ConstantsSource.COMPUTED,
-                        ) -> EdgeAsymptotics:
-    """Edge model of one moment, from either constants source.
-
-    The computed models are the exact edge limits.  Below the band every
-    moment but f diverges with log slope s = 1/(2 pi g); the offsets are
-    a = (4 ln 2 + ln g) s, b = a - 1/(2g), c, e = b +- (4 - pi)/(2 pi g) and
-    f = (pi - 2)/(pi g), which has slope 0.  The models above the band
+    Below the band every moment but f diverges with log slope
+    s = 1/(2 pi g); the offsets are a = (4 ln 2 + ln g) s, b = a - 1/(2g),
+    c, e = b +- (4 - pi)/(2 pi g) and f = (pi - 2)/(pi g), which has slope 0.  The models above the band
     follow from the mirror identity of :func:`watson_integrals_at`: a, c, e
     and f keep their slope and negate their offset, b negates its slope and
     keeps its offset.
     """
-    if source is ConstantsSource.PUBLISHED:
-        return published_asymptote(which, side, gamma)
     g = 1.0 + gamma
     s = 1.0 / (2.0 * PI * g)
     a0 = (4.0 * LN2 + math.log(g)) * s

@@ -22,8 +22,8 @@ Only the main even factor diverges at the edge; with the exact edge models
 it is affine in ln-distance, so a root between the floor and the edge (at
 distances like exp(-1/s)) has a closed form.  Such roots are reported with
 ``pinned=True`` at the model position, clamped to at least 1e-13.  The
-edge models are always the computed ones: the zero-fiber count depends on
-the operator alone, never on a table of published constants.
+edge models are the exact edge limits of
+:func:`~latticebound.integrals.predicted_asymptote`.
 
 Zero-fiber batches: the moments do not depend on (lam, mu), so
 :func:`_k0_batch` solves a whole coupling plane as one elementwise problem

@@ -13,13 +13,14 @@ from latticebound.atlas import (_axis_values, binding_thresholds, classify,
                                 predicted_counts, sweep, threshold_scan)
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
 from latticebound.errors import DomainError
-from latticebound.integrals import ConstantsSource
+from latticebound.oracle import oracle_counts
 from latticebound.spectrum import FactorKind, spectrum_k0
+from published_table import published_thresholds
 
 
 def test_threshold_values_by_source():
-    comp = binding_thresholds(1.0, ConstantsSource.COMPUTED)
-    pub = binding_thresholds(1.0, ConstantsSource.PUBLISHED)
+    comp = binding_thresholds(1.0)
+    pub = published_thresholds(1.0)
     assert comp.t_s == pytest.approx(2 * math.pi / (4 - math.pi), rel=1e-6)
     assert pub.t_s == pytest.approx(2 * math.pi / (8 - 2 * math.pi), rel=1e-12)
     # the two sources disagree about t_s by exactly a factor of two
@@ -86,9 +87,8 @@ def _sides(pred):
              pred.exact_above_all_k))
 
 
-@pytest.mark.parametrize("source", list(ConstantsSource))
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
-def test_labels_and_counts_mirror_under_negated_couplings(gamma, source):
+def test_labels_and_counts_mirror_under_negated_couplings(gamma):
     # p -> p + (pi, pi) maps the states above the band at (lam, mu) to those
     # below it at (-lam, -mu): labels, S+- and predicted counts mirror bit
     # for bit, on the plane grid, on mu = +-g and on the hyperbolas S+- = 0
@@ -100,8 +100,8 @@ def test_labels_and_counts_mirror_under_negated_couplings(gamma, source):
     points += [(-2.0 * mu / (1.0 + mu / g), mu) for mu in axis if mu != -g]    # S- = 0
     boundary = 0
     for lam, mu in points:
-        a = classify(ModelParams(gamma, lam, mu), source)
-        b = classify(ModelParams(gamma, -lam, -mu), source)
+        a = classify(ModelParams(gamma, lam, mu))
+        b = classify(ModelParams(gamma, -lam, -mu))
         assert (b.s_region, b.d_region) == (_flip(a.s_region), _flip(a.d_region))
         assert (b.c_plus, b.c_minus) == (_flip(a.c_minus), _flip(a.c_plus)), (lam, mu)
         assert (b.s_plus, b.s_minus) == (-a.s_minus, -a.s_plus)
@@ -364,10 +364,27 @@ def test_success_rows_have_an_empty_error():
 
 def test_threshold_scan_adjudicates_the_even_threshold():
     res = threshold_scan(step=1e-2)
-    assert res.nearest is ConstantsSource.COMPUTED
+    assert res.matches_computed
     assert res.appearance_mu == pytest.approx(res.candidate_computed, abs=0.02)
     assert res.candidate_published == pytest.approx(3.659792, abs=1e-5)
     assert res.candidate_computed == pytest.approx(7.319585, abs=1e-5)
     # scanning a window that excludes the threshold is an error
     with pytest.raises(ValueError):
         threshold_scan(mu_lo=1.0, mu_hi=2.0, step=0.1)
+
+
+@pytest.mark.parametrize("lam,mu", [(1.0, 4.0), (0.0, 5.0)])
+def test_published_threshold_predicts_a_state_the_operator_lacks(lam, mu):
+    # between the published t_s = pi g / (2 (4 - pi)) = 3.6598 and the
+    # computed 7.3196 the published table adds a decoupled-even state above
+    # the band; the solver and the grid oracle find only the coupled one
+    params = ModelParams(1.0, lam, mu)
+    label = classify(params)
+    pub = published_thresholds(1.0)
+    assert pub.t_s < mu < label.thresholds.t_s
+    published = replace(label, s_region=atlas._axis_region(mu, pub.t_s, "S0"),
+                        thresholds=pub)
+    assert predicted_counts(published).n_above_k0 == 2
+    assert predicted_counts(label).n_above_k0 == 1
+    assert spectrum_k0(params).n_above == 1
+    assert oracle_counts(ORIGIN, params, n=256).n_above == 1

@@ -11,7 +11,6 @@ from latticebound import atlas
 from latticebound.cli import (CSV_HEADER, RunConfig, emit_csv, main,
                               parse_config)
 from latticebound.errors import ParseError, ValidationError
-from latticebound.integrals import ConstantsSource
 
 
 # ---------------------------------------------------------------------------
@@ -23,10 +22,12 @@ def test_parse_config_fills_defaults():
     assert (cfg.gamma, cfg.lam, cfg.mu) == (1.0, -1.0, 0.0)
     assert cfg.grid_N == 256
     assert cfg.workers == 1
-    assert cfg.constants_source is ConstantsSource.COMPUTED
-    # the count table has one reading, so no key selects a convention
+    # the count table has one reading and the edge constants one source, so
+    # no key selects a convention or a constants source
     with pytest.raises(ParseError, match="unknown key 'convention'"):
         parse_config("convention = printed\n")
+    with pytest.raises(ParseError, match="unknown key 'constants_source'"):
+        parse_config("constants_source = paper\n")
 
 
 def test_empty_config_is_all_defaults():
@@ -76,13 +77,11 @@ def test_parse_config_structured_values():
             "mu_range = 0:1\n"
             "step = 0.5\n"
             "K_list = 0,0;1,0.5\n"
-            "constants_source = paper\n"
             "out = rows.csv\n")
     cfg = parse_config(text)
     assert cfg.lambda_range == (-2.0, 3.0)
     assert cfg.mu_range == (0.0, 1.0)
     assert cfg.K_list == ((0.0, 0.0), (1.0, 0.5))
-    assert cfg.constants_source is ConstantsSource.PUBLISHED
     assert cfg.out == "rows.csv"
 
 
@@ -222,6 +221,8 @@ def test_spectrum_rejects_the_constants_source(capsys):
     ["sweep", "--K", "1,0.5"],                    # a sweep reads --K-list,
     ["sweep", "--lambda", "1"],                   # --lambda-range
     ["sweep", "--mu", "1"],                       # and --mu-range
+    ["classify", "--source", "computed"],         # one set of edge constants
+    ["sweep", "--source", "published"],
 ])
 def test_flags_that_the_command_does_not_read_are_usage_errors(capsys, argv):
     assert main(argv) == 2
@@ -310,12 +311,34 @@ def test_missing_config_file(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_source_alias_and_rejection(capsys):
-    assert main(["classify", "--lambda", "1", "--mu", "4",
-                 "--source", "paper"]) == 0
-    assert "published" in capsys.readouterr().out
-    assert main(["classify", "--lambda", "1", "--mu", "4",
-                 "--source", "bogus"]) == 2
+def test_classify_reads_the_one_set_of_edge_constants(capsys, tmp_path):
+    assert main(["classify", "--lambda", "1", "--mu", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "thresholds: t_s = 7.31958" in out
+    assert "above = 1" in out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("constants_source = computed\n")
+    assert main(["--config", str(cfg), "classify"]) == 2
+    assert "unknown key 'constants_source'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["sweep", "--lambda-range=0:1", "--mu-range=0:1", "--step", "nan"], "step"),
+    (["sweep", "--lambda-range=0:1", "--mu-range=0:1", "--step", "inf"], "step"),
+    (["det", "--z", "nan"], "z"),
+    (["integrals", "--z", "nan"], "z"),
+    (["integrals", "--z=-inf"], "z"),
+    (["integrals", "--side", "below", "--delta", "nan"], "delta"),
+])
+def test_non_finite_step_and_energies_are_configuration_errors(capsys, argv, field):
+    assert main(argv) == 2
+    assert f"configuration error: {field}: must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_step_in_a_config_file():
+    with pytest.raises(ValidationError) as err:
+        parse_config("step = nan\n")
+    assert err.value.field == "step"
 
 
 def test_verify(capsys):
