@@ -56,7 +56,6 @@ class Thresholds:
 
     t_s: float
     t_d: float
-    gamma: float
 
 
 def binding_thresholds(gamma: float) -> Thresholds:
@@ -69,7 +68,7 @@ def binding_thresholds(gamma: float) -> Thresholds:
     off_c = predicted_asymptote("c", Side.BELOW, gamma).offset
     off_e = predicted_asymptote("e", Side.BELOW, gamma).offset
     off_f = predicted_asymptote("f", Side.BELOW, gamma).offset
-    return Thresholds(t_s=1.0 / (off_c - off_e), t_d=1.0 / off_f, gamma=gamma)
+    return Thresholds(t_s=1.0 / (off_c - off_e), t_d=1.0 / off_f)
 
 
 # ---------------------------------------------------------------------------
@@ -341,38 +340,31 @@ def sweep(lam_range: tuple[float, float], mu_range: tuple[float, float],
 
 @dataclass(frozen=True)
 class ThresholdScanResult:
-    """Outcome of the mu-axis scan for the decoupled-even threshold."""
+    """Where the decoupled-even bound state appears on the mu axis."""
 
     gamma: float
-    appearance_mu: float            # first grid mu with a bound state
+    appearance_mu: float            # mu beyond which a sample binds
     candidate_published: float      # pi g / (2 (4 - pi)), the circulating t_s
     candidate_computed: float
     matches_computed: bool          # the computed candidate is the nearer
-    mu_step: float
 
 
-def threshold_scan(gamma: float = 1.0, mu_lo: float = 3.0, mu_hi: float = 8.0,
-                   step: float = 1e-3) -> ThresholdScanResult:
-    """Scan lam=0 along mu for the birth of the decoupled-even bound state.
+def threshold_scan(gamma: float = 1.0) -> ThresholdScanResult:
+    """Read the birth of the decoupled-even bound state at lam = 0 off the moments.
 
-    The decoupled even channel binds above the band once 1 + mu*(c-e) goes
-    negative near the edge, so the channel's threshold is visible as the mu
-    where a sign change first appears.  The computed t_s and the circulating
-    closed form pi g / (2 (4 - pi)) differ by a factor two; the scan reports
-    whether the integrals produce the computed one.
+    The decoupled even channel binds above the band once 1 + mu (c - e)
+    goes negative at some distance.  Above the band c - e < 0, so over 160
+    distances from 1e-10 to 2g the first mu with a sign change is
+    1 / max(e - c), in closed form.  The computed t_s and the circulating
+    closed form pi g / (2 (4 - pi)) differ by a factor two; the scan
+    reports whether the moments produce the computed one.
     """
-    deltas = np.geomspace(1e-10, 2.0 * (1.0 + gamma), 160)
+    deltas = np.geomspace(1e-10, 2.0 * (1.0 + gamma), 160).tolist()
     sets = [watson_integrals_at(Side.ABOVE, d, gamma) for d in deltas]
-    ce = np.array([s.c - s.e for s in sets])
-    mus = np.array(_axis_values(mu_lo, mu_hi, step))
-    has_root = ((1.0 + np.outer(mus, ce)) < 0.0).any(axis=1)
-    if not has_root.any():
-        raise ValueError("no binding threshold inside the scanned mu range")
-    appearance = float(mus[int(np.argmax(has_root))])
+    appearance = 1.0 / max(s.e - s.c for s in sets)
     cand_pub = math.pi * (1.0 + gamma) / (2.0 * (4.0 - math.pi))
     cand_comp = binding_thresholds(gamma).t_s
     return ThresholdScanResult(
         gamma=gamma, appearance_mu=appearance, candidate_published=cand_pub,
         candidate_computed=cand_comp,
-        matches_computed=abs(appearance - cand_comp) <= abs(appearance - cand_pub),
-        mu_step=step)
+        matches_computed=abs(appearance - cand_comp) <= abs(appearance - cand_pub))

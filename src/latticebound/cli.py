@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import atlas, oracle, spectrum
-from .core import ModelParams, TorusPoint, band_edges
+from .core import ORIGIN, ModelParams, TorusPoint, band_edges
 from .determinants import (FactorKind, factor_value, gram_blocks, interaction_weights,
                            secular_det, secular_entries)
 from .errors import NUMERICAL_ERRORS, ParseError, ValidationError
@@ -251,7 +251,7 @@ def _cmd_det(cfg: RunConfig, z: float) -> int:
     _finite("z", z)
     params = _params(cfg)
     K = _point(cfg)
-    if cfg.K == (0.0, 0.0):
+    if K == ORIGIN:
         s = watson_integrals(z, params.gamma)
         print(f"even_main = {_fmt(factor_value(FactorKind.MAIN_EVEN, s, params))}")
         print(f"even_sub  = {_fmt(factor_value(FactorKind.SUB_EVEN, s, params))}")
@@ -261,11 +261,8 @@ def _cmd_det(cfg: RunConfig, z: float) -> int:
 
 
 def _cmd_spectrum(cfg: RunConfig) -> int:
-    params = _params(cfg)
-    if cfg.K == (0.0, 0.0):
-        rep = spectrum_k0(params)
-    else:
-        rep = spectrum_general(_point(cfg), params)
+    params, K = _params(cfg), _point(cfg)
+    rep = spectrum_k0(params) if K == ORIGIN else spectrum_general(K, params)
     _print_spectrum(rep)
     return 0
 
@@ -338,7 +335,7 @@ def _verify() -> int:
             r3 = abs(s.c + s.e - s.b * (2.0 - z / g))
             scale = max(1.0, abs(s.a))
             worst = max(worst, r1 / scale, r2 / scale, r3 / scale)
-            grid = watson_integrals_grid(z, gamma, n=512).as_array()
+            grid = watson_integrals_grid(z, gamma).as_array()
             excess = max(excess, *(abs(x - y) / (1e-10 * abs(y) + 1e-12)
                                    for x, y in zip(s.as_array(), grid)))
     checks.append(_check("moment identities", worst < 1e-9, f"worst {worst:.2e}"))
@@ -359,7 +356,7 @@ def _verify() -> int:
         for d in (0.5, 3.0):
             blocks = gram_blocks(K, gamma, d)
             for side, z in ((Side.BELOW, band.e_min - d), (Side.ABOVE, band.e_max + d)):
-                j = secular_entries(z, K, params, side=side, delta=d)
+                j = secular_entries(K, gamma, side, d)
                 mean = (modes / (diag - z)) @ modes.T
                 worst = max(worst, float(np.max(np.abs(j - mean)) / np.max(np.abs(mean))))
                 sign = 1.0 if side is Side.BELOW else -1.0
@@ -384,7 +381,7 @@ def _verify() -> int:
                              f"worst {worst:.2e}"))
 
     # decoupled-even threshold adjudication
-    scan = atlas.threshold_scan(1.0, 3.0, 8.0, 1e-2)
+    scan = atlas.threshold_scan(1.0)
     checks.append(_check(
         "decoupled-even threshold",
         scan.matches_computed,

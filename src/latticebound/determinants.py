@@ -44,8 +44,11 @@ Regime map:
 
 Only the side below the band is evaluated: the shift p -> p + (pi, pi)
 reflects the band and flips the sign of the four trigonometric modes, which
-gives the matrix above it.  References: DLMF section 19.29; B. C. Carlson,
-Math. Comp. 49, 595 (1987) and 51, 267 (1988).
+gives the matrix above it.  :func:`secular_entries` takes the side and the
+exact distance to its edge, never an energy, which near the edge would keep
+few digits of that distance; :func:`secular_det` alone reads an energy z
+and splits it into (side, distance).  References: DLMF section 19.29;
+B. C. Carlson, Math. Comp. 49, 595 (1987) and 51, 267 (1988).
 """
 
 from __future__ import annotations
@@ -212,31 +215,21 @@ def gram_blocks(K: TorusPoint, gamma: float, delta: float) -> GramBlocks:
 _ABOVE_SIGNS = -np.outer([1.0, -1.0, -1.0, -1.0, -1.0], [1.0, -1.0, -1.0, -1.0, -1.0])
 
 
-def secular_entries(z: float, K: TorusPoint, params: ModelParams, *,
-                    side: Side | None = None,
-                    delta: float | None = None) -> np.ndarray:
-    """Resolvent Gram matrix J(z) of the five modes at fiber K, in closed form.
+def secular_entries(K: TorusPoint, gamma: float, side: Side, delta: float) -> np.ndarray:
+    """Resolvent Gram matrix J of the five modes at fiber K, in closed form,
+    at exact distance ``delta`` from the band edge on ``side``.
 
-    Either pass z directly, or (side, delta) for an exact distance to the
-    band edge.  J = R blockdiag(even, s1, s2) R^T from :func:`gram_blocks`.
-    Above the band the matrix is -P J P with J the matrix at the same
-    distance below and P = diag(1, -1, -1, -1, -1).  The modes are ordered
-    (1, cos p1, cos p2, sin p1, sin p2).
+    J = R blockdiag(even, s1, s2) R^T from :func:`gram_blocks`.  Above the
+    band the matrix is -P J P with J the matrix at the same distance below
+    and P = diag(1, -1, -1, -1, -1).  The modes are ordered (1, cos p1,
+    cos p2, sin p1, sin p2).
     """
-    if delta is None:
-        lo, hi = edges_closed(K, params)
-        if z < lo:
-            side, delta = Side.BELOW, lo - z
-        elif z > hi:
-            side, delta = Side.ABOVE, z - hi
-        else:
-            raise DomainError(f"z = {z} lies inside the closed band [{lo}, {hi}]")
-    even, s1, s2 = gram_blocks(K, params.gamma, delta)
+    even, s1, s2 = gram_blocks(K, gamma, delta)
     block = np.zeros((5, 5))
     block[:3, :3], block[3, 3], block[4, 4] = even, s1, s2
     if Side(side) is Side.ABOVE:
         block *= _ABOVE_SIGNS
-    _, _, f1, f2 = pair_amplitudes(K, params.gamma)
+    _, _, f1, f2 = pair_amplitudes(K, gamma)
     c1, n1, c2, n2 = math.cos(f1), math.sin(f1), math.cos(f2), math.sin(f2)
     rot = np.array([[1.0, 0.0, 0.0, 0.0, 0.0],
                     [0.0, c1, 0.0, -n1, 0.0],
@@ -249,9 +242,17 @@ def secular_entries(z: float, K: TorusPoint, params: ModelParams, *,
 def secular_det(z: float, K: TorusPoint, params: ModelParams) -> float:
     """Determinant of the secular matrix I + G J(z) at fiber K.
 
-    J comes from :func:`secular_entries` at every fiber, at the distance from
-    z to the band edges of :func:`edges_closed`; the determinant comes from
-    LAPACK's pivoted LU factorization.
+    J comes from :func:`secular_entries` at the distance from z to the band
+    edges of :func:`edges_closed`; a z that is not outside the closed band
+    raises :class:`DomainError`.  The determinant comes from LAPACK's
+    pivoted LU factorization.
     """
-    j = secular_entries(z, K, params)
+    lo, hi = edges_closed(K, params)
+    if z < lo:
+        side, delta = Side.BELOW, lo - z
+    elif z > hi:
+        side, delta = Side.ABOVE, z - hi
+    else:
+        raise DomainError(f"z = {z} lies inside the closed band [{lo}, {hi}]")
+    j = secular_entries(K, params.gamma, side, delta)
     return float(np.linalg.det(np.eye(5) + interaction_weights(params)[:, None] * j))

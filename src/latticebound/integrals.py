@@ -175,14 +175,15 @@ def watson_integrals(z: float, gamma: float) -> IntegralSet:
     raise DomainError(f"z = {z} lies inside the closed band [0, {4.0 * g}]")
 
 
-def watson_integrals_grid(z: float, gamma: float, n: int = 256) -> IntegralSet:
-    """Independent cross-check: plain 2D periodic-trapezoid moments.
+def watson_integrals_grid(z: float, gamma: float) -> IntegralSet:
+    """Independent cross-check: plain 2D periodic-trapezoid moments on a
+    512 x 512 grid.
 
     Spectrally accurate only when z is well separated from the band (use
     |z - edge| >= 0.05 or so); intended for validating the closed forms, not
     for production use near the edges.
     """
-    g = 1.0 + gamma
+    g, n = 1.0 + gamma, 512
     if 0.0 <= z <= 4.0 * g:
         raise DomainError(f"z = {z} lies inside the closed band [0, {4.0 * g}]")
     q = -PI + 2.0 * PI * np.arange(n) / n

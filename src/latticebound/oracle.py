@@ -27,15 +27,18 @@ p -> p + (pi, pi) maps the grid onto itself, reflects the band and flips
 the sign of the four trigonometric modes, so the matrix at distance d above
 the band is -P J(d) P with P = diag(1, -1, -1, -1, -1).
 The jump counter therefore evaluates below the band only, and the states
-above it at (lam, mu) are the states below it at (-lam, -mu).
+above it at (lam, mu) are the states below it at (-lam, -mu).  Both the
+jump counter and the dense check hand their distances from the grid band
+to :func:`~latticebound.spectrum._report`, which places them as it places
+the continuum roots.
 
 Three entry points:
 
 * :func:`oracle_counts` - bound states via the 5x5 discrete secular matrix
   (cheap; any even N >= 16),
 * :func:`dense_validate` - brute-force dense diagonalization (small N),
-* :func:`minimax_values` - ordered eigenvalue sequences, clamped to the
-  discrete band edge when fewer bound states exist.
+* :func:`minimax_values` - the five extreme eigenvalues on each side,
+  clamped to the discrete band edge when fewer bound states exist.
 """
 
 from __future__ import annotations
@@ -48,9 +51,8 @@ import numpy as np
 from .core import Band, ModelParams, TorusPoint
 from .determinants import interaction_weights
 from .errors import BudgetExceeded
-from .spectrum import (FactorKind, Sector, SpectrumReport, _delta_mesh_size, _placed, _Root,
+from .spectrum import (FactorKind, Sector, SpectrumReport, _delta_mesh_size, _report, _Root,
                        _search_window, _threshold_count, count_jump_scan)
-from .integrals import Side
 
 TWO_PI = 2.0 * math.pi
 _SQRT2 = math.sqrt(2.0)
@@ -142,14 +144,8 @@ class GridModel:
         return h
 
 
-def _grid_report(model: GridModel, found: dict[Side, list[tuple[float, int]]],
-                 ) -> SpectrumReport:
-    band = model.band
-    roots = {side: [_Root(d, FactorKind.GENERAL, Sector.MIXED, m) for d, m in items]
-             for side, items in found.items()}
-    return SpectrumReport(K=model.K, params=model.params, band=band,
-                          below=_placed(roots[Side.BELOW], lambda d: band.e_min - d),
-                          above=_placed(roots[Side.ABOVE], lambda d: band.e_max + d))
+def _roots(found: list[tuple[float, int]]) -> list[_Root]:
+    return [_Root(d, FactorKind.GENERAL, Sector.MIXED, m) for d, m in found]
 
 
 def oracle_counts(K: TorusPoint, params: ModelParams, n: int = 256) -> SpectrumReport:
@@ -172,7 +168,7 @@ def oracle_counts(K: TorusPoint, params: ModelParams, n: int = 256) -> SpectrumR
     band = model.band
     gvec = interaction_weights(params)
     if params.lam == 0.0 and params.mu == 0.0:
-        return _grid_report(model, {Side.BELOW: [], Side.ABOVE: []})
+        return _report(K, params, band, [], [])
     jmemo: dict[float, np.ndarray] = {}
 
     def jmat(d: float) -> np.ndarray:
@@ -180,13 +176,10 @@ def oracle_counts(K: TorusPoint, params: ModelParams, n: int = 256) -> SpectrumR
             jmemo[d] = model.secular(d)
         return jmemo[d]
 
-    found: dict[Side, list[tuple[float, int]]] = {}
-    for side, g, edge in ((Side.BELOW, gvec, band.e_min),
-                          (Side.ABOVE, -gvec, band.e_max)):
-        found[side] = count_jump_scan(
-            lambda d, g=g: _threshold_count(jmat(d), g)[0],
-            window, GRID_FLOOR, 1e-12 * (1.0 + abs(edge)))
-    return _grid_report(model, found)
+    below, above = (_roots(count_jump_scan(lambda d, g=g: _threshold_count(jmat(d), g)[0],
+                                           window, GRID_FLOOR, 1e-12 * (1.0 + abs(edge))))
+                    for g, edge in ((gvec, band.e_min), (-gvec, band.e_max)))
+    return _report(K, params, band, below, above)
 
 
 def dense_validate(K: TorusPoint, params: ModelParams, n: int = 32) -> SpectrumReport:
@@ -216,19 +209,21 @@ def dense_validate(K: TorusPoint, params: ModelParams, n: int = 32) -> SpectrumR
                 out.append((d, 1))
         return out
 
-    return _grid_report(model, {Side.BELOW: cluster(below, band.e_min),
-                                Side.ABOVE: cluster(above, band.e_max)})
+    return _report(K, params, band, _roots(cluster(below, band.e_min)),
+                   _roots(cluster(above, band.e_max)))
 
 
-def minimax_values(K: TorusPoint, params: ModelParams, n: int = 128,
-                   count: int = 5) -> tuple[np.ndarray, np.ndarray]:
+def minimax_values(K: TorusPoint, params: ModelParams,
+                   n: int = 128) -> tuple[np.ndarray, np.ndarray]:
     """Ordered extreme eigenvalues of the grid model, band-clamped.
 
-    Returns (lowest ``count`` values ascending, highest ``count`` values
-    descending).  When fewer bound states exist on a side, the remaining
-    entries equal the discrete band edge - the variational characterization
-    of the k-th extreme eigenvalue saturates there.
+    Returns (lowest five values ascending, highest five values descending):
+    the interaction has rank five, so no side holds more bound states.  When
+    fewer bound states exist on a side, the remaining entries equal the
+    discrete band edge - the variational characterization of the k-th
+    extreme eigenvalue saturates there.
     """
+    count = 5
     rep = oracle_counts(K, params, n=n)
     lo = [ev.z for ev in rep.below for _ in range(ev.multiplicity)]
     hi = [ev.z for ev in rep.above for _ in range(ev.multiplicity)][::-1]

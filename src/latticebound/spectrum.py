@@ -4,7 +4,8 @@ Each solver computes one side of the band.  The shift p -> p + (pi, pi)
 maps E_K to e_min + e_max - E_K and leaves the interaction unchanged, so the
 bound states above the band at couplings (lam, mu) sit at e_max + d, where d
 runs over the distances below the band at (-lam, -mu).  Both solvers run one
-below-side routine twice, at (lam, mu) and at (-lam, -mu).
+below-side routine twice, at (lam, mu) and at (-lam, -mu), and
+:func:`_report` places both lists of distances, as does the grid oracle.
 
 Both solvers count first.  Below the band z is a root of det(I + G J)
 exactly when an eigenvalue of L^T G L (J = L L^T, positive semidefinite)
@@ -28,10 +29,11 @@ edge models are the exact edge limits of
 Zero-fiber batches: the moments do not depend on (lam, mu), so
 :func:`_k0_batch` solves a whole coupling plane as one elementwise problem
 in ln d (one root finder call for every crossing of every point) and
-returns the merged roots of each distinct one-sided problem.  Sweeps read
-their rows from these roots directly; :func:`spectra_k0` places them into
-reports.  A single point keeps the scalar engine of :func:`spectrum_k0`,
-which costs less than a batch of one.
+returns the merged roots of each distinct one-sided problem; sweeps read
+their rows from these roots directly.  The pending-root test is one
+predicate, :func:`_pending`, on a single problem or on the whole batch.  A
+single point keeps the scalar engine of :func:`spectrum_k0`, which costs
+less than a batch of one.
 
 General fiber: J is the 5x5 Gram matrix of the modes, R blockdiag(M3, s1,
 s2) R^T in the frame where each angle is rotated by its dispersion phase
@@ -195,37 +197,41 @@ def _main_even_edge(gamma: float) -> SimpleNamespace:
     return SimpleNamespace(slope=models["a"].log_slope, **offsets)
 
 
+def _pending(p, edge: SimpleNamespace, floor) -> tuple:
+    """Whether a main even root is pending between the mesh floor and the edge.
+
+    ``p`` holds lam, mu and g, floats or arrays alike; ``edge`` holds the
+    :func:`_main_even_edge` models and ``floor`` the moments at the mesh
+    floor.  Only the main even factor diverges at the edge, and with
+    c + e = 2b it is exactly affine in L = -ln d: alpha + beta*L, alpha the
+    factor at the model offsets and beta = s*S-, s their slope and S- the
+    coupling combination of :func:`slope_below`.  A root is pending when
+    the limiting sign, that of S- (s > 0), differs from the measured floor
+    sign; it sits at d = exp(alpha / beta).  No root is flagged when the
+    model already disagrees with the measured floor sign (untrustworthy
+    regime, e.g. on a region boundary) or when S- vanishes to the rounding
+    of its terms (on the hyperbola the root has merged with the edge, and
+    the sign of S- is rounding noise).  Returns (flag, alpha, beta), with
+    only operators that act on floats and arrays alike.
+    """
+    floor_value = factor_value(FactorKind.MAIN_EVEN, floor, p)
+    s_minus = slope_below(p)
+    alpha = factor_value(FactorKind.MAIN_EVEN, edge, p)
+    beta = edge.slope * s_minus
+    m_floor = alpha - beta * math.log(MESH_FLOOR)
+    lam, mu, negative = abs(p.lam), abs(p.mu), floor_value < 0.0
+    flag = ((floor_value != 0.0)
+            & (abs(s_minus) > 8.0 * _EPS * (2.0 * mu + lam + lam * mu / p.g))
+            & (m_floor != 0.0) & ((m_floor < 0.0) == negative)
+            & ((s_minus < 0.0) != negative))
+    return flag, alpha, beta
+
+
 def _pending_root(params: ModelParams, edge: SimpleNamespace,
                   floor: IntegralSet) -> list[_Root]:
-    """The main even root between the mesh floor and the edge, if one is pending.
-
-    ``edge`` holds the :func:`_main_even_edge` models and ``floor`` the
-    moments at the mesh floor.  Only the main even factor diverges at the
-    edge, and with c + e = 2b it is exactly affine in L = -ln d:
-    alpha + s*S-*L, alpha the factor at the model offsets, s their slope
-    and S- the coupling combination of :func:`slope_below`.  A root is
-    pending when the limiting sign, that of s*S-, differs from the measured
-    floor sign, and it sits at d = exp(alpha / (s*S-)), reported pinned and
-    clamped to PINNED_MIN.  Returns no root when the model already
-    disagrees with the measured floor sign (untrustworthy regime, e.g. on a
-    region boundary), when S- vanishes to the rounding of its terms (on the
-    hyperbola the root has merged with the edge, and the sign of S- is
-    rounding noise) or when no crossing is pending.
-    """
-    floor_value = factor_value(FactorKind.MAIN_EVEN, floor, params)
-    if floor_value == 0.0:
-        return []
-    s_minus = slope_below(params)
-    lam, mu = abs(params.lam), abs(params.mu)
-    if abs(s_minus) <= 8.0 * _EPS * (2.0 * mu + lam + lam * mu / params.g):
-        return []
-    alpha = factor_value(FactorKind.MAIN_EVEN, edge, params)
-    beta = edge.slope * s_minus
-    floor_sign = math.copysign(1.0, floor_value)
-    m_floor = alpha - beta * math.log(MESH_FLOOR)
-    if m_floor == 0.0 or math.copysign(1.0, m_floor) != floor_sign:
-        return []
-    if math.copysign(1.0, beta) == floor_sign:
+    """The main even root of :func:`_pending` at one problem, pinned, if flagged."""
+    flag, alpha, beta = _pending(params, edge, floor)
+    if not flag:
         return []
     return [_Root(_pinned_depth(alpha, beta), *_ZERO_FIBER_FACTORS[0], pinned=True)]
 
@@ -270,10 +276,17 @@ def _mirrored(params: ModelParams) -> ModelParams:
     return ModelParams(params.gamma, -params.lam, -params.mu)
 
 
-def _placed(roots: list[_Root], z_of: Callable[[float], float]) -> tuple[Eigenvalue, ...]:
-    evs = [Eigenvalue(z=z_of(r.d), multiplicity=r.multiplicity, sector=r.sector,
-                      factor=r.factor, pinned=r.pinned) for r in roots]
-    return tuple(sorted(evs, key=lambda ev: ev.z))
+def _report(K: TorusPoint, params: ModelParams, band: Band, below: list[_Root],
+            above: list[_Root]) -> SpectrumReport:
+    """The one place where one-sided roots become a report: at e_min - d
+    below the band and at e_max + d above it, each side ascending in z."""
+    def placed(roots: list[_Root], edge: float, sign: float) -> tuple[Eigenvalue, ...]:
+        evs = (Eigenvalue(z=edge + sign * r.d, multiplicity=r.multiplicity, sector=r.sector,
+                          factor=r.factor, pinned=r.pinned) for r in roots)
+        return tuple(sorted(evs, key=lambda ev: ev.z))
+
+    return SpectrumReport(K=K, params=params, band=band, below=placed(below, band.e_min, -1.0),
+                          above=placed(above, band.e_max, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +353,12 @@ def spectrum_k0(params: ModelParams) -> SpectrumReport:
     """
     band = band_edges(ORIGIN, params)
     if params.lam == 0.0 and params.mu == 0.0:
-        return SpectrumReport(K=ORIGIN, params=params, band=band, below=(), above=())
+        return _report(ORIGIN, params, band, [], [])
     edge = _main_even_edge(params.gamma)
     window = _search_window(params.lam, params.mu)
     memo: dict[float, IntegralSet] = {}
-    below = _k0_below(params, edge, window, memo)
-    above = _k0_below(_mirrored(params), edge, window, memo)
-    hi = 4.0 * params.g
-    return SpectrumReport(K=ORIGIN, params=params, band=band,
-                          below=_placed(below, lambda d: -d),
-                          above=_placed(above, lambda d: hi + d))
+    return _report(ORIGIN, params, band, _k0_below(params, edge, window, memo),
+                   _k0_below(_mirrored(params), edge, window, memo))
 
 
 # the rows of _curves_array: (factor, sector, multiplicity) of each curve
@@ -373,27 +382,10 @@ def _curves_array(lam: np.ndarray, mu: np.ndarray, s) -> np.ndarray:
 
 def _pending_depths(gamma: float, lam: np.ndarray, mu: np.ndarray, edge: SimpleNamespace,
                     floor: IntegralSet) -> dict[int, float]:
-    """:func:`_pending_root` over arrays of one-sided problems, as one mask.
-
-    The test reuses :func:`factor_value` and :func:`slope_below` on arrays,
-    so every problem sees the scalar arithmetic in the scalar order; the
-    pinned depth is computed with ``math.exp`` for the flagged problems
-    only, by :func:`_pinned_depth`.  Returns the depth of each problem with
-    a pending root, by index.
-    """
-    p = SimpleNamespace(lam=lam, mu=mu, g=1.0 + gamma)
-    floor_value = factor_value(FactorKind.MAIN_EVEN, floor, p)
-    s_minus = slope_below(p)
-    abs_lam, abs_mu = np.abs(lam), np.abs(mu)
-    alpha = factor_value(FactorKind.MAIN_EVEN, edge, p)
-    beta = edge.slope * s_minus
-    m_floor = alpha - beta * math.log(MESH_FLOOR)
-    negative = np.signbit(floor_value)
-    flagged = np.flatnonzero(
-        (floor_value != 0.0)
-        & (np.abs(s_minus) > 8.0 * _EPS * (2.0 * abs_mu + abs_lam + abs_lam * abs_mu / p.g))
-        & (m_floor != 0.0) & (np.signbit(m_floor) == negative)
-        & (np.signbit(beta) != negative))
+    """:func:`_pending` over arrays of one-sided problems: the pinned depth
+    of each flagged problem, by index, from :func:`_pinned_depth`."""
+    flag, alpha, beta = _pending(SimpleNamespace(lam=lam, mu=mu, g=1.0 + gamma), edge, floor)
+    flagged = np.flatnonzero(flag)
     return {i: _pinned_depth(a, b) for i, a, b in
             zip(flagged.tolist(), alpha[flagged].tolist(), beta[flagged].tolist())}
 
@@ -474,25 +466,6 @@ def _k0_batch(gamma: float, lams: Sequence[float], mus: Sequence[float]) -> _K0B
     for p, d in _pending_depths(gamma, lam, mu, _main_even_edge(gamma), floor).items():
         found[p].append(_Root(d, *_ZERO_FIBER_FACTORS[0], pinned=True))
     return _K0Batch(list(zip(below, above)), [_merge_found(f) for f in found], failed)
-
-
-def spectra_k0(gamma: float, lams: Sequence[float],
-               mus: Sequence[float]) -> list[SpectrumReport | ToleranceError]:
-    """:func:`spectrum_k0` at every (lams[i], mus[i]), solved as one batch.
-
-    The roots come from :func:`_k0_batch` and are placed as the scalar
-    solver places them.  A point whose side failed to converge gets the
-    ``ToleranceError`` as its entry.
-    """
-    batch = _k0_batch(gamma, lams, mus)
-    band, hi = band_edges(ORIGIN, ModelParams(gamma)), 4.0 * (1.0 + gamma)
-    reports: list[SpectrumReport | ToleranceError] = []
-    for lam, mu, (below, above) in zip(lams, mus, batch.sides):
-        reports.append(batch.failure(below, above) or SpectrumReport(
-            K=ORIGIN, params=ModelParams(gamma, lam, mu), band=band,
-            below=_placed(batch.roots[below], lambda d: -d),
-            above=_placed(batch.roots[above], lambda d: hi + d)))
-    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +640,8 @@ def spectrum_general(K: TorusPoint, params: ModelParams) -> SpectrumReport:
     if band.degenerate:
         return _degenerate_spectrum(K, params, band)
     if params.lam == 0.0 and params.mu == 0.0:
-        return SpectrumReport(K=K, params=params, band=band, below=(), above=())
+        return _report(K, params, band, [], [])
     window = _search_window(params.lam, params.mu)
     memo: dict[float, GramBlocks] = {}
-    below = _general_below(K, params, window, memo)
-    above = _general_below(K, _mirrored(params), window, memo)
-    return SpectrumReport(K=K, params=params, band=band,
-                          below=_placed(below, lambda d: band.e_min - d),
-                          above=_placed(above, lambda d: band.e_max + d))
+    return _report(K, params, band, _general_below(K, params, window, memo),
+                   _general_below(K, _mirrored(params), window, memo))

@@ -46,4 +46,4 @@ def published_thresholds(gamma: float) -> Thresholds:
     off_c = published_asymptote("c", Side.BELOW, gamma).offset
     off_e = published_asymptote("e", Side.BELOW, gamma).offset
     off_f = published_asymptote("f", Side.BELOW, gamma).offset
-    return Thresholds(t_s=1.0 / (off_c - off_e), t_d=1.0 / off_f, gamma=gamma)
+    return Thresholds(t_s=1.0 / (off_c - off_e), t_d=1.0 / off_f)

@@ -258,40 +258,45 @@ def _plane_points(step: float = 0.5) -> tuple[list[float], list[float]]:
     return [lam for lam in axis for _ in axis], [mu for _ in axis for mu in axis]
 
 
-def _shape(side):
-    return [(ev.multiplicity, ev.pinned, ev.factor, ev.sector) for ev in side]
+def _shape(roots):
+    return [(r.factor, r.sector, r.multiplicity, r.pinned) for r in roots]
 
 
 @pytest.mark.parametrize(
     "gamma", [1.0, *np.random.default_rng(17).uniform(0.3, 3.0, 3).round(4).tolist()])
 def test_batched_sweep_matches_the_scalar_solver(gamma):
-    # gamma = 1 and three random gammas; every K = 0 row of a sweep comes from the batch; the scalar solver must
-    # give the same states, multiplicities, pinned flags and factors, and
-    # positions within 1e-9 of their depth (plus the rounding of the edge)
+    # gamma = 1 and three random gammas; every K = 0 row of a sweep comes
+    # from the batch; the scalar one-sided solver must give the same roots,
+    # factors, sectors, multiplicities and pinned flags, with depths within
+    # 1e-9 relative, and the scalar report the same counts
     rows = sweep((-12.0, 12.0), (-12.0, 12.0), 0.5, gamma=gamma)
-    reps = spectrum.spectra_k0(gamma, *_plane_points())
-    assert len(rows) == len(reps) == 2401
-    top = 4.0 * (1.0 + gamma)
-    for row, rep in zip(rows, reps):
-        ref = spectrum_k0(ModelParams(gamma, row.lam, row.mu))
+    lams, mus = _plane_points()
+    batch = spectrum._k0_batch(gamma, lams, mus)
+    assert len(rows) == len(batch.sides) == 2401 and not batch.failed
+    edge, memo, top = spectrum._main_even_edge(gamma), {}, 4.0 * (1.0 + gamma)
+    for row, lam, mu, sides in zip(rows, lams, mus, batch.sides):
+        ref = spectrum_k0(ModelParams(gamma, lam, mu))
         assert (row.comp_below, row.comp_above) == (ref.n_below, ref.n_above)
-        for got, want, eigs, edge in ((rep.below, ref.below, row.eigs_below, 0.0),
-                                      (rep.above, ref.above, row.eigs_above, top)):
-            assert _shape(got) == _shape(want), (row.lam, row.mu)
-            assert eigs == tuple(ev.z for ev in got for _ in range(ev.multiplicity))
+        for side, sign, eigs, place in ((sides[0], 1.0, row.eigs_below, lambda d: -d),
+                                        (sides[1], -1.0, row.eigs_above, lambda d: top + d)):
+            got = batch.roots[side]
+            want = spectrum._k0_below(ModelParams(gamma, sign * lam, sign * mu), edge,
+                                      spectrum._search_window(lam, mu), memo)
+            assert _shape(got) == _shape(want), (lam, mu)
             for a, b in zip(got, want):
-                assert abs(a.z - b.z) <= 1e-9 * abs(b.z - edge) + 2 * math.ulp(edge)
+                assert abs(a.d - b.d) <= 1e-9 * b.d
+            assert eigs == tuple(sorted(place(r.d) for r in got for _ in range(r.multiplicity)))
 
 
 def test_batch_rows_do_not_depend_on_the_batch():
-    # each point's spectrum is bit-identical whether the plane is solved as
+    # each point's states are bit-identical whether the plane is solved as
     # one batch, in reversed order, or in batches of 7 consecutive points
     # (which split every mirrored pair of one-sided problems)
     lams, mus = _plane_points()
-    whole = spectrum.spectra_k0(1.0, lams, mus)
-    backwards = spectrum.spectra_k0(1.0, lams[::-1], mus[::-1])[::-1]
-    sevens = [rep for i in range(0, len(lams), 7)
-              for rep in spectrum.spectra_k0(1.0, lams[i:i + 7], mus[i:i + 7])]
+    whole = atlas._zero_fiber_states(1.0, lams, mus)
+    backwards = atlas._zero_fiber_states(1.0, lams[::-1], mus[::-1])[::-1]
+    sevens = [states for i in range(0, len(lams), 7)
+              for states in atlas._zero_fiber_states(1.0, lams[i:i + 7], mus[i:i + 7])]
     assert backwards == whole
     assert sevens == whole
 
@@ -363,14 +368,13 @@ def test_success_rows_have_an_empty_error():
 
 
 def test_threshold_scan_adjudicates_the_even_threshold():
-    res = threshold_scan(step=1e-2)
+    res = threshold_scan()
     assert res.matches_computed
-    assert res.appearance_mu == pytest.approx(res.candidate_computed, abs=0.02)
+    # 1 / max(e - c) over the samples is the computed t_s to 1e-9: the
+    # nearest sample sits 1e-10 from the edge, where c - e is near its limit
+    assert res.appearance_mu == pytest.approx(res.candidate_computed, rel=1e-9)
     assert res.candidate_published == pytest.approx(3.659792, abs=1e-5)
     assert res.candidate_computed == pytest.approx(7.319585, abs=1e-5)
-    # scanning a window that excludes the threshold is an error
-    with pytest.raises(ValueError):
-        threshold_scan(mu_lo=1.0, mu_hi=2.0, step=0.1)
 
 
 @pytest.mark.parametrize("lam,mu", [(1.0, 4.0), (0.0, 5.0)])

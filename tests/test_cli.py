@@ -185,6 +185,18 @@ def test_det_output_is_pinned(capsys, args, out):
     assert capsys.readouterr().out == out
 
 
+@pytest.mark.parametrize("command", [["spectrum"], ["det", "--z", "9"]])
+def test_zero_fiber_dispatch_reads_the_wrapped_fiber(capsys, command):
+    # K = (2 pi, 0) is the zero fiber: the same factor labels and factor
+    # lines as K = (0, 0), not the general path
+    args = command + ["--gamma", "1", "--lambda", "1", "--mu", "10", "--K"]
+    assert main(args + ["0,0"]) == 0
+    at_origin = capsys.readouterr().out
+    assert main(args + ["6.283185307179586,0"]) == 0
+    assert capsys.readouterr().out == at_origin
+    assert "[odd]" in at_origin or "odd       =" in at_origin
+
+
 def test_det_inside_band_maps_to_numerical_failure(capsys):
     assert main(["det", "--z", "1.0", "--lambda", "1", "--mu", "1"]) == 3
     assert "numerical failure" in capsys.readouterr().err

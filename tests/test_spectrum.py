@@ -287,7 +287,7 @@ def test_block_curves_are_the_curves_of_the_gram_matrix():
         lam, mu = (0.0 if i % 6 == 2 else lam), (0.0 if i % 6 == 3 else mu)
         params = ModelParams(gamma, float(lam), float(mu))
         curves = spectrum._fiber_curves(K, params, d, gram_blocks(K, gamma, d))
-        j = secular_entries(0.0, K, params, side=Side.BELOW, delta=d)
+        j = secular_entries(K, gamma, Side.BELOW, d)
         ref = spectrum._threshold_count(j, interaction_weights(params))[1]
         assert curves == sorted(curves)
         scale = np.max(np.abs(ref))
@@ -402,16 +402,24 @@ def test_crossing_that_does_not_converge_is_a_tolerance_error(monkeypatch):
         _crossings(lambda d: np.array([c(d)]))
 
 
+def _scalar_roots(gamma, lam, mu):
+    """The scalar solver's merged roots below the band at zero fiber."""
+    return spectrum._k0_below(ModelParams(gamma, lam, mu), spectrum._main_even_edge(gamma),
+                              spectrum._search_window(lam, mu), {})
+
+
 def test_zero_coupling_is_empty():
     params = ModelParams(1.0, 0.0, 0.0)
     assert spectrum_k0(params).n_below == 0
     assert spectrum_k0(params).n_above == 0
     rep = spectrum_general(TorusPoint(0.7, -1.1), params)
     assert rep.below == () and rep.above == ()
-    # a batch with no crossing to solve, and an empty batch
-    assert spectrum.spectra_k0(1.0, [0.0, -0.0], [0.0, 0.0]) == [
-        spectrum_k0(params), spectrum_k0(ModelParams(1.0, -0.0, 0.0))]
-    assert spectrum.spectra_k0(1.0, [], []) == []
+    # a batch with no crossing to solve, whose one problem (-0.0 read as
+    # 0.0) has the scalar solver's empty roots, and an empty batch
+    batch = spectrum._k0_batch(1.0, [0.0, -0.0], [0.0, 0.0])
+    assert batch.sides == [(0, 0), (0, 0)] and not batch.failed
+    assert batch.roots == [[]] == [_scalar_roots(1.0, 0.0, 0.0)]
+    assert spectrum._k0_batch(1.0, [], []) == ([], [], {})
 
 
 def test_rank_bound_on_random_draws():
@@ -502,6 +510,44 @@ def test_pending_mask_matches_the_scalar_test_on_draws(batch):
     assert mask == scalar
 
 
+def _flags(gamma, lams, mus):
+    """Indices flagged by the pending predicate on each problem alone, with
+    floats, and on all of them at once, with arrays."""
+    edge = spectrum._main_even_edge(gamma)
+    floor = watson_integrals_at(Side.BELOW, spectrum.MESH_FLOOR, gamma)
+    scalar = []
+    for i, (lam, mu) in enumerate(zip(lams, mus)):
+        flag = spectrum._pending(ModelParams(gamma, lam, mu), edge, floor)[0]
+        assert isinstance(flag, bool)
+        if flag:
+            scalar.append(i)
+    batch = SimpleNamespace(lam=np.array(lams, dtype=float), mu=np.array(mus, dtype=float),
+                            g=1.0 + gamma)
+    return scalar, np.flatnonzero(spectrum._pending(batch, edge, floor)[0]).tolist()
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.4137])
+def test_pending_predicate_flags_the_same_problems_on_floats_and_arrays(gamma):
+    # the 49x49 plane; seeded draws, two thirds of them on or next to the
+    # S- = 0 hyperbola, where S- is about 0 and pending roots are born; and
+    # the weakest couplings, where at lam = -5e-324 beta = s S- underflows
+    # to -0.0 and the sign is read from S-
+    axis = [-12.0 + 0.5 * i for i in range(49)]
+    scalar, array = _flags(gamma, [lam for lam in axis for _ in axis],
+                           [mu for _ in axis for mu in axis])
+    assert scalar == array and len(scalar) > 10
+    rng = np.random.default_rng(41)
+    mus = rng.uniform(-12.0, 12.0, 600).tolist()
+    lams = rng.uniform(-12.0, 12.0, 600).tolist()
+    offsets = [0.0, 1e-15, -1e-12, 1e-3, -1e-3, 1e-2, -1e-2, 0.1]
+    for i in range(400):
+        lams[i] = _on_the_hyperbola(mus[i], 1.0 + gamma) * (1.0 + offsets[i % 8])
+    weak = [-5e-324, 5e-324, -1e-300, 1e-300]
+    scalar, array = _flags(gamma, lams + weak, mus + [0.0] * 4)
+    assert scalar == array and len(scalar) > 50
+    assert [i - 600 for i in scalar if i >= 600] == [0, 2]
+
+
 def _no_solve(*args, **kwargs):
     raise AssertionError("the batch started a solve")
 
@@ -514,7 +560,7 @@ def test_batch_rejects_invalid_input_before_solving(monkeypatch, gamma, lam, mu)
     monkeypatch.setattr(spectrum, "find_root", _no_solve)
     monkeypatch.setattr(spectrum, "watson_integrals_at", _no_solve)
     with pytest.raises(ValueError):
-        spectrum.spectra_k0(gamma, [0.5, lam], [2.0, mu])
+        spectrum._k0_batch(gamma, [0.5, lam], [2.0, mu])
 
 
 @pytest.mark.parametrize("lam,mu", [(-12.0, 1.5), (-4.0, 1.0), (4.0, -1.0),
@@ -535,7 +581,11 @@ def test_weakest_attraction_binds_at_the_edge(lam):
     rep = spectrum_k0(ModelParams(1.0, lam, 0.0))
     assert [(ev.z, ev.pinned) for ev in rep.below] == [(-spectrum.PINNED_MIN, True)]
     assert rep.above == ()
-    assert spectrum.spectra_k0(1.0, [lam], [0.0]) == [rep]
+    # the batch finds the same pinned root, bit for bit, and none above
+    batch = spectrum._k0_batch(1.0, [lam], [0.0])
+    (below, above), = batch.sides
+    assert batch.roots[below] == _scalar_roots(1.0, lam, 0.0)
+    assert batch.roots[above] == _scalar_roots(1.0, -lam, -0.0) == []
 
 
 def test_general_root_just_below_the_mesh_floor():
