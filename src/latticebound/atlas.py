@@ -22,8 +22,8 @@ that reading predicts 5 states above the band at (lam, mu) = (1, 10), where
 direct diagonalization and the grid oracle find 4.
 
 Sweeps solve every K = 0 point of the grid in-process as one batch and
-build its rows straight from the batch's one-sided roots
-(`spectrum._k0_batch`), with no report per point; labels and counts are
+place each point's roots from the batch (`spectrum._k0_batch`) straight
+into its row, with no report per point; labels and counts are
 computed once per grid point and shared by its fibers.  A worker pool
 serves only the general-fiber points, because a whole batched plane costs
 less than starting one worker.
@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ModelParams, TorusPoint, ORIGIN
-from .errors import NUMERICAL_ERRORS
+from .errors import NUMERICAL_ERRORS, ToleranceError
 from .integrals import Side, predicted_asymptote, watson_integrals_at
 from .spectrum import _k0_batch, spectrum_general
 
@@ -119,25 +119,36 @@ def _c_family(s_minus: float, mu: float, g: float, sign: str) -> str:
     return f"C0{sign}b" if abs(mu + g) <= BOUNDARY_TOL else f"C0{sign}"
 
 
-def _slopes(lam, mu, g):
-    """S+ and S- at (lam, mu), floats or arrays alike."""
-    return 2.0 * mu + lam - lam * mu / g, 2.0 * mu + lam + lam * mu / g
+def _grid_labels(lams: list[float], mus: list[float],
+                 gamma: float) -> list[tuple[RegionLabel, PredictedCounts]]:
+    """The region label and :func:`predicted_counts` at every (lam, mu) of
+    the grid, lam outer; the one label builder, which :func:`classify`
+    runs at one point.  S+ and S- are computed elementwise with the scalar
+    arithmetic, the thresholds once, the mu-axis regions once per mu, and
+    the counts once per distinct label, on which alone they depend."""
+    g, thr = 1.0 + gamma, binding_thresholds(gamma)
+    lam, mu = np.array(lams)[:, None], np.array(mus)
+    s_plus = (2.0 * mu + lam - lam * mu / g).tolist()
+    s_minus = (2.0 * mu + lam + lam * mu / g).tolist()
+    axis = [(_axis_region(mu, thr.t_s, "S0"), _axis_region(mu, thr.t_d, "D0")) for mu in mus]
+    preds: dict[tuple[str, str, str, str], PredictedCounts] = {}
+    out = []
+    for sp_row, sm_row in zip(s_plus, s_minus):
+        for mu, regions, sp, sm in zip(mus, axis, sp_row, sm_row):
+            # above the band: the minus family at (-lam, -mu), where S- = -S+
+            label = RegionLabel(*regions, c_plus=_c_family(-sp, -mu, g, "+"),
+                                c_minus=_c_family(sm, mu, g, "-"), s_plus=sp,
+                                s_minus=sm, thresholds=thr)
+            key = (*regions, label.c_plus, label.c_minus)
+            if key not in preds:
+                preds[key] = predicted_counts(label)
+            out.append((label, preds[key]))
+    return out
 
 
 def classify(params: ModelParams) -> RegionLabel:
     """Place (lam, mu) in the three region families."""
-    thr = binding_thresholds(params.gamma)
-    g = params.g
-    s_plus, s_minus = _slopes(params.lam, params.mu, g)
-    return RegionLabel(
-        s_region=_axis_region(params.mu, thr.t_s, "S0"),
-        d_region=_axis_region(params.mu, thr.t_d, "D0"),
-        # above the band: the minus family at (-lam, -mu), where S- = -S+
-        # exactly, because rounding to nearest is symmetric
-        c_plus=_c_family(-s_plus, -params.mu, g, "+"),
-        c_minus=_c_family(s_minus, params.mu, g, "-"),
-        s_plus=s_plus, s_minus=s_minus, thresholds=thr,
-    )
+    return _grid_labels([params.lam], [params.mu], params.gamma)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -230,39 +241,15 @@ def _general_point(task: tuple) -> tuple[tuple[float, ...], tuple[float, ...]] |
 
 
 def _zero_fiber_states(gamma: float, lams: Sequence[float], mus: Sequence[float]) -> list:
-    """The states below and above of every (lams[i], mus[i]) at K = 0, read
-    from the one-sided roots of :func:`spectrum._k0_batch`: -d below the
-    band and 4g + d above it, each repeated by its multiplicity.  A point
-    whose side failed to converge gets the ``ToleranceError``."""
-    batch = _k0_batch(gamma, lams, mus)
+    """The states below and above of every (lams[i], mus[i]) at K = 0, placed
+    from the roots of :func:`spectrum._k0_batch`: -d below the band and
+    4g + d above it, each repeated by its multiplicity.  A point that failed
+    keeps its ``ToleranceError``."""
     hi = 4.0 * (1.0 + gamma)
-    depths = [[r.d for r in roots for _ in range(r.multiplicity)] for roots in batch.roots]
-    return [batch.failure(below, above) or (tuple(sorted(-d for d in depths[below])),
-                                            tuple(sorted(hi + d for d in depths[above])))
-            for below, above in batch.sides]
-
-
-def _grid_labels(lams: list[float], mus: list[float], gamma: float,
-                 thr: Thresholds) -> list[tuple[RegionLabel, PredictedCounts]]:
-    """:func:`classify` and :func:`predicted_counts` at every (lam, mu) of
-    the grid, lam outer.  S+ and S- are computed elementwise with the
-    scalar arithmetic, the mu-axis regions once per mu, and the counts once
-    per distinct label, on which alone they depend."""
-    g = 1.0 + gamma
-    s_plus, s_minus = (a.tolist() for a in _slopes(np.array(lams)[:, None], np.array(mus), g))
-    axis = [(_axis_region(mu, thr.t_s, "S0"), _axis_region(mu, thr.t_d, "D0")) for mu in mus]
-    preds: dict[tuple[str, str, str, str], PredictedCounts] = {}
-    out = []
-    for sp_row, sm_row in zip(s_plus, s_minus):
-        for mu, regions, sp, sm in zip(mus, axis, sp_row, sm_row):
-            label = RegionLabel(*regions, c_plus=_c_family(-sp, -mu, g, "+"),
-                                c_minus=_c_family(sm, mu, g, "-"), s_plus=sp,
-                                s_minus=sm, thresholds=thr)
-            key = (*regions, label.c_plus, label.c_minus)
-            if key not in preds:
-                preds[key] = predicted_counts(label)
-            out.append((label, preds[key]))
-    return out
+    return [point if isinstance(point, ToleranceError) else
+            (tuple(sorted(-r.d for r in point[0] for _ in range(r.multiplicity))),
+             tuple(sorted(hi + r.d for r in point[1] for _ in range(r.multiplicity))))
+            for point in _k0_batch(gamma, lams, mus)]
 
 
 def _row(lam: float, mu: float, gamma: float, K: TorusPoint, zero: bool,
@@ -317,7 +304,6 @@ def sweep(lam_range: tuple[float, float], mu_range: tuple[float, float],
     grid = [(lam, mu) for lam in lams for mu in mus]
     # by position in K_list, not by K: TorusPoint(-0.0, 0.0) == ORIGIN
     zero = [K == ORIGIN for K in K_list]
-    thr = binding_thresholds(gamma)
     at_zero = _zero_fiber_states(gamma, *zip(*grid)) if any(zero) else []
     tasks = [(lam, mu, gamma, K.p1, K.p2) for lam, mu in grid
              for K, z in zip(K_list, zero) if not z]
@@ -330,7 +316,7 @@ def sweep(lam_range: tuple[float, float], mu_range: tuple[float, float],
     rest = iter(general)
     return [_row(lam, mu, gamma, K, z, at_zero[i] if z else next(rest), label, pred)
             for i, ((lam, mu), (label, pred)) in enumerate(
-                zip(grid, _grid_labels(lams, mus, gamma, thr)))
+                zip(grid, _grid_labels(lams, mus, gamma)))
             for K, z in zip(K_list, zero)]
 
 

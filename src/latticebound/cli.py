@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import atlas, oracle, spectrum
-from .core import ORIGIN, ModelParams, TorusPoint, band_edges
+from .core import GAMMA_MAX, ORIGIN, ModelParams, TorusPoint, band_edges
 from .determinants import (FactorKind, factor_value, gram_blocks, interaction_weights,
                            secular_det, secular_entries)
 from .errors import NUMERICAL_ERRORS, ParseError, ValidationError
@@ -51,11 +51,10 @@ class RunConfig:
     out: str | None = None
 
     def validate(self) -> "RunConfig":
-        _finite("gamma", self.gamma)
         _finite("lambda", self.lam)
         _finite("mu", self.mu)
-        if self.gamma <= 0.0:
-            raise ValidationError("must be positive", "gamma")
+        if not 0.0 < self.gamma <= GAMMA_MAX:
+            raise ValidationError(f"must be positive and at most {GAMMA_MAX:g}", "gamma")
         for v in self.K:
             _finite("K", v)
         if self.grid_N < 16:
@@ -142,7 +141,7 @@ def parse_config(text: str) -> RunConfig:
             values[attr] = conv(val)
         except ValidationError:
             raise
-        except Exception as exc:
+        except ValueError as exc:
             raise ParseError(f"bad value for {key!r}: {exc}", lineno) from None
     return RunConfig(**values).validate()
 

@@ -33,8 +33,11 @@ class TorusPoint:
     p2: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p1", wrap(float(self.p1)))
-        object.__setattr__(self, "p2", wrap(float(self.p2)))
+        p1, p2 = float(self.p1), float(self.p2)
+        if not (math.isfinite(p1) and math.isfinite(p2)):
+            raise ValueError(f"K must be finite, got ({p1}, {p2})")
+        object.__setattr__(self, "p1", wrap(p1))
+        object.__setattr__(self, "p2", wrap(p2))
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.p1, self.p2)
@@ -47,15 +50,18 @@ class TorusPoint:
 
 
 ORIGIN = TorusPoint(0.0, 0.0)
+# the amplitudes square 1 - gamma, which overflows beyond about 1e154, and
+# the general-fiber Gram matrix leaves the double range from about 1e150
+GAMMA_MAX = 1e100
 
 
 @dataclass(frozen=True)
 class ModelParams:
     """Couplings of the model.
 
-    ``gamma`` is the mass ratio entering the second particle's hopping
-    (must be positive); ``lam`` weights the on-site interaction and ``mu``
-    the nearest-neighbour one.
+    ``gamma`` is the mass ratio entering the second particle's hopping,
+    positive and at most GAMMA_MAX; ``lam`` weights the on-site interaction
+    and ``mu`` the nearest-neighbour one.
     """
 
     gamma: float = 1.0
@@ -63,8 +69,8 @@ class ModelParams:
     mu: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.gamma > 0.0) or not math.isfinite(self.gamma):
-            raise ValueError(f"gamma must be a positive real, got {self.gamma}")
+        if not 0.0 < self.gamma <= GAMMA_MAX:
+            raise ValueError(f"gamma must be in (0, {GAMMA_MAX:g}], got {self.gamma}")
         for name in ("lam", "mu"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

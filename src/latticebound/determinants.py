@@ -47,7 +47,8 @@ reflects the band and flips the sign of the four trigonometric modes, which
 gives the matrix above it.  :func:`secular_entries` takes the side and the
 exact distance to its edge, never an energy, which near the edge would keep
 few digits of that distance; :func:`secular_det` alone reads an energy z
-and splits it into (side, distance).  References: DLMF section 19.29;
+and splits it into (side, distance) with
+:func:`~latticebound.integrals.energy_side`.  References: DLMF section 19.29;
 B. C. Carlson, Math. Comp. 49, 595 (1987) and 51, 267 (1988).
 """
 
@@ -60,8 +61,7 @@ import numpy as np
 from scipy.special import elliprd, elliprf, elliprj
 
 from .core import ModelParams, TorusPoint, edges_closed, pair_amplitudes
-from .errors import DomainError
-from .integrals import Side
+from .integrals import Side, energy_side
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -247,12 +247,5 @@ def secular_det(z: float, K: TorusPoint, params: ModelParams) -> float:
     raises :class:`DomainError`.  The determinant comes from LAPACK's
     pivoted LU factorization.
     """
-    lo, hi = edges_closed(K, params)
-    if z < lo:
-        side, delta = Side.BELOW, lo - z
-    elif z > hi:
-        side, delta = Side.ABOVE, z - hi
-    else:
-        raise DomainError(f"z = {z} lies inside the closed band [{lo}, {hi}]")
-    j = secular_entries(K, params.gamma, side, delta)
+    j = secular_entries(K, params.gamma, *energy_side(z, *edges_closed(K, params)))
     return float(np.linalg.det(np.eye(5) + interaction_weights(params)[:, None] * j))

@@ -162,17 +162,22 @@ def watson_integrals_at(side: Side, delta: float, gamma: float) -> IntegralSet:
     return IntegralSet(a=a, b=b, c=c, e=e, f=f, z=-delta)
 
 
+def energy_side(z: float, lo: float, hi: float) -> tuple[Side, float]:
+    """The side of the closed band [lo, hi] that an energy z lies on, and its
+    distance from that edge; a z inside the band raises DomainError."""
+    if z < lo:
+        return Side.BELOW, lo - z
+    if z > hi:
+        return Side.ABOVE, z - hi
+    raise DomainError(f"z = {z} lies inside the closed band [{lo}, {hi}]")
+
+
 def watson_integrals(z: float, gamma: float) -> IntegralSet:
     """Five moments at energy ``z`` outside the closed band [0, 4(1+gamma)].
 
     Raises DomainError for z inside the closed band (endpoints included).
     """
-    g = 1.0 + gamma
-    if z < 0.0:
-        return watson_integrals_at(Side.BELOW, -z, gamma)
-    if z > 4.0 * g:
-        return watson_integrals_at(Side.ABOVE, z - 4.0 * g, gamma)
-    raise DomainError(f"z = {z} lies inside the closed band [0, {4.0 * g}]")
+    return watson_integrals_at(*energy_side(z, 0, 4.0 * (1.0 + gamma)), gamma)
 
 
 def watson_integrals_grid(z: float, gamma: float) -> IntegralSet:
@@ -184,8 +189,7 @@ def watson_integrals_grid(z: float, gamma: float) -> IntegralSet:
     for production use near the edges.
     """
     g, n = 1.0 + gamma, 512
-    if 0.0 <= z <= 4.0 * g:
-        raise DomainError(f"z = {z} lies inside the closed band [0, {4.0 * g}]")
+    energy_side(z, 0, 4.0 * g)   # a z inside the closed band raises DomainError
     q = -PI + 2.0 * PI * np.arange(n) / n
     p1, p2 = np.meshgrid(q, q, indexing="ij")
     den = g * ((1.0 - np.cos(p1)) + (1.0 - np.cos(p2))) - z

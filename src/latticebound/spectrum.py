@@ -29,11 +29,11 @@ edge models are the exact edge limits of
 Zero-fiber batches: the moments do not depend on (lam, mu), so
 :func:`_k0_batch` solves a whole coupling plane as one elementwise problem
 in ln d (one root finder call for every crossing of every point) and
-returns the merged roots of each distinct one-sided problem; sweeps read
-their rows from these roots directly.  The pending-root test is one
-predicate, :func:`_pending`, on a single problem or on the whole batch.  A
-single point keeps the scalar engine of :func:`spectrum_k0`, which costs
-less than a batch of one.
+returns per point its merged roots below and above, or its
+``ToleranceError``; sweeps place them in their rows.  The pending-root
+test is one predicate, :func:`_pending`, on a single problem or on the
+whole batch.  A single point keeps the scalar engine of
+:func:`spectrum_k0`, which costs less than a batch of one.
 
 General fiber: J is the 5x5 Gram matrix of the modes, R blockdiag(M3, s1,
 s2) R^T in the frame where each angle is rotated by its dispersion phase
@@ -44,7 +44,10 @@ those of the 3x3 even block with weights diag(lam, mu/2, mu/2), one
 Cholesky factorization and one 3x3 eigensolve per distance.  Roots between
 the floor and the edge are counted from the edge limit of J, whose
 log-divergent part has rank one and lies in the even block, and reported
-pinned at 1e-13.
+pinned at 1e-13.  On a flat fiber E_K is constant and the states are the
+eigenvalues of the interaction, at distances |lam| and |mu|/2 from the band.
+A solve whose window over g exceeds COUPLING_MAX = 2^44 raises
+:class:`ToleranceError`: there rounding would decide its count.
 """
 
 from __future__ import annotations
@@ -72,6 +75,9 @@ MESH_FLOOR = 1e-10
 MESH_COARSE = 0.25   # step of the oracle mesh beyond distance 1
 MERGE_TOL = 1e-9
 PINNED_MIN = 1e-13   # pinned roots sit at least this far from the edge
+# largest window over g, (|lam| + 2|mu| + 1) / g, that a solve accepts: the
+# curves carry rounding of eps times that, 2^-8, and misread -1 near 2^-2
+COUPLING_MAX = 2.0 ** 44
 _SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
 
@@ -123,6 +129,14 @@ class SpectrumReport:
 def _search_window(lam, mu):
     """|lam| + 2|mu| + 1, floats or arrays: no state binds deeper than the interaction norm."""
     return abs(lam) + 2.0 * abs(mu) + 1.0
+
+
+def _range_error(window: float, g: float) -> ToleranceError | None:
+    """The failure of a search window beyond COUPLING_MAX g, where the count
+    at -1 is not resolved; None within the range."""
+    if window > COUPLING_MAX * g:
+        return ToleranceError(f"(|lam| + 2|mu| + 1) / g = {window / g:.3g} exceeds 2^44, "
+                              f"beyond which the count is not resolved")
 
 
 def _delta_mesh(delta_max: float, floor: float = MESH_FLOOR) -> np.ndarray:
@@ -354,8 +368,10 @@ def spectrum_k0(params: ModelParams) -> SpectrumReport:
     band = band_edges(ORIGIN, params)
     if params.lam == 0.0 and params.mu == 0.0:
         return _report(ORIGIN, params, band, [], [])
-    edge = _main_even_edge(params.gamma)
     window = _search_window(params.lam, params.mu)
+    if exc := _range_error(window, params.g):
+        raise exc
+    edge = _main_even_edge(params.gamma)
     memo: dict[float, IntegralSet] = {}
     return _report(ORIGIN, params, band, _k0_below(params, edge, window, memo),
                    _k0_below(_mirrored(params), edge, window, memo))
@@ -390,20 +406,10 @@ def _pending_depths(gamma: float, lam: np.ndarray, mu: np.ndarray, edge: SimpleN
             zip(flagged.tolist(), alpha[flagged].tolist(), beta[flagged].tolist())}
 
 
-class _K0Batch(NamedTuple):
-    """Roots of a batch of zero-fiber points, by distinct one-sided problem."""
-
-    sides: list[tuple[int, int]]    # per point: its problems below and above
-    roots: list[list[_Root]]        # per problem: merged, ascending in d
-    failed: dict[int, ToleranceError]
-
-    def failure(self, below: int, above: int) -> ToleranceError | None:
-        """The error of a point whose problems are ``below`` and ``above``, if one failed."""
-        return self.failed.get(below) or self.failed.get(above)
-
-
-def _k0_batch(gamma: float, lams: Sequence[float], mus: Sequence[float]) -> _K0Batch:
-    """The one-sided roots of every (lams[i], mus[i]) at zero fiber, as one batch.
+def _k0_batch(gamma: float, lams: Sequence[float],
+              mus: Sequence[float]) -> list[tuple[list[_Root], list[_Root]] | ToleranceError]:
+    """The merged roots below and above of every (lams[i], mus[i]) at zero
+    fiber, solved as one batch, or the point's ``ToleranceError``.
 
     The moments do not depend on the couplings, so the count-first scheme
     of :func:`_curve_crossings` runs on arrays: the four curves of every
@@ -413,10 +419,11 @@ def _k0_batch(gamma: float, lams: Sequence[float], mus: Sequence[float]) -> _K0B
     merging are those of the scalar solver.  The side above at (lam, mu)
     is the side below at (-lam, -mu), so each distinct problem, with -0.0
     read as 0.0, is solved once.  Every step is elementwise, so a problem's
-    roots do not depend on the other problems of the batch.  A crossing
-    that does not converge fails its problem with a ``ToleranceError``.
-    A gamma that is not a positive real and couplings that are not finite
-    raise ``ValueError`` before any solve.
+    roots do not depend on the other problems of the batch.  A point fails
+    with the ``ToleranceError`` of a side whose crossing does not converge
+    or whose window is out of range (:func:`_range_error`).  A gamma that
+    is not a positive real and couplings that are not finite raise
+    ``ValueError`` before any solve.
     """
     ModelParams(gamma)   # rejects a gamma that is not a positive real
     points = np.column_stack([np.asarray(lams, dtype=float), np.asarray(mus, dtype=float)])
@@ -424,7 +431,7 @@ def _k0_batch(gamma: float, lams: Sequence[float], mus: Sequence[float]) -> _K0B
         if not np.isfinite(col).all():
             raise ValueError(f"{name} must be finite")
     if not len(points):
-        return _K0Batch([], [], {})
+        return []
     # each (lam, mu) as one complex number, which np.unique sorts fast
     problems, index = np.unique((np.concatenate([points, -points]) + 0.0).view(complex),
                                 return_inverse=True)
@@ -432,6 +439,11 @@ def _k0_batch(gamma: float, lams: Sequence[float], mus: Sequence[float]) -> _K0B
     g, floor = 1.0 + gamma, watson_integrals_at(Side.BELOW, MESH_FLOOR, gamma)
     lam, mu = problems.real, problems.imag
     window = _search_window(lam, mu)
+    beyond = window > COUPLING_MAX * g
+    failed = {p: _range_error(window[p], g) for p in np.flatnonzero(beyond).tolist()}
+    # problems beyond the range fail, and solve as zero couplings
+    lam, mu = np.where(beyond, 0.0, lam), np.where(beyond, 0.0, mu)
+    window = np.where(beyond, 1.0, window)
     eta_floor = _curves_array(lam, mu, floor.as_array()[:, None])
     eta_window = _curves_array(lam, mu, _reduced_integrals_array(window / g) / g)
     # one crossing per curve (row) of a problem that is below -1 at the
@@ -452,7 +464,6 @@ def _k0_batch(gamma: float, lams: Sequence[float], mus: Sequence[float]) -> _K0B
                     args=(lam[prob], mu[prob], row, t_hi, ends),
                     tolerances=dict(xatol=1e-15, xrtol=4 * _EPS, fatol=0.0, frtol=0.0))
     found: list[list[_Root]] = [[] for _ in problems]
-    failed: dict[int, ToleranceError] = {}
     for r, p, d, ok, status, nit in zip(row.tolist(), prob.tolist(),
                                         distance(res.x, t_hi, ends).tolist(),
                                         res.success.tolist(), res.status.tolist(),
@@ -465,7 +476,9 @@ def _k0_batch(gamma: float, lams: Sequence[float], mus: Sequence[float]) -> _K0B
                 f"({lam[p]}, {mu[p]}) did not converge (status {status}) in {nit} iterations")
     for p, d in _pending_depths(gamma, lam, mu, _main_even_edge(gamma), floor).items():
         found[p].append(_Root(d, *_ZERO_FIBER_FACTORS[0], pinned=True))
-    return _K0Batch(list(zip(below, above)), [_merge_found(f) for f in found], failed)
+    merged = [_merge_found(f) for f in found]
+    return [failed.get(b) or failed.get(a) or (merged[b], merged[a])
+            for b, a in zip(below, above)]
 
 
 # ---------------------------------------------------------------------------
@@ -538,22 +551,14 @@ def count_jump_scan(nfun: Callable[[float], int], delta_max: float, floor: float
 
 
 def _degenerate_spectrum(K: TorusPoint, params: ModelParams, band: Band) -> SpectrumReport:
-    e = band.e_min
-    cands = []
-    if params.lam != 0.0:
-        cands.append((e + params.lam, 1))
-    if params.mu != 0.0:
-        zmu = e + 0.5 * params.mu
-        if cands and abs(cands[0][0] - zmu) <= MERGE_TOL:
-            cands[0] = (cands[0][0], cands[0][1] + 4)
-        else:
-            cands.append((zmu, 4))
-    evs = sorted((Eigenvalue(z=z, multiplicity=m, sector=Sector.MIXED,
-                             factor=FactorKind.GENERAL) for z, m in cands),
-                 key=lambda ev: ev.z)
-    return SpectrumReport(K=K, params=params, band=band,
-                          below=tuple(ev for ev in evs if ev.z < e),
-                          above=tuple(ev for ev in evs if ev.z >= e))
+    """Flat fiber: E_K is the constant band edge, so H(K) = e + V and each
+    eigenvalue of V is a state at that distance from it: lam on the constant
+    mode and mu/2 on the four trigonometric modes, below the band when
+    negative and above it when positive."""
+    modes = ((params.lam, 1), (0.5 * params.mu, 4))
+    below, above = ([_Root(abs(v), FactorKind.GENERAL, Sector.MIXED, m)
+                     for v, m in modes if sign * v > 0.0] for sign in (-1.0, 1.0))
+    return _report(K, params, band, _merge_found(below), _merge_found(above))
 
 
 # R^T u, the rank-one edge slope of J in the rotated frame, on the even block;
@@ -642,6 +647,8 @@ def spectrum_general(K: TorusPoint, params: ModelParams) -> SpectrumReport:
     if params.lam == 0.0 and params.mu == 0.0:
         return _report(K, params, band, [], [])
     window = _search_window(params.lam, params.mu)
+    if exc := _range_error(window, params.g):
+        raise exc
     memo: dict[float, GramBlocks] = {}
     return _report(K, params, band, _general_below(K, params, window, memo),
                    _general_below(K, _mirrored(params), window, memo))

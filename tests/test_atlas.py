@@ -12,7 +12,7 @@ from latticebound import atlas, spectrum
 from latticebound.atlas import (_axis_values, binding_thresholds, classify,
                                 predicted_counts, sweep, threshold_scan)
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
-from latticebound.errors import DomainError
+from latticebound.errors import DomainError, ToleranceError
 from latticebound.oracle import oracle_counts
 from latticebound.spectrum import FactorKind, spectrum_k0
 from published_table import published_thresholds
@@ -272,14 +272,14 @@ def test_batched_sweep_matches_the_scalar_solver(gamma):
     rows = sweep((-12.0, 12.0), (-12.0, 12.0), 0.5, gamma=gamma)
     lams, mus = _plane_points()
     batch = spectrum._k0_batch(gamma, lams, mus)
-    assert len(rows) == len(batch.sides) == 2401 and not batch.failed
+    assert len(rows) == len(batch) == 2401
+    assert not any(isinstance(point, ToleranceError) for point in batch)
     edge, memo, top = spectrum._main_even_edge(gamma), {}, 4.0 * (1.0 + gamma)
-    for row, lam, mu, sides in zip(rows, lams, mus, batch.sides):
+    for row, lam, mu, (below, above) in zip(rows, lams, mus, batch):
         ref = spectrum_k0(ModelParams(gamma, lam, mu))
         assert (row.comp_below, row.comp_above) == (ref.n_below, ref.n_above)
-        for side, sign, eigs, place in ((sides[0], 1.0, row.eigs_below, lambda d: -d),
-                                        (sides[1], -1.0, row.eigs_above, lambda d: top + d)):
-            got = batch.roots[side]
+        for got, sign, eigs, place in ((below, 1.0, row.eigs_below, lambda d: -d),
+                                       (above, -1.0, row.eigs_above, lambda d: top + d)):
             want = spectrum._k0_below(ModelParams(gamma, sign * lam, sign * mu), edge,
                                       spectrum._search_window(lam, mu), memo)
             assert _shape(got) == _shape(want), (lam, mu)

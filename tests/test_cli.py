@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from latticebound import atlas
+from latticebound import atlas, cli
 from latticebound.cli import (CSV_HEADER, RunConfig, emit_csv, main,
                               parse_config)
 from latticebound.errors import ParseError, ValidationError
@@ -58,6 +58,16 @@ def test_parse_config_bad_value():
         parse_config("gamma = one\n")
     assert err.value.line == 1
     assert "gamma" in str(err.value)
+
+
+def test_parse_config_lets_converter_bugs_propagate(monkeypatch):
+    # only a ValueError is a bad value; a converter failing otherwise is a bug
+    def broken(text):
+        raise TypeError("converter bug")
+
+    monkeypatch.setitem(cli._SETTINGS, "gamma", ("--gamma", "gamma", broken, "mass ratio"))
+    with pytest.raises(TypeError, match="converter bug"):
+        parse_config("gamma = 1\n")
 
 
 def test_parse_config_rejects_out_of_range_values():
@@ -272,6 +282,30 @@ def test_oracle_window_too_wide_is_a_numerical_failure(capsys):
     # its mesh would never end; the window check fails it at once
     assert main(["oracle", "--lambda", "1e17", "--N", "16"]) == 3
     assert "numerical failure: grid oracle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["spectrum", "--lambda", "1e200"], 3),
+    (["spectrum", "--lambda", "1e200", "--K", "1,0.5"], 3),
+    (["sweep", "--lambda-range=1e200:1e200", "--mu-range=0:0", "--step", "1"], 0),
+    (["edges", "--gamma", "1e300"], 2),
+    (["det", "--gamma", "1e300", "--z", "-1", "--K", "1,0.5"], 2),
+    (["oracle", "--gamma", "1e300", "--N", "16"], 2),
+    (["sweep", "--gamma", "1e300", "--lambda-range=0:1", "--mu-range=0:1", "--step", "1",
+      "--K-list", "1,0.5"], 2),
+])
+def test_out_of_range_inputs_fail_typed(capsys, argv, code):
+    # couplings beyond the solvers' range are numerical failures, a gamma
+    # beyond GAMMA_MAX a configuration error; a sweep puts the failure in
+    # its row
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 3:
+        assert captured.err.startswith("numerical failure: (|lam| + 2|mu| + 1) / g")
+    elif code == 2:
+        assert captured.err.startswith("configuration error: gamma: must be positive")
+    else:
+        assert ",false,ToleranceError: (|lam| + 2|mu| + 1) / g" in captured.out
 
 
 def test_oracle_rejects_an_odd_grid(capsys):

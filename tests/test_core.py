@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from latticebound.core import (ORIGIN, Band, ModelParams, TorusPoint,
+from latticebound.core import (GAMMA_MAX, ORIGIN, Band, ModelParams, TorusPoint,
                                band_edges, dispersion, edges_closed, epsilon,
                                gradient_norm, pair_amplitudes, wrap)
 
@@ -33,6 +33,22 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(gamma=1.0, lam=float("nan"))
     assert ModelParams(gamma=0.5).g == 1.5
+
+
+@pytest.mark.parametrize("k", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0)])
+def test_toruspoint_rejects_non_finite_coordinates(k):
+    with pytest.raises(ValueError, match="K must be finite"):
+        TorusPoint(*k)
+
+
+def test_gamma_beyond_its_range_is_rejected():
+    # at GAMMA_MAX the band edges stay finite; beyond it gamma is rejected
+    # before (1 - gamma)^2 can overflow
+    band = band_edges(TorusPoint(1.0, 2.0), ModelParams(GAMMA_MAX))
+    assert math.isfinite(band.e_min) and math.isfinite(band.e_max)
+    for gamma in (1e300, math.inf):
+        with pytest.raises(ValueError, match="gamma must be in"):
+            ModelParams(gamma)
 
 
 def test_dispersion_values():

@@ -122,6 +122,84 @@ def test_degenerate_fiber_closed_form():
     assert rep.above[0].z == pytest.approx(5.0)
 
 
+def test_flat_fiber_matches_dense_diagonalization():
+    # gamma = 1, K = (pi, pi): the grid band is flat too, so the dense
+    # spectrum on 16 x 16 points is the interaction's up to rounding; seeded
+    # couplings with lam = mu/2, opposite signs, lam = 0 and mu = 0
+    corner = TorusPoint(math.pi, math.pi)
+    rng = np.random.default_rng(53)
+    a, b = np.abs(rng.uniform(0.5, 9.0, (2, 4)))
+    draws = ([(x, 2.0 * x) for x in rng.uniform(-6.0, 6.0, 3)]
+             + [(x, -y) for x, y in zip(a, b)] + [(-x, y) for x, y in zip(a, b)]
+             + [(0.0, y) for y in rng.uniform(-9.0, 9.0, 3)]
+             + [(x, 0.0) for x in rng.uniform(-9.0, 9.0, 3)]
+             + [tuple(rng.uniform(-9.0, 9.0, 2)) for _ in range(4)])
+    for lam, mu in draws:
+        params = ModelParams(1.0, float(lam), float(mu))
+        rep, dense = spectrum_general(corner, params), dense_validate(corner, params, n=16)
+        assert rep.band.degenerate
+        for got, want in ((rep.below, dense.below), (rep.above, dense.above)):
+            assert [ev.multiplicity for ev in got] == [ev.multiplicity for ev in want]
+            assert [ev.z for ev in got] == pytest.approx([ev.z for ev in want], abs=1e-12)
+
+
+def test_flat_fiber_keeps_each_state_on_its_side():
+    # lam = 3e-10 repels and mu/2 = -2e-10 attracts: the two levels lie
+    # within the merge tolerance of each other, but on opposite sides
+    rep = spectrum_general(TorusPoint(math.pi, math.pi), ModelParams(1.0, 3e-10, -4e-10))
+    assert [(ev.z, ev.multiplicity) for ev in rep.below] == [(4.0 - 2e-10, 4)]
+    assert [(ev.z, ev.multiplicity) for ev in rep.above] == [(4.0 + 3e-10, 1)]
+    # a fiber flat to 2e-13 but not exactly: the states sit outside both edges
+    rep = spectrum_general(TorusPoint(math.pi - 1e-13, math.pi), ModelParams(1.0, 1e-13, -2e-13))
+    assert rep.band.degenerate and rep.band.e_min < rep.band.e_max
+    assert [ev.multiplicity for ev in rep.below] == [4]
+    assert [ev.multiplicity for ev in rep.above] == [1]
+    assert rep.below[0].z < rep.band.e_min and rep.above[0].z > rep.band.e_max
+
+
+def _huge_draws():
+    """The two cases that counted wrong at huge couplings, then seeded
+    draws from 1e12 to 1e17 with lam either 0 or of mu's size."""
+    rng = np.random.default_rng(61)
+    draws = [(0.7241468554370032, 0.0, 2207567270558490.2,
+              (0.27308059400458795, 1.045540845788715)),
+             (1.0, 1e17, 0.0, (1.0, 0.5)), (1.0, -1e17, 0.0, (1.0, 0.5))]
+    for i, e in enumerate(np.repeat(np.arange(12.0, 17.5, 0.5), 6).tolist()):
+        gamma = 1.0 if i % 3 == 0 else float(rng.uniform(0.3, 3.0))
+        mu = float(rng.choice([-1.0, 1.0]) * 10.0 ** (e + rng.uniform(0.0, 0.5)))
+        lam = 0.0 if i % 2 else float(rng.choice([-1.0, 1.0]) * abs(mu) * rng.uniform(0.1, 2.0))
+        draws.append((gamma, lam, mu, tuple(rng.uniform(-math.pi, math.pi, 2).tolist())))
+    return draws
+
+
+def test_huge_couplings_count_right_or_fail_typed():
+    # beyond a window of 2^44 g rounding would decide a count, so the K = 0
+    # scalar and batch solvers and the general one raise ToleranceError
+    # there; every report they give holds no state on a side that no
+    # coupling of its sign binds, at most four per side at lam = 0 (G has
+    # rank four), and at K at least as many per side as at K = 0
+    raised = 0
+    for gamma, lam, mu, k in _huge_draws():
+        params = ModelParams(gamma, lam, mu)
+        in_range = spectrum._search_window(lam, mu) <= spectrum.COUPLING_MAX * params.g
+        point = spectrum._k0_batch(gamma, [lam], [mu])[0]
+        try:
+            k0 = spectrum_k0(params)
+            rep = spectrum_general(TorusPoint(*k), params)
+        except ToleranceError:
+            assert not in_range and isinstance(point, ToleranceError)
+            raised += 1
+            continue
+        assert in_range
+        assert [sum(r.multiplicity for r in side) for side in point] == [k0.n_below, k0.n_above]
+        for r in (k0, rep):
+            assert not (lam >= 0.0 and mu >= 0.0 and r.n_below)
+            assert not (lam <= 0.0 and mu <= 0.0 and r.n_above)
+            assert lam != 0.0 or max(r.n_below, r.n_above) <= 4
+        assert rep.n_below >= k0.n_below and rep.n_above >= k0.n_above
+    assert 3 <= raised < len(_huge_draws())
+
+
 @pytest.mark.parametrize("lam,mu", [(1.0, 10.0), (0.0, -12.0), (-3.0, 2.0)])
 def test_zero_fiber_paths_agree(lam, mu):
     # the factored scan and the Birman-Schwinger curve counter must coincide
@@ -415,11 +493,14 @@ def test_zero_coupling_is_empty():
     rep = spectrum_general(TorusPoint(0.7, -1.1), params)
     assert rep.below == () and rep.above == ()
     # a batch with no crossing to solve, whose one problem (-0.0 read as
-    # 0.0) has the scalar solver's empty roots, and an empty batch
+    # 0.0, the same list on every side) has the scalar solver's empty
+    # roots, and an empty batch
     batch = spectrum._k0_batch(1.0, [0.0, -0.0], [0.0, 0.0])
-    assert batch.sides == [(0, 0), (0, 0)] and not batch.failed
-    assert batch.roots == [[]] == [_scalar_roots(1.0, 0.0, 0.0)]
-    assert spectrum._k0_batch(1.0, [], []) == ([], [], {})
+    assert batch == [([], []), ([], [])]
+    (a, b), (c, d) = batch
+    assert a is b is c is d
+    assert a == _scalar_roots(1.0, 0.0, 0.0)
+    assert spectrum._k0_batch(1.0, [], []) == []
 
 
 def test_rank_bound_on_random_draws():
@@ -582,10 +663,9 @@ def test_weakest_attraction_binds_at_the_edge(lam):
     assert [(ev.z, ev.pinned) for ev in rep.below] == [(-spectrum.PINNED_MIN, True)]
     assert rep.above == ()
     # the batch finds the same pinned root, bit for bit, and none above
-    batch = spectrum._k0_batch(1.0, [lam], [0.0])
-    (below, above), = batch.sides
-    assert batch.roots[below] == _scalar_roots(1.0, lam, 0.0)
-    assert batch.roots[above] == _scalar_roots(1.0, -lam, -0.0) == []
+    (below, above), = spectrum._k0_batch(1.0, [lam], [0.0])
+    assert below == _scalar_roots(1.0, lam, 0.0)
+    assert above == _scalar_roots(1.0, -lam, -0.0) == []
 
 
 def test_general_root_just_below_the_mesh_floor():
