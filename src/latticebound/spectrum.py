@@ -11,11 +11,14 @@ Both solvers count first.  Below the band z is a root of det(I + G J)
 exactly when an eigenvalue of L^T G L (J = L L^T, positive semidefinite)
 crosses -1.  The count of these Birman-Schwinger curves below -1 falls
 monotonically with the distance d, so the curves at the floor (d = 1e-10)
-and at the window give the number of roots between them; then one Brent
-solve in ln d per sorted curve that crosses -1 locates its root.  A root of
-multiplicity m is m curves crossing at one distance, so even-multiplicity
-roots, which a sign scan misses, come out whole.  J below the band does not
-depend on (lam, mu), so both sides of one solve share a memo of it.
+and at the window give the number of roots between them; then one solve
+in ln d per sorted curve that crosses -1 locates its root.  Every solve
+runs one engine, :func:`_chandrupatla`, the bracketing method of T. R.
+Chandrupatla, Adv. Eng. Softw. 28, 145 (1997), on a float or on an array
+of crossings.  A root of multiplicity m is m curves crossing at one
+distance, so even-multiplicity roots, which a sign scan misses, come out
+whole.  J below the band does not depend on (lam, mu), so both sides of
+one solve share a memo of it.
 
 Zero fiber: J is block diagonal in the five resolvent moments, and each
 determinant factor (main even, sub-even, odd) gets its own crossing pass.
@@ -28,11 +31,11 @@ edge models are the exact edge limits of
 
 Zero-fiber batches: the moments do not depend on (lam, mu), so
 :func:`_k0_batch` solves a whole coupling plane as one elementwise problem
-in ln d (one root finder call for every crossing of every point) and
+in ln d (one engine call for every crossing of every point) and
 returns per point its merged roots below and above, or its
 ``ToleranceError``; sweeps place them in their rows.  The pending-root
 test is one predicate, :func:`_pending`, on a single problem or on the
-whole batch.  A single point keeps the scalar engine of
+whole batch.  A single point keeps the scalar solver
 :func:`spectrum_k0`, which costs less than a batch of one.
 
 General fiber: J is the 5x5 Gram matrix of the modes, R blockdiag(M3, s1,
@@ -61,8 +64,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dsyevd
-from scipy.optimize import brentq
-from scipy.optimize.elementwise import find_root
 
 from .core import ORIGIN, Band, ModelParams, TorusPoint, band_edges, pair_amplitudes
 from .determinants import (FactorKind, GramBlocks, factor_value, gram_blocks,
@@ -162,6 +163,87 @@ def _delta_mesh_size(delta_max: float, floor: float) -> float:
     return coarse + math.log2(min(delta_max, 1.0) / floor) + 1.0
 
 
+def _signs_differ(p, q):
+    """np.sign(p) != np.sign(q), floats or arrays: True where either is NaN."""
+    return ((p > 0.0) != (q > 0.0)) | ((p < 0.0) != (q < 0.0)) | (p != p) | (q != q)
+
+
+def _pick(c, p, q):
+    """np.where on one element."""
+    return p if c else q
+
+
+def _clip(t, lo, hi):
+    """np.clip on one element: a NaN stays NaN."""
+    return min(max(t, lo), hi)
+
+
+def _chandrupatla(f, a, b, args=(), maxiter=100):
+    """Roots of f(x, *args) = 0 bracketed by [a, b], floats or 1-D arrays.
+
+    The elementwise method of T. R. Chandrupatla, Adv. Eng. Softw. 28, 145
+    (1997): bisection first, then inverse quadratic interpolation where his
+    test allows it, each step kept tol/2 inside the bracket.  Each element
+    stops at the first of, in this order: f zero at the end with the smaller
+    |f| (status 0), ends of one sign (-1), a non-finite end or f NaN at both
+    ends (-3), a bracket narrower than tol = 4 eps |x| + 1e-15 (0).  This is
+    the order of SciPy's elementwise version of the method, whose roots
+    these are bit for bit.  Stopped elements leave the active set, and so do
+    their entries of ``args``; elements still active after ``maxiter``
+    iterations get status -2.  Returns (x, status, nit): x is the end with
+    the smaller |f|, NaN for status -1 and -3.  Floats take the arithmetic
+    of arrays, so a float and a one-element array give the same bits.
+    """
+    array = isinstance(a, np.ndarray)
+    where, sqrt, clip = (np.where, np.sqrt, np.clip) if array else (_pick, math.sqrt, _clip)
+    inf, n = math.inf, 0
+    x1, x2, f1, f2 = a, b, f(a, *args), f(b, *args)
+    differ = _signs_differ(f1, f2)
+    if array:
+        x, status, nit = np.full(a.size, math.nan), np.full(a.size, -2), np.full(a.size, maxiter)
+        live = np.arange(a.size)
+    while True:
+        xmin, fmin = where(abs(f1) < abs(f2), (x1, f1), (x2, f2))
+        dx, tol = abs(x2 - x1), abs(xmin) * (4.0 * _EPS) + 1e-15
+        finite = (abs(x1) < inf) & (abs(x2) < inf) & ((f1 == f1) | (f2 == f2))
+        go = (fmin != 0.0) & differ & finite & (dx >= tol)
+        if not (go.all() if array else go):
+            s = where(fmin == 0.0, 0, where(differ, where(finite, where(go, 1, 0), -3), -1))
+            root = where(s < 0, math.nan, xmin)
+            if not array:
+                return root, s, n
+            done = ~go
+            x[live[done]], status[live[done]], nit[live[done]] = root[done], s[done], n
+            live, xmin, x1, f1, x2, f2, dx, tol = (
+                v[go] for v in (live, xmin, x1, f1, x2, f2, dx, tol))
+            args = tuple(v[go] for v in args)
+            if n:
+                x3, f3 = x3[go], f3[go]
+            if not live.size:
+                return x, status, nit
+        if n == maxiter:
+            if not array:
+                return xmin, -2, n
+            x[live] = xmin
+            return x, status, nit
+        t = 0.5
+        if n:
+            xi1, phi1 = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            iqi = ((1.0 - sqrt(1.0 - xi1)) < phi1) & (phi1 < sqrt(xi1))
+            # f3 = f1 fails the test (phi1 = 1); adding (f3 == f1) only keeps
+            # that step from dividing by zero
+            t = where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+                      - alpha * f1 / (f3 - f1 + (f3 == f1)) * f2 / (f2 - f3), 0.5)
+            tl = 0.5 * tol / dx
+            t = clip(t, tl, 1.0 - tl)
+        xt = x1 + t * (x2 - x1)
+        ft = f(xt, *args)
+        x3, f3, x2, f2 = where(_signs_differ(ft, f1), (x2, f2, x1, f1), (x1, f1, x2, f2))
+        # xt and the end kept straddle the root, so their signs differ
+        x1, f1, differ, n = xt, ft, True, n + 1
+
+
 def _curve_crossings(curves: Callable[[float], Sequence[float]], floor: float,
                      window: float, what: str) -> list[float]:
     """Distances in [floor, window] where ascending curves cross -1.
@@ -170,11 +252,11 @@ def _curve_crossings(curves: Callable[[float], Sequence[float]], floor: float,
     Their count below -1 falls monotonically with d, so curve k crosses -1
     exactly once on [floor, window] for each k from the count at the window
     to the count at the floor, and nowhere else.  Each crossing is solved by
-    Brent's method in t = ln d, from the tightest bracket that the distances
-    evaluated so far give curve k.  Every distance is evaluated once, the
-    two ends and at most 100 Brent iterations per crossing, whose bracket
-    ends are known: at most 2 + 100 n for n crossings.  A crossing that
-    does not converge raises :class:`ToleranceError` naming ``what``.
+    :func:`_chandrupatla` in t = ln d, from the tightest bracket that the
+    distances evaluated so far give curve k.  Every distance is evaluated
+    once, the two ends and at most 100 iterations per crossing, whose
+    bracket ends are known: at most 2 + 100 n for n crossings.  A crossing
+    that does not converge raises :class:`ToleranceError` naming ``what``.
     Returns one distance per crossing; the crossings of a multiple root are
     merged by :func:`_merge_found`.
     """
@@ -191,11 +273,10 @@ def _curve_crossings(curves: Callable[[float], Sequence[float]], floor: float,
     for k in range(sum(v < -1.0 for v in at(hi)), sum(v < -1.0 for v in at(lo))):
         t_lo = max(t for t, eta in memo.items() if eta[k] < -1.0)
         t_hi = min(t for t, eta in memo.items() if eta[k] >= -1.0)
-        t, res = brentq(lambda t: at(t)[k] + 1.0, t_lo, t_hi, xtol=1e-15,
-                        rtol=4 * _EPS, full_output=True, disp=False)
-        if not res.converged:
-            raise ToleranceError(f"{what}: curve {k} crossing did not "
-                                 f"converge in {res.iterations} iterations")
+        t, status, nit = _chandrupatla(lambda t: at(t)[k] + 1.0, t_lo, t_hi)
+        if status:
+            raise ToleranceError(f"{what}: curve {k} crossing did not converge "
+                                 f"(status {status}) in {nit} iterations")
         roots.append(ends[t] if t in ends else math.exp(t))
     return roots
 
@@ -417,16 +498,16 @@ def _k0_batch(gamma: float, lams: Sequence[float],
     The moments do not depend on the couplings, so the count-first scheme
     of :func:`_curve_crossings` runs on arrays: the four curves of every
     problem at the floor and at its window give each curve's crossing, and
-    one elementwise root finder (Chandrupatla's method in t = ln d) solves
-    all crossings at once.  Pending roots (:func:`_pending_depths`) and
-    merging are those of the scalar solver.  The side above at (lam, mu)
-    is the side below at (-lam, -mu), so each distinct problem, with -0.0
-    read as 0.0, is solved once.  Every step is elementwise, so a problem's
-    roots do not depend on the other problems of the batch.  A point fails
-    with the ``ToleranceError`` of a side whose crossing does not converge
-    or whose window is out of range (:func:`_range_error`).  A gamma that
-    is not a positive real and couplings that are not finite raise
-    ``ValueError`` before any solve.
+    one call of :func:`_chandrupatla` (Chandrupatla 1997, elementwise in
+    t = ln d) solves all crossings at once.  Pending roots
+    (:func:`_pending_depths`) and merging are those of the scalar solver.
+    The side above at (lam, mu) is the side below at (-lam, -mu), so each
+    distinct problem, with -0.0 read as 0.0, is solved once.  Every step is
+    elementwise, so a problem's roots do not depend on the other problems
+    of the batch.  A point fails with the ``ToleranceError`` of a side
+    whose crossing does not converge or whose window is out of range
+    (:func:`_range_error`).  A gamma that is not a positive real and
+    couplings that are not finite raise ``ValueError`` before any solve.
     """
     ModelParams(gamma)   # rejects a gamma that is not a positive real
     points = np.column_stack([np.asarray(lams, dtype=float), np.asarray(mus, dtype=float)])
@@ -463,20 +544,18 @@ def _k0_batch(gamma: float, lams: Sequence[float],
         s = _reduced_integrals_array(distance(t, t_hi, ends) / g) / g
         return np.take_along_axis(_curves_array(lam, mu, s), row[None, :], 0)[0] + 1.0
 
-    res = find_root(residual, (np.full(row.size, t_lo), t_hi),
-                    args=(lam[prob], mu[prob], row, t_hi, ends),
-                    tolerances=dict(xatol=1e-15, xrtol=4 * _EPS, fatol=0.0, frtol=0.0))
+    x, status, nit = _chandrupatla(residual, np.full(row.size, t_lo), t_hi,
+                                   args=(lam[prob], mu[prob], row, t_hi, ends))
     found: list[list[_Root]] = [[] for _ in problems]
-    for r, p, d, ok, status, nit in zip(row.tolist(), prob.tolist(),
-                                        distance(res.x, t_hi, ends).tolist(),
-                                        res.success.tolist(), res.status.tolist(),
-                                        res.nit.tolist()):
-        if ok:
-            found[p].append(_Root(d, *_CURVE_ROWS[r]))
-        else:
-            failed[p] = ToleranceError(
-                f"{_CURVE_ROWS[r][0].value} curve crossing below the band at (lam, mu) = "
-                f"({lam[p]}, {mu[p]}) did not converge (status {status}) in {nit} iterations")
+    ok = status == 0
+    for r, p, d in zip(row[ok].tolist(), prob[ok].tolist(),
+                       distance(x[ok], t_hi[ok], ends[ok]).tolist()):
+        found[p].append(_Root(d, *_CURVE_ROWS[r]))
+    for i in np.flatnonzero(~ok).tolist():
+        p = int(prob[i])
+        failed[p] = ToleranceError(
+            f"{_CURVE_ROWS[row[i]][0].value} curve crossing below the band at (lam, mu) = "
+            f"({lam[p]}, {mu[p]}) did not converge (status {status[i]}) in {nit[i]} iterations")
     for p, d in _pending_depths(gamma, lam, mu, _main_even_edge(gamma), floor).items():
         found[p].append(_Root(d, *_ZERO_FIBER_FACTORS[0], pinned=True))
     merged = [_merge_found(f) for f in found]

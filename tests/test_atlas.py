@@ -226,7 +226,7 @@ def test_sweep_lets_programming_errors_propagate(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("injected")
 
-    monkeypatch.setattr(spectrum, "find_root", broken)
+    monkeypatch.setattr(spectrum, "_chandrupatla", broken)
     with pytest.raises(TypeError, match="injected"):
         sweep((1.0, 1.0), (10.0, 10.0), 1.0)
 
@@ -235,16 +235,14 @@ def test_sweep_reports_numerical_failures_per_row(monkeypatch):
     # a K = 0 crossing that does not converge fails the row whose sides need
     # it and no other row of the batch: here the crossings with the widest
     # bracket, which belong to (2, 10) below and above
-    real = spectrum.find_root
+    real = spectrum._chandrupatla
 
-    def stalls_on_the_widest(f, init, **kwargs):
-        res = real(f, init, **kwargs)
-        widest = init[1] == np.max(init[1])
-        res.success = res.success & ~widest
-        res.status = np.where(widest, -2, res.status)
-        return res
+    def stalls_on_the_widest(f, a, b, args=()):
+        x, status, nit = real(f, a, b, args)
+        widest = b == np.max(b)
+        return np.where(widest, np.nan, x), np.where(widest, -2, status), nit
 
-    monkeypatch.setattr(spectrum, "find_root", stalls_on_the_widest)
+    monkeypatch.setattr(spectrum, "_chandrupatla", stalls_on_the_widest)
     rows = sweep((1.0, 2.0), (10.0, 10.0), 1.0)
     assert len(rows) == 2
     assert rows[0].agree and rows[0].error == "" and rows[0].comp_above == 4

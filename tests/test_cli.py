@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import io
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import latticebound
 from latticebound import atlas, cli
 from latticebound.cli import (CSV_HEADER, RunConfig, emit_csv, main,
                               parse_config)
@@ -186,6 +190,20 @@ def test_emit_csv_is_the_cell_by_cell_text():
 
 def test_no_arguments_is_a_usage_error():
     assert main([]) == 2
+
+
+def test_importing_the_cli_loads_no_scipy_optimize():
+    # the package finds its roots with its own engine, so a fresh
+    # interpreter that imports the command line holds no scipy.optimize
+    root = str(Path(latticebound.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import latticebound.cli; "
+            "print(latticebound.cli.__file__); print(sorted(m for m in sys.modules "
+            "if m == 'scipy.optimize' or m.startswith('scipy.optimize.')))")
+    run = subprocess.run([sys.executable, "-c", code, root], capture_output=True, text=True,
+                         check=True)
+    where, loaded = run.stdout.splitlines()
+    assert where == cli.__file__
+    assert loaded == "[]"
 
 
 def test_help_exits_cleanly():

@@ -334,7 +334,7 @@ def test_general_solve_integrates_each_distance_once(monkeypatch, K, lam, mu):
     (TorusPoint(-2.5, 0.7), 10.0, -3.0),
 ])
 def test_general_solve_integrates_few_distances(monkeypatch, K, lam, mu):
-    # the window, the floor and one Brent solve per crossing: the former
+    # the window, the floor and one engine solve per crossing: the former
     # 139-point mesh scan with bisected jumps took about 240
     calls = []
     inner = spectrum.gram_blocks
@@ -445,7 +445,7 @@ def test_crossings_next_to_the_floor():
 
 def test_curve_passes_stay_within_their_bound(monkeypatch):
     # with no budget to stop it, a pass is bounded by its structure: the two
-    # ends, then at most 100 Brent iterations per crossing curve; the draws
+    # ends, then at most 100 iterations per crossing curve; the draws
     # span couplings from 1e-9 to 1e12 and include R1 R2 = 0 fibers
     passes = []
     inner = spectrum._curve_crossings
@@ -480,13 +480,141 @@ def test_curve_passes_stay_within_their_bound(monkeypatch):
 
 
 def test_crossing_that_does_not_converge_is_a_tolerance_error(monkeypatch):
-    # a Brent solve that runs out of iterations fails typed, not as the
-    # bare RuntimeError that brentq raises by default
-    monkeypatch.setattr(spectrum, "brentq", lambda f, a, b, **kwargs: (
-        a, SimpleNamespace(converged=False, iterations=100)))
+    # a crossing that runs out of iterations fails typed, with the
+    # engine's status and iteration count
+    monkeypatch.setattr(spectrum, "_chandrupatla", lambda f, a, b: (a, -2, 100))
     c = _log_curve(0.37, 0.2)
-    with pytest.raises(ToleranceError):
+    with pytest.raises(ToleranceError, match=r"did not converge \(status -2\) in 100 iterations"):
         _crossings(lambda d: np.array([c(d)]))
+
+
+# ---------------------------------------------------------------------------
+# the root engine against SciPy's elementwise Chandrupatla
+
+
+def _reference_roots(f, a, b, args=(), maxiter=100):
+    """scipy.optimize.elementwise.find_root with the engine's tolerances, as
+    (x, status, nit); imported here only, as a reference."""
+    from scipy.optimize.elementwise import find_root
+    res = find_root(f, (a, b), args=args, maxiter=maxiter,
+                    tolerances=dict(xatol=1e-15, xrtol=4 * spectrum._EPS, fatol=0.0, frtol=0.0))
+    return res.x, res.status, res.nit
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).reshape(-1).view(np.int64).tolist()
+
+
+def _cubic(x, r, c, p):
+    u = x - r
+    return c * u + p * u * u * u
+
+
+def _saturating(x, r, c, p):
+    # decreasing, flat far from r: many steps are bisections
+    u = x - r
+    return -c * u / (1.0 + p * abs(u))
+
+
+def _synthetic_brackets(n, seed):
+    """Seeded brackets of the synthetic families: root r, scales c and p,
+    one in ten ends exactly at r and one in fifty of one sign."""
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(-20.0, 5.0, n)
+    c, p = 10.0 ** rng.uniform(-3.0, 3.0, n), 10.0 ** rng.uniform(-3.0, 2.0, n)
+    a, b = r - rng.uniform(1e-3, 25.0, n), r + rng.uniform(1e-3, 25.0, n)
+    a[::20], b[10::20] = r[::20], r[10::20]
+    b[7::50] = a[7::50] - 1.0
+    swap = rng.random(n) < 0.3
+    return np.where(swap, b, a), np.where(swap, a, b), r, c, p
+
+
+def _family(x, r, c, p, kind):
+    return np.where(kind == 0, _cubic(x, r, c, p),
+                    np.where(kind == 1, c * np.expm1(p * (x - r) / 10.0),
+                             np.where(kind == 2, c * (x - r), _saturating(x, r, c, p))))
+
+
+def test_engine_matches_scipy_on_synthetic_brackets():
+    a, b, r, c, p = _synthetic_brackets(2000, 5)
+    kind = np.arange(2000) % 4
+    x, status, nit = spectrum._chandrupatla(_family, a, b, args=(r, c, p, kind))
+    ref_x, ref_status, ref_nit = _reference_roots(_family, a, b, args=(r, c, p, kind))
+    assert _bits(x) == _bits(ref_x)
+    assert status.tolist() == ref_status.tolist()
+    assert nit.tolist() == ref_nit.tolist()
+    # every kind of stop occurs: exact zeros at an end, one-sign brackets, convergence
+    assert {0, -1} == set(status.tolist())
+    assert np.count_nonzero((nit == 0) & (status == 0)) >= 190
+    assert 0 < nit.max() <= 100
+
+
+def test_engine_matches_scipy_on_the_plane_residual(monkeypatch):
+    calls = []
+    real = spectrum._chandrupatla
+
+    def recording(f, a, b, args=()):
+        calls.append((f, a, b, args))
+        return real(f, a, b, args)
+
+    monkeypatch.setattr(spectrum, "_chandrupatla", recording)
+    axis = [-12.0 + 0.5 * i for i in range(49)]
+    spectrum._k0_batch(1.0, [lam for lam in axis for _ in axis], [mu for _ in axis for mu in axis])
+    (f, a, b, args), = calls
+    x, status, nit = real(f, a, b, args)
+    ref_x, ref_status, ref_nit = _reference_roots(f, a, b, args)
+    assert a.size > 2000 and not status.any()
+    assert _bits(x) == _bits(ref_x)
+    assert status.tolist() == ref_status.tolist() and nit.tolist() == ref_nit.tolist()
+
+
+@pytest.mark.parametrize("family", [_cubic, _saturating])
+def test_engine_gives_floats_and_one_element_arrays_the_same_bits(family):
+    a, b, r, c, p = _synthetic_brackets(300, 6)
+    for i in range(300):
+        point = (a[i], b[i], r[i], c[i], p[i])
+        x, status, nit = spectrum._chandrupatla(family, *(float(v) for v in point[:2]),
+                                                args=tuple(float(v) for v in point[2:]))
+        assert isinstance(x, float)
+        ax, astatus, anit = spectrum._chandrupatla(family, *(np.array([v]) for v in point[:2]),
+                                                   args=tuple(np.array([v]) for v in point[2:]))
+        assert _bits(x) == _bits(ax) and [status, nit] == [astatus[0], anit[0]]
+
+
+def test_engine_takes_numpy_float_values():
+    # curves may come as np.float64, whose comparisons give np.bool_: the
+    # float path must not subtract them, and gives the bits of Python floats
+    for d0, slope in [(0.37, 0.2), (1e-9, 0.01), (3.0, 5.0)]:
+        curve = _log_curve(d0, slope)
+        root = spectrum._chandrupatla(lambda t: curve(math.exp(t)) + 1.0, -23.0, 3.0)
+        numpy_root = spectrum._chandrupatla(lambda t: np.float64(curve(math.exp(t))) + 1.0,
+                                            np.float64(-23.0), np.float64(3.0))
+        assert root[1] == 0 and numpy_root[1:] == root[1:]
+        assert _bits(numpy_root[0]) == _bits(root[0])
+        assert root[0] == pytest.approx(math.log(d0), rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("f,a,b,maxiter,status", [
+    (lambda x: x * x + 1.0, -1.0, 2.0, 100, -1),       # ends of one sign
+    (lambda x: x - 0.3, -math.inf, 2.0, 100, -3),      # an end that is not finite
+    (lambda x: x * math.nan, -1.0, 2.0, 100, -3),      # f NaN at both ends
+    (lambda x: x * x * x - 0.3, -1.0, 2.0, 3, -2),     # out of iterations
+    (lambda x: x - 0.25, -1.0, 2.0, 100, 0),           # converged
+    # the order of the tests: f zero at an end, then one sign, then finiteness
+    (lambda x: x - 2.0, -math.inf, 2.0, 100, 0),
+    (lambda x: x * x + 1.0, -math.inf, 2.0, 100, -1),
+])
+def test_engine_statuses(f, a, b, maxiter, status):
+    ref_x, ref_status, ref_nit = _reference_roots(f, np.array([a]), np.array([b]),
+                                                  maxiter=maxiter)
+    assert ref_status.tolist() == [status]
+    for got in (spectrum._chandrupatla(f, a, b, maxiter=maxiter),
+                spectrum._chandrupatla(f, np.array([a]), np.array([b]), maxiter=maxiter)):
+        x, s, nit = got
+        assert _bits(x) == _bits(ref_x)
+        assert int(np.asarray(s).reshape(-1)[0]) == status
+        assert int(np.asarray(nit).reshape(-1)[0]) == int(ref_nit[0])
+    assert math.isnan(ref_x[0]) == (status in (-1, -3))
 
 
 def _scalar_roots(gamma, lam, mu):
@@ -647,7 +775,7 @@ def _no_solve(*args, **kwargs):
     (1.0, math.nan, 1.0), (1.0, -math.inf, 1.0), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf),
 ])
 def test_batch_rejects_invalid_input_before_solving(monkeypatch, gamma, lam, mu):
-    monkeypatch.setattr(spectrum, "find_root", _no_solve)
+    monkeypatch.setattr(spectrum, "_chandrupatla", _no_solve)
     monkeypatch.setattr(spectrum, "watson_integrals_at", _no_solve)
     with pytest.raises(ValueError):
         spectrum._k0_batch(gamma, [0.5, lam], [2.0, mu])
