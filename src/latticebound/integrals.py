@@ -34,6 +34,7 @@ from .errors import DomainError
 
 LN2 = math.log(2.0)
 PI = math.pi
+_TINY = sys.float_info.min   # smallest normal float
 
 
 class Side(Enum):
@@ -140,26 +141,37 @@ def _reduced_integrals_array(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def moments_below(delta: float, gamma: float) -> tuple[float, float, float, float, float]:
+    """a, b, c, e, f at exact distance ``delta`` below the band, as floats.
+
+    The one evaluation of the moments behind :func:`watson_integrals_at`,
+    for solvers that evaluate many distances.  A distance whose delta/g is
+    not a normal positive float, or that is not finite, raises
+    :class:`DomainError`.
+    """
+    g = 1.0 + gamma
+    if not (delta / g >= _TINY) or not math.isfinite(delta):
+        raise DomainError(f"distance to the band edge must be at least "
+                          f"{g * _TINY:.3g} (delta/g normal), got {delta}")
+    a, b, c, e, f = _reduced_integrals(delta / g)
+    return a / g, b / g, c / g, e / g, f / g
+
+
 def watson_integrals_at(side: Side, delta: float, gamma: float) -> IntegralSet:
     """Five moments at exact distance ``delta`` from the band edge.
 
     Preferred over :func:`watson_integrals` near the edges: the distance is
     taken literally instead of being reconstructed from z by subtraction (a
     difference that matters once delta approaches float granularity of the
-    edge location).  Only the side below the band is evaluated: the shift
-    p -> p + (pi, pi) maps E0 to 4g - E0, so above the band a, c, e and f
-    are the negated values below it at the same distance and b is unchanged.
+    edge location).  Only the side below the band is evaluated, by
+    :func:`moments_below`: the shift p -> p + (pi, pi) maps E0 to 4g - E0,
+    so above the band a, c, e and f are the negated values below it at the
+    same distance and b is unchanged.
     """
-    g = 1.0 + gamma
-    if side is not Side.BELOW:
-        s = watson_integrals_at(Side.BELOW, delta, gamma)
-        return IntegralSet(a=-s.a, b=s.b, c=-s.c, e=-s.e, f=-s.f,
-                           z=4.0 * g + delta)
-    if not (delta / g >= sys.float_info.min) or not math.isfinite(delta):
-        raise DomainError(f"distance to the band edge must be at least "
-                          f"{g * sys.float_info.min:.3g} (delta/g normal), got {delta}")
-    a, b, c, e, f = (v / g for v in _reduced_integrals(delta / g))
-    return IntegralSet(a=a, b=b, c=c, e=e, f=f, z=-delta)
+    a, b, c, e, f = moments_below(delta, gamma)
+    if side is Side.BELOW:
+        return IntegralSet(a=a, b=b, c=c, e=e, f=f, z=-delta)
+    return IntegralSet(a=-a, b=b, c=-c, e=-e, f=-f, z=4.0 * (1.0 + gamma) + delta)
 
 
 def energy_side(z: float, lo: float, hi: float) -> tuple[Side, float]:

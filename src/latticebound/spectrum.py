@@ -20,8 +20,17 @@ distance, so even-multiplicity roots, which a sign scan misses, come out
 whole.  J below the band does not depend on (lam, mu), so both sides of
 one solve share a memo of it.
 
+Each scalar solve builds its evaluator once and then pays only for its
+evaluations: what depends on the solve's inputs alone (gamma, (K, gamma),
+the couplings of one side) is computed before the first distance, and each
+curve function is a closure over it.  The engine is handed the curves at
+the bracket ends, which the count already evaluated.
+
 Zero fiber: J is block diagonal in the five resolvent moments, and each
 determinant factor (main even, sub-even, odd) gets its own crossing pass.
+The memo holds the moments at each distance as five floats from
+:func:`~latticebound.integrals.moments_below`, and each factor's curves are
+a closure that binds (lam, mu) once.
 Only the main even factor diverges at the edge; with the exact edge models
 it is affine in ln-distance, so a root between the floor and the edge (at
 distances like exp(-1/s)) has a closed form.  Such roots are reported with
@@ -44,7 +53,10 @@ s2) R^T in the frame where each angle is rotated by its dispersion phase
 mode pair, and G = diag(lam, mu/2, mu/2, mu/2, mu/2) is the scalar mu/2 on
 each pair, so G commutes with R: the curves of J are mu/2 s1, mu/2 s2 and
 those of the 3x3 even block with weights diag(lam, mu/2, mu/2), one
-Cholesky factorization and one 3x3 eigensolve per distance.  Roots between
+Cholesky factorization and one 3x3 eigensolve per distance.  One
+:class:`~latticebound.determinants.FiberGram` per solve takes the
+amplitudes, the orientation and the trapezoid nodes from (K, gamma) once,
+and each side binds its weight array once.  Roots between
 the floor and the edge are counted from the edge limit of J, whose
 log-divergent part has rank one and lies in the even block, and reported
 pinned at 1e-13.  On a flat fiber E_K is constant and the states are the
@@ -65,12 +77,12 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dsyevd
 
-from .core import ORIGIN, Band, ModelParams, TorusPoint, band_edges, pair_amplitudes
-from .determinants import (FactorKind, GramBlocks, factor_value, gram_blocks,
+from .core import ORIGIN, Band, ModelParams, TorusPoint, band_edges
+from .determinants import (FactorKind, FiberGram, GramBlocks, factor_value,
                            interaction_weights, slope_below)
 from .errors import GramMatrixError, ToleranceError
-from .integrals import (IntegralSet, Side, _reduced_integrals_array, predicted_asymptote,
-                        watson_integrals_at)
+from .integrals import (IntegralSet, Side, _reduced_integrals_array, moments_below,
+                        predicted_asymptote, watson_integrals_at)
 
 MESH_FLOOR = 1e-10
 MESH_COARSE = 0.25   # step of the oracle mesh beyond distance 1
@@ -89,7 +101,7 @@ class Sector(Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eigenvalue:
     """One bound state: position, multiplicity and bookkeeping.
 
@@ -178,26 +190,28 @@ def _clip(t, lo, hi):
     return min(max(t, lo), hi)
 
 
-def _chandrupatla(f, a, b, args=(), maxiter=100):
+def _chandrupatla(f, a, b, fa, fb, args=(), maxiter=100):
     """Roots of f(x, *args) = 0 bracketed by [a, b], floats or 1-D arrays.
 
     The elementwise method of T. R. Chandrupatla, Adv. Eng. Softw. 28, 145
     (1997): bisection first, then inverse quadratic interpolation where his
-    test allows it, each step kept tol/2 inside the bracket.  Each element
-    stops at the first of, in this order: f zero at the end with the smaller
-    |f| (status 0), ends of one sign (-1), a non-finite end or f NaN at both
-    ends (-3), a bracket narrower than tol = 4 eps |x| + 1e-15 (0).  This is
-    the order of SciPy's elementwise version of the method, whose roots
-    these are bit for bit.  Stopped elements leave the active set, and so do
-    their entries of ``args``; elements still active after ``maxiter``
-    iterations get status -2.  Returns (x, status, nit): x is the end with
-    the smaller |f|, NaN for status -1 and -3.  Floats take the arithmetic
-    of arrays, so a float and a one-element array give the same bits.
+    test allows it, each step kept tol/2 inside the bracket.  ``fa`` and
+    ``fb`` are f at a and at b, which every caller already holds, so f is
+    evaluated only inside the bracket.  Each element stops at the first
+    of, in this order: f zero at the end with the smaller |f| (status 0),
+    ends of one sign (-1), a non-finite end or f NaN at both ends (-3), a
+    bracket narrower than tol = 4 eps |x| + 1e-15 (0).  This is the order
+    of SciPy's elementwise version of the method, whose roots these are bit
+    for bit.  Stopped elements leave the active set, and so do their
+    entries of ``args``; elements still active after ``maxiter`` iterations
+    get status -2.  Returns (x, status, nit): x is the end with the smaller
+    |f|, NaN for status -1 and -3.  Floats take the arithmetic of arrays,
+    so a float and a one-element array give the same bits.
     """
     array = isinstance(a, np.ndarray)
     where, sqrt, clip = (np.where, np.sqrt, np.clip) if array else (_pick, math.sqrt, _clip)
     inf, n = math.inf, 0
-    x1, x2, f1, f2 = a, b, f(a, *args), f(b, *args)
+    x1, x2, f1, f2 = a, b, fa, fb
     differ = _signs_differ(f1, f2)
     if array:
         x, status, nit = np.full(a.size, math.nan), np.full(a.size, -2), np.full(a.size, maxiter)
@@ -265,15 +279,17 @@ def _curve_crossings(curves: Callable[[float], Sequence[float]], floor: float,
     memo: dict[float, Sequence[float]] = {}
 
     def at(t: float) -> Sequence[float]:
-        if t not in memo:
-            memo[t] = curves(ends[t] if t in ends else math.exp(t))
-        return memo[t]
+        eta = memo.get(t)
+        if eta is None:
+            eta = memo[t] = curves(ends[t] if t in ends else math.exp(t))
+        return eta
 
     roots = []
     for k in range(sum(v < -1.0 for v in at(hi)), sum(v < -1.0 for v in at(lo))):
         t_lo = max(t for t, eta in memo.items() if eta[k] < -1.0)
         t_hi = min(t for t, eta in memo.items() if eta[k] >= -1.0)
-        t, status, nit = _chandrupatla(lambda t: at(t)[k] + 1.0, t_lo, t_hi)
+        t, status, nit = _chandrupatla(lambda t: at(t)[k] + 1.0, t_lo, t_hi,
+                                       memo[t_lo][k] + 1.0, memo[t_hi][k] + 1.0)
         if status:
             raise ToleranceError(f"{what}: curve {k} crossing did not converge "
                                  f"(status {status}) in {nit} iterations")
@@ -397,46 +413,63 @@ _ZERO_FIBER_FACTORS = (
 )
 
 
-def _factor_curves(kind: FactorKind, s, params: ModelParams) -> tuple[float, ...]:
-    """Ascending Birman-Schwinger curves of one zero-fiber block at moments ``s``.
+def _factor_curves(kind: FactorKind, params: ModelParams,
+                   moments: Callable[[float], tuple[float, ...]]
+                   ) -> Callable[[float], tuple[float, ...]]:
+    """Ascending Birman-Schwinger curves of one zero-fiber block, as a
+    function of the distance, with (lam, mu) bound once.
 
-    The factor is the product of (1 + curve) over them.  Main even: the
-    eigenvalues of G J with G = diag(lam, mu), J = [[a, sqrt2 b], [sqrt2 b,
-    c + e]], the larger in magnitude from the discriminant and the other
-    from the determinant.  Sub-even: mu (c - e).  Odd: mu f.
+    ``moments(d)`` gives (a, b, c, e, f) at distance d.  The factor is the
+    product of (1 + curve) over the curves.  Main even: the eigenvalues of
+    G J with G = diag(lam, mu), J = [[a, sqrt2 b], [sqrt2 b, c + e]], the
+    larger in magnitude from the discriminant and the other from the
+    determinant.  Sub-even: mu (c - e).  Odd: mu f.
     """
     lam, mu = params.lam, params.mu
     if kind is FactorKind.SUB_EVEN:
-        return (mu * (s.c - s.e),)
-    if kind is FactorKind.ODD:
-        return (mu * s.f,)
-    x, y, bb = lam * s.a, mu * (s.c + s.e), 2.0 * lam * mu * s.b * s.b
-    root = math.sqrt(max(0.25 * (x - y) ** 2 + bb, 0.0))
-    big = 0.5 * (x + y) + math.copysign(root, x + y)
-    small = (x * y - bb) / big if big != 0.0 else 0.0
-    return (small, big) if small <= big else (big, small)
+        def curves(d: float) -> tuple[float, ...]:
+            _, _, c, e, _ = moments(d)
+            return (mu * (c - e),)
+    elif kind is FactorKind.ODD:
+        def curves(d: float) -> tuple[float, ...]:
+            return (mu * moments(d)[4],)
+    else:
+        lam_mu2 = 2.0 * lam * mu
+
+        def curves(d: float) -> tuple[float, ...]:
+            a, b, c, e, _ = moments(d)
+            x, y, bb = lam * a, mu * (c + e), lam_mu2 * b * b
+            root = math.sqrt(max(0.25 * (x - y) ** 2 + bb, 0.0))
+            big = 0.5 * (x + y) + math.copysign(root, x + y)
+            small = (x * y - bb) / big if big != 0.0 else 0.0
+            return (small, big) if small <= big else (big, small)
+    return curves
 
 
 def _k0_below(params: ModelParams, edge: SimpleNamespace, window: float,
-              memo: dict[float, IntegralSet]) -> list[_Root]:
+              memo: dict[float, tuple[float, ...]]) -> list[_Root]:
     """Roots of the three zero-fiber factors below the band, merged.
 
     Each factor's block gets one pass of :func:`_curve_crossings`, the main
     even factor also :func:`_pending_root`.  ``memo`` maps a distance to its
-    moments below the band; it is filled here and must only be shared
-    between calls at the same gamma.
+    moments below the band (:func:`moments_below`); it is filled here and
+    must only be shared between calls at the same gamma.
     """
-    def moments(d: float) -> IntegralSet:
-        if d not in memo:
-            memo[d] = watson_integrals_at(Side.BELOW, d, params.gamma)
-        return memo[d]
+    gamma = params.gamma
+
+    def moments(d: float) -> tuple[float, ...]:
+        s = memo.get(d)
+        if s is None:
+            s = memo[d] = moments_below(d, gamma)
+        return s
 
     found = []
     for kind, sector, mult in _ZERO_FIBER_FACTORS:
-        crossings = _curve_crossings(lambda d: _factor_curves(kind, moments(d), params),
+        crossings = _curve_crossings(_factor_curves(kind, params, moments),
                                      MESH_FLOOR, window, f"{kind.value} curve root search")
         found += [_Root(d, kind, sector, mult) for d in crossings]
-    return _merge_found(found + _pending_root(params, edge, moments(MESH_FLOOR)))
+    floor = IntegralSet(*moments(MESH_FLOOR), z=-MESH_FLOOR)
+    return _merge_found(found + _pending_root(params, edge, floor))
 
 
 def spectrum_k0(params: ModelParams) -> SpectrumReport:
@@ -456,7 +489,7 @@ def spectrum_k0(params: ModelParams) -> SpectrumReport:
     if exc := _range_error(window, params.g):
         raise exc
     edge = _main_even_edge(params.gamma)
-    memo: dict[float, IntegralSet] = {}
+    memo: dict[float, tuple[float, ...]] = {}
     return _report(ORIGIN, params, band, _k0_below(params, edge, window, memo),
                    _k0_below(_mirrored(params), edge, window, memo))
 
@@ -544,7 +577,10 @@ def _k0_batch(gamma: float, lams: Sequence[float],
         s = _reduced_integrals_array(distance(t, t_hi, ends) / g) / g
         return np.take_along_axis(_curves_array(lam, mu, s), row[None, :], 0)[0] + 1.0
 
+    # the residual at the bracket ends is the curves at the floor and at the
+    # window, bit for bit
     x, status, nit = _chandrupatla(residual, np.full(row.size, t_lo), t_hi,
+                                   eta_floor[row, prob] + 1.0, eta_window[row, prob] + 1.0,
                                    args=(lam[prob], mu[prob], row, t_hi, ends))
     found: list[list[_Root]] = [[] for _ in problems]
     ok = status == 0
@@ -582,24 +618,29 @@ def _threshold_count(j: np.ndarray, gvec: Sequence[float]) -> tuple[int, list[fl
     return bisect_left(eta, -1.0), eta
 
 
-def _fiber_curves(K: TorusPoint, params: ModelParams, d: float,
-                  blocks: GramBlocks) -> list[float]:
-    """Ascending Birman-Schwinger curves below the band at distance d.
+def _fiber_curves(K: TorusPoint, params: ModelParams,
+                  blocks: Callable[[float], GramBlocks]) -> Callable[[float], list[float]]:
+    """Ascending Birman-Schwinger curves below the band, as a function of
+    the distance, with the weights bound once.
 
-    ``blocks`` is the :func:`gram_blocks` split (even, s1, s2) of J.  G is a
-    scalar on each rotated mode pair, so the curves of J are those of the
-    blocks: mu/2 s1, mu/2 s2 and the :func:`_threshold_count` curves of the
-    even block with weights diag(lam, mu/2, mu/2).  An even block that is
-    not positive definite raises :class:`GramMatrixError`.
+    ``blocks(d)`` gives the :meth:`FiberGram.blocks` split (even, s1, s2)
+    of J.  G is a scalar on each rotated mode pair, so the curves of J are
+    those of the blocks: mu/2 s1, mu/2 s2 and the :func:`_threshold_count`
+    curves of the even block with weights diag(lam, mu/2, mu/2).  An even
+    block that is not positive definite raises :class:`GramMatrixError`.
     """
-    even, s1, s2 = blocks
     half_mu = 0.5 * params.mu
-    try:
-        eta = _threshold_count(even, (params.lam, half_mu, half_mu))[1]
-    except GramMatrixError as exc:
-        raise GramMatrixError(f"below the band at K = ({K.p1}, {K.p2}), gamma = "
-                              f"{params.gamma}, d = {d}: {exc}") from None
-    return sorted(eta + [half_mu * s1, half_mu * s2])
+    gvec = np.array([params.lam, half_mu, half_mu])
+
+    def curves(d: float) -> list[float]:
+        even, s1, s2 = blocks(d)
+        try:
+            eta = _threshold_count(even, gvec)[1]
+        except GramMatrixError as exc:
+            raise GramMatrixError(f"below the band at K = ({K.p1}, {K.p2}), gamma = "
+                                  f"{params.gamma}, d = {d}: {exc}") from None
+        return sorted(eta + [half_mu * s1, half_mu * s2])
+    return curves
 
 
 def count_jump_scan(nfun: Callable[[float], int], delta_max: float, floor: float,
@@ -648,7 +689,7 @@ def _degenerate_spectrum(K: TorusPoint, params: ModelParams, band: Band) -> Spec
 _EDGE_MODES = np.array([1.0, _SQRT2, _SQRT2])
 
 
-def _pending_count(K: TorusPoint, params: ModelParams, even_floor: np.ndarray) -> int:
+def _pending_count(fiber: FiberGram, params: ModelParams, even_floor: np.ndarray) -> int:
     """Roots between the mesh floor and the edge, from the edge limit of J.
 
     Near the edge J(d) = J_floor - sigma u u^T (t - t_f) + O(d ln d) in
@@ -660,7 +701,7 @@ def _pending_count(K: TorusPoint, params: ModelParams, even_floor: np.ndarray) -
         det(I + G J(t)) = det A + sigma (t - t_f) det([[A, G u], [u^T, 0]]),
 
     and the bordered determinant needs no inverse of a nearly singular A.
-    In the rotated frame of :func:`gram_blocks` R^T u = (1, sqrt2, sqrt2, 0,
+    In the rotated frame of :class:`FiberGram` R^T u = (1, sqrt2, sqrt2, 0,
     0), so the sine factors (1 + mu/2 s_i) multiply det A and the bordered
     determinant alike, and both reduce to the even block ``even_floor``.
     The determinant is the product of (1 + curve), the count is monotone in
@@ -674,8 +715,7 @@ def _pending_count(K: TorusPoint, params: ModelParams, even_floor: np.ndarray) -
     diverges like d^(-1/2) instead and the count at the floor is already the
     limit.
     """
-    r1, r2, _, _ = pair_amplitudes(K, params.gamma)
-    if r1 * r2 == 0.0:
+    if fiber.r1 * fiber.r2 == 0.0:
         return 0
     gvec = interaction_weights(params)[:3]
     gu = gvec * _EDGE_MODES
@@ -691,22 +731,23 @@ def _pending_count(K: TorusPoint, params: ModelParams, even_floor: np.ndarray) -
     return int((det_floor > 0.0) == (det_bordered > 0.0))
 
 
-def _general_below(K: TorusPoint, params: ModelParams, window: float,
+def _general_below(K: TorusPoint, params: ModelParams, window: float, fiber: FiberGram,
                    memo: dict[float, GramBlocks]) -> list[_Root]:
     """Roots below the band at fiber K, one per crossing of a curve.
 
-    ``memo`` maps a distance to the parity blocks of its Gram matrix J; it
-    is filled here and must only be shared between calls at the same
-    (K, gamma).
+    ``fiber`` evaluates the Gram matrix J of K and ``memo`` maps a distance
+    to the parity blocks of J there; it is filled here and must only be
+    shared between calls with the same ``fiber``.
     """
     def blocks(d: float) -> GramBlocks:
-        if d not in memo:
-            memo[d] = gram_blocks(K, params.gamma, d)
-        return memo[d]
+        b = memo.get(d)
+        if b is None:
+            b = memo[d] = fiber.blocks(d)
+        return b
 
-    crossings = _curve_crossings(lambda d: _fiber_curves(K, params, d, blocks(d)),
-                                 MESH_FLOOR, window, "curve root search")
-    pend = _pending_count(K, params, blocks(MESH_FLOOR)[0])
+    crossings = _curve_crossings(_fiber_curves(K, params, blocks), MESH_FLOOR, window,
+                                 "curve root search")
+    pend = _pending_count(fiber, params, blocks(MESH_FLOOR)[0])
     found = [_Root(d, FactorKind.GENERAL, Sector.MIXED, 1) for d in crossings]
     found += [_Root(PINNED_MIN, FactorKind.GENERAL, Sector.MIXED, 1, pinned=True)] * pend
     return _merge_found(found)
@@ -720,8 +761,9 @@ def spectrum_general(K: TorusPoint, params: ModelParams) -> SpectrumReport:
     :func:`_curve_crossings`); crossings within MERGE_TOL merge into one
     root of their number's multiplicity.  Roots between the mesh floor and
     the edge are counted from the edge limit of the Gram matrix (see
-    :func:`_pending_count`).  Both sides share one memo of Gram-matrix
-    blocks per call; :func:`_curve_crossings` bounds the work.
+    :func:`_pending_count`).  One :class:`FiberGram` evaluates J for the
+    call, and both sides share one memo of its blocks by distance;
+    :func:`_curve_crossings` bounds the work.
     """
     band = band_edges(K, params)
     if band.degenerate:
@@ -731,6 +773,6 @@ def spectrum_general(K: TorusPoint, params: ModelParams) -> SpectrumReport:
     window = _search_window(params.lam, params.mu)
     if exc := _range_error(window, params.g):
         raise exc
-    memo: dict[float, GramBlocks] = {}
-    return _report(K, params, band, _general_below(K, params, window, memo),
-                   _general_below(K, _mirrored(params), window, memo))
+    fiber, memo = FiberGram(K, params.gamma), {}
+    return _report(K, params, band, _general_below(K, params, window, fiber, memo),
+                   _general_below(K, _mirrored(params), window, fiber, memo))

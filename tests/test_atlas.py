@@ -237,8 +237,8 @@ def test_sweep_reports_numerical_failures_per_row(monkeypatch):
     # bracket, which belong to (2, 10) below and above
     real = spectrum._chandrupatla
 
-    def stalls_on_the_widest(f, a, b, args=()):
-        x, status, nit = real(f, a, b, args)
+    def stalls_on_the_widest(f, a, b, fa, fb, args=()):
+        x, status, nit = real(f, a, b, fa, fb, args)
         widest = b == np.max(b)
         return np.where(widest, np.nan, x), np.where(widest, -2, status), nit
 

@@ -5,9 +5,9 @@ import pytest
 
 from latticebound.core import (ORIGIN, ModelParams, TorusPoint, band_edges,
                                pair_amplitudes)
-from latticebound.determinants import (F2_SERIES_SWITCH, FactorKind, factor_value,
-                                       gram_blocks, interaction_weights, secular_det,
-                                       secular_entries, slope_below)
+from latticebound.determinants import (F2_SERIES_SWITCH, FactorKind, FiberGram, factor_value,
+                                       interaction_weights, secular_det, secular_entries,
+                                       slope_below)
 from latticebound.errors import DomainError
 from latticebound.integrals import Side, watson_integrals
 from panel_rule import pair_coefficients, panel_gram
@@ -199,7 +199,7 @@ def test_entries_are_the_rotated_parity_blocks():
         for i, f in ((1, f1), (2, f2)):
             rot[[i, i, i + 2, i + 2], [i, i + 2, i, i + 2]] = (
                 math.cos(f), -math.sin(f), math.sin(f), math.cos(f))
-        even, s1, s2 = gram_blocks(K, gamma, d)
+        even, s1, s2 = FiberGram(K, gamma).blocks(d)
         block = np.zeros((5, 5))
         block[:3, :3], block[3, 3], block[4, 4] = even, s1, s2
         below = rot @ block @ rot.T

@@ -9,6 +9,7 @@ printed precision.
 from __future__ import annotations
 
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,10 +17,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from latticebound import integrals, spectrum
+from latticebound import core, determinants, integrals, spectrum
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
 from latticebound.errors import GramMatrixError, ToleranceError
-from latticebound.determinants import (factor_value, gram_blocks, interaction_weights,
+from latticebound.determinants import (FiberGram, factor_value, interaction_weights,
                                        secular_entries)
 from latticebound.integrals import Side, watson_integrals_at
 from latticebound.oracle import dense_validate, oracle_counts
@@ -316,13 +317,13 @@ def test_general_solve_integrates_each_distance_once(monkeypatch, K, lam, mu):
     # J below the band does not depend on (lam, mu), so both sides of one
     # solve share every Gram matrix; the last two fibers have states on both
     deltas = []
-    inner = spectrum.gram_blocks
+    inner = FiberGram.blocks
 
-    def counting(K, gamma, delta):
+    def counting(fiber, delta):
         deltas.append(delta)
-        return inner(K, gamma, delta)
+        return inner(fiber, delta)
 
-    monkeypatch.setattr(spectrum, "gram_blocks", counting)
+    monkeypatch.setattr(FiberGram, "blocks", counting)
     rep = spectrum_general(K, ModelParams(1.0, lam, mu))
     assert rep.n_below + rep.n_above > 0
     assert deltas and len(deltas) == len(set(deltas))
@@ -337,15 +338,40 @@ def test_general_solve_integrates_few_distances(monkeypatch, K, lam, mu):
     # the window, the floor and one engine solve per crossing: the former
     # 139-point mesh scan with bisected jumps took about 240
     calls = []
-    inner = spectrum.gram_blocks
+    inner = FiberGram.blocks
 
-    def counting(K, gamma, delta):
+    def counting(fiber, delta):
         calls.append(delta)
-        return inner(K, gamma, delta)
+        return inner(fiber, delta)
 
-    monkeypatch.setattr(spectrum, "gram_blocks", counting)
+    monkeypatch.setattr(FiberGram, "blocks", counting)
     spectrum_general(K, ModelParams(1.0, lam, mu))
     assert calls and len(calls) <= 60
+
+
+@pytest.mark.parametrize("K,lam,mu", [
+    (TorusPoint(1.0, 0.5), 6.0, 10.0),
+    (TorusPoint(0.7, -2.1), -3.0, 2.0),
+    (TorusPoint(math.pi, 0.7), 10.0, -3.0),
+])
+def test_general_solve_computes_the_amplitudes_at_most_twice(monkeypatch, K, lam, mu):
+    # (R1, R2, phi1, phi2) depend on (K, gamma) alone: the band edges take
+    # them once and the solve's FiberGram once, and every distance reuses them
+    calls = []
+    real = core.pair_amplitudes
+
+    def counting(K, gamma):
+        calls.append(K)
+        return real(K, gamma)
+
+    holders = [m for name, m in list(sys.modules.items())
+               if name.startswith("latticebound") and vars(m).get("pair_amplitudes") is real]
+    assert core in holders and determinants in holders
+    for module in holders:
+        monkeypatch.setattr(module, "pair_amplitudes", counting)
+    rep = spectrum_general(K, ModelParams(1.0, lam, mu))
+    assert rep.n_below + rep.n_above > 0
+    assert 1 <= len(calls) <= 2
 
 
 def test_block_curves_are_the_curves_of_the_gram_matrix():
@@ -364,7 +390,7 @@ def test_block_curves_are_the_curves_of_the_gram_matrix():
         lam, mu = rng.uniform(-12.0, 12.0, 2) * (1e-6 if i % 5 == 1 else 1.0)
         lam, mu = (0.0 if i % 6 == 2 else lam), (0.0 if i % 6 == 3 else mu)
         params = ModelParams(gamma, float(lam), float(mu))
-        curves = spectrum._fiber_curves(K, params, d, gram_blocks(K, gamma, d))
+        curves = spectrum._fiber_curves(K, params, FiberGram(K, gamma).blocks)(d)
         j = secular_entries(K, gamma, Side.BELOW, d)
         ref = spectrum._threshold_count(j, interaction_weights(params))[1]
         assert curves == sorted(curves)
@@ -379,8 +405,8 @@ def test_even_block_that_is_not_positive_definite_is_a_typed_error(monkeypatch):
     K, params = TorusPoint(1.0, 0.5), ModelParams(1.0, 6.0, 10.0)
     bad = (np.diag([1.0, -1e-3, 1.0]), 0.1, 0.1)
     with pytest.raises(GramMatrixError, match=r"K = \(1\.0, 0\.5\), gamma = 1\.0, d = 0\.25"):
-        spectrum._fiber_curves(K, params, 0.25, bad)
-    monkeypatch.setattr(spectrum, "gram_blocks", lambda K, gamma, d: bad)
+        spectrum._fiber_curves(K, params, lambda d: bad)(0.25)
+    monkeypatch.setattr(FiberGram, "blocks", lambda fiber, d: bad)
     with pytest.raises(GramMatrixError, match="not positive definite"):
         spectrum_general(K, params)
 
@@ -482,7 +508,7 @@ def test_curve_passes_stay_within_their_bound(monkeypatch):
 def test_crossing_that_does_not_converge_is_a_tolerance_error(monkeypatch):
     # a crossing that runs out of iterations fails typed, with the
     # engine's status and iteration count
-    monkeypatch.setattr(spectrum, "_chandrupatla", lambda f, a, b: (a, -2, 100))
+    monkeypatch.setattr(spectrum, "_chandrupatla", lambda f, a, b, fa, fb: (a, -2, 100))
     c = _log_curve(0.37, 0.2)
     with pytest.raises(ToleranceError, match=r"did not converge \(status -2\) in 100 iterations"):
         _crossings(lambda d: np.array([c(d)]))
@@ -529,6 +555,11 @@ def _synthetic_brackets(n, seed):
     return np.where(swap, b, a), np.where(swap, a, b), r, c, p
 
 
+def _solve(f, a, b, args=(), maxiter=100):
+    """The engine on [a, b], handed f at both ends as its callers do."""
+    return spectrum._chandrupatla(f, a, b, f(a, *args), f(b, *args), args, maxiter)
+
+
 def _family(x, r, c, p, kind):
     return np.where(kind == 0, _cubic(x, r, c, p),
                     np.where(kind == 1, c * np.expm1(p * (x - r) / 10.0),
@@ -538,7 +569,7 @@ def _family(x, r, c, p, kind):
 def test_engine_matches_scipy_on_synthetic_brackets():
     a, b, r, c, p = _synthetic_brackets(2000, 5)
     kind = np.arange(2000) % 4
-    x, status, nit = spectrum._chandrupatla(_family, a, b, args=(r, c, p, kind))
+    x, status, nit = _solve(_family, a, b, args=(r, c, p, kind))
     ref_x, ref_status, ref_nit = _reference_roots(_family, a, b, args=(r, c, p, kind))
     assert _bits(x) == _bits(ref_x)
     assert status.tolist() == ref_status.tolist()
@@ -553,15 +584,17 @@ def test_engine_matches_scipy_on_the_plane_residual(monkeypatch):
     calls = []
     real = spectrum._chandrupatla
 
-    def recording(f, a, b, args=()):
-        calls.append((f, a, b, args))
-        return real(f, a, b, args)
+    def recording(f, a, b, fa, fb, args=()):
+        calls.append((f, a, b, fa, fb, args))
+        return real(f, a, b, fa, fb, args)
 
     monkeypatch.setattr(spectrum, "_chandrupatla", recording)
     axis = [-12.0 + 0.5 * i for i in range(49)]
     spectrum._k0_batch(1.0, [lam for lam in axis for _ in axis], [mu for _ in axis for mu in axis])
-    (f, a, b, args), = calls
-    x, status, nit = real(f, a, b, args)
+    (f, a, b, fa, fb, args), = calls
+    # the batch hands the engine the residual at the bracket ends, bit for bit
+    assert _bits(fa) == _bits(f(a, *args)) and _bits(fb) == _bits(f(b, *args))
+    x, status, nit = real(f, a, b, fa, fb, args)
     ref_x, ref_status, ref_nit = _reference_roots(f, a, b, args)
     assert a.size > 2000 and not status.any()
     assert _bits(x) == _bits(ref_x)
@@ -573,11 +606,11 @@ def test_engine_gives_floats_and_one_element_arrays_the_same_bits(family):
     a, b, r, c, p = _synthetic_brackets(300, 6)
     for i in range(300):
         point = (a[i], b[i], r[i], c[i], p[i])
-        x, status, nit = spectrum._chandrupatla(family, *(float(v) for v in point[:2]),
-                                                args=tuple(float(v) for v in point[2:]))
+        x, status, nit = _solve(family, *(float(v) for v in point[:2]),
+                                args=tuple(float(v) for v in point[2:]))
         assert isinstance(x, float)
-        ax, astatus, anit = spectrum._chandrupatla(family, *(np.array([v]) for v in point[:2]),
-                                                   args=tuple(np.array([v]) for v in point[2:]))
+        ax, astatus, anit = _solve(family, *(np.array([v]) for v in point[:2]),
+                                   args=tuple(np.array([v]) for v in point[2:]))
         assert _bits(x) == _bits(ax) and [status, nit] == [astatus[0], anit[0]]
 
 
@@ -586,9 +619,9 @@ def test_engine_takes_numpy_float_values():
     # float path must not subtract them, and gives the bits of Python floats
     for d0, slope in [(0.37, 0.2), (1e-9, 0.01), (3.0, 5.0)]:
         curve = _log_curve(d0, slope)
-        root = spectrum._chandrupatla(lambda t: curve(math.exp(t)) + 1.0, -23.0, 3.0)
-        numpy_root = spectrum._chandrupatla(lambda t: np.float64(curve(math.exp(t))) + 1.0,
-                                            np.float64(-23.0), np.float64(3.0))
+        root = _solve(lambda t: curve(math.exp(t)) + 1.0, -23.0, 3.0)
+        numpy_root = _solve(lambda t: np.float64(curve(math.exp(t))) + 1.0,
+                            np.float64(-23.0), np.float64(3.0))
         assert root[1] == 0 and numpy_root[1:] == root[1:]
         assert _bits(numpy_root[0]) == _bits(root[0])
         assert root[0] == pytest.approx(math.log(d0), rel=1e-14, abs=1e-14)
@@ -608,8 +641,8 @@ def test_engine_statuses(f, a, b, maxiter, status):
     ref_x, ref_status, ref_nit = _reference_roots(f, np.array([a]), np.array([b]),
                                                   maxiter=maxiter)
     assert ref_status.tolist() == [status]
-    for got in (spectrum._chandrupatla(f, a, b, maxiter=maxiter),
-                spectrum._chandrupatla(f, np.array([a]), np.array([b]), maxiter=maxiter)):
+    for got in (_solve(f, a, b, maxiter=maxiter),
+                _solve(f, np.array([a]), np.array([b]), maxiter=maxiter)):
         x, s, nit = got
         assert _bits(x) == _bits(ref_x)
         assert int(np.asarray(s).reshape(-1)[0]) == status

@@ -6,7 +6,8 @@ use them, so they check it:
 
 * particle swap: spec(gamma, lam, mu, K) = gamma * spec(1/gamma, lam/gamma,
   mu/gamma, K), on both solvers, in position and in count;
-* K -> -K and (K1, K2) -> (K2, K1), on the general-fiber solver.
+* K -> -K, (K1, K2) -> (-K1, K2) and (K1, K2) -> (K2, K1), on the
+  general-fiber solver.
 
 Draws lean towards region boundaries: within 0.05*g of the hyperbolas
 S+- = 2*mu + lam -+ lam*mu/g = 0 and of |mu| = t_s, t_d.  States are
@@ -131,3 +132,14 @@ def test_fiber_reflection_and_exchange(params, K):
     assert_same_states(rep, spectrum_general(-K, params))
     assert_same_states(rep, spectrum_general(TorusPoint(K.p2, K.p1), params))
 
+
+@settings(PROPERTY, max_examples=6)
+@given(params=couplings(), K=fibers)
+def test_single_axis_reflection(params, K):
+    # p1 -> -p1 maps E_K to E_(-K1, K2) and only flips the sign of the
+    # sin p1 mode, so the spectra agree; counts compare every state
+    rep = spectrum_general(K, params)
+    reflected = spectrum_general(TorusPoint(-K.p1, K.p2), params)
+    assert (rep.n_below, rep.n_above) == (reflected.n_below, reflected.n_above), (
+        f"{params} at K = {K.as_tuple()}")
+    assert_same_states(rep, reflected)
