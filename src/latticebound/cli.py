@@ -364,7 +364,7 @@ def _verify() -> int:
                 for lam, mu in ((6.0, 10.0), (-3.0, 2.0)):
                     below = ModelParams(gamma, sign * lam, sign * mu)
                     curves = spectrum._fiber_curves(K, below, fiber.blocks)(d)
-                    ref = spectrum._threshold_count(sign * mean, interaction_weights(below))[1]
+                    ref = spectrum._threshold_count(sign * mean, np.diag(interaction_weights(below)))[1]
                     err = np.max(np.abs(np.subtract(curves, ref))) / np.max(np.abs(ref))
                     worst_curves = max(worst_curves, float(err))
     checks.append(_check("Gram matrix vs grid sum", worst < 1e-12,

@@ -166,7 +166,7 @@ def oracle_counts(K: TorusPoint, params: ModelParams, n: int = 256) -> SpectrumR
                              f"more than {MESH_LIMIT} distances per side")
     model = GridModel.build(K, params, n)
     band = model.band
-    gvec = interaction_weights(params)
+    gmat = np.diag(interaction_weights(params))
     if params.lam == 0.0 and params.mu == 0.0:
         return _report(K, params, band, [], [])
     jmemo: dict[float, np.ndarray] = {}
@@ -178,7 +178,7 @@ def oracle_counts(K: TorusPoint, params: ModelParams, n: int = 256) -> SpectrumR
 
     below, above = (_roots(count_jump_scan(lambda d, g=g: _threshold_count(jmat(d), g)[0],
                                            window, GRID_FLOOR, 1e-12 * (1.0 + abs(edge))))
-                    for g, edge in ((gvec, band.e_min), (-gvec, band.e_max)))
+                    for g, edge in ((gmat, band.e_min), (-gmat, band.e_max)))
     return _report(K, params, band, below, above)
 
 

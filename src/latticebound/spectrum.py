@@ -52,14 +52,15 @@ s2) R^T in the frame where each angle is rotated by its dispersion phase
 (see :mod:`latticebound.determinants`).  R rotates each (cos p_i, sin p_i)
 mode pair, and G = diag(lam, mu/2, mu/2, mu/2, mu/2) is the scalar mu/2 on
 each pair, so G commutes with R: the curves of J are mu/2 s1, mu/2 s2 and
-those of the 3x3 even block with weights diag(lam, mu/2, mu/2), one
-Cholesky factorization and one 3x3 eigensolve per distance.  One
-:class:`~latticebound.determinants.FiberGram` per solve takes the
-amplitudes, the orientation and the trapezoid nodes from (K, gamma) once,
-and each side binds its weight array once.  Roots between
+those of the 3x3 even block with weights diag(lam, mu/2, mu/2): one
+LAPACK ``dsygvd`` call per distance factors the block, forms L^T G L and
+solves it.  One :class:`~latticebound.determinants.FiberGram` per solve
+takes the amplitudes, the orientation and the trapezoid nodes from (K,
+gamma) once, and each side binds its weight matrix once.  Roots between
 the floor and the edge are counted from the edge limit of J, whose
-log-divergent part has rank one and lies in the even block, and reported
-pinned at 1e-13.  On a flat fiber E_K is constant and the states are the
+log-divergent part has rank one and lies in the even block, by the signs
+of two determinants expanded in Python floats, and reported pinned at
+1e-13.  On a flat fiber E_K is constant and the states are the
 eigenvalues of the interaction, at distances |lam| and |mu|/2 from the band.
 A solve whose window over g exceeds COUPLING_MAX = 2^44 raises
 :class:`ToleranceError`: there rounding would decide its count.
@@ -75,11 +76,11 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dsyevd
+from scipy.linalg.lapack import dsygvd
 
 from .core import ORIGIN, Band, ModelParams, TorusPoint, band_edges
 from .determinants import (FactorKind, FiberGram, GramBlocks, factor_value,
-                           interaction_weights, slope_below)
+                           slope_below)
 from .errors import GramMatrixError, ToleranceError
 from .integrals import (IntegralSet, Side, _reduced_integrals_array, moments_below,
                         predicted_asymptote, watson_integrals_at)
@@ -603,18 +604,24 @@ def _k0_batch(gamma: float, lams: Sequence[float],
 # general fiber: eigenvalue-curve counting
 
 
-def _threshold_count(j: np.ndarray, gvec: Sequence[float]) -> tuple[int, list[float]]:
+def _threshold_count(j: np.ndarray, gmat: np.ndarray) -> tuple[int, list[float]]:
     """Number of Birman-Schwinger curves below -1, and the ascending curves.
 
-    The curves are the eigenvalues of L^T G L with J = L L^T (one Cholesky
-    factorization and one symmetric eigensolve), G = diag(``gvec``), which
-    holds below the band.  Above it pass (-J, -G).  A J that is not positive
-    definite raises :class:`GramMatrixError`.
+    The curves are the eigenvalues of L^T G L with J = L L^T, G = ``gmat``
+    the diagonal weight matrix, which holds below the band.  Above it pass
+    (-J, -G).  One LAPACK ``dsygvd`` call (the generalized problem G J x =
+    eta x, itype 3) factors J, forms L^T G L and solves it.  J and G are
+    left as given: both sides of a solve read one memo of J.  A J that is
+    not positive definite raises :class:`GramMatrixError`, an eigensolve
+    that does not converge :class:`ToleranceError`.
     """
-    chol, info = dpotrf(j, lower=1)
+    n = len(j)
+    eta, _, info = dsygvd(gmat, j, itype=3, jobz="N")
+    if info > n:
+        raise GramMatrixError(f"Gram matrix is not positive definite (leading minor {info - n})")
     if info:
-        raise GramMatrixError(f"Gram matrix is not positive definite (leading minor {info})")
-    eta = dsyevd((chol.T * gvec) @ chol, compute_v=0)[0].tolist()
+        raise ToleranceError(f"Birman-Schwinger eigensolve did not converge (LAPACK info {info})")
+    eta = eta.tolist()
     return bisect_left(eta, -1.0), eta
 
 
@@ -630,12 +637,12 @@ def _fiber_curves(K: TorusPoint, params: ModelParams,
     block that is not positive definite raises :class:`GramMatrixError`.
     """
     half_mu = 0.5 * params.mu
-    gvec = np.array([params.lam, half_mu, half_mu])
+    gmat = np.diag([params.lam, half_mu, half_mu])
 
     def curves(d: float) -> list[float]:
         even, s1, s2 = blocks(d)
         try:
-            eta = _threshold_count(even, gvec)[1]
+            eta = _threshold_count(even, gmat)[1]
         except GramMatrixError as exc:
             raise GramMatrixError(f"below the band at K = ({K.p1}, {K.p2}), gamma = "
                                   f"{params.gamma}, d = {d}: {exc}") from None
@@ -686,7 +693,14 @@ def _degenerate_spectrum(K: TorusPoint, params: ModelParams, band: Band) -> Spec
 
 # R^T u, the rank-one edge slope of J in the rotated frame, on the even block;
 # its sine components vanish
-_EDGE_MODES = np.array([1.0, _SQRT2, _SQRT2])
+_EDGE_MODES = (1.0, _SQRT2, _SQRT2)
+
+
+def _det3(a: Sequence[float], b: Sequence[float], c: Sequence[float]) -> float:
+    """Determinant of the 3x3 matrix with columns a, b and c, by cofactors
+    along the first column."""
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
 
 
 def _pending_count(fiber: FiberGram, params: ModelParams, even_floor: np.ndarray) -> int:
@@ -708,24 +722,42 @@ def _pending_count(fiber: FiberGram, params: ModelParams, even_floor: np.ndarray
     d and a rank-one change moves at most one curve across -1, so one root
     is pending exactly when the sign as t -> -inf, that of -det(bordered),
     differs from that of det A: when det A and det(bordered) have the same
-    sign.  The border column G u is scaled to unit maximum, which keeps the
-    sign; a bordered determinant within 64 ulp of the product of its column
-    norms (Hadamard's bound on the cofactors its rounding multiplies) has no
-    sign, as on a region boundary, and counts no root.  With R1 R2 = 0 J
-    diverges like d^(-1/2) instead and the count at the floor is already the
-    limit.
+    sign.  Both are Python floats: det A by 3x3 cofactors, det(bordered) by
+    expansion along its border row (1, sqrt2, sqrt2, 0) into three 3x3
+    cofactor determinants.  The border column G u is scaled to unit
+    maximum, which keeps the sign.  A bordered determinant within 64 ulp of
+    the product of its column norms has no sign, as on a region boundary,
+    and counts no root.  That bound covers the rounding: each of the 18
+    terms of the expansion, a product of four entries, is rounded at most
+    9 times, and the permanent of the absolute entries is at most 4!/4^2 =
+    1.5 times the product of the column norms (E. Carlen, E. H. Lieb and
+    M. Loss, Methods Appl. Anal. 13, 1 (2006)), about 14 ulp; the rounded
+    entries, each within 3 ulp of its column norm (at least 1, from the
+    border row), move the determinant by about 20 ulp more (Hadamard).
+
+    With R1 R2 = 0, J diverges like d^(-1/2) and has no such model; the
+    count returns 0, although roots can lie between the floor and the edge
+    there.  A product R1 R2 that rounds to about 1e-16 instead of 0 (gamma
+    = 1, K_i = pi) reads the model at a floor where J still diverges like
+    d^(-1/2).  Both can undercount.
     """
     if fiber.r1 * fiber.r2 == 0.0:
         return 0
-    gvec = interaction_weights(params)[:3]
-    gu = gvec * _EDGE_MODES
-    bordered = np.zeros((4, 4))
-    bordered[:3, :3] = np.eye(3) + gvec[:, None] * even_floor
-    bordered[:3, 3] = gu / np.max(np.abs(gu))
-    bordered[3, :3] = _EDGE_MODES
-    det_floor = float(np.linalg.det(bordered[:3, :3]))
-    det_bordered = float(np.linalg.det(bordered))
-    noise = 64.0 * _EPS * float(np.prod(np.linalg.norm(bordered, axis=0)))
+    lam, half_mu = params.lam, 0.5 * params.mu
+    v1, v2, v3 = _EDGE_MODES
+    gu = (lam * v1, half_mu * v2, half_mu * v3)
+    top = max(abs(gu[0]), abs(gu[1]))
+    border = (gu[0] / top, gu[1] / top, gu[2] / top)
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = even_floor.tolist()
+    # the columns of A = I + G J_floor
+    a1 = (1.0 + lam * j00, half_mu * j10, half_mu * j20)
+    a2 = (lam * j01, 1.0 + half_mu * j11, half_mu * j21)
+    a3 = (lam * j02, half_mu * j12, 1.0 + half_mu * j22)
+    det_floor = _det3(a1, a2, a3)
+    det_bordered = (v2 * _det3(a1, a3, border) - v1 * _det3(a2, a3, border)
+                    - v3 * _det3(a1, a2, border))
+    noise = 64.0 * _EPS * (math.hypot(*a1, v1) * math.hypot(*a2, v2)
+                           * math.hypot(*a3, v3) * math.hypot(*border))
     if det_floor == 0.0 or abs(det_bordered) <= noise:
         return 0
     return int((det_floor > 0.0) == (det_bordered > 0.0))

@@ -14,8 +14,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf, dsyevd
 
 from latticebound import core, determinants, integrals, spectrum
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
@@ -374,13 +375,12 @@ def test_general_solve_computes_the_amplitudes_at_most_twice(monkeypatch, K, lam
     assert 1 <= len(calls) <= 2
 
 
-def test_block_curves_are_the_curves_of_the_gram_matrix():
-    # G is a scalar on each rotated (cos, sin) mode pair, so the curves of
-    # the five-mode J and of its parity blocks agree; the draws cover
-    # lam = 0, mu = 0, couplings near 1e-6 and R1 R2 = 0 (gamma = 1, K_i = pi)
-    rng = np.random.default_rng(23)
-    worst = 0.0
-    for i in range(2000):
+def _gram_draws(n, seed):
+    """(K, params, d) over the fibers, couplings and distances of general
+    solves: lam = 0, mu = 0, couplings near 1e-6 and R1 R2 = 0 (gamma = 1,
+    K_i = pi) among them."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
         gamma = 1.0 if i % 4 == 0 else float(rng.uniform(0.2, 4.0))
         k = rng.uniform(-math.pi, math.pi, 2)
         if i % 7 == 0:
@@ -389,10 +389,17 @@ def test_block_curves_are_the_curves_of_the_gram_matrix():
         d = float(np.exp(rng.uniform(math.log(1e-10), math.log(40.0))))
         lam, mu = rng.uniform(-12.0, 12.0, 2) * (1e-6 if i % 5 == 1 else 1.0)
         lam, mu = (0.0 if i % 6 == 2 else lam), (0.0 if i % 6 == 3 else mu)
-        params = ModelParams(gamma, float(lam), float(mu))
-        curves = spectrum._fiber_curves(K, params, FiberGram(K, gamma).blocks)(d)
-        j = secular_entries(K, gamma, Side.BELOW, d)
-        ref = spectrum._threshold_count(j, interaction_weights(params))[1]
+        yield K, ModelParams(gamma, float(lam), float(mu)), d
+
+
+def test_block_curves_are_the_curves_of_the_gram_matrix():
+    # G is a scalar on each rotated (cos, sin) mode pair, so the curves of
+    # the five-mode J and of its parity blocks agree
+    worst = 0.0
+    for K, params, d in _gram_draws(2000, 23):
+        curves = spectrum._fiber_curves(K, params, FiberGram(K, params.gamma).blocks)(d)
+        j = secular_entries(K, params.gamma, Side.BELOW, d)
+        ref = spectrum._threshold_count(j, np.diag(interaction_weights(params)))[1]
         assert curves == sorted(curves)
         scale = np.max(np.abs(ref))
         err = np.max(np.abs(np.array(curves) - ref))
@@ -401,10 +408,53 @@ def test_block_curves_are_the_curves_of_the_gram_matrix():
     assert worst > 0.0
 
 
+def _cholesky_curves(j, gvec):
+    """The curves by dpotrf, L^T G L and dsyevd: the route that the one
+    dsygvd call of _threshold_count replaced."""
+    chol, info = dpotrf(j, lower=1)
+    assert info == 0
+    return dsyevd((chol.T * gvec) @ chol, compute_v=0)[0].tolist()
+
+
+def test_threshold_count_matches_the_cholesky_route():
+    # on the even block the general solver reads and on the five-mode J the
+    # grid oracle's form reads
+    worst = 0.0
+    for K, params, d in _gram_draws(2000, 31):
+        gvec = interaction_weights(params)
+        for j, g in ((FiberGram(K, params.gamma).blocks(d)[0], gvec[:3]),
+                     (secular_entries(K, params.gamma, Side.BELOW, d), gvec)):
+            n, eta = spectrum._threshold_count(j, np.diag(g))
+            ref = _cholesky_curves(j, g)
+            scale = max(map(abs, ref))
+            err = max(abs(x - y) for x, y in zip(eta, ref))
+            assert eta == sorted(eta) and n == sum(v < -1.0 for v in eta)
+            assert err <= 1e-13 * scale, (K, params, d)
+            worst = max(worst, err / scale if scale else 0.0)
+    assert worst > 0.0
+
+
+def test_negated_weights_give_the_negated_curves():
+    # above the band the curves are those of (-J, -G): negating G negates
+    # every curve and reverses their order, bit for bit
+    for K, params, d in _gram_draws(3000, 37):
+        even, gmat = FiberGram(K, params.gamma).blocks(d)[0], np.diag(interaction_weights(params)[:3])
+        eta = spectrum._threshold_count(even, gmat)[1]
+        assert spectrum._threshold_count(even, -gmat)[1] == [-v for v in reversed(eta)]
+
+
+def test_eigensolve_that_does_not_converge_is_a_typed_error(monkeypatch):
+    # LAPACK reports 1 <= info <= n when the eigensolve does not converge
+    monkeypatch.setattr(spectrum, "dsygvd", lambda *a, **k: (np.zeros(3), None, 2))
+    with pytest.raises(ToleranceError, match="did not converge"):
+        spectrum._threshold_count(np.eye(3), np.diag([6.0, 5.0, 5.0]))
+
+
 def test_even_block_that_is_not_positive_definite_is_a_typed_error(monkeypatch):
     K, params = TorusPoint(1.0, 0.5), ModelParams(1.0, 6.0, 10.0)
     bad = (np.diag([1.0, -1e-3, 1.0]), 0.1, 0.1)
-    with pytest.raises(GramMatrixError, match=r"K = \(1\.0, 0\.5\), gamma = 1\.0, d = 0\.25"):
+    with pytest.raises(GramMatrixError, match=r"K = \(1\.0, 0\.5\), gamma = 1\.0, d = 0\.25: "
+                                              r".*not positive definite \(leading minor 2\)"):
         spectrum._fiber_curves(K, params, lambda d: bad)(0.25)
     monkeypatch.setattr(FiberGram, "blocks", lambda fiber, d: bad)
     with pytest.raises(GramMatrixError, match="not positive definite"):
@@ -713,6 +763,57 @@ def _on_the_hyperbola(mu, g):
     return -2.0 * mu / (1.0 + mu / g)
 
 
+def _pending_count_by_det(fiber, params, even_floor):
+    """The general-fiber pending count through np.linalg.det on the 4x4
+    bordered matrix: the form the float expansion replaced."""
+    if fiber.r1 * fiber.r2 == 0.0:
+        return 0
+    modes = np.array([1.0, math.sqrt(2.0), math.sqrt(2.0)])
+    gvec = interaction_weights(params)[:3]
+    gu = gvec * modes
+    bordered = np.zeros((4, 4))
+    bordered[:3, :3] = np.eye(3) + gvec[:, None] * even_floor
+    bordered[:3, 3] = gu / np.max(np.abs(gu))
+    bordered[3, :3] = modes
+    det_floor = float(np.linalg.det(bordered[:3, :3]))
+    det_bordered = float(np.linalg.det(bordered))
+    noise = 64.0 * sys.float_info.epsilon * float(np.prod(np.linalg.norm(bordered, axis=0)))
+    if det_floor == 0.0 or abs(det_bordered) <= noise:
+        return 0
+    return int((det_floor > 0.0) == (det_bordered > 0.0))
+
+
+def test_pending_count_matches_the_determinant_route():
+    # floors with lam = 0, mu = 0, couplings near 1e-6, gamma = 1 with
+    # K_i = pi, and couplings within 1e-3 of the K = 0 hyperbola S- = 0 at
+    # fibers down to 1e-6 from K = 0, where pending roots are born
+    rng = np.random.default_rng(29)
+    pending = 0
+    for i in range(3000):
+        kind = i % 6
+        gamma = 1.0 if kind == 3 else float(rng.uniform(0.2, 4.0))
+        k = rng.uniform(-math.pi, math.pi, 2)
+        lam, mu = (float(x) for x in rng.uniform(-12.0, 12.0, 2))
+        if kind == 0:
+            lam = 0.0
+        elif kind == 1:
+            mu = 0.0
+        elif kind == 2:
+            lam, mu = 1e-6 * lam, 1e-6 * mu
+        elif kind == 3:
+            k[i % 2] = math.pi
+        else:
+            k *= 10.0 ** rng.uniform(-6.0, 0.0)
+            lam = -2.0 * mu / (1.0 + mu / (1.0 + gamma)) + float(rng.uniform(-1e-3, 1e-3))
+        K, params = TorusPoint(float(k[0]), float(k[1])), ModelParams(gamma, lam, mu)
+        fiber = FiberGram(K, gamma)
+        floor = fiber.blocks(spectrum.MESH_FLOOR)[0]
+        count = spectrum._pending_count(fiber, params, floor)
+        assert count == _pending_count_by_det(fiber, params, floor), (K, params)
+        pending += count
+    assert pending > 500
+
+
 @pytest.mark.parametrize(
     "gamma", [1.0, *np.random.default_rng(23).uniform(0.3, 3.0, 2).round(4).tolist()])
 def test_pending_mask_matches_the_scalar_test(gamma):
@@ -869,3 +970,78 @@ def test_flat_direction_fiber_has_no_edge_model_states(lam, mu):
     rep = spectrum_general(K, params)
     dense = dense_validate(K, params, n=48)
     assert (rep.n_below, rep.n_above) == (dense.n_below, dense.n_above)
+
+
+# gamma = 1 on the lines K_i = pi: R_i is 1.22e-16 in floats, not 0
+FLAT_LINE_CASES = [(TorusPoint(math.pi, 1.369), ModelParams(1.0, 0.0, -3.26e-6)),
+                   (TorusPoint(math.pi, 0.5), ModelParams(1.0, -1e-6, -1e-6))]
+
+
+@pytest.mark.parametrize("K,params", FLAT_LINE_CASES)
+def test_flat_line_curves_stay_below_minus_one_past_the_floor(K, params):
+    fiber = FiberGram(K, params.gamma)
+    assert 0.0 < min(fiber.r1, fiber.r2) < 1e-15
+    curves = spectrum._fiber_curves(K, params, fiber.blocks)
+    assert [sum(v < -1.0 for v in curves(d)) for d in (1e-14, 1e-16, 1e-18, 1e-20, 1e-22)] \
+        == [3] * 5
+    # the pending count reads the log-edge model at the floor, where J still
+    # diverges like d**-0.5, and finds one of the three
+    assert spectrum_general(K, params).n_below == 1
+
+
+@pytest.mark.xfail(strict=True, reason="the pending count reads the log-edge model at "
+                   "a floor 1e6 times R_i = 1.22e-16, where J still diverges like "
+                   "d**-0.5")
+@pytest.mark.parametrize("K,params", FLAT_LINE_CASES)
+def test_flat_line_counts_every_curve_below_minus_one(K, params):
+    assert spectrum_general(K, params).n_below == 3
+
+
+# ---------------------------------------------------------------------------
+# where the states sit: the Weyl enclosure
+
+
+def _weyl_bounds(rep):
+    """V has the eigenvalues lam, mu/2 and 0, so by Weyl's inequality every
+    state lies in [e_min + min(lam, mu/2, 0), e_max + max(lam, mu/2, 0)]."""
+    lam, half_mu = rep.params.lam, 0.5 * rep.params.mu
+    return rep.band.e_min + min(lam, half_mu, 0.0), rep.band.e_max + max(lam, half_mu, 0.0)
+
+
+_couplings = st.one_of(
+    st.just(0.0), st.floats(-12.0, 12.0),
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+              st.floats(-15.0, 12.5)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(gamma=st.floats(0.2, 4.0), lam=_couplings, mu=_couplings,
+       K=st.one_of(st.just(ORIGIN),
+                   st.builds(TorusPoint, st.floats(-math.pi, math.pi),
+                             st.floats(-math.pi, math.pi)),
+                   st.builds(TorusPoint, st.just(math.pi), st.floats(-math.pi, math.pi))))
+@example(gamma=1.0, lam=-1e-15, mu=0.0, K=TorusPoint(1.0, 0.5))
+def test_states_lie_in_the_weyl_enclosure(gamma, lam, mu, K):
+    # up to |lam| + 2|mu| of about 1e13, near COUPLING_MAX; a pinned state
+    # sits at PINNED_MIN, its documented clamp, even where the bound is
+    # closer to the band (lam = -1e-15 has its state at depth 1e-13)
+    params = ModelParams(gamma, lam, mu)
+    rep = spectrum_k0(params) if K == ORIGIN else spectrum_general(K, params)
+    lo, hi = _weyl_bounds(rep)
+    for evs, edge, sign, bound in ((rep.below, rep.band.e_min, -1.0, lo),
+                                   (rep.above, rep.band.e_max, 1.0, hi)):
+        for ev in evs:
+            clamped = (ev.pinned and ev.z == edge + sign * spectrum.PINNED_MIN
+                       and sign * (bound - edge) < spectrum.PINNED_MIN)
+            assert lo <= ev.z <= hi or clamped, (ev, lo, hi)
+
+
+@pytest.mark.parametrize("lam,mu", [(-3.0, 2.0), (2.0, -10.0), (-0.5, 6.0), (9.0, -1.0)])
+def test_flat_fiber_meets_the_weyl_bound(lam, mu):
+    # couplings of both signs, so each side has its deepest state
+    rep = spectrum_general(TorusPoint(math.pi, math.pi), ModelParams(1.0, lam, mu))
+    lo, hi = _weyl_bounds(rep)
+    assert rep.band.degenerate
+    assert rep.below[0].z == lo and rep.above[-1].z == hi
+
