@@ -16,8 +16,9 @@ so at the same distance above the band a, c, e and f change sign and b does
 not.
 
 Near an edge the moments behave like ``s * (-+ln|z-edge|) + offset`` with
-s = 1/(2 pi g) (f has slope 0); :func:`predicted_asymptote` gives the exact
-edge limits, which both the spectrum solvers and the region thresholds use.
+s = 1/(2 pi g) (f has slope 0); :func:`calibrate_edge_constants` gives the
+exact edge limits below the band in closed form, which the spectrum solvers
+and, through :func:`predicted_asymptote`, the region thresholds use.
 """
 
 from __future__ import annotations
@@ -217,26 +218,33 @@ def watson_integrals_grid(z: float, gamma: float) -> IntegralSet:
 # edge constants
 
 
-def predicted_asymptote(which: str, side: Side, gamma: float) -> EdgeAsymptotics:
-    """Edge model of one moment: its exact edge limit.
-
-    Below the band every moment but f diverges with log slope
-    s = 1/(2 pi g); the offsets are a = (4 ln 2 + ln g) s, b = a - 1/(2g),
-    c, e = b +- (4 - pi)/(2 pi g) and f = (pi - 2)/(pi g), which has slope 0.  The models above the band
-    follow from the mirror identity of :func:`watson_integrals_at`: a, c, e
-    and f keep their slope and negate their offset, b negates its slope and
-    keeps its offset.
-    """
+def calibrate_edge_constants(gamma: float) -> tuple[float, float, float, float, float, float]:
+    """The exact edge limits below the band, in closed form: the log slope
+    s = 1/(2 pi g) of a, b, c and e, then the offsets a = (4 ln 2 + ln g) s,
+    b = a - 1/(2g), c, e = b +- (4 - pi)/(2 pi g) and f = (pi - 2)/(pi g),
+    whose slope is 0.  The name is the benchmark's ``integrals.calibrate``
+    span target."""
     g = 1.0 + gamma
     s = 1.0 / (2.0 * PI * g)
     a0 = (4.0 * LN2 + math.log(g)) * s
     b0 = a0 - 0.5 / g
     half_gap = (4.0 - PI) / (2.0 * PI * g)
-    below = {"a": (s, a0), "b": (s, b0), "c": (s, b0 + half_gap),
-             "e": (s, b0 - half_gap), "f": (0.0, (PI - 2.0) / (PI * g))}
-    slope, off = below[which]
+    return s, a0, b0, b0 + half_gap, b0 - half_gap, (PI - 2.0) / (PI * g)
+
+
+def predicted_asymptote(which: str, side: Side, gamma: float) -> EdgeAsymptotics:
+    """Edge model of one moment: its exact edge limit.
+
+    Below the band the slope and offset are those of
+    :func:`calibrate_edge_constants`.  The models above the band follow
+    from the mirror identity of :func:`watson_integrals_at`: a, c, e and f
+    keep their slope and negate their offset, b negates its slope and keeps
+    its offset.
+    """
+    s, *offsets = calibrate_edge_constants(gamma)
+    off = dict(zip("abcef", offsets))[which]
+    slope = 0.0 if which == "f" else s
     if side is Side.ABOVE:
         parity = 1.0 if which == "b" else -1.0
         slope, off = -parity * slope, parity * off
     return EdgeAsymptotics(side=side, log_slope=slope, offset=off)
-

@@ -10,9 +10,9 @@ below-side routine twice, at (lam, mu) and at (-lam, -mu), and
 Both solvers count first.  Below the band z is a root of det(I + G J)
 exactly when an eigenvalue of L^T G L (J = L L^T, positive semidefinite)
 crosses -1.  The count of these Birman-Schwinger curves below -1 falls
-monotonically with the distance d, so the curves at the floor (d = 1e-10)
-and at the window give the number of roots between them; then one solve
-in ln d per sorted curve that crosses -1 locates its root.  Every solve
+monotonically with the distance d, so a curve below -1 at the floor (d =
+1e-10) and not below it at the window crosses -1 once in between; then one
+solve in ln d per such curve locates its root.  Every solve
 runs one engine, :func:`_chandrupatla`, the bracketing method of T. R.
 Chandrupatla, Adv. Eng. Softw. 28, 145 (1997), on a float or on an array
 of crossings.  A root of multiplicity m is m curves crossing at one
@@ -26,17 +26,19 @@ the couplings of one side) is computed before the first distance, and each
 curve function is a closure over it.  The engine is handed the curves at
 the bracket ends, which the count already evaluated.
 
-Zero fiber: J is block diagonal in the five resolvent moments, and each
-determinant factor (main even, sub-even, odd) gets its own crossing pass.
+Zero fiber: J is block diagonal in the five resolvent moments, so the
+curves are four rows, two of the main even factor, one sub-even and one
+odd, the rows of the batch.  Each side makes one crossing pass over the
+four, and each root takes the factor, sector and multiplicity of its row.
 The memo holds the moments at each distance as five floats from
-:func:`~latticebound.integrals.moments_below`, and each factor's curves are
-a closure that binds (lam, mu) once.
+:func:`~latticebound.integrals.moments_below`, and the rows are a closure
+that binds (lam, mu) once.
 Only the main even factor diverges at the edge; with the exact edge models
 it is affine in ln-distance, so a root between the floor and the edge (at
 distances like exp(-1/s)) has a closed form.  Such roots are reported with
 ``pinned=True`` at the model position, clamped to at least 1e-13.  The
 edge models are the exact edge limits of
-:func:`~latticebound.integrals.predicted_asymptote`.
+:func:`~latticebound.integrals.calibrate_edge_constants`.
 
 Zero-fiber batches: the moments do not depend on (lam, mu), so
 :func:`_k0_batch` solves a whole coupling plane as one elementwise problem
@@ -82,8 +84,8 @@ from .core import ORIGIN, Band, ModelParams, TorusPoint, band_edges
 from .determinants import (FactorKind, FiberGram, GramBlocks, factor_value,
                            slope_below)
 from .errors import GramMatrixError, ToleranceError
-from .integrals import (IntegralSet, Side, _reduced_integrals_array, moments_below,
-                        predicted_asymptote, watson_integrals_at)
+from .integrals import (IntegralSet, Side, _reduced_integrals_array, calibrate_edge_constants,
+                        moments_below, watson_integrals_at)
 
 MESH_FLOOR = 1e-10
 MESH_COARSE = 0.25   # step of the oracle mesh beyond distance 1
@@ -260,41 +262,51 @@ def _chandrupatla(f, a, b, fa, fb, args=(), maxiter=100):
 
 
 def _curve_crossings(curves: Callable[[float], Sequence[float]], floor: float,
-                     window: float, what: str) -> list[float]:
-    """Distances in [floor, window] where ascending curves cross -1.
+                     window: float, what: Callable[[int], str]) -> list[tuple[int, float]]:
+    """Distances in [floor, window] where curves cross -1, by row.
 
-    ``curves(d)`` returns the curves at distance d, sorted ascending.
-    Their count below -1 falls monotonically with d, so curve k crosses -1
-    exactly once on [floor, window] for each k from the count at the window
-    to the count at the floor, and nowhere else.  Each crossing is solved by
-    :func:`_chandrupatla` in t = ln d, from the tightest bracket that the
-    distances evaluated so far give curve k.  Every distance is evaluated
-    once, the two ends and at most 100 iterations per crossing, whose
-    bracket ends are known: at most 2 + 100 n for n crossings.  A crossing
-    that does not converge raises :class:`ToleranceError` naming ``what``.
-    Returns one distance per crossing; the crossings of a multiple root are
+    ``curves(d)`` returns the curves at distance d by row; each row is
+    below -1 up to some distance and not below it beyond, as the count of
+    curves below -1 falls monotonically with d.  So row k crosses -1
+    exactly once on [floor, window] when it is below -1 at the floor and
+    not below it at the window, and nowhere else: for curves sorted
+    ascending these are the rows from the count at the window to the count
+    at the floor.
+    Each crossing is solved by :func:`_chandrupatla` in t = ln d, from the
+    tightest bracket that the distances evaluated so far, for any row, give
+    row k.  Every distance is evaluated once, the two ends and at most 100
+    iterations per crossing, whose bracket ends are known: at most 2 + 100 n
+    for n crossings.  A crossing that does not converge raises
+    :class:`ToleranceError` naming ``what(k)``.  Returns (row, distance)
+    per crossing, by ascending row; the crossings of a multiple root are
     merged by :func:`_merge_found`.
     """
     lo, hi = math.log(floor), math.log(window)
-    ends = {lo: floor, hi: window}
-    memo: dict[float, Sequence[float]] = {}
-
-    def at(t: float) -> Sequence[float]:
-        eta = memo.get(t)
-        if eta is None:
-            eta = memo[t] = curves(ends[t] if t in ends else math.exp(t))
-        return eta
-
+    memo = {lo: curves(floor), hi: curves(window)}
     roots = []
-    for k in range(sum(v < -1.0 for v in at(hi)), sum(v < -1.0 for v in at(lo))):
-        t_lo = max(t for t, eta in memo.items() if eta[k] < -1.0)
-        t_hi = min(t for t, eta in memo.items() if eta[k] >= -1.0)
-        t, status, nit = _chandrupatla(lambda t: at(t)[k] + 1.0, t_lo, t_hi,
+    for k, (v_lo, v_hi) in enumerate(zip(memo[lo], memo[hi])):
+        if not (v_lo < -1.0 and v_hi >= -1.0):
+            continue
+        t_lo, t_hi = lo, hi
+        for t, eta in memo.items():
+            if eta[k] < -1.0:
+                if t > t_lo:
+                    t_lo = t
+            elif eta[k] >= -1.0 and t < t_hi:
+                t_hi = t
+
+        def residual(t: float) -> float:
+            eta = memo.get(t)
+            if eta is None:
+                eta = memo[t] = curves(math.exp(t))
+            return eta[k] + 1.0
+
+        t, status, nit = _chandrupatla(residual, t_lo, t_hi,
                                        memo[t_lo][k] + 1.0, memo[t_hi][k] + 1.0)
         if status:
-            raise ToleranceError(f"{what}: curve {k} crossing did not converge "
+            raise ToleranceError(f"{what(k)} crossing did not converge "
                                  f"(status {status}) in {nit} iterations")
-        roots.append(ends[t] if t in ends else math.exp(t))
+        roots.append((k, floor if t == lo else window if t == hi else math.exp(t)))
     return roots
 
 
@@ -303,10 +315,10 @@ def _curve_crossings(curves: Callable[[float], Sequence[float]], floor: float,
 
 
 def _main_even_edge(gamma: float) -> SimpleNamespace:
-    """Edge models of a, b, c and e below the band: offsets by name, log slope as ``slope``."""
-    models = {q: predicted_asymptote(q, Side.BELOW, gamma) for q in "abce"}
-    offsets = {q: m.offset for q, m in models.items()}
-    return SimpleNamespace(slope=models["a"].log_slope, **offsets)
+    """Edge models of a, b, c and e below the band: offsets by name, log
+    slope as ``slope``, from :func:`calibrate_edge_constants`."""
+    slope, a, b, c, e, _ = calibrate_edge_constants(gamma)
+    return SimpleNamespace(slope=slope, a=a, b=b, c=c, e=e)
 
 
 def _pending(p, edge: SimpleNamespace, floor) -> tuple:
@@ -412,38 +424,35 @@ _ZERO_FIBER_FACTORS = (
     (FactorKind.SUB_EVEN, Sector.EVEN, 1),
     (FactorKind.ODD, Sector.ODD, 2),
 )
+# (factor, sector, multiplicity) of each row of _k0_curves and _curves_array
+_CURVE_ROWS = _ZERO_FIBER_FACTORS[:1] + _ZERO_FIBER_FACTORS
 
 
-def _factor_curves(kind: FactorKind, params: ModelParams,
-                   moments: Callable[[float], tuple[float, ...]]
-                   ) -> Callable[[float], tuple[float, ...]]:
-    """Ascending Birman-Schwinger curves of one zero-fiber block, as a
-    function of the distance, with (lam, mu) bound once.
+def _k0_curves(params: ModelParams, moments: Callable[[float], tuple[float, ...]]
+               ) -> Callable[[float], tuple[float, float, float, float]]:
+    """The four zero-fiber Birman-Schwinger curves as a function of the
+    distance, with (lam, mu) bound once: the rows of :func:`_curves_array`
+    (main even smaller and larger, sub-even, odd), with its arithmetic on
+    floats.
 
-    ``moments(d)`` gives (a, b, c, e, f) at distance d.  The factor is the
-    product of (1 + curve) over the curves.  Main even: the eigenvalues of
+    ``moments(d)`` gives (a, b, c, e, f) at distance d.  Each factor is the
+    product of (1 + curve) over its rows.  Main even: the eigenvalues of
     G J with G = diag(lam, mu), J = [[a, sqrt2 b], [sqrt2 b, c + e]], the
     larger in magnitude from the discriminant and the other from the
     determinant.  Sub-even: mu (c - e).  Odd: mu f.
     """
     lam, mu = params.lam, params.mu
-    if kind is FactorKind.SUB_EVEN:
-        def curves(d: float) -> tuple[float, ...]:
-            _, _, c, e, _ = moments(d)
-            return (mu * (c - e),)
-    elif kind is FactorKind.ODD:
-        def curves(d: float) -> tuple[float, ...]:
-            return (mu * moments(d)[4],)
-    else:
-        lam_mu2 = 2.0 * lam * mu
+    lam_mu2 = 2.0 * lam * mu
 
-        def curves(d: float) -> tuple[float, ...]:
-            a, b, c, e, _ = moments(d)
-            x, y, bb = lam * a, mu * (c + e), lam_mu2 * b * b
-            root = math.sqrt(max(0.25 * (x - y) ** 2 + bb, 0.0))
-            big = 0.5 * (x + y) + math.copysign(root, x + y)
-            small = (x * y - bb) / big if big != 0.0 else 0.0
-            return (small, big) if small <= big else (big, small)
+    def curves(d: float) -> tuple[float, float, float, float]:
+        a, b, c, e, f = moments(d)
+        x, y, bb = lam * a, mu * (c + e), lam_mu2 * b * b
+        root = math.sqrt(max(0.25 * (x - y) ** 2 + bb, 0.0))
+        big = 0.5 * (x + y) + math.copysign(root, x + y)
+        small = (x * y - bb) / big if big != 0.0 else 0.0
+        if small > big:
+            small, big = big, small
+        return small, big, mu * (c - e), mu * f
     return curves
 
 
@@ -451,10 +460,12 @@ def _k0_below(params: ModelParams, edge: SimpleNamespace, window: float,
               memo: dict[float, tuple[float, ...]]) -> list[_Root]:
     """Roots of the three zero-fiber factors below the band, merged.
 
-    Each factor's block gets one pass of :func:`_curve_crossings`, the main
-    even factor also :func:`_pending_root`.  ``memo`` maps a distance to its
-    moments below the band (:func:`moments_below`); it is filled here and
-    must only be shared between calls at the same gamma.
+    One pass of :func:`_curve_crossings` over the four curve rows of
+    :func:`_k0_curves`, each root tagged with the (factor, sector,
+    multiplicity) of its row, as in :func:`_k0_batch`; the main even
+    factor also gets :func:`_pending_root`.  ``memo`` maps a distance to
+    its moments below the band (:func:`moments_below`); it is filled here
+    and must only be shared between calls at the same gamma.
     """
     gamma = params.gamma
 
@@ -464,11 +475,9 @@ def _k0_below(params: ModelParams, edge: SimpleNamespace, window: float,
             s = memo[d] = moments_below(d, gamma)
         return s
 
-    found = []
-    for kind, sector, mult in _ZERO_FIBER_FACTORS:
-        crossings = _curve_crossings(_factor_curves(kind, params, moments),
-                                     MESH_FLOOR, window, f"{kind.value} curve root search")
-        found += [_Root(d, kind, sector, mult) for d in crossings]
+    crossings = _curve_crossings(_k0_curves(params, moments), MESH_FLOOR, window,
+                                 lambda row: f"{_CURVE_ROWS[row][0].value} curve")
+    found = [_Root(d, *_CURVE_ROWS[row]) for row, d in crossings]
     floor = IntegralSet(*moments(MESH_FLOOR), z=-MESH_FLOOR)
     return _merge_found(found + _pending_root(params, edge, floor))
 
@@ -495,12 +504,8 @@ def spectrum_k0(params: ModelParams) -> SpectrumReport:
                    _k0_below(_mirrored(params), edge, window, memo))
 
 
-# the rows of _curves_array: (factor, sector, multiplicity) of each curve
-_CURVE_ROWS = _ZERO_FIBER_FACTORS[:1] + _ZERO_FIBER_FACTORS
-
-
 def _curves_array(lam: np.ndarray, mu: np.ndarray, s) -> np.ndarray:
-    """The curves of :func:`_factor_curves` for all three factors, elementwise.
+    """The curves of :func:`_k0_curves` for all three factors, elementwise.
 
     ``s`` holds the moments a, b, c, e, f as rows.  Returns the rows main
     even smaller and larger, sub-even and odd, with the scalar arithmetic.
@@ -778,9 +783,9 @@ def _general_below(K: TorusPoint, params: ModelParams, window: float, fiber: Fib
         return b
 
     crossings = _curve_crossings(_fiber_curves(K, params, blocks), MESH_FLOOR, window,
-                                 "curve root search")
+                                 "curve {}".format)
     pend = _pending_count(fiber, params, blocks(MESH_FLOOR)[0])
-    found = [_Root(d, FactorKind.GENERAL, Sector.MIXED, 1) for d in crossings]
+    found = [_Root(d, FactorKind.GENERAL, Sector.MIXED, 1) for _, d in crossings]
     found += [_Root(PINNED_MIN, FactorKind.GENERAL, Sector.MIXED, 1, pinned=True)] * pend
     return _merge_found(found)
 

@@ -23,7 +23,7 @@ from latticebound.core import ORIGIN, ModelParams, TorusPoint
 from latticebound.errors import GramMatrixError, ToleranceError
 from latticebound.determinants import (FiberGram, factor_value, interaction_weights,
                                        secular_entries)
-from latticebound.integrals import Side, watson_integrals_at
+from latticebound.integrals import IntegralSet, Side, predicted_asymptote, watson_integrals_at
 from latticebound.oracle import dense_validate, oracle_counts
 from latticebound.spectrum import (FactorKind, Sector, spectrum_general,
                                    spectrum_k0)
@@ -466,15 +466,16 @@ def test_even_block_that_is_not_positive_definite_is_a_typed_error(monkeypatch):
 
 
 def _crossings(curves):
-    """The crossings of ``curves`` on [MESH_FLOOR, 10], and the number of
-    distances the engine evaluated."""
+    """The crossing distances of ``curves`` on [MESH_FLOOR, 10], and the
+    number of distances the engine evaluated."""
     used = []
 
     def counted(d):
         used.append(d)
         return curves(d)
 
-    return spectrum._curve_crossings(counted, spectrum.MESH_FLOOR, 10.0, "synthetic"), len(used)
+    pairs = spectrum._curve_crossings(counted, spectrum.MESH_FLOOR, 10.0, "synthetic {}".format)
+    return [d for _, d in pairs], len(used)
 
 
 def _log_curve(d0, slope):
@@ -549,7 +550,7 @@ def test_curve_passes_stay_within_their_bound(monkeypatch):
             params, k[i % 2] = ModelParams(1.0, params.lam, params.mu), math.pi
         spectrum_k0(params)
         spectrum_general(TorusPoint(float(k[0]), float(k[1])), params)
-    assert len(passes) >= 48 * 8
+    assert len(passes) >= 48 * 4
     assert any(n for _, n in passes)
     for used, crossings in passes:
         assert used <= 2 + 100 * crossings
@@ -562,6 +563,170 @@ def test_crossing_that_does_not_converge_is_a_tolerance_error(monkeypatch):
     c = _log_curve(0.37, 0.2)
     with pytest.raises(ToleranceError, match=r"did not converge \(status -2\) in 100 iterations"):
         _crossings(lambda d: np.array([c(d)]))
+
+
+@st.composite
+def _curve_ends(draw):
+    """Ascending curves at the floor and at the window: values at -1, one
+    ulp off it and anywhere near it, so that rounding can also make the
+    count rise with the distance."""
+    n = draw(st.integers(1, 5))
+    value = st.one_of(st.sampled_from([-1.0, math.nextafter(-1.0, -math.inf),
+                                       math.nextafter(-1.0, math.inf)]),
+                      st.floats(-4.0, 2.0))
+    rows = st.lists(value, min_size=n, max_size=n).map(sorted)
+    return draw(rows), draw(rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(ends=_curve_ends())
+@example(ends=([-2.0, -1.0, 0.5], [-3.0, -2.0, 0.5]))
+@example(ends=([-2.0, math.nextafter(-1.0, -math.inf)], [-2.0, -1.0]))
+def test_row_selection_is_the_count_range_on_ascending_curves(ends):
+    # the rows below -1 at the floor and not below it at the window are,
+    # for ascending curves, the rows from the count at the window to the
+    # count at the floor, none where the count rises with d (the first
+    # example).  Between the ends the curves run linearly in ln d, so they
+    # stay ascending and each selected row crosses -1 once
+    at_floor, at_window = ends
+    floor, window = spectrum.MESH_FLOOR, 10.0
+    lo, hi = math.log(floor), math.log(window)
+
+    def curves(d):
+        if d in (floor, window):
+            return at_floor if d == floor else at_window
+        w = (math.log(d) - lo) / (hi - lo)
+        return [a + w * (b - a) for a, b in zip(at_floor, at_window)]
+
+    def count(eta):
+        return sum(v < -1.0 for v in eta)
+
+    pairs = spectrum._curve_crossings(curves, floor, window, "curve {}".format)
+    assert [k for k, _ in pairs] == list(range(count(at_window), count(at_floor)))
+    assert all(floor <= d <= window for _, d in pairs)
+
+
+def test_main_even_edge_is_the_predicted_asymptote():
+    # one closed form serves the solvers' edge models and the region
+    # thresholds: the same bits for gamma from 1e-300 to GAMMA_MAX
+    gammas = [1e-300, *np.logspace(-299.0, 99.0, 399).tolist(), core.GAMMA_MAX]
+    for gamma in gammas:
+        edge = spectrum._main_even_edge(gamma)
+        models = {q: predicted_asymptote(q, Side.BELOW, gamma) for q in "abce"}
+        assert [getattr(edge, q).hex() for q in "abce"] == \
+            [models[q].offset.hex() for q in "abce"], gamma
+        assert {m.log_slope.hex() for m in models.values()} == {edge.slope.hex()}, gamma
+
+
+# ---------------------------------------------------------------------------
+# the one zero-fiber pass against the former pass per factor
+
+
+def _count_range_crossings(curves, floor, window):
+    """The former pass: one crossing of ascending ``curves`` for each k from
+    the count at the window to the count at the floor, with its own memo."""
+    lo, hi = math.log(floor), math.log(window)
+    ends = {lo: floor, hi: window}
+    memo = {}
+
+    def at(t):
+        if t not in memo:
+            memo[t] = curves(ends[t] if t in ends else math.exp(t))
+        return memo[t]
+
+    roots = []
+    for k in range(sum(v < -1.0 for v in at(hi)), sum(v < -1.0 for v in at(lo))):
+        t_lo = max(t for t, eta in memo.items() if eta[k] < -1.0)
+        t_hi = min(t for t, eta in memo.items() if eta[k] >= -1.0)
+        t, status, _ = spectrum._chandrupatla(lambda t: at(t)[k] + 1.0, t_lo, t_hi,
+                                              memo[t_lo][k] + 1.0, memo[t_hi][k] + 1.0)
+        assert status == 0
+        roots.append(ends[t] if t in ends else math.exp(t))
+    return roots
+
+
+def _three_pass_k0_below(params):
+    """The former scalar solve below the band at zero fiber: one pass per
+    determinant factor over its own ascending curves, then the pending
+    root, merged; the edge models straight from predicted_asymptote."""
+    gamma, lam, mu = params.gamma, params.lam, params.mu
+    memo = {}
+
+    def moments(d):
+        if d not in memo:
+            memo[d] = integrals.moments_below(d, gamma)
+        return memo[d]
+
+    def main_even(d):
+        a, b, c, e, _ = moments(d)
+        x, y, bb = lam * a, mu * (c + e), 2.0 * lam * mu * b * b
+        root = math.sqrt(max(0.25 * (x - y) ** 2 + bb, 0.0))
+        big = 0.5 * (x + y) + math.copysign(root, x + y)
+        small = (x * y - bb) / big if big != 0.0 else 0.0
+        return (small, big) if small <= big else (big, small)
+
+    def sub_even(d):
+        _, _, c, e, _ = moments(d)
+        return (mu * (c - e),)
+
+    def odd(d):
+        return (mu * moments(d)[4],)
+
+    window = spectrum._search_window(lam, mu)
+    found = [spectrum._Root(d, kind, sector, mult)
+             for curves, (kind, sector, mult) in zip((main_even, sub_even, odd),
+                                                     spectrum._ZERO_FIBER_FACTORS)
+             for d in _count_range_crossings(curves, spectrum.MESH_FLOOR, window)]
+    models = {q: predicted_asymptote(q, Side.BELOW, gamma) for q in "abce"}
+    edge = SimpleNamespace(slope=models["a"].log_slope,
+                           **{q: m.offset for q, m in models.items()})
+    floor = IntegralSet(*moments(spectrum.MESH_FLOOR), z=-spectrum.MESH_FLOOR)
+    return spectrum._merge_found(found + spectrum._pending_root(params, edge, floor))
+
+
+def _k0_reference_draws():
+    """The zero-fiber couplings above, then 3,000 seeded draws: one in five
+    scaled by 1e-3 and one in seven by 1e4."""
+    rng = np.random.default_rng(67)
+    draws = list(ZERO_FIBER_COUPLINGS)
+    for i in range(3000):
+        gamma = float(rng.uniform(0.2, 4.0))
+        scale = 1e-3 if i % 5 == 0 else 1e4 if i % 7 == 0 else 1.0
+        lam, mu = (float(x) * scale for x in rng.uniform(-12.0, 12.0, 2))
+        draws.append((gamma, lam, mu))
+    return draws
+
+
+def _on_a_curve(params, d):
+    """Whether some zero-fiber curve is -1 at d to within 64 ulp of its value."""
+    eta = spectrum._k0_curves(params, lambda d: integrals.moments_below(d, params.gamma))(d)
+    return any(abs(v + 1.0) <= 64.0 * spectrum._EPS * abs(v) for v in eta)
+
+
+def test_one_pass_over_the_rows_is_the_pass_per_factor():
+    # the same states with the same multiplicities, factors, sectors and
+    # pinned flags on each side.  The brackets differ, so the depths may
+    # move: by at most 1e-12 of the depth, unless the crossing's curve is
+    # -1 to rounding at both depths, where floats do not resolve it to
+    # 1e-12 (a shallow odd root, where mu f is flat, moves by 1.6e-11)
+    states, unresolved, kinds = 0, 0, set()
+    for gamma, lam, mu in _k0_reference_draws():
+        for sign in (1.0, -1.0):
+            params = ModelParams(gamma, sign * lam, sign * mu)
+            got = spectrum._k0_below(params, spectrum._main_even_edge(gamma),
+                                     spectrum._search_window(lam, mu), {})
+            want = _three_pass_k0_below(params)
+            assert [(r.multiplicity, r.factor, r.sector, r.pinned) for r in got] == \
+                [(r.multiplicity, r.factor, r.sector, r.pinned) for r in want], params
+            for a, b in zip(got, want):
+                if abs(a.d - b.d) > 1e-12 * b.d:
+                    assert _on_a_curve(params, a.d) and _on_a_curve(params, b.d), (params, a, b)
+                    unresolved += 1
+            states += len(got)
+            kinds |= {(r.factor, r.pinned) for r in got}
+    assert states > 5000 and unresolved <= states // 1000
+    assert kinds == {(kind, False) for kind, _, _ in spectrum._ZERO_FIBER_FACTORS} | {
+        (FactorKind.MAIN_EVEN, True)}
 
 
 # ---------------------------------------------------------------------------
