@@ -40,7 +40,8 @@ import numpy as np
 
 from .core import ModelParams, TorusPoint, ORIGIN
 from .errors import NUMERICAL_ERRORS, ToleranceError
-from .integrals import Side, predicted_asymptote, watson_integrals_at
+from .determinants import slope_below
+from .integrals import Side, calibrate_edge_constants, watson_integrals_at
 from .spectrum import _k0_batch, spectrum_general
 
 BOUNDARY_TOL = 1e-12   # distance from a defining equality that labels "b"
@@ -65,9 +66,7 @@ def binding_thresholds(gamma: float) -> Thresholds:
     lower edge where they are positive; the upper edge gives the same
     numbers with opposite sign, hence the symmetric regions at -t_s, -t_d.
     """
-    off_c = predicted_asymptote("c", Side.BELOW, gamma).offset
-    off_e = predicted_asymptote("e", Side.BELOW, gamma).offset
-    off_f = predicted_asymptote("f", Side.BELOW, gamma).offset
+    _, _, _, off_c, off_e, off_f = calibrate_edge_constants(gamma)
     return Thresholds(t_s=1.0 / (off_c - off_e), t_d=1.0 / off_f)
 
 
@@ -127,7 +126,8 @@ def _grid_labels(lams: list[float], mus: list[float],
     on which alone they depend."""
     g, thr = 1.0 + gamma, binding_thresholds(gamma)
     lam, mu = np.array(lams)[:, None], np.array(mus)
-    s_plus, s_minus = 2.0 * mu + lam - lam * mu / g, 2.0 * mu + lam + lam * mu / g
+    # S+ keeps its own expression: as -S-(-lam, -mu) an exact +0.0 would be -0.0
+    s_plus, s_minus = 2.0 * mu + lam - lam * mu / g, slope_below(lam, mu, g)
     # above the band: the minus family at (-lam, -mu), where S- = -S+
     c_plus, c_minus = _c_family(-s_plus, -mu, g, "+"), _c_family(s_minus, mu, g, "-")
     axis = [(_axis_region(mu, thr.t_s, "S0"), _axis_region(mu, thr.t_d, "D0")) for mu in mus]

@@ -254,10 +254,10 @@ def _cmd_det(cfg: RunConfig, z: float) -> int:
     if exc := spectrum._range_error(spectrum._search_window(params.lam, params.mu), params.g):
         raise exc
     if K == ORIGIN:
-        s = watson_integrals(z, params.gamma)
-        print(f"even_main = {_fmt(factor_value(FactorKind.MAIN_EVEN, s, params))}")
-        print(f"even_sub  = {_fmt(factor_value(FactorKind.SUB_EVEN, s, params))}")
-        print(f"odd       = {_fmt(factor_value(FactorKind.ODD, s, params) ** 2)}")
+        at_z = (watson_integrals(z, params.gamma).as_array().tolist(), params.lam, params.mu)
+        print(f"even_main = {_fmt(factor_value(FactorKind.MAIN_EVEN, *at_z))}")
+        print(f"even_sub  = {_fmt(factor_value(FactorKind.SUB_EVEN, *at_z))}")
+        print(f"odd       = {_fmt(factor_value(FactorKind.ODD, *at_z) ** 2)}")
     print(f"det = {_fmt(secular_det(z, K, params))}")
     return 0
 

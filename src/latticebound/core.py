@@ -112,24 +112,6 @@ def pair_amplitudes(K: TorusPoint, gamma: float) -> tuple[float, float, float, f
     return r1, r2, f1, f2
 
 
-def _edges(K: TorusPoint, params: ModelParams, r1: float, r2: float) -> tuple[float, float]:
-    """:func:`edges_closed` from the amplitudes R1, R2 of the fiber."""
-    g = params.g
-    lo = sum(4.0 * params.gamma * math.sin(0.5 * k) ** 2 / (g + r)
-             for k, r in ((K.p1, r1), (K.p2, r2)))
-    return lo, 4.0 * g - lo
-
-
-def edges_closed(K: TorusPoint, params: ModelParams) -> tuple[float, float]:
-    """Band endpoints from the amplitude form: sum_i (g -/+ R_i).
-
-    g - R_i = 4*gamma*sin^2(K_i/2) / (g + R_i) has no cancellation, so the
-    lower edge is exactly 0 at K = 0; the upper edge is 4g minus it.
-    """
-    r1, r2, _, _ = pair_amplitudes(K, params.gamma)
-    return _edges(K, params, r1, r2)
-
-
 @dataclass(frozen=True)
 class Band:
     """Extrema of the dispersion over the torus at a fixed fiber."""
@@ -150,16 +132,21 @@ class Band:
 
 
 def band_edges(K: TorusPoint, params: ModelParams) -> Band:
-    """Band extrema in closed form.
+    """Band extrema in closed form, the one band-edge function.
 
     In the amplitude form the two angles decouple: the minimum sits at
     p = (phi1, phi2) and the maximum at (phi1 + pi, phi2 + pi).  A flat
     coordinate (R_i = 0) makes every angle extremal, so these stay valid.
-    One :func:`pair_amplitudes` call gives both the edges and the extrema.
+    The edges are sum_i (g -/+ R_i), and g - R_i = 4*gamma*sin^2(K_i/2) /
+    (g + R_i) has no cancellation, so the lower edge is exactly 0 at K = 0;
+    the upper edge is 4g minus it.  One :func:`pair_amplitudes` call gives
+    both the edges and the extrema.
     """
     r1, r2, f1, f2 = pair_amplitudes(K, params.gamma)
-    e_min, e_max = _edges(K, params, r1, r2)
-    return Band(e_min=e_min, e_max=e_max, argmin=TorusPoint(f1, f2),
+    g = params.g
+    e_min = sum(4.0 * params.gamma * math.sin(0.5 * k) ** 2 / (g + r)
+                for k, r in ((K.p1, r1), (K.p2, r2)))
+    return Band(e_min=e_min, e_max=4.0 * g - e_min, argmin=TorusPoint(f1, f2),
                 argmax=TorusPoint(f1 + math.pi, f2 + math.pi))
 
 

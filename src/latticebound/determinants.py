@@ -8,7 +8,8 @@ A bound state at energy z outside the band is a zero of
 
 At zero fiber the matrix splits into even and odd blocks and the determinant
 factors into a main even part, a sub-even part and a squared odd part; the
-three formulas live in :func:`factor_value`.
+three formulas live in :func:`factor_value` and the edge slope S- of the
+main even one in :func:`slope_below`, both on floats or arrays.
 
 At general fiber J is a closed form with no tolerance.  Write
 E_K = 2g - R1 cos(p1 - phi1) - R2 cos(p2 - phi2) and rotate each angle by
@@ -47,7 +48,7 @@ Regime map:
   pi sqrt(delta (delta + 2 R_in)): 2 R_F(0, q1, q2), (2/3) R_J(0, q1, q2, 1)
   and the double-pole integral of :func:`_double_pole` for k = 0, 1, 2.
   The inner moments enter through A = delta + R_in + 2 R_out v, whose terms
-  do not cancel.
+  do not cancel.  A q1 beyond CARLSON_Q1_MAX raises :class:`DomainError`.
 
 Only the side below the band is evaluated: the shift p -> p + (pi, pi)
 reflects the band and flips the sign of the four trigonometric modes, which
@@ -67,7 +68,8 @@ from enum import Enum
 import numpy as np
 from scipy.special import elliprd, elliprf, elliprj
 
-from .core import ModelParams, TorusPoint, edges_closed, pair_amplitudes
+from .core import ModelParams, TorusPoint, band_edges, pair_amplitudes
+from .errors import DomainError
 from .integrals import Side, energy_side
 
 _SQRT2 = math.sqrt(2.0)
@@ -92,22 +94,24 @@ class FactorKind(Enum):
     GENERAL = "general"
 
 
-def factor_value(kind: FactorKind, s, params: ModelParams) -> float:
-    """One zero-fiber determinant factor from moments ``s`` (any object with
-    fields a, b, c, e, f).  The odd one is the unsquared 1 + mu*f."""
+def factor_value(kind: FactorKind, moments, lam, mu):
+    """One zero-fiber determinant factor from the ``moments`` (a, b, c, e, f)
+    at couplings (lam, mu), floats or arrays alike.  The odd one is the
+    unsquared 1 + mu*f."""
+    a, b, c, e, f = moments
     if kind is FactorKind.MAIN_EVEN:
-        return ((1.0 + params.lam * s.a) * (1.0 + params.mu * (s.c + s.e))
-                - 2.0 * params.lam * params.mu * s.b * s.b)
+        return (1.0 + lam * a) * (1.0 + mu * (c + e)) - 2.0 * lam * mu * b * b
     if kind is FactorKind.SUB_EVEN:
-        return 1.0 + params.mu * (s.c - s.e)
+        return 1.0 + mu * (c - e)
     if kind is FactorKind.ODD:
-        return 1.0 + params.mu * s.f
+        return 1.0 + mu * f
     raise ValueError(f"{kind} is not a zero-fiber determinant factor")
 
 
-def slope_below(params: ModelParams) -> float:
-    """Log-slope coefficient of the main even factor at the lower edge."""
-    return 2.0 * params.mu + params.lam + params.lam * params.mu / params.g
+def slope_below(lam, mu, g):
+    """S- = 2 mu + lam + lam mu / g, floats or arrays alike: the main even
+    factor at the lower edge is S- / (2 pi g) times -ln d plus a constant."""
+    return 2.0 * mu + lam + lam * mu / g
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +177,18 @@ def _double_pole(q1: float, eps: float, b0: float, b1: float) -> float:
     return total
 
 
+# SciPy's elliprj(0, q1, q2, 1) is NaN from q1 = 7.4e156 (scipy 1.17.1); the
+# solvers' mesh floor keeps q1 below about 4e110
+CARLSON_Q1_MAX = 1e150
+
+
 def _carlson_averages(delta: float, r_out: float, r_in: float) -> tuple[float, ...]:
     """The seven outer-angle averages from Carlson integrals (delta < r_out)."""
     wide = delta + 2.0 * r_in
     q1 = 1.0 + 2.0 * r_out / delta
+    if not q1 <= CARLSON_Q1_MAX:
+        raise DomainError(f"distance {delta} is too close to the band edge for the Gram "
+                          f"matrix: q1 = 1 + 2 R_out/delta = {q1:.3g} > {CARLSON_Q1_MAX:g}")
     eps = 2.0 * r_out / wide                      # q2 - 1, exact
     b0 = 2.0 * float(elliprf(0.0, q1, 1.0 + eps))
     b1 = (2.0 / 3.0) * float(elliprj(0.0, q1, 1.0 + eps, 1.0))
@@ -271,9 +283,10 @@ def secular_det(z: float, K: TorusPoint, params: ModelParams) -> float:
     """Determinant of the secular matrix I + G J(z) at fiber K.
 
     J comes from :func:`secular_entries` at the distance from z to the band
-    edges of :func:`edges_closed`; a z that is not outside the closed band
-    raises :class:`DomainError`.  The determinant comes from LAPACK's
-    pivoted LU factorization.
+    edges of :func:`~latticebound.core.band_edges`; a z that is not outside
+    the closed band raises :class:`DomainError`.  The determinant comes from
+    LAPACK's pivoted LU factorization.
     """
-    j = secular_entries(K, params.gamma, *energy_side(z, *edges_closed(K, params)))
+    band = band_edges(K, params)
+    j = secular_entries(K, params.gamma, *energy_side(z, band.e_min, band.e_max))
     return float(np.linalg.det(np.eye(5) + interaction_weights(params)[:, None] * j))

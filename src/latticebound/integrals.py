@@ -17,8 +17,8 @@ not.
 
 Near an edge the moments behave like ``s * (-+ln|z-edge|) + offset`` with
 s = 1/(2 pi g) (f has slope 0); :func:`calibrate_edge_constants` gives the
-exact edge limits below the band in closed form, which the spectrum solvers
-and, through :func:`predicted_asymptote`, the region thresholds use.
+exact edge limits below the band in closed form, which the K = 0 solvers,
+the region thresholds and :func:`predicted_asymptote` read directly.
 """
 
 from __future__ import annotations

@@ -38,7 +38,8 @@ it is affine in ln-distance, so a root between the floor and the edge (at
 distances like exp(-1/s)) has a closed form.  Such roots are reported with
 ``pinned=True`` at the model position, clamped to at least 1e-13.  The
 edge models are the exact edge limits of
-:func:`~latticebound.integrals.calibrate_edge_constants`.
+:func:`~latticebound.integrals.calibrate_edge_constants`, and the band at
+K = 0 is exactly [0, 4g].
 
 Zero-fiber batches: the moments do not depend on (lam, mu), so
 :func:`_k0_batch` solves a whole coupling plane as one elementwise problem
@@ -74,7 +75,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -84,8 +84,7 @@ from .core import ORIGIN, Band, ModelParams, TorusPoint, band_edges
 from .determinants import (FactorKind, FiberGram, GramBlocks, factor_value,
                            slope_below)
 from .errors import GramMatrixError, ToleranceError
-from .integrals import (IntegralSet, Side, _reduced_integrals_array, calibrate_edge_constants,
-                        moments_below, watson_integrals_at)
+from .integrals import _reduced_integrals_array, calibrate_edge_constants, moments_below
 
 MESH_FLOOR = 1e-10
 MESH_COARSE = 0.25   # step of the oracle mesh beyond distance 1
@@ -311,53 +310,38 @@ def _curve_crossings(curves: Callable[[float], Sequence[float]], floor: float,
 
 
 # ---------------------------------------------------------------------------
-# edge models for the zero-fiber factors
+# the pending root of the zero-fiber main even factor
 
 
-def _main_even_edge(gamma: float) -> SimpleNamespace:
-    """Edge models of a, b, c and e below the band: offsets by name, log
-    slope as ``slope``, from :func:`calibrate_edge_constants`."""
-    slope, a, b, c, e, _ = calibrate_edge_constants(gamma)
-    return SimpleNamespace(slope=slope, a=a, b=b, c=c, e=e)
-
-
-def _pending(p, edge: SimpleNamespace, floor) -> tuple:
+def _pending(lam, mu, g: float, edge: Sequence[float], floor: Sequence[float]) -> tuple:
     """Whether a main even root is pending between the mesh floor and the edge.
 
-    ``p`` holds lam, mu and g, floats or arrays alike; ``edge`` holds the
-    :func:`_main_even_edge` models and ``floor`` the moments at the mesh
-    floor.  Only the main even factor diverges at the edge, and with
-    c + e = 2b it is exactly affine in L = -ln d: alpha + beta*L, alpha the
-    factor at the model offsets and beta = s*S-, s their slope and S- the
-    coupling combination of :func:`slope_below`.  A root is pending when
-    the limiting sign, that of S- (s > 0), differs from the measured floor
+    ``lam`` and ``mu`` are floats or arrays alike; ``edge`` is the
+    :func:`calibrate_edge_constants` tuple (slope s, then the limits of a,
+    b, c, e, f) and ``floor`` the moments at the mesh floor.  Only the main
+    even factor diverges at the edge, and with c + e = 2b it is exactly
+    affine in L = -ln d: alpha + beta*L, alpha the factor at the limits and
+    beta = s*S-, S- of :func:`slope_below`.  A root is pending when the
+    limiting sign, that of S- (s > 0), differs from the measured floor
     sign; it sits at d = exp(alpha / beta).  No root is flagged when the
     model already disagrees with the measured floor sign (untrustworthy
     regime, e.g. on a region boundary) or when S- vanishes to the rounding
-    of its terms (on the hyperbola the root has merged with the edge, and
-    the sign of S- is rounding noise).  Returns (flag, alpha, beta), with
-    only operators that act on floats and arrays alike.
+    of its terms, S- at (|lam|, |mu|) (on the hyperbola the root has merged
+    with the edge, and the sign of S- is rounding noise).  Returns (flag,
+    alpha, beta), with only operators that act on floats and arrays alike.
     """
-    floor_value = factor_value(FactorKind.MAIN_EVEN, floor, p)
-    s_minus = slope_below(p)
-    alpha = factor_value(FactorKind.MAIN_EVEN, edge, p)
-    beta = edge.slope * s_minus
+    slope, *limits = edge
+    floor_value = factor_value(FactorKind.MAIN_EVEN, floor, lam, mu)
+    s_minus = slope_below(lam, mu, g)
+    alpha = factor_value(FactorKind.MAIN_EVEN, limits, lam, mu)
+    beta = slope * s_minus
     m_floor = alpha - beta * math.log(MESH_FLOOR)
-    lam, mu, negative = abs(p.lam), abs(p.mu), floor_value < 0.0
+    negative = floor_value < 0.0
     flag = ((floor_value != 0.0)
-            & (abs(s_minus) > 8.0 * _EPS * (2.0 * mu + lam + lam * mu / p.g))
+            & (abs(s_minus) > 8.0 * _EPS * slope_below(abs(lam), abs(mu), g))
             & (m_floor != 0.0) & ((m_floor < 0.0) == negative)
             & ((s_minus < 0.0) != negative))
     return flag, alpha, beta
-
-
-def _pending_root(params: ModelParams, edge: SimpleNamespace,
-                  floor: IntegralSet) -> list[_Root]:
-    """The main even root of :func:`_pending` at one problem, pinned, if flagged."""
-    flag, alpha, beta = _pending(params, edge, floor)
-    if not flag:
-        return []
-    return [_Root(_pinned_depth(alpha, beta), *_ZERO_FIBER_FACTORS[0], pinned=True)]
 
 
 def _pinned_depth(alpha: float, beta: float) -> float:
@@ -456,16 +440,17 @@ def _k0_curves(params: ModelParams, moments: Callable[[float], tuple[float, ...]
     return curves
 
 
-def _k0_below(params: ModelParams, edge: SimpleNamespace, window: float,
+def _k0_below(params: ModelParams, edge: Sequence[float], window: float,
               memo: dict[float, tuple[float, ...]]) -> list[_Root]:
     """Roots of the three zero-fiber factors below the band, merged.
 
     One pass of :func:`_curve_crossings` over the four curve rows of
     :func:`_k0_curves`, each root tagged with the (factor, sector,
     multiplicity) of its row, as in :func:`_k0_batch`; the main even
-    factor also gets :func:`_pending_root`.  ``memo`` maps a distance to
-    its moments below the band (:func:`moments_below`); it is filled here
-    and must only be shared between calls at the same gamma.
+    factor also gets the pinned root of :func:`_pending` at ``edge``.
+    ``memo`` maps a distance to its moments below the band
+    (:func:`moments_below`); it is filled here and must only be shared
+    between calls at the same gamma.
     """
     gamma = params.gamma
 
@@ -478,8 +463,10 @@ def _k0_below(params: ModelParams, edge: SimpleNamespace, window: float,
     crossings = _curve_crossings(_k0_curves(params, moments), MESH_FLOOR, window,
                                  lambda row: f"{_CURVE_ROWS[row][0].value} curve")
     found = [_Root(d, *_CURVE_ROWS[row]) for row, d in crossings]
-    floor = IntegralSet(*moments(MESH_FLOOR), z=-MESH_FLOOR)
-    return _merge_found(found + _pending_root(params, edge, floor))
+    flag, alpha, beta = _pending(params.lam, params.mu, params.g, edge, moments(MESH_FLOOR))
+    if flag:
+        found.append(_Root(_pinned_depth(alpha, beta), *_ZERO_FIBER_FACTORS[0], pinned=True))
+    return _merge_found(found)
 
 
 def spectrum_k0(params: ModelParams) -> SpectrumReport:
@@ -490,15 +477,15 @@ def spectrum_k0(params: ModelParams) -> SpectrumReport:
     2|mu| + 1.  Coincident roots are merged with summed multiplicity;
     odd-factor roots carry multiplicity 2.  The moments are closed forms, so
     no tolerance applies, and :func:`_curve_crossings` bounds the work.
-    Both sides share one memo of moments per call.
+    Both sides share one memo of moments per call; the band is [0, 4g].
     """
-    band = band_edges(ORIGIN, params)
+    band = Band(0.0, 4.0 * params.g, ORIGIN, TorusPoint(math.pi, math.pi))
     if params.lam == 0.0 and params.mu == 0.0:
         return _report(ORIGIN, params, band, [], [])
     window = _search_window(params.lam, params.mu)
     if exc := _range_error(window, params.g):
         raise exc
-    edge = _main_even_edge(params.gamma)
+    edge = calibrate_edge_constants(params.gamma)
     memo: dict[float, tuple[float, ...]] = {}
     return _report(ORIGIN, params, band, _k0_below(params, edge, window, memo),
                    _k0_below(_mirrored(params), edge, window, memo))
@@ -519,16 +506,6 @@ def _curves_array(lam: np.ndarray, mu: np.ndarray, s) -> np.ndarray:
     return np.stack([np.minimum(small, big), np.maximum(small, big), mu * (c - e), mu * f])
 
 
-def _pending_depths(gamma: float, lam: np.ndarray, mu: np.ndarray, edge: SimpleNamespace,
-                    floor: IntegralSet) -> dict[int, float]:
-    """:func:`_pending` over arrays of one-sided problems: the pinned depth
-    of each flagged problem, by index, from :func:`_pinned_depth`."""
-    flag, alpha, beta = _pending(SimpleNamespace(lam=lam, mu=mu, g=1.0 + gamma), edge, floor)
-    flagged = np.flatnonzero(flag)
-    return {i: _pinned_depth(a, b) for i, a, b in
-            zip(flagged.tolist(), alpha[flagged].tolist(), beta[flagged].tolist())}
-
-
 def _k0_batch(gamma: float, lams: Sequence[float],
               mus: Sequence[float]) -> list[tuple[list[_Root], list[_Root]] | ToleranceError]:
     """The merged roots below and above of every (lams[i], mus[i]) at zero
@@ -538,8 +515,9 @@ def _k0_batch(gamma: float, lams: Sequence[float],
     of :func:`_curve_crossings` runs on arrays: the four curves of every
     problem at the floor and at its window give each curve's crossing, and
     one call of :func:`_chandrupatla` (Chandrupatla 1997, elementwise in
-    t = ln d) solves all crossings at once.  Pending roots
-    (:func:`_pending_depths`) and merging are those of the scalar solver.
+    t = ln d) solves all crossings at once.  Pending roots (one
+    :func:`_pending` call on the arrays) and merging are those of the
+    scalar solver.
     The side above at (lam, mu) is the side below at (-lam, -mu), so each
     distinct problem, with -0.0 read as 0.0, is solved once.  Every step is
     elementwise, so a problem's roots do not depend on the other problems
@@ -559,7 +537,7 @@ def _k0_batch(gamma: float, lams: Sequence[float],
     problems, index = np.unique((np.concatenate([points, -points]) + 0.0).view(complex),
                                 return_inverse=True)
     below, above = index.reshape(2, -1).tolist()
-    g, floor = 1.0 + gamma, watson_integrals_at(Side.BELOW, MESH_FLOOR, gamma)
+    g, floor = 1.0 + gamma, moments_below(MESH_FLOOR, gamma)
     lam, mu = problems.real, problems.imag
     window = _search_window(lam, mu)
     beyond = window > COUPLING_MAX * g
@@ -567,7 +545,7 @@ def _k0_batch(gamma: float, lams: Sequence[float],
     # problems beyond the range fail, and solve as zero couplings
     lam, mu = np.where(beyond, 0.0, lam), np.where(beyond, 0.0, mu)
     window = np.where(beyond, 1.0, window)
-    eta_floor = _curves_array(lam, mu, floor.as_array()[:, None])
+    eta_floor = _curves_array(lam, mu, np.array(floor)[:, None])
     eta_window = _curves_array(lam, mu, _reduced_integrals_array(window / g) / g)
     # one crossing per curve (row) of a problem that is below -1 at the
     # floor and not at the window
@@ -598,8 +576,10 @@ def _k0_batch(gamma: float, lams: Sequence[float],
         failed[p] = ToleranceError(
             f"{_CURVE_ROWS[row[i]][0].value} curve crossing below the band at (lam, mu) = "
             f"({lam[p]}, {mu[p]}) did not converge (status {status[i]}) in {nit[i]} iterations")
-    for p, d in _pending_depths(gamma, lam, mu, _main_even_edge(gamma), floor).items():
-        found[p].append(_Root(d, *_ZERO_FIBER_FACTORS[0], pinned=True))
+    flag, alpha, beta = _pending(lam, mu, g, calibrate_edge_constants(gamma), floor)
+    for p in np.flatnonzero(flag).tolist():
+        found[p].append(_Root(_pinned_depth(float(alpha[p]), float(beta[p])),
+                              *_ZERO_FIBER_FACTORS[0], pinned=True))
     merged = [_merge_found(f) for f in found]
     return [failed.get(b) or failed.get(a) or (merged[b], merged[a])
             for b, a in zip(below, above)]

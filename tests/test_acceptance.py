@@ -458,6 +458,22 @@ def _binding_curves(params: ModelParams, n: int = 128):
     return np.diff(np.array(lows), axis=0), np.diff(np.array(highs), axis=0)
 
 
+def _continuum_binding_curves(params: ModelParams, samples: int = 33):
+    """Steps of the five binding energies below and above the band along
+    K1 in [0, pi], K2 = 0, from the continuum solvers (spectrum_k0 at
+    K1 = 0, spectrum_general elsewhere), deepest first; absent states count
+    as 0."""
+    lows, highs = [], []
+    for k in range(samples):
+        K = TorusPoint(k * math.pi / (samples - 1), 0.0)
+        rep = spectrum_k0(params) if k == 0 else spectrum_general(K, params)
+        below = sorted((rep.band.e_min - z for z in expand(rep.below)), reverse=True)
+        above = sorted((z - rep.band.e_max for z in expand(rep.above)), reverse=True)
+        lows.append(below + [0.0] * (5 - len(below)))
+        highs.append(above + [0.0] * (5 - len(above)))
+    return np.diff(np.array(lows), axis=0), np.diff(np.array(highs), axis=0)
+
+
 def test_criterion_7_minimax_monotonicity():
     points = ((-1.0, 0.0), (1.0, 10.0), (-6.0, 0.0), (0.0, -12.0))
     failures = []
@@ -472,16 +488,30 @@ def test_criterion_7_minimax_monotonicity():
              f"K1 in [0, pi] (9 samples, 4 coupling points, both sides; "
              f"worst step {worst:+.2e} >= -1e-9)"
              + (f"; failures: {failures}" if failures else ""))
-    # other mass ratios: published as a report, not asserted
+    # other mass ratios: asserted on the continuum solvers, whose band edges
+    # are exact; the N = 128 grid's reading is published as a report
+    failures, worst = [], math.inf
     for gamma in (0.5, 2.0):
         scale = (1.0 + gamma) / 2.0
         w = math.inf
         for lam, mu in points:
-            d_lo, d_hi = _binding_curves(
-                ModelParams(gamma, lam * scale, mu * scale))
+            params = ModelParams(gamma, lam * scale, mu * scale)
+            d_lo, d_hi = _binding_curves(params)
             w = min(w, float(d_lo.min()), float(d_hi.min()))
+            c_lo, c_hi = _continuum_binding_curves(params)
+            step = min(float(c_lo.min()), float(c_hi.min()))
+            worst = min(worst, step)
+            if step < -1e-9 * max(1.0, abs(params.lam) + abs(params.mu)):
+                failures.append((gamma, params.lam, params.mu, step))
         print(f"[REPORT] criterion 7 (gamma={gamma:g}): worst binding step "
-              f"{w:+.2e} over the scaled coupling points (not asserted)")
+              f"{w:+.2e} over the scaled coupling points on the N = 128 grid "
+              f"(not asserted)")
+    _verdict(7, not failures,
+             f"gamma=0.5, 2 on the continuum solvers: all five binding energies "
+             f"non-decreasing along K1 in [0, pi] (33 samples, 4 scaled coupling "
+             f"points, both sides; worst step {worst:+.2e} >= "
+             f"-1e-9 max(1, |lam| + |mu|))"
+             + (f"; failures: {failures}" if failures else ""))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from latticebound.atlas import (_axis_values, binding_thresholds, classify,
                                 predicted_counts, sweep, threshold_scan)
 from latticebound.core import ORIGIN, ModelParams, TorusPoint, band_edges
 from latticebound.errors import DomainError, ToleranceError
+from latticebound.integrals import calibrate_edge_constants
 from latticebound.oracle import oracle_counts
 from latticebound.spectrum import FactorKind, spectrum_k0
 from published_table import published_thresholds
@@ -272,7 +273,7 @@ def test_batched_sweep_matches_the_scalar_solver(gamma):
     batch = spectrum._k0_batch(gamma, lams, mus)
     assert len(rows) == len(batch) == 2401
     assert not any(isinstance(point, ToleranceError) for point in batch)
-    edge, memo, top = spectrum._main_even_edge(gamma), {}, 4.0 * (1.0 + gamma)
+    edge, memo, top = calibrate_edge_constants(gamma), {}, 4.0 * (1.0 + gamma)
     for row, lam, mu, (below, above) in zip(rows, lams, mus, batch):
         ref = spectrum_k0(ModelParams(gamma, lam, mu))
         assert (row.comp_below, row.comp_above) == (ref.n_below, ref.n_above)

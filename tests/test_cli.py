@@ -340,6 +340,14 @@ def test_classify_command(capsys):
     assert "(above exact)" in out
 
 
+def test_classify_prints_signed_zero_slopes(capsys):
+    # S+ keeps its own expression: read as -S-(-lam, -mu) the exact +0.0 at
+    # the origin would print as "S+ = -0"
+    for lam, mu, text in (("0", "0", "(S+ = 0, S- = 0)"), ("-0.0", "-0.0", "(S+ = -0, S- = 0)")):
+        assert main(["classify", f"--lambda={lam}", f"--mu={mu}"]) == 0
+        assert text in capsys.readouterr().out
+
+
 def test_oracle_command(capsys):
     assert main(["oracle", "--lambda", "0", "--mu", "-12", "--N", "64"]) == 0
     assert "below (4)" in capsys.readouterr().out

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from latticebound.core import (GAMMA_MAX, ORIGIN, Band, ModelParams, TorusPoint,
-                               band_edges, dispersion, edges_closed, epsilon,
+                               band_edges, dispersion, epsilon,
                                gradient_norm, pair_amplitudes, wrap)
+from latticebound.spectrum import spectrum_k0
 
 
 def test_wrap_range_and_periodicity():
@@ -98,7 +99,8 @@ def test_band_edges_match_closed_form():
         params = ModelParams(gamma=gamma)
         K = TorusPoint(*rng.uniform(-math.pi, math.pi, 2))
         band = band_edges(K, params)
-        lo, hi = edges_closed(K, params)
+        r1, r2, _, _ = pair_amplitudes(K, gamma)
+        lo, hi = 2.0 * params.g - r1 - r2, 2.0 * params.g + r1 + r2
         assert band.e_min == pytest.approx(lo, abs=1e-9)
         assert band.e_max == pytest.approx(hi, abs=1e-9)
         # extrema are critical points
@@ -116,11 +118,19 @@ def test_band_at_zero_fiber():
 
 def test_zero_fiber_edges_are_exact():
     # g - R_i is computed without cancellation, so at K = 0 the edges are
-    # exactly 0 and 4g, not off by a rounding of R_i = g
-    for gamma in np.random.default_rng(1).uniform(0.05, 20.0, 300).tolist():
-        band = band_edges(ORIGIN, ModelParams(gamma=gamma))
+    # exactly 0 and 4g, not off by a rounding of R_i = g; the zero-fiber
+    # solver writes that band in closed form, and it must be band_edges'
+    # to the bit, from gamma = 1e-300 to GAMMA_MAX
+    gammas = np.random.default_rng(1).uniform(0.05, 20.0, 300).tolist()
+    gammas += (10.0 ** np.random.default_rng(2).uniform(-3.0, 3.0, 300)).tolist()
+    for gamma in gammas + [1e-300, GAMMA_MAX]:
+        params = ModelParams(gamma=gamma)
+        band = band_edges(ORIGIN, params)
         assert (band.e_min, band.e_max) == (0.0, 4.0 * (1.0 + gamma))
-        assert edges_closed(ORIGIN, ModelParams(gamma=gamma)) == (0.0, 4.0 * (1.0 + gamma))
+        k0_band = spectrum_k0(params).band
+        assert k0_band == band
+        assert (k0_band.e_min.hex(), k0_band.e_max.hex()) == (band.e_min.hex(),
+                                                              band.e_max.hex())
 
 
 def test_degenerate_corner():

@@ -5,9 +5,9 @@ import pytest
 
 from latticebound.core import (ORIGIN, ModelParams, TorusPoint, band_edges,
                                pair_amplitudes)
-from latticebound.determinants import (F2_SERIES_SWITCH, FactorKind, FiberGram, factor_value,
-                                       interaction_weights, secular_det, secular_entries,
-                                       slope_below)
+from latticebound.determinants import (CARLSON_Q1_MAX, F2_SERIES_SWITCH, FactorKind,
+                                       FiberGram, factor_value, interaction_weights,
+                                       secular_det, secular_entries, slope_below)
 from latticebound.errors import DomainError
 from latticebound.integrals import Side, watson_integrals
 from panel_rule import pair_coefficients, panel_gram
@@ -103,10 +103,10 @@ def test_factorization_product_matches_full_determinant():
         z = (-float(rng.uniform(0.05, 3.0)) if side == 0
              else 4 * params.g + float(rng.uniform(0.05, 3.0)))
         full = secular_det(z, ORIGIN, params)
-        s = watson_integrals(z, params.gamma)
-        parts = (factor_value(FactorKind.MAIN_EVEN, s, params)
-                 * factor_value(FactorKind.SUB_EVEN, s, params)
-                 * factor_value(FactorKind.ODD, s, params) ** 2)
+        s = watson_integrals(z, params.gamma).as_array().tolist()
+        parts = (factor_value(FactorKind.MAIN_EVEN, s, lam, mu)
+                 * factor_value(FactorKind.SUB_EVEN, s, lam, mu)
+                 * factor_value(FactorKind.ODD, s, lam, mu) ** 2)
         assert full == pytest.approx(parts, rel=1e-9, abs=1e-12)
 
 
@@ -122,10 +122,10 @@ def test_zero_fiber_determinant_matches_its_factors_next_to_the_edge():
         lam, mu = (float(x) for x in rng.uniform(-12.0, 12.0, 2))
         params = ModelParams(gamma, lam, mu)
         z = -float(np.exp(rng.uniform(math.log(1e-10), math.log(30.0))))
-        s = watson_integrals(z, gamma)
-        parts = (factor_value(FactorKind.MAIN_EVEN, s, params)
-                 * factor_value(FactorKind.SUB_EVEN, s, params)
-                 * factor_value(FactorKind.ODD, s, params) ** 2)
+        s = watson_integrals(z, gamma).as_array().tolist()
+        parts = (factor_value(FactorKind.MAIN_EVEN, s, lam, mu)
+                 * factor_value(FactorKind.SUB_EVEN, s, lam, mu)
+                 * factor_value(FactorKind.ODD, s, lam, mu) ** 2)
         err = abs(secular_det(z, ORIGIN, params) - parts) / max(1.0, abs(parts))
         worst = max(worst, err)
     assert worst <= 1e-11
@@ -136,8 +136,8 @@ def test_odd_factor_is_a_perfect_square():
     # (1 + mu*f)^2, so it touches zero at a double root instead of changing sign
     params = ModelParams(1.0, 0.0, -12.0)
     zs = np.linspace(-3.5, -0.2, 61)
-    vals = np.array([factor_value(FactorKind.ODD, watson_integrals(z, params.gamma),
-                                  params) ** 2 for z in zs])
+    vals = np.array([factor_value(FactorKind.ODD, watson_integrals(z, params.gamma).as_array(),
+                                  params.lam, params.mu) ** 2 for z in zs])
     assert (vals >= 0).all()
     lin = np.array([1.0 + params.mu * watson_integrals(z, params.gamma).f
                     for z in zs])
@@ -149,7 +149,24 @@ def test_odd_factor_is_a_perfect_square():
 def test_interface_slopes():
     params = ModelParams(1.0, 2.0, 3.0)
     g = params.g
-    assert slope_below(params) == pytest.approx(2 * 3 + 2 + 2 * 3 / g)
+    assert slope_below(params.lam, params.mu, g) == pytest.approx(2 * 3 + 2 + 2 * 3 / g)
+
+
+def test_closed_forms_give_the_same_bits_on_floats_and_arrays():
+    # S- and the three factors take floats or arrays with one arithmetic:
+    # each array element has the bits of the float computation
+    rng = np.random.default_rng(5)
+    lams, mus = rng.uniform(-12.0, 12.0, (2, 200))
+    moments = watson_integrals(-0.3, 1.5).as_array().tolist()
+    for g in (1.001, 2.5, 1e3):
+        want = [slope_below(lam, mu, g).hex() for lam, mu in zip(lams.tolist(), mus.tolist())]
+        assert [x.hex() for x in slope_below(lams, mus, g).tolist()] == want
+    for kind in (FactorKind.MAIN_EVEN, FactorKind.SUB_EVEN, FactorKind.ODD):
+        want = [factor_value(kind, moments, lam, mu).hex()
+                for lam, mu in zip(lams.tolist(), mus.tolist())]
+        assert [x.hex() for x in factor_value(kind, moments, lams, mus).tolist()] == want
+    with pytest.raises(ValueError):
+        factor_value(FactorKind.GENERAL, moments, 1.0, 1.0)
 
 
 def test_rejects_band_interior():
@@ -182,6 +199,25 @@ def test_entries_stable_down_to_tiny_distances():
         prev = j
     with pytest.raises(ValueError):
         secular_entries(K, 1.0, "upper", 1e-6)
+
+
+def test_gram_matrix_fails_typed_next_to_the_edge():
+    # SciPy's elliprj returns NaN from q1 = 1 + 2 R_out/delta of about 7.4e156;
+    # the Carlson branch raises DomainError beyond CARLSON_Q1_MAX instead, and
+    # is finite up to it
+    fiber = FiberGram(TorusPoint(0.9, -0.4), 1.0)
+    r_out = min(fiber.r1, fiber.r2)
+    at_bound = 2.0 * r_out / CARLSON_Q1_MAX
+    for delta in (at_bound * (1.0 + 1e-6), 1e-140):
+        even, s1, s2 = fiber.blocks(delta)
+        assert np.isfinite(even).all() and math.isfinite(s1) and math.isfinite(s2)
+    for delta in (at_bound * (1.0 - 1e-6), 1e-160, 1e-300):
+        with pytest.raises(DomainError, match="too close to the band edge"):
+            fiber.blocks(delta)
+    # the CLI's det at K = (1e-80, 0), z = -1e-170 printed det = nan
+    params = ModelParams(1.0, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        secular_det(-1e-170, TorusPoint(1e-80, 0.0), params)
 
 
 def test_entries_are_the_rotated_parity_blocks():

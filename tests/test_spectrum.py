@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,12 +17,12 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf, dsyevd
 
-from latticebound import core, determinants, integrals, spectrum
+from latticebound import atlas, core, determinants, integrals, spectrum
 from latticebound.core import ORIGIN, ModelParams, TorusPoint
 from latticebound.errors import GramMatrixError, ToleranceError
 from latticebound.determinants import (FiberGram, factor_value, interaction_weights,
                                        secular_entries)
-from latticebound.integrals import IntegralSet, Side, predicted_asymptote, watson_integrals_at
+from latticebound.integrals import Side, calibrate_edge_constants, predicted_asymptote
 from latticebound.oracle import dense_validate, oracle_counts
 from latticebound.spectrum import (FactorKind, Sector, spectrum_general,
                                    spectrum_k0)
@@ -303,8 +302,8 @@ def test_shallow_k0_root_sits_on_the_sign_change():
     assert shallow.factor is FactorKind.MAIN_EVEN and not shallow.pinned
     d = -shallow.z
     assert 1e-10 < d < 1.1e-10
-    lo, hi = (factor_value(FactorKind.MAIN_EVEN,
-                           watson_integrals_at(Side.BELOW, d * (1.0 + r), 1.0), params)
+    lo, hi = (factor_value(FactorKind.MAIN_EVEN, integrals.moments_below(d * (1.0 + r), 1.0),
+                           params.lam, params.mu)
               for r in (-1e-9, 1e-9))
     assert lo * hi < 0.0
 
@@ -611,11 +610,15 @@ def test_main_even_edge_is_the_predicted_asymptote():
     # thresholds: the same bits for gamma from 1e-300 to GAMMA_MAX
     gammas = [1e-300, *np.logspace(-299.0, 99.0, 399).tolist(), core.GAMMA_MAX]
     for gamma in gammas:
-        edge = spectrum._main_even_edge(gamma)
+        slope, *limits = calibrate_edge_constants(gamma)
+        edge = dict(zip("abcef", limits))
         models = {q: predicted_asymptote(q, Side.BELOW, gamma) for q in "abce"}
-        assert [getattr(edge, q).hex() for q in "abce"] == \
+        assert [edge[q].hex() for q in "abce"] == \
             [models[q].offset.hex() for q in "abce"], gamma
-        assert {m.log_slope.hex() for m in models.values()} == {edge.slope.hex()}, gamma
+        assert {m.log_slope.hex() for m in models.values()} == {slope.hex()}, gamma
+        thresholds = atlas.binding_thresholds(gamma)
+        assert (thresholds.t_s.hex(), thresholds.t_d.hex()) == \
+            ((1.0 / (edge["c"] - edge["e"])).hex(), (1.0 / edge["f"]).hex()), gamma
 
 
 # ---------------------------------------------------------------------------
@@ -677,11 +680,13 @@ def _three_pass_k0_below(params):
              for curves, (kind, sector, mult) in zip((main_even, sub_even, odd),
                                                      spectrum._ZERO_FIBER_FACTORS)
              for d in _count_range_crossings(curves, spectrum.MESH_FLOOR, window)]
-    models = {q: predicted_asymptote(q, Side.BELOW, gamma) for q in "abce"}
-    edge = SimpleNamespace(slope=models["a"].log_slope,
-                           **{q: m.offset for q, m in models.items()})
-    floor = IntegralSet(*moments(spectrum.MESH_FLOOR), z=-spectrum.MESH_FLOOR)
-    return spectrum._merge_found(found + spectrum._pending_root(params, edge, floor))
+    models = {q: predicted_asymptote(q, Side.BELOW, gamma) for q in "abcef"}
+    edge = (models["a"].log_slope, *(m.offset for m in models.values()))
+    flag, alpha, beta = spectrum._pending(lam, mu, params.g, edge, moments(spectrum.MESH_FLOOR))
+    if flag:
+        found.append(spectrum._Root(spectrum._pinned_depth(alpha, beta),
+                                    *spectrum._ZERO_FIBER_FACTORS[0], pinned=True))
+    return spectrum._merge_found(found)
 
 
 def _k0_reference_draws():
@@ -713,7 +718,7 @@ def test_one_pass_over_the_rows_is_the_pass_per_factor():
     for gamma, lam, mu in _k0_reference_draws():
         for sign in (1.0, -1.0):
             params = ModelParams(gamma, sign * lam, sign * mu)
-            got = spectrum._k0_below(params, spectrum._main_even_edge(gamma),
+            got = spectrum._k0_below(params, calibrate_edge_constants(gamma),
                                      spectrum._search_window(lam, mu), {})
             want = _three_pass_k0_below(params)
             assert [(r.multiplicity, r.factor, r.sector, r.pinned) for r in got] == \
@@ -867,7 +872,7 @@ def test_engine_statuses(f, a, b, maxiter, status):
 
 def _scalar_roots(gamma, lam, mu):
     """The scalar solver's merged roots below the band at zero fiber."""
-    return spectrum._k0_below(ModelParams(gamma, lam, mu), spectrum._main_even_edge(gamma),
+    return spectrum._k0_below(ModelParams(gamma, lam, mu), calibrate_edge_constants(gamma),
                               spectrum._search_window(lam, mu), {})
 
 
@@ -908,14 +913,20 @@ def test_rank_bound_on_random_draws():
 
 def _pending_bits(gamma, lams, mus):
     """The pending depths of the batch mask and of the scalar test, by
-    index, as hex strings (equal strings are equal bits)."""
-    edge = spectrum._main_even_edge(gamma)
-    floor = watson_integrals_at(Side.BELOW, spectrum.MESH_FLOOR, gamma)
-    mask = spectrum._pending_depths(gamma, np.array(lams, dtype=float),
-                                    np.array(mus, dtype=float), edge, floor)
+    index, as hex strings (equal strings are equal bits).  The mask is
+    :func:`spectrum._pending` on arrays, as the batch calls it; the scalar
+    test is the scalar solver below the band with its window at the mesh
+    floor, where no curve can cross, so it returns the pending root alone."""
+    edge = calibrate_edge_constants(gamma)
+    floor = integrals.moments_below(spectrum.MESH_FLOOR, gamma)
+    flag, alpha, beta = spectrum._pending(np.array(lams, dtype=float),
+                                          np.array(mus, dtype=float), 1.0 + gamma, edge, floor)
+    flagged = np.flatnonzero(flag)
+    mask = {i: spectrum._pinned_depth(a, b) for i, a, b in
+            zip(flagged.tolist(), alpha[flagged].tolist(), beta[flagged].tolist())}
     scalar = {}
     for i, (lam, mu) in enumerate(zip(lams, mus)):
-        roots = spectrum._pending_root(ModelParams(gamma, lam, mu), edge, floor)
+        roots = spectrum._k0_below(ModelParams(gamma, lam, mu), edge, spectrum.MESH_FLOOR, {})
         assert len(roots) <= 1
         if roots:
             assert roots[0].pinned and roots[0].factor is FactorKind.MAIN_EVEN
@@ -1030,17 +1041,17 @@ def test_pending_mask_matches_the_scalar_test_on_draws(batch):
 def _flags(gamma, lams, mus):
     """Indices flagged by the pending predicate on each problem alone, with
     floats, and on all of them at once, with arrays."""
-    edge = spectrum._main_even_edge(gamma)
-    floor = watson_integrals_at(Side.BELOW, spectrum.MESH_FLOOR, gamma)
+    g, edge = 1.0 + gamma, calibrate_edge_constants(gamma)
+    floor = integrals.moments_below(spectrum.MESH_FLOOR, gamma)
     scalar = []
     for i, (lam, mu) in enumerate(zip(lams, mus)):
-        flag = spectrum._pending(ModelParams(gamma, lam, mu), edge, floor)[0]
+        flag = spectrum._pending(lam, mu, g, edge, floor)[0]
         assert isinstance(flag, bool)
         if flag:
             scalar.append(i)
-    batch = SimpleNamespace(lam=np.array(lams, dtype=float), mu=np.array(mus, dtype=float),
-                            g=1.0 + gamma)
-    return scalar, np.flatnonzero(spectrum._pending(batch, edge, floor)[0]).tolist()
+    batch = spectrum._pending(np.array(lams, dtype=float), np.array(mus, dtype=float), g,
+                              edge, floor)
+    return scalar, np.flatnonzero(batch[0]).tolist()
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.4137])
@@ -1075,7 +1086,7 @@ def _no_solve(*args, **kwargs):
 ])
 def test_batch_rejects_invalid_input_before_solving(monkeypatch, gamma, lam, mu):
     monkeypatch.setattr(spectrum, "_chandrupatla", _no_solve)
-    monkeypatch.setattr(spectrum, "watson_integrals_at", _no_solve)
+    monkeypatch.setattr(spectrum, "moments_below", _no_solve)
     with pytest.raises(ValueError):
         spectrum._k0_batch(gamma, [0.5, lam], [2.0, mu])
 
