@@ -48,7 +48,8 @@ Regime map:
   pi sqrt(delta (delta + 2 R_in)): 2 R_F(0, q1, q2), (2/3) R_J(0, q1, q2, 1)
   and the double-pole integral of :func:`_double_pole` for k = 0, 1, 2.
   The inner moments enter through A = delta + R_in + 2 R_out v, whose terms
-  do not cancel.  A q1 beyond CARLSON_Q1_MAX raises :class:`DomainError`.
+  do not cancel.  A q1 beyond CARLSON_Q1_MAX raises :class:`DomainError`,
+  and so does a delta beyond TRAPEZOID_DELTA_MAX on the trapezoid side.
 
 Only the side below the band is evaluated: the shift p -> p + (pi, pi)
 reflects the band and flips the sign of the four trigonometric modes, which
@@ -124,6 +125,12 @@ _HALF_SIN2 = np.sin(0.5 * _X) ** 2
 _W = np.full(17, 1.0 / 16.0)
 _W[[0, -1]] = 1.0 / 32.0
 _TRAPEZOID = np.array([_W, _W * np.cos(_X), _W * np.cos(_X) ** 2, _W * np.sin(_X) ** 2])
+
+
+# beyond this distance m (m + 2 R_in), with R_in <= 1 + GAMMA_MAX, overflows
+# near 1.3e154 and t = 1 / (rho (A + rho)) turns subnormal before that; the
+# solvers' windows stop at 2^44 g, about 1.8e113
+TRAPEZOID_DELTA_MAX = 1e150
 
 
 def _trapezoid_averages(m: np.ndarray, r_in: float) -> tuple[float, ...]:
@@ -237,6 +244,9 @@ class FiberGram:
         """
         r_out, r_in = self._r_out, self._r_in
         if delta >= r_out:
+            if delta > TRAPEZOID_DELTA_MAX:
+                raise DomainError(f"distance {delta} is too far from the band edge for the Gram "
+                                  f"matrix: it exceeds {TRAPEZOID_DELTA_MAX:g}")
             p0, p1, p2, ps, t1_0, t1_1, t2 = _trapezoid_averages(delta + self._nodes, r_in)
         else:
             p0, p1, p2, ps, t1_0, t1_1, t2 = _carlson_averages(delta, r_out, r_in)

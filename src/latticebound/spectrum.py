@@ -1,11 +1,13 @@
 """Discrete spectrum of the fiber operators outside the continuous band.
 
-Each solver computes one side of the band.  The shift p -> p + (pi, pi)
-maps E_K to e_min + e_max - E_K and leaves the interaction unchanged, so the
-bound states above the band at couplings (lam, mu) sit at e_max + d, where d
-runs over the distances below the band at (-lam, -mu).  Both solvers run one
-below-side routine twice, at (lam, mu) and at (-lam, -mu), and
-:func:`_report` places both lists of distances, as does the grid oracle.
+The shift p -> p + (pi, pi) maps E_K to e_min + e_max - E_K and leaves the
+interaction unchanged, so the bound states above the band at couplings (lam,
+mu) sit at e_max + d, where d runs over the distances below the band at
+(-lam, -mu).  The curves below the band at (-lam, -mu) are those at (lam,
+mu) negated, bit for bit, so each solver evaluates one side's curves and
+makes one crossing pass over the rows of both sides
+(:func:`_both_sides`), and :func:`_report` places both lists of distances,
+as does the grid oracle.
 
 Both solvers count first.  Below the band z is a root of det(I + G J)
 exactly when an eigenvalue of L^T G L (J = L L^T, positive semidefinite)
@@ -17,22 +19,23 @@ runs one engine, :func:`_chandrupatla`, the bracketing method of T. R.
 Chandrupatla, Adv. Eng. Softw. 28, 145 (1997), on a float or on an array
 of crossings.  A root of multiplicity m is m curves crossing at one
 distance, so even-multiplicity roots, which a sign scan misses, come out
-whole.  J below the band does not depend on (lam, mu), so both sides of
-one solve share a memo of it.
+whole.  J below the band does not depend on (lam, mu), so each distance
+evaluated serves both sides.
 
 Each scalar solve builds its evaluator once and then pays only for its
 evaluations: what depends on the solve's inputs alone (gamma, (K, gamma),
-the couplings of one side) is computed before the first distance, and each
-curve function is a closure over it.  The engine is handed the curves at
-the bracket ends, which the count already evaluated.
+the couplings) is computed before the first distance, and each curve
+function is a closure over it.  The engine is handed the curves at the
+bracket ends, which the count already evaluated, and the evaluation at the
+floor also serves the pending-root tests of both sides.
 
 Zero fiber: J is block diagonal in the five resolvent moments, so the
 curves are four rows, two of the main even factor, one sub-even and one
-odd, the rows of the batch.  Each side makes one crossing pass over the
-four, and each root takes the factor, sector and multiplicity of its row.
-The memo holds the moments at each distance as five floats from
-:func:`~latticebound.integrals.moments_below`, and the rows are a closure
-that binds (lam, mu) once.
+odd, the rows of the batch; with the four of the side above, one
+crossing pass goes over eight, and each root takes the factor, sector and
+multiplicity of its row.  Each distance costs one call of
+:func:`~latticebound.integrals.moments_below`, five floats, and the rows
+are a closure that binds (lam, mu) once.
 Only the main even factor diverges at the edge; with the exact edge models
 it is affine in ln-distance, so a root between the floor and the edge (at
 distances like exp(-1/s)) has a closed form.  Such roots are reported with
@@ -59,7 +62,7 @@ those of the 3x3 even block with weights diag(lam, mu/2, mu/2): one
 LAPACK ``dsygvd`` call per distance factors the block, forms L^T G L and
 solves it.  One :class:`~latticebound.determinants.FiberGram` per solve
 takes the amplitudes, the orientation and the trapezoid nodes from (K,
-gamma) once, and each side binds its weight matrix once.  Roots between
+gamma) once, and the weight matrix is bound once.  Roots between
 the floor and the edge are counted from the edge limit of J, whose
 log-divergent part has rank one and lies in the even block, by the signs
 of two determinants expanded in Python floats, and reported pinned at
@@ -182,16 +185,6 @@ def _signs_differ(p, q):
     return ((p > 0.0) != (q > 0.0)) | ((p < 0.0) != (q < 0.0)) | (p != p) | (q != q)
 
 
-def _pick(c, p, q):
-    """np.where on one element."""
-    return p if c else q
-
-
-def _clip(t, lo, hi):
-    """np.clip on one element: a NaN stays NaN."""
-    return min(max(t, lo), hi)
-
-
 def _chandrupatla(f, a, b, fa, fb, args=(), maxiter=100):
     """Roots of f(x, *args) = 0 bracketed by [a, b], floats or 1-D arrays.
 
@@ -207,29 +200,57 @@ def _chandrupatla(f, a, b, fa, fb, args=(), maxiter=100):
     for bit.  Stopped elements leave the active set, and so do their
     entries of ``args``; elements still active after ``maxiter`` iterations
     get status -2.  Returns (x, status, nit): x is the end with the smaller
-    |f|, NaN for status -1 and -3.  Floats take the arithmetic of arrays,
-    so a float and a one-element array give the same bits.
+    |f|, NaN for status -1 and -3.  Floats run a loop of plain branches
+    with the arithmetic and the stop order of the array loop, so a float
+    and a one-element array give the same bits.
     """
-    array = isinstance(a, np.ndarray)
-    where, sqrt, clip = (np.where, np.sqrt, np.clip) if array else (_pick, math.sqrt, _clip)
     inf, n = math.inf, 0
     x1, x2, f1, f2 = a, b, fa, fb
     differ = _signs_differ(f1, f2)
-    if array:
-        x, status, nit = np.full(a.size, math.nan), np.full(a.size, -2), np.full(a.size, maxiter)
-        live = np.arange(a.size)
+    if not isinstance(a, np.ndarray):
+        while True:
+            xmin, fmin = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
+            dx, tol = abs(x2 - x1), abs(xmin) * (4.0 * _EPS) + 1e-15
+            if fmin == 0.0:
+                return xmin, 0, n
+            if not differ:
+                return math.nan, -1, n
+            if not (abs(x1) < inf and abs(x2) < inf and (f1 == f1 or f2 == f2)):
+                return math.nan, -3, n
+            if not dx >= tol:
+                return xmin, 0, n
+            if n == maxiter:
+                return xmin, -2, n
+            t = 0.5
+            if n:
+                xi1, phi1 = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+                # the test fails at f3 = f1 (phi1 = 1), so a step taken
+                # never divides by zero
+                if 1.0 - math.sqrt(1.0 - xi1) < phi1 < math.sqrt(xi1):
+                    t = (f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3))
+                tl = 0.5 * tol / dx
+                t = min(max(t, tl), 1.0 - tl)
+            xt = x1 + t * (x2 - x1)
+            ft = f(xt, *args)
+            if (ft > 0.0) != (f1 > 0.0) or (ft < 0.0) != (f1 < 0.0) or ft != ft or f1 != f1:
+                x3, f3, x2, f2 = x2, f2, x1, f1
+            else:
+                x3, f3 = x1, f1
+            # xt and the end kept straddle the root, so their signs differ
+            x1, f1, differ, n = xt, ft, True, n + 1
+    x, status, nit = np.full(a.size, math.nan), np.full(a.size, -2), np.full(a.size, maxiter)
+    live = np.arange(a.size)
     while True:
-        xmin, fmin = where(abs(f1) < abs(f2), (x1, f1), (x2, f2))
+        xmin, fmin = np.where(abs(f1) < abs(f2), (x1, f1), (x2, f2))
         dx, tol = abs(x2 - x1), abs(xmin) * (4.0 * _EPS) + 1e-15
         finite = (abs(x1) < inf) & (abs(x2) < inf) & ((f1 == f1) | (f2 == f2))
         go = (fmin != 0.0) & differ & finite & (dx >= tol)
-        if not (go.all() if array else go):
-            s = where(fmin == 0.0, 0, where(differ, where(finite, where(go, 1, 0), -3), -1))
-            root = where(s < 0, math.nan, xmin)
-            if not array:
-                return root, s, n
+        if not go.all():
+            s = np.where(fmin == 0.0, 0, np.where(differ, np.where(finite, np.where(go, 1, 0), -3), -1))
             done = ~go
-            x[live[done]], status[live[done]], nit[live[done]] = root[done], s[done], n
+            x[live[done]] = np.where(s < 0, math.nan, xmin)[done]
+            status[live[done]], nit[live[done]] = s[done], n
             live, xmin, x1, f1, x2, f2, dx, tol = (
                 v[go] for v in (live, xmin, x1, f1, x2, f2, dx, tol))
             args = tuple(v[go] for v in args)
@@ -238,24 +259,22 @@ def _chandrupatla(f, a, b, fa, fb, args=(), maxiter=100):
             if not live.size:
                 return x, status, nit
         if n == maxiter:
-            if not array:
-                return xmin, -2, n
             x[live] = xmin
             return x, status, nit
         t = 0.5
         if n:
             xi1, phi1 = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
             alpha = (x3 - x1) / (x2 - x1)
-            iqi = ((1.0 - sqrt(1.0 - xi1)) < phi1) & (phi1 < sqrt(xi1))
+            iqi = ((1.0 - np.sqrt(1.0 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
             # f3 = f1 fails the test (phi1 = 1); adding (f3 == f1) only keeps
             # that step from dividing by zero
-            t = where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
-                      - alpha * f1 / (f3 - f1 + (f3 == f1)) * f2 / (f2 - f3), 0.5)
+            t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - alpha * f1 / (f3 - f1 + (f3 == f1)) * f2 / (f2 - f3), 0.5)
             tl = 0.5 * tol / dx
-            t = clip(t, tl, 1.0 - tl)
+            t = np.clip(t, tl, 1.0 - tl)
         xt = x1 + t * (x2 - x1)
         ft = f(xt, *args)
-        x3, f3, x2, f2 = where(_signs_differ(ft, f1), (x2, f2, x1, f1), (x1, f1, x2, f2))
+        x3, f3, x2, f2 = np.where(_signs_differ(ft, f1), (x2, f2, x1, f1), (x1, f1, x2, f2))
         # xt and the end kept straddle the root, so their signs differ
         x1, f1, differ, n = xt, ft, True, n + 1
 
@@ -387,6 +406,25 @@ def _mirrored(params: ModelParams) -> ModelParams:
     return ModelParams(params.gamma, -params.lam, -params.mu)
 
 
+def _both_sides(curves: Callable[[float], Sequence[float]], rows: Sequence[tuple],
+                window: float, what: Callable[[int], str]) -> tuple[list[_Root], list[_Root]]:
+    """The roots below and above the band from one :func:`_curve_crossings`
+    pass, unmerged.
+
+    ``curves(d)`` gives the rows below the band at the couplings, then the
+    rows below it at the negated couplings, whose crossings are the roots
+    above; ``rows`` holds the (factor, sector, multiplicity) of each row of
+    one side.  Every evaluated distance brackets the rows of both sides.
+    """
+    n = len(rows)
+    sides: tuple[list[_Root], list[_Root]] = ([], [])
+    for row, d in _curve_crossings(curves, MESH_FLOOR, window,
+                                   lambda row: f"{('below', 'above')[row >= n]} the band, "
+                                               f"{what(row % n)}"):
+        sides[row >= n].append(_Root(d, *rows[row % n]))
+    return sides
+
+
 def _report(K: TorusPoint, params: ModelParams, band: Band, below: list[_Root],
             above: list[_Root]) -> SpectrumReport:
     """The one place where one-sided roots become a report: at e_min - d
@@ -440,33 +478,32 @@ def _k0_curves(params: ModelParams, moments: Callable[[float], tuple[float, ...]
     return curves
 
 
-def _k0_below(params: ModelParams, edge: Sequence[float], window: float,
-              memo: dict[float, tuple[float, ...]]) -> list[_Root]:
-    """Roots of the three zero-fiber factors below the band, merged.
+def _k0_roots(params: ModelParams, edge: Sequence[float],
+              window: float) -> tuple[list[_Root], list[_Root]]:
+    """Roots of the three zero-fiber factors below and above the band, merged.
 
-    One pass of :func:`_curve_crossings` over the four curve rows of
-    :func:`_k0_curves`, each root tagged with the (factor, sector,
-    multiplicity) of its row, as in :func:`_k0_batch`; the main even
-    factor also gets the pinned root of :func:`_pending` at ``edge``.
-    ``memo`` maps a distance to its moments below the band
-    (:func:`moments_below`); it is filled here and must only be shared
-    between calls at the same gamma.
+    One pass of :func:`_both_sides` over eight rows: the four of
+    :func:`_k0_curves` and those at (-lam, -mu), which are the first four
+    negated in the order (main even larger, smaller, sub-even, odd), bit
+    for bit.  Each root takes the (factor, sector, multiplicity) of its row,
+    as in :func:`_k0_batch`, and each side's main even factor also gets the
+    pinned root of :func:`_pending` at ``edge``, on the moments that the
+    pass evaluated at the floor.
     """
     gamma = params.gamma
+    floor = moments_below(MESH_FLOOR, gamma)
+    below = _k0_curves(params, lambda d: floor if d == MESH_FLOOR else moments_below(d, gamma))
 
-    def moments(d: float) -> tuple[float, ...]:
-        s = memo.get(d)
-        if s is None:
-            s = memo[d] = moments_below(d, gamma)
-        return s
+    def curves(d: float) -> tuple[float, ...]:
+        small, big, sub, odd = eta = below(d)
+        return eta + (-big, -small, -sub, -odd)
 
-    crossings = _curve_crossings(_k0_curves(params, moments), MESH_FLOOR, window,
-                                 lambda row: f"{_CURVE_ROWS[row][0].value} curve")
-    found = [_Root(d, *_CURVE_ROWS[row]) for row, d in crossings]
-    flag, alpha, beta = _pending(params.lam, params.mu, params.g, edge, moments(MESH_FLOOR))
-    if flag:
-        found.append(_Root(_pinned_depth(alpha, beta), *_ZERO_FIBER_FACTORS[0], pinned=True))
-    return _merge_found(found)
+    sides = _both_sides(curves, _CURVE_ROWS, window, lambda row: f"{_CURVE_ROWS[row][0].value} curve")
+    for found, side in zip(sides, (params, _mirrored(params))):
+        flag, alpha, beta = _pending(side.lam, side.mu, side.g, edge, floor)
+        if flag:
+            found.append(_Root(_pinned_depth(alpha, beta), *_ZERO_FIBER_FACTORS[0], pinned=True))
+    return tuple(map(_merge_found, sides))
 
 
 def spectrum_k0(params: ModelParams) -> SpectrumReport:
@@ -474,10 +511,10 @@ def spectrum_k0(params: ModelParams) -> SpectrumReport:
 
     Roots of the three factors are found below the band at (lam, mu) and at
     (-lam, -mu), the latter mirrored above it, within |z - edge| <= |lam| +
-    2|mu| + 1.  Coincident roots are merged with summed multiplicity;
-    odd-factor roots carry multiplicity 2.  The moments are closed forms, so
-    no tolerance applies, and :func:`_curve_crossings` bounds the work.
-    Both sides share one memo of moments per call; the band is [0, 4g].
+    2|mu| + 1, in one crossing pass (:func:`_k0_roots`).  Coincident roots
+    are merged with summed multiplicity; odd-factor roots carry
+    multiplicity 2.  The moments are closed forms, so no tolerance applies,
+    and :func:`_curve_crossings` bounds the work.  The band is [0, 4g].
     """
     band = Band(0.0, 4.0 * params.g, ORIGIN, TorusPoint(math.pi, math.pi))
     if params.lam == 0.0 and params.mu == 0.0:
@@ -485,10 +522,8 @@ def spectrum_k0(params: ModelParams) -> SpectrumReport:
     window = _search_window(params.lam, params.mu)
     if exc := _range_error(window, params.g):
         raise exc
-    edge = calibrate_edge_constants(params.gamma)
-    memo: dict[float, tuple[float, ...]] = {}
-    return _report(ORIGIN, params, band, _k0_below(params, edge, window, memo),
-                   _k0_below(_mirrored(params), edge, window, memo))
+    return _report(ORIGIN, params, band,
+                   *_k0_roots(params, calibrate_edge_constants(params.gamma), window))
 
 
 def _curves_array(lam: np.ndarray, mu: np.ndarray, s) -> np.ndarray:
@@ -596,9 +631,10 @@ def _threshold_count(j: np.ndarray, gmat: np.ndarray) -> tuple[int, list[float]]
     the diagonal weight matrix, which holds below the band.  Above it pass
     (-J, -G).  One LAPACK ``dsygvd`` call (the generalized problem G J x =
     eta x, itype 3) factors J, forms L^T G L and solves it.  J and G are
-    left as given: both sides of a solve read one memo of J.  A J that is
-    not positive definite raises :class:`GramMatrixError`, an eigensolve
-    that does not converge :class:`ToleranceError`.
+    left as given: the solve reads the floor's J again for its pending
+    counts.  A J that is not positive definite raises
+    :class:`GramMatrixError`, an eigensolve that does not converge
+    :class:`ToleranceError`.
     """
     n = len(j)
     eta, _, info = dsygvd(gmat, j, itype=3, jobz="N")
@@ -748,26 +784,33 @@ def _pending_count(fiber: FiberGram, params: ModelParams, even_floor: np.ndarray
     return int((det_floor > 0.0) == (det_bordered > 0.0))
 
 
-def _general_below(K: TorusPoint, params: ModelParams, window: float, fiber: FiberGram,
-                   memo: dict[float, GramBlocks]) -> list[_Root]:
-    """Roots below the band at fiber K, one per crossing of a curve.
+_GENERAL_ROWS = ((FactorKind.GENERAL, Sector.MIXED, 1),) * 5
 
-    ``fiber`` evaluates the Gram matrix J of K and ``memo`` maps a distance
-    to the parity blocks of J there; it is filled here and must only be
-    shared between calls with the same ``fiber``.
+
+def _general_roots(K: TorusPoint, params: ModelParams,
+                   window: float) -> tuple[list[_Root], list[_Root]]:
+    """Roots below and above the band at fiber K, one per crossing of a
+    curve, merged.
+
+    One pass of :func:`_both_sides` over ten rows: the five of
+    :func:`_fiber_curves` and those at (-lam, -mu), which are the first
+    five negated in reverse order, bit for bit.  Each side also gets the
+    pinned roots of :func:`_pending_count`, on the blocks that the pass
+    evaluated at the floor.  One :class:`FiberGram` evaluates J.
     """
-    def blocks(d: float) -> GramBlocks:
-        b = memo.get(d)
-        if b is None:
-            b = memo[d] = fiber.blocks(d)
-        return b
+    fiber = FiberGram(K, params.gamma)
+    floor = fiber.blocks(MESH_FLOOR)
+    below = _fiber_curves(K, params, lambda d: floor if d == MESH_FLOOR else fiber.blocks(d))
 
-    crossings = _curve_crossings(_fiber_curves(K, params, blocks), MESH_FLOOR, window,
-                                 "curve {}".format)
-    pend = _pending_count(fiber, params, blocks(MESH_FLOOR)[0])
-    found = [_Root(d, FactorKind.GENERAL, Sector.MIXED, 1) for _, d in crossings]
-    found += [_Root(PINNED_MIN, FactorKind.GENERAL, Sector.MIXED, 1, pinned=True)] * pend
-    return _merge_found(found)
+    def curves(d: float) -> list[float]:
+        eta = below(d)
+        return eta + [-v for v in reversed(eta)]
+
+    sides = _both_sides(curves, _GENERAL_ROWS, window, "curve {}".format)
+    for found, side in zip(sides, (params, _mirrored(params))):
+        found += [_Root(PINNED_MIN, *_GENERAL_ROWS[0], pinned=True)] * _pending_count(
+            fiber, side, floor[0])
+    return tuple(map(_merge_found, sides))
 
 
 def spectrum_general(K: TorusPoint, params: ModelParams) -> SpectrumReport:
@@ -775,12 +818,11 @@ def spectrum_general(K: TorusPoint, params: ModelParams) -> SpectrumReport:
 
     Counts the Birman-Schwinger curves below -1 at the mesh floor and at
     the window, then solves each curve that crosses -1 in between (see
-    :func:`_curve_crossings`); crossings within MERGE_TOL merge into one
+    :func:`_curve_crossings`), for both sides in one pass
+    (:func:`_general_roots`); crossings within MERGE_TOL merge into one
     root of their number's multiplicity.  Roots between the mesh floor and
     the edge are counted from the edge limit of the Gram matrix (see
-    :func:`_pending_count`).  One :class:`FiberGram` evaluates J for the
-    call, and both sides share one memo of its blocks by distance;
-    :func:`_curve_crossings` bounds the work.
+    :func:`_pending_count`).  :func:`_curve_crossings` bounds the work.
     """
     band = band_edges(K, params)
     if band.degenerate:
@@ -790,6 +832,4 @@ def spectrum_general(K: TorusPoint, params: ModelParams) -> SpectrumReport:
     window = _search_window(params.lam, params.mu)
     if exc := _range_error(window, params.g):
         raise exc
-    fiber, memo = FiberGram(K, params.gamma), {}
-    return _report(K, params, band, _general_below(K, params, window, fiber, memo),
-                   _general_below(K, _mirrored(params), window, fiber, memo))
+    return _report(K, params, band, *_general_roots(K, params, window))

@@ -265,7 +265,7 @@ def _shape(roots):
     "gamma", [1.0, *np.random.default_rng(17).uniform(0.3, 3.0, 3).round(4).tolist()])
 def test_batched_sweep_matches_the_scalar_solver(gamma):
     # gamma = 1 and three random gammas; every K = 0 row of a sweep comes
-    # from the batch; the scalar one-sided solver must give the same roots,
+    # from the batch; the scalar solver's two sides must give the same roots,
     # factors, sectors, multiplicities and pinned flags, with depths within
     # 1e-9 relative, and the scalar report the same counts
     rows = sweep((-12.0, 12.0), (-12.0, 12.0), 0.5, gamma=gamma)
@@ -273,14 +273,14 @@ def test_batched_sweep_matches_the_scalar_solver(gamma):
     batch = spectrum._k0_batch(gamma, lams, mus)
     assert len(rows) == len(batch) == 2401
     assert not any(isinstance(point, ToleranceError) for point in batch)
-    edge, memo, top = calibrate_edge_constants(gamma), {}, 4.0 * (1.0 + gamma)
+    edge, top = calibrate_edge_constants(gamma), 4.0 * (1.0 + gamma)
     for row, lam, mu, (below, above) in zip(rows, lams, mus, batch):
         ref = spectrum_k0(ModelParams(gamma, lam, mu))
         assert (row.comp_below, row.comp_above) == (ref.n_below, ref.n_above)
-        for got, sign, eigs, place in ((below, 1.0, row.eigs_below, lambda d: -d),
-                                       (above, -1.0, row.eigs_above, lambda d: top + d)):
-            want = spectrum._k0_below(ModelParams(gamma, sign * lam, sign * mu), edge,
-                                      spectrum._search_window(lam, mu), memo)
+        scalar = spectrum._k0_roots(ModelParams(gamma, lam, mu), edge,
+                                    spectrum._search_window(lam, mu))
+        for got, want, eigs, place in ((below, scalar[0], row.eigs_below, lambda d: -d),
+                                       (above, scalar[1], row.eigs_above, lambda d: top + d)):
             assert _shape(got) == _shape(want), (lam, mu)
             for a, b in zip(got, want):
                 assert abs(a.d - b.d) <= 1e-9 * b.d

@@ -1,13 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from latticebound.core import (ORIGIN, ModelParams, TorusPoint, band_edges,
+from latticebound.core import (GAMMA_MAX, ORIGIN, ModelParams, TorusPoint, band_edges,
                                pair_amplitudes)
-from latticebound.determinants import (CARLSON_Q1_MAX, F2_SERIES_SWITCH, FactorKind,
-                                       FiberGram, factor_value, interaction_weights,
-                                       secular_det, secular_entries, slope_below)
+from latticebound.determinants import (CARLSON_Q1_MAX, F2_SERIES_SWITCH, TRAPEZOID_DELTA_MAX,
+                                       FactorKind, FiberGram, factor_value,
+                                       interaction_weights, secular_det, secular_entries,
+                                       slope_below)
 from latticebound.errors import DomainError
 from latticebound.integrals import Side, watson_integrals
 from panel_rule import pair_coefficients, panel_gram
@@ -218,6 +220,25 @@ def test_gram_matrix_fails_typed_next_to_the_edge():
     params = ModelParams(1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         secular_det(-1e-170, TorusPoint(1e-80, 0.0), params)
+    # far from the edge the trapezoid rule's m (m + 2 R_in) overflowed from
+    # about 1.3e154, with a RuntimeWarning and J = 0 (det = 1 at z = 1e160);
+    # it raises beyond TRAPEZOID_DELTA_MAX instead, and is finite up to it,
+    # with J = I / delta to rounding
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for K, gamma in ((TorusPoint(0.9, -0.4), 1.0), (ORIGIN, 1.0), (ORIGIN, GAMMA_MAX)):
+            even, s1, s2 = FiberGram(K, gamma).blocks(TRAPEZOID_DELTA_MAX)
+            assert np.isfinite(even).all()
+            assert np.diag(even) * TRAPEZOID_DELTA_MAX == pytest.approx([1.0] * 3, rel=1e-12)
+            assert [s1 * TRAPEZOID_DELTA_MAX, s2 * TRAPEZOID_DELTA_MAX] == \
+                pytest.approx([1.0, 1.0], rel=1e-12)
+            for delta in (math.nextafter(TRAPEZOID_DELTA_MAX, math.inf), 1e160, 1e300):
+                with pytest.raises(DomainError, match="too far from the band edge"):
+                    FiberGram(K, gamma).blocks(delta)
+        # the CLI's det printed det = 1 there, at K = (1, 0.5) and at K = 0
+        for K, z in ((TorusPoint(1.0, 0.5), 1e160), (ORIGIN, 1e300)):
+            with pytest.raises(DomainError, match="too far from the band edge"):
+                secular_det(z, K, params)
 
 
 def test_entries_are_the_rotated_parity_blocks():

@@ -440,6 +440,12 @@ def test_negated_weights_give_the_negated_curves():
         even, gmat = FiberGram(K, params.gamma).blocks(d)[0], np.diag(interaction_weights(params)[:3])
         eta = spectrum._threshold_count(even, gmat)[1]
         assert spectrum._threshold_count(even, -gmat)[1] == [-v for v in reversed(eta)]
+        # at zero fiber the rows at (-lam, -mu) are those at (lam, mu)
+        # negated, in the order (main even larger, smaller, sub-even, odd)
+        moments = integrals.moments_below(d, params.gamma)
+        small, big, sub, odd = spectrum._k0_curves(params, lambda d: moments)(d)
+        mirrored = spectrum._k0_curves(spectrum._mirrored(params), lambda d: moments)(d)
+        assert [v.hex() for v in mirrored] == [(-v).hex() for v in (big, small, sub, odd)]
 
 
 def test_eigensolve_that_does_not_converge_is_a_typed_error(monkeypatch):
@@ -549,7 +555,7 @@ def test_curve_passes_stay_within_their_bound(monkeypatch):
             params, k[i % 2] = ModelParams(1.0, params.lam, params.mu), math.pi
         spectrum_k0(params)
         spectrum_general(TorusPoint(float(k[0]), float(k[1])), params)
-    assert len(passes) >= 48 * 4
+    assert len(passes) >= 48 * 2
     assert any(n for _, n in passes)
     for used, crossings in passes:
         assert used <= 2 + 100 * crossings
@@ -716,10 +722,10 @@ def test_one_pass_over_the_rows_is_the_pass_per_factor():
     # 1e-12 (a shallow odd root, where mu f is flat, moves by 1.6e-11)
     states, unresolved, kinds = 0, 0, set()
     for gamma, lam, mu in _k0_reference_draws():
-        for sign in (1.0, -1.0):
+        sides = spectrum._k0_roots(ModelParams(gamma, lam, mu), calibrate_edge_constants(gamma),
+                                   spectrum._search_window(lam, mu))
+        for sign, got in zip((1.0, -1.0), sides):
             params = ModelParams(gamma, sign * lam, sign * mu)
-            got = spectrum._k0_below(params, calibrate_edge_constants(gamma),
-                                     spectrum._search_window(lam, mu), {})
             want = _three_pass_k0_below(params)
             assert [(r.multiplicity, r.factor, r.sector, r.pinned) for r in got] == \
                 [(r.multiplicity, r.factor, r.sector, r.pinned) for r in want], params
@@ -732,6 +738,111 @@ def test_one_pass_over_the_rows_is_the_pass_per_factor():
     assert states > 5000 and unresolved <= states // 1000
     assert kinds == {(kind, False) for kind, _, _ in spectrum._ZERO_FIBER_FACTORS} | {
         (FactorKind.MAIN_EVEN, True)}
+
+
+def _two_pass(curves, rows, pending, params):
+    """The former scalar solve: one :func:`spectrum._curve_crossings` pass per
+    side, below the band at (lam, mu) and at (-lam, -mu), over that side's
+    own ``rows``, tagged as the solver tags them, then the side's
+    ``pending(p)`` roots, merged.  ``curves(p)`` gives the rows at
+    couplings p as a function of the distance."""
+    window = spectrum._search_window(params.lam, params.mu)
+    sides = []
+    for p in (params, spectrum._mirrored(params)):
+        crossings = spectrum._curve_crossings(curves(p), spectrum.MESH_FLOOR, window,
+                                              "curve {}".format)
+        found = [spectrum._Root(d, *rows[row]) for row, d in crossings]
+        sides.append(spectrum._merge_found(found + pending(p)))
+    return sides
+
+
+def _two_pass_k0(params):
+    """The former zero-fiber solve; both sides share one memo of moments."""
+    gamma = params.gamma
+    edge, memo = calibrate_edge_constants(gamma), {}
+
+    def moments(d):
+        if d not in memo:
+            memo[d] = integrals.moments_below(d, gamma)
+        return memo[d]
+
+    def pending(p):
+        flag, alpha, beta = spectrum._pending(p.lam, p.mu, p.g, edge, moments(spectrum.MESH_FLOOR))
+        return [spectrum._Root(spectrum._pinned_depth(alpha, beta),
+                               *spectrum._ZERO_FIBER_FACTORS[0], pinned=True)] if flag else []
+
+    return _two_pass(lambda p: spectrum._k0_curves(p, moments), spectrum._CURVE_ROWS, pending,
+                     params)
+
+
+def _two_pass_general(K, params):
+    """The former general-fiber solve; both sides share one memo of blocks."""
+    fiber, memo = FiberGram(K, params.gamma), {}
+
+    def blocks(d):
+        if d not in memo:
+            memo[d] = fiber.blocks(d)
+        return memo[d]
+
+    def pending(p):
+        count = spectrum._pending_count(fiber, p, blocks(spectrum.MESH_FLOOR)[0])
+        return [spectrum._Root(spectrum.PINNED_MIN, *spectrum._GENERAL_ROWS[0], pinned=True)] * count
+
+    return _two_pass(lambda p: spectrum._fiber_curves(K, p, blocks), spectrum._GENERAL_ROWS,
+                     pending, params)
+
+
+def _fiber_reference_draws(n, seed):
+    """Seeded general fibers: one in five couplings scaled by 1e-3, one in
+    six at gamma = 1 on a line K_i = pi, where R1 R2 is 1.5e-32, not 0."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        gamma = float(rng.uniform(0.2, 4.0))
+        k = rng.uniform(-math.pi, math.pi, 2)
+        if i % 6 == 0:
+            gamma, k[i % 2] = 1.0, math.pi
+        scale = 1e-3 if i % 5 == 0 else 1.0
+        lam, mu = (float(x) * scale for x in rng.uniform(-12.0, 12.0, 2))
+        yield TorusPoint(float(k[0]), float(k[1])), ModelParams(gamma, lam, mu)
+
+
+@pytest.mark.parametrize("fiber", ["zero", "general"])
+def test_one_pass_for_both_sides_is_the_pass_per_side(fiber):
+    # the same states with the same factors, sectors, multiplicities and
+    # pinned flags on each side.  The one pass brackets each side's rows
+    # also with the other side's distances, so the depths may move: by at
+    # most 1e-13 of the depth, unless the crossing's curve is -1 to
+    # rounding at both depths, where floats do not resolve it to 1e-13
+    if fiber == "zero":
+        cases = [(ORIGIN, ModelParams(*draw)) for draw in _k0_reference_draws()]
+    else:
+        cases = list(_fiber_reference_draws(500, 71))
+    states, moved, unresolved, pinned = 0, 0, 0, 0
+    for K, params in cases:
+        window = spectrum._search_window(params.lam, params.mu)
+        if fiber == "zero":
+            got = spectrum._k0_roots(params, calibrate_edge_constants(params.gamma), window)
+            want = _two_pass_k0(params)
+            curves = [spectrum._k0_curves(p, lambda d: integrals.moments_below(d, p.gamma))
+                      for p in (params, spectrum._mirrored(params))]
+        else:
+            got, want = spectrum._general_roots(K, params, window), _two_pass_general(K, params)
+            curves = [spectrum._fiber_curves(K, p, FiberGram(K, p.gamma).blocks)
+                      for p in (params, spectrum._mirrored(params))]
+        for a_side, b_side, side_curves in zip(got, want, curves):
+            assert [r._replace(d=0.0) for r in a_side] == [r._replace(d=0.0) for r in b_side], \
+                (K, params)
+            for a, b in zip(a_side, b_side):
+                moved += a.d != b.d
+                if abs(a.d - b.d) > 1e-13 * b.d:
+                    assert all(any(abs(v + 1.0) <= 64.0 * spectrum._EPS * abs(v)
+                                   for v in side_curves(d)) for d in (a.d, b.d)), \
+                        (K, params, a, b)
+                    unresolved += 1
+            states += len(a_side)
+            pinned += sum(r.pinned for r in a_side)
+    assert states > (5000 if fiber == "zero" else 500) and pinned and moved
+    assert unresolved <= states // 1000
 
 
 # ---------------------------------------------------------------------------
@@ -872,8 +983,8 @@ def test_engine_statuses(f, a, b, maxiter, status):
 
 def _scalar_roots(gamma, lam, mu):
     """The scalar solver's merged roots below the band at zero fiber."""
-    return spectrum._k0_below(ModelParams(gamma, lam, mu), calibrate_edge_constants(gamma),
-                              spectrum._search_window(lam, mu), {})
+    return spectrum._k0_roots(ModelParams(gamma, lam, mu), calibrate_edge_constants(gamma),
+                              spectrum._search_window(lam, mu))[0]
 
 
 def test_zero_coupling_is_empty():
@@ -915,8 +1026,9 @@ def _pending_bits(gamma, lams, mus):
     """The pending depths of the batch mask and of the scalar test, by
     index, as hex strings (equal strings are equal bits).  The mask is
     :func:`spectrum._pending` on arrays, as the batch calls it; the scalar
-    test is the scalar solver below the band with its window at the mesh
-    floor, where no curve can cross, so it returns the pending root alone."""
+    test is the scalar solver's side below the band with its window at the
+    mesh floor, where no curve can cross, so it returns the pending root
+    alone."""
     edge = calibrate_edge_constants(gamma)
     floor = integrals.moments_below(spectrum.MESH_FLOOR, gamma)
     flag, alpha, beta = spectrum._pending(np.array(lams, dtype=float),
@@ -926,7 +1038,7 @@ def _pending_bits(gamma, lams, mus):
             zip(flagged.tolist(), alpha[flagged].tolist(), beta[flagged].tolist())}
     scalar = {}
     for i, (lam, mu) in enumerate(zip(lams, mus)):
-        roots = spectrum._k0_below(ModelParams(gamma, lam, mu), edge, spectrum.MESH_FLOOR, {})
+        roots = spectrum._k0_roots(ModelParams(gamma, lam, mu), edge, spectrum.MESH_FLOOR)[0]
         assert len(roots) <= 1
         if roots:
             assert roots[0].pinned and roots[0].factor is FactorKind.MAIN_EVEN
