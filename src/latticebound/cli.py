@@ -253,12 +253,16 @@ def _cmd_det(cfg: RunConfig, z: float) -> int:
     K = _point(cfg)
     if exc := spectrum._range_error(spectrum._search_window(params.lam, params.mu), params.g):
         raise exc
+    # every value is computed before the first line prints, so a failure
+    # leaves no partial output
+    lines = []
     if K == ORIGIN:
         at_z = (watson_integrals(z, params.gamma).as_array().tolist(), params.lam, params.mu)
-        print(f"even_main = {_fmt(factor_value(FactorKind.MAIN_EVEN, *at_z))}")
-        print(f"even_sub  = {_fmt(factor_value(FactorKind.SUB_EVEN, *at_z))}")
-        print(f"odd       = {_fmt(factor_value(FactorKind.ODD, *at_z) ** 2)}")
-    print(f"det = {_fmt(secular_det(z, K, params))}")
+        lines = [f"even_main = {_fmt(factor_value(FactorKind.MAIN_EVEN, *at_z))}",
+                 f"even_sub  = {_fmt(factor_value(FactorKind.SUB_EVEN, *at_z))}",
+                 f"odd       = {_fmt(factor_value(FactorKind.ODD, *at_z) ** 2)}"]
+    lines.append(f"det = {_fmt(secular_det(z, K, params))}")
+    print("\n".join(lines))
     return 0
 
 

@@ -4,10 +4,9 @@ The shift p -> p + (pi, pi) maps E_K to e_min + e_max - E_K and leaves the
 interaction unchanged, so the bound states above the band at couplings (lam,
 mu) sit at e_max + d, where d runs over the distances below the band at
 (-lam, -mu).  The curves below the band at (-lam, -mu) are those at (lam,
-mu) negated, bit for bit, so each solver evaluates one side's curves and
-makes one crossing pass over the rows of both sides
-(:func:`_both_sides`), and :func:`_report` places both lists of distances,
-as does the grid oracle.
+mu) negated, bit for bit, so a solve evaluates one side's curves and
+makes one crossing pass over the rows of both sides, and :func:`_report`
+places both lists of distances, as does the grid oracle.
 
 Both solvers count first.  Below the band z is a root of det(I + G J)
 exactly when an eigenvalue of L^T G L (J = L L^T, positive semidefinite)
@@ -22,12 +21,12 @@ distance, so even-multiplicity roots, which a sign scan misses, come out
 whole.  J below the band does not depend on (lam, mu), so each distance
 evaluated serves both sides.
 
-Each scalar solve builds its evaluator once and then pays only for its
-evaluations: what depends on the solve's inputs alone (gamma, (K, gamma),
-the couplings) is computed before the first distance, and each curve
-function is a closure over it.  The engine is handed the curves at the
-bracket ends, which the count already evaluated, and the evaluation at the
-floor also serves the pending-root tests of both sides.
+Both fibers share one scalar solve, :func:`_solve`, which does every step
+that does not depend on the fiber: the window and its range, the
+evaluation at the floor (which also serves the pending-root tests of both
+sides), the crossing pass, merging and placing.  Each public solver hands
+it only what differs by fiber: J at a distance, the curves of J, their row
+tags and mirror order, and the rule for roots below the floor.
 
 Zero fiber: J is block diagonal in the five resolvent moments, so the
 curves are four rows, two of the main even factor, one sub-even and one
@@ -78,6 +77,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -363,14 +363,8 @@ def _pending(lam, mu, g: float, edge: Sequence[float], floor: Sequence[float]) -
     return flag, alpha, beta
 
 
-def _pinned_depth(alpha: float, beta: float) -> float:
-    """exp(alpha / beta), clamped to PINNED_MIN.  A beta that underflowed to
-    zero (S- of order 1e-323) puts the root at the edge, its limit."""
-    return max(math.exp(alpha / beta), PINNED_MIN) if beta else PINNED_MIN
-
-
 # ---------------------------------------------------------------------------
-# one-sided roots and the mirror
+# one-sided roots, the mirror and the scalar solve
 
 
 class _Root(NamedTuple):
@@ -406,25 +400,6 @@ def _mirrored(params: ModelParams) -> ModelParams:
     return ModelParams(params.gamma, -params.lam, -params.mu)
 
 
-def _both_sides(curves: Callable[[float], Sequence[float]], rows: Sequence[tuple],
-                window: float, what: Callable[[int], str]) -> tuple[list[_Root], list[_Root]]:
-    """The roots below and above the band from one :func:`_curve_crossings`
-    pass, unmerged.
-
-    ``curves(d)`` gives the rows below the band at the couplings, then the
-    rows below it at the negated couplings, whose crossings are the roots
-    above; ``rows`` holds the (factor, sector, multiplicity) of each row of
-    one side.  Every evaluated distance brackets the rows of both sides.
-    """
-    n = len(rows)
-    sides: tuple[list[_Root], list[_Root]] = ([], [])
-    for row, d in _curve_crossings(curves, MESH_FLOOR, window,
-                                   lambda row: f"{('below', 'above')[row >= n]} the band, "
-                                               f"{what(row % n)}"):
-        sides[row >= n].append(_Root(d, *rows[row % n]))
-    return sides
-
-
 def _report(K: TorusPoint, params: ModelParams, band: Band, below: list[_Root],
             above: list[_Root]) -> SpectrumReport:
     """The one place where one-sided roots become a report: at e_min - d
@@ -438,6 +413,48 @@ def _report(K: TorusPoint, params: ModelParams, band: Band, below: list[_Root],
                           above=placed(above, band.e_max, 1.0))
 
 
+def _solve(K: TorusPoint, params: ModelParams, band: Band, evaluate: Callable[[float], object],
+           curves_of: Callable[[Callable[[float], object]], Callable[[float], Sequence[float]]],
+           rows: Sequence[tuple], what: Callable[[int], str],
+           mirror: Callable[[Sequence[float]], Sequence[float]],
+           pending: Callable[[ModelParams, object], list[_Root]]) -> SpectrumReport:
+    """The discrete spectrum at fiber K, within |z - edge| <= |lam| + 2|mu| + 1.
+
+    ``evaluate(d)`` gives J at distance d in the fiber's form, and
+    ``curves_of(evaluate)`` the curves below the band at the couplings as
+    a function of d, by row; ``rows`` holds each row's (factor, sector,
+    multiplicity) and ``what(row)`` its name in errors.  ``mirror(eta)``
+    gives the rows at (-lam, -mu), whose crossings are the roots above,
+    from the rows eta, so one :func:`_curve_crossings` pass brackets the
+    rows of both sides with every distance it evaluates.  ``pending(side,
+    floor)`` gives one side's pinned roots between the mesh floor and the
+    edge from J at the floor, which the pass reuses.  Roots within
+    MERGE_TOL merge (:func:`_merge_found`).  Zero couplings have no states,
+    and a window beyond the range raises its :func:`_range_error`.
+    """
+    if params.lam == 0.0 and params.mu == 0.0:
+        return _report(K, params, band, [], [])
+    window = _search_window(params.lam, params.mu)
+    if exc := _range_error(window, params.g):
+        raise exc
+    floor = evaluate(MESH_FLOOR)
+    below = curves_of(lambda d: floor if d == MESH_FLOOR else evaluate(d))
+
+    def curves(d: float) -> Sequence[float]:
+        eta = below(d)
+        return eta + mirror(eta)
+
+    n = len(rows)
+    sides: tuple[list[_Root], list[_Root]] = ([], [])
+    for row, d in _curve_crossings(curves, MESH_FLOOR, window,
+                                   lambda row: f"{('below', 'above')[row >= n]} the band, "
+                                               f"{what(row % n)}"):
+        sides[row >= n].append(_Root(d, *rows[row % n]))
+    for found, side in zip(sides, (params, _mirrored(params))):
+        found += pending(side, floor)
+    return _report(K, params, band, *map(_merge_found, sides))
+
+
 # ---------------------------------------------------------------------------
 # zero-fiber spectrum
 
@@ -448,6 +465,14 @@ _ZERO_FIBER_FACTORS = (
 )
 # (factor, sector, multiplicity) of each row of _k0_curves and _curves_array
 _CURVE_ROWS = _ZERO_FIBER_FACTORS[:1] + _ZERO_FIBER_FACTORS
+
+
+def _pinned_root(alpha: float, beta: float) -> _Root:
+    """The main even root of :func:`_pending` at exp(alpha / beta), clamped
+    to PINNED_MIN.  A beta that underflowed to zero (S- of order 1e-323)
+    puts the root at the edge, its limit."""
+    return _Root(max(math.exp(alpha / beta), PINNED_MIN) if beta else PINNED_MIN,
+                 *_ZERO_FIBER_FACTORS[0], pinned=True)
 
 
 def _k0_curves(params: ModelParams, moments: Callable[[float], tuple[float, ...]]
@@ -478,52 +503,26 @@ def _k0_curves(params: ModelParams, moments: Callable[[float], tuple[float, ...]
     return curves
 
 
-def _k0_roots(params: ModelParams, edge: Sequence[float],
-              window: float) -> tuple[list[_Root], list[_Root]]:
-    """Roots of the three zero-fiber factors below and above the band, merged.
-
-    One pass of :func:`_both_sides` over eight rows: the four of
-    :func:`_k0_curves` and those at (-lam, -mu), which are the first four
-    negated in the order (main even larger, smaller, sub-even, odd), bit
-    for bit.  Each root takes the (factor, sector, multiplicity) of its row,
-    as in :func:`_k0_batch`, and each side's main even factor also gets the
-    pinned root of :func:`_pending` at ``edge``, on the moments that the
-    pass evaluated at the floor.
-    """
-    gamma = params.gamma
-    floor = moments_below(MESH_FLOOR, gamma)
-    below = _k0_curves(params, lambda d: floor if d == MESH_FLOOR else moments_below(d, gamma))
-
-    def curves(d: float) -> tuple[float, ...]:
-        small, big, sub, odd = eta = below(d)
-        return eta + (-big, -small, -sub, -odd)
-
-    sides = _both_sides(curves, _CURVE_ROWS, window, lambda row: f"{_CURVE_ROWS[row][0].value} curve")
-    for found, side in zip(sides, (params, _mirrored(params))):
-        flag, alpha, beta = _pending(side.lam, side.mu, side.g, edge, floor)
-        if flag:
-            found.append(_Root(_pinned_depth(alpha, beta), *_ZERO_FIBER_FACTORS[0], pinned=True))
-    return tuple(map(_merge_found, sides))
-
-
 def spectrum_k0(params: ModelParams) -> SpectrumReport:
     """Full discrete spectrum at zero fiber via the factored determinant.
 
-    Roots of the three factors are found below the band at (lam, mu) and at
-    (-lam, -mu), the latter mirrored above it, within |z - edge| <= |lam| +
-    2|mu| + 1, in one crossing pass (:func:`_k0_roots`).  Coincident roots
-    are merged with summed multiplicity; odd-factor roots carry
-    multiplicity 2.  The moments are closed forms, so no tolerance applies,
-    and :func:`_curve_crossings` bounds the work.  The band is [0, 4g].
+    :func:`_solve` on the four rows of :func:`_k0_curves`, with the moments
+    of :func:`moments_below` at each distance; the rows at (-lam, -mu) are
+    these negated in the order (main even larger, smaller, sub-even, odd).
+    Each side's main even factor also gets the pinned root of
+    :func:`_pending`.  Odd-factor roots carry multiplicity 2, and the band
+    is [0, 4g].
     """
-    band = Band(0.0, 4.0 * params.g, ORIGIN, TorusPoint(math.pi, math.pi))
-    if params.lam == 0.0 and params.mu == 0.0:
-        return _report(ORIGIN, params, band, [], [])
-    window = _search_window(params.lam, params.mu)
-    if exc := _range_error(window, params.g):
-        raise exc
-    return _report(ORIGIN, params, band,
-                   *_k0_roots(params, calibrate_edge_constants(params.gamma), window))
+    gamma, edge = params.gamma, calibrate_edge_constants(params.gamma)
+
+    def pending(side: ModelParams, floor: tuple[float, ...]) -> list[_Root]:
+        flag, alpha, beta = _pending(side.lam, side.mu, side.g, edge, floor)
+        return [_pinned_root(alpha, beta)] if flag else []
+
+    return _solve(ORIGIN, params, Band(0.0, 4.0 * params.g, ORIGIN, TorusPoint(math.pi, math.pi)),
+                  lambda d: moments_below(d, gamma), partial(_k0_curves, params), _CURVE_ROWS,
+                  lambda row: f"{_CURVE_ROWS[row][0].value} curve",
+                  lambda eta: (-eta[1], -eta[0], -eta[2], -eta[3]), pending)
 
 
 def _curves_array(lam: np.ndarray, mu: np.ndarray, s) -> np.ndarray:
@@ -613,8 +612,7 @@ def _k0_batch(gamma: float, lams: Sequence[float],
             f"({lam[p]}, {mu[p]}) did not converge (status {status[i]}) in {nit[i]} iterations")
     flag, alpha, beta = _pending(lam, mu, g, calibrate_edge_constants(gamma), floor)
     for p in np.flatnonzero(flag).tolist():
-        found[p].append(_Root(_pinned_depth(float(alpha[p]), float(beta[p])),
-                              *_ZERO_FIBER_FACTORS[0], pinned=True))
+        found[p].append(_pinned_root(float(alpha[p]), float(beta[p])))
     merged = [_merge_found(f) for f in found]
     return [failed.get(b) or failed.get(a) or (merged[b], merged[a])
             for b, a in zip(below, above)]
@@ -787,49 +785,24 @@ def _pending_count(fiber: FiberGram, params: ModelParams, even_floor: np.ndarray
 _GENERAL_ROWS = ((FactorKind.GENERAL, Sector.MIXED, 1),) * 5
 
 
-def _general_roots(K: TorusPoint, params: ModelParams,
-                   window: float) -> tuple[list[_Root], list[_Root]]:
-    """Roots below and above the band at fiber K, one per crossing of a
-    curve, merged.
-
-    One pass of :func:`_both_sides` over ten rows: the five of
-    :func:`_fiber_curves` and those at (-lam, -mu), which are the first
-    five negated in reverse order, bit for bit.  Each side also gets the
-    pinned roots of :func:`_pending_count`, on the blocks that the pass
-    evaluated at the floor.  One :class:`FiberGram` evaluates J.
-    """
-    fiber = FiberGram(K, params.gamma)
-    floor = fiber.blocks(MESH_FLOOR)
-    below = _fiber_curves(K, params, lambda d: floor if d == MESH_FLOOR else fiber.blocks(d))
-
-    def curves(d: float) -> list[float]:
-        eta = below(d)
-        return eta + [-v for v in reversed(eta)]
-
-    sides = _both_sides(curves, _GENERAL_ROWS, window, "curve {}".format)
-    for found, side in zip(sides, (params, _mirrored(params))):
-        found += [_Root(PINNED_MIN, *_GENERAL_ROWS[0], pinned=True)] * _pending_count(
-            fiber, side, floor[0])
-    return tuple(map(_merge_found, sides))
-
-
 def spectrum_general(K: TorusPoint, params: ModelParams) -> SpectrumReport:
     """Discrete spectrum at an arbitrary fiber.
 
-    Counts the Birman-Schwinger curves below -1 at the mesh floor and at
-    the window, then solves each curve that crosses -1 in between (see
-    :func:`_curve_crossings`), for both sides in one pass
-    (:func:`_general_roots`); crossings within MERGE_TOL merge into one
-    root of their number's multiplicity.  Roots between the mesh floor and
-    the edge are counted from the edge limit of the Gram matrix (see
-    :func:`_pending_count`).  :func:`_curve_crossings` bounds the work.
+    :func:`_solve` on the five rows of :func:`_fiber_curves`, with the Gram
+    blocks of one :class:`FiberGram` at each distance; the rows at (-lam,
+    -mu) are these negated in reverse order.  Roots between the mesh floor
+    and the edge are counted from the edge limit of the Gram matrix (see
+    :func:`_pending_count`) and pinned at PINNED_MIN.  A flat fiber takes
+    :func:`_degenerate_spectrum`.
     """
     band = band_edges(K, params)
     if band.degenerate:
         return _degenerate_spectrum(K, params, band)
-    if params.lam == 0.0 and params.mu == 0.0:
-        return _report(K, params, band, [], [])
-    window = _search_window(params.lam, params.mu)
-    if exc := _range_error(window, params.g):
-        raise exc
-    return _report(K, params, band, *_general_roots(K, params, window))
+    fiber = FiberGram(K, params.gamma)
+
+    def pending(side: ModelParams, floor: GramBlocks) -> list[_Root]:
+        return [_Root(PINNED_MIN, *_GENERAL_ROWS[0], pinned=True)] * _pending_count(
+            fiber, side, floor[0])
+
+    return _solve(K, params, band, fiber.blocks, partial(_fiber_curves, K, params), _GENERAL_ROWS,
+                  "curve {}".format, lambda eta: [-v for v in reversed(eta)], pending)

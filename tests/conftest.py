@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from latticebound import spectrum
 from latticebound.integrals import Side, watson_integrals_at
 from panel_rule import geometric_panels, panel_nodes
 
@@ -93,3 +94,26 @@ def quadrature_moments(side: Side, delta: float, gamma: float) -> np.ndarray:
 def moment_quadrature():
     """The panel quadrature the closed-form moments replaced, as a reference."""
     return quadrature_moments
+
+
+def solved_sides(solve, *args):
+    """Run a scalar solve; return its report and the merged roots below and
+    above the band that it hands to ``spectrum._report``."""
+    handed = []
+    place = spectrum._report
+
+    def recording(K, params, band, below, above):
+        handed.append((below, above))
+        return place(K, params, band, below, above)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "_report", recording)
+        report = solve(*args)
+    (below, above), = handed
+    return report, below, above
+
+
+@pytest.fixture(scope="session")
+def scalar_sides():
+    """The roots of a scalar solve before they become its report."""
+    return solved_sides

@@ -13,7 +13,6 @@ from latticebound.atlas import (_axis_values, binding_thresholds, classify,
                                 predicted_counts, sweep, threshold_scan)
 from latticebound.core import ORIGIN, ModelParams, TorusPoint, band_edges
 from latticebound.errors import DomainError, ToleranceError
-from latticebound.integrals import calibrate_edge_constants
 from latticebound.oracle import oracle_counts
 from latticebound.spectrum import FactorKind, spectrum_k0
 from published_table import published_thresholds
@@ -263,7 +262,7 @@ def _shape(roots):
 
 @pytest.mark.parametrize(
     "gamma", [1.0, *np.random.default_rng(17).uniform(0.3, 3.0, 3).round(4).tolist()])
-def test_batched_sweep_matches_the_scalar_solver(gamma):
+def test_batched_sweep_matches_the_scalar_solver(gamma, scalar_sides):
     # gamma = 1 and three random gammas; every K = 0 row of a sweep comes
     # from the batch; the scalar solver's two sides must give the same roots,
     # factors, sectors, multiplicities and pinned flags, with depths within
@@ -273,12 +272,10 @@ def test_batched_sweep_matches_the_scalar_solver(gamma):
     batch = spectrum._k0_batch(gamma, lams, mus)
     assert len(rows) == len(batch) == 2401
     assert not any(isinstance(point, ToleranceError) for point in batch)
-    edge, top = calibrate_edge_constants(gamma), 4.0 * (1.0 + gamma)
+    top = 4.0 * (1.0 + gamma)
     for row, lam, mu, (below, above) in zip(rows, lams, mus, batch):
-        ref = spectrum_k0(ModelParams(gamma, lam, mu))
+        ref, *scalar = scalar_sides(spectrum_k0, ModelParams(gamma, lam, mu))
         assert (row.comp_below, row.comp_above) == (ref.n_below, ref.n_above)
-        scalar = spectrum._k0_roots(ModelParams(gamma, lam, mu), edge,
-                                    spectrum._search_window(lam, mu))
         for got, want, eigs, place in ((below, scalar[0], row.eigs_below, lambda d: -d),
                                        (above, scalar[1], row.eigs_above, lambda d: top + d)):
             assert _shape(got) == _shape(want), (lam, mu)

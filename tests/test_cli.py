@@ -274,6 +274,16 @@ def test_zero_fiber_dispatch_reads_the_wrapped_fiber(capsys, command):
     assert "[odd]" in at_origin or "odd       =" in at_origin
 
 
+@pytest.mark.parametrize("z", ["1e300", "-1e-300"])
+def test_det_that_fails_prints_nothing(capsys, z):
+    # at K = 0 the three factors read these distances without complaint and
+    # the 5x5 determinant fails: the failure leaves no factor lines behind
+    assert main(["det", "--lambda", "1", "--mu", "1", f"--z={z}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: distance 1e")
+
+
 def test_det_inside_band_maps_to_numerical_failure(capsys):
     assert main(["det", "--z", "1.0", "--lambda", "1", "--mu", "1"]) == 3
     assert "numerical failure" in capsys.readouterr().err

@@ -690,8 +690,7 @@ def _three_pass_k0_below(params):
     edge = (models["a"].log_slope, *(m.offset for m in models.values()))
     flag, alpha, beta = spectrum._pending(lam, mu, params.g, edge, moments(spectrum.MESH_FLOOR))
     if flag:
-        found.append(spectrum._Root(spectrum._pinned_depth(alpha, beta),
-                                    *spectrum._ZERO_FIBER_FACTORS[0], pinned=True))
+        found.append(spectrum._pinned_root(alpha, beta))
     return spectrum._merge_found(found)
 
 
@@ -714,7 +713,7 @@ def _on_a_curve(params, d):
     return any(abs(v + 1.0) <= 64.0 * spectrum._EPS * abs(v) for v in eta)
 
 
-def test_one_pass_over_the_rows_is_the_pass_per_factor():
+def test_one_pass_over_the_rows_is_the_pass_per_factor(scalar_sides):
     # the same states with the same multiplicities, factors, sectors and
     # pinned flags on each side.  The brackets differ, so the depths may
     # move: by at most 1e-12 of the depth, unless the crossing's curve is
@@ -722,8 +721,7 @@ def test_one_pass_over_the_rows_is_the_pass_per_factor():
     # 1e-12 (a shallow odd root, where mu f is flat, moves by 1.6e-11)
     states, unresolved, kinds = 0, 0, set()
     for gamma, lam, mu in _k0_reference_draws():
-        sides = spectrum._k0_roots(ModelParams(gamma, lam, mu), calibrate_edge_constants(gamma),
-                                   spectrum._search_window(lam, mu))
+        _, *sides = scalar_sides(spectrum_k0, ModelParams(gamma, lam, mu))
         for sign, got in zip((1.0, -1.0), sides):
             params = ModelParams(gamma, sign * lam, sign * mu)
             want = _three_pass_k0_below(params)
@@ -768,8 +766,7 @@ def _two_pass_k0(params):
 
     def pending(p):
         flag, alpha, beta = spectrum._pending(p.lam, p.mu, p.g, edge, moments(spectrum.MESH_FLOOR))
-        return [spectrum._Root(spectrum._pinned_depth(alpha, beta),
-                               *spectrum._ZERO_FIBER_FACTORS[0], pinned=True)] if flag else []
+        return [spectrum._pinned_root(alpha, beta)] if flag else []
 
     return _two_pass(lambda p: spectrum._k0_curves(p, moments), spectrum._CURVE_ROWS, pending,
                      params)
@@ -807,7 +804,7 @@ def _fiber_reference_draws(n, seed):
 
 
 @pytest.mark.parametrize("fiber", ["zero", "general"])
-def test_one_pass_for_both_sides_is_the_pass_per_side(fiber):
+def test_one_pass_for_both_sides_is_the_pass_per_side(fiber, scalar_sides):
     # the same states with the same factors, sectors, multiplicities and
     # pinned flags on each side.  The one pass brackets each side's rows
     # also with the other side's distances, so the depths may move: by at
@@ -819,14 +816,14 @@ def test_one_pass_for_both_sides_is_the_pass_per_side(fiber):
         cases = list(_fiber_reference_draws(500, 71))
     states, moved, unresolved, pinned = 0, 0, 0, 0
     for K, params in cases:
-        window = spectrum._search_window(params.lam, params.mu)
         if fiber == "zero":
-            got = spectrum._k0_roots(params, calibrate_edge_constants(params.gamma), window)
+            _, *got = scalar_sides(spectrum_k0, params)
             want = _two_pass_k0(params)
             curves = [spectrum._k0_curves(p, lambda d: integrals.moments_below(d, p.gamma))
                       for p in (params, spectrum._mirrored(params))]
         else:
-            got, want = spectrum._general_roots(K, params, window), _two_pass_general(K, params)
+            _, *got = scalar_sides(spectrum_general, K, params)
+            want = _two_pass_general(K, params)
             curves = [spectrum._fiber_curves(K, p, FiberGram(K, p.gamma).blocks)
                       for p in (params, spectrum._mirrored(params))]
         for a_side, b_side, side_curves in zip(got, want, curves):
@@ -981,13 +978,7 @@ def test_engine_statuses(f, a, b, maxiter, status):
     assert math.isnan(ref_x[0]) == (status in (-1, -3))
 
 
-def _scalar_roots(gamma, lam, mu):
-    """The scalar solver's merged roots below the band at zero fiber."""
-    return spectrum._k0_roots(ModelParams(gamma, lam, mu), calibrate_edge_constants(gamma),
-                              spectrum._search_window(lam, mu))[0]
-
-
-def test_zero_coupling_is_empty():
+def test_zero_coupling_is_empty(scalar_sides):
     params = ModelParams(1.0, 0.0, 0.0)
     assert spectrum_k0(params).n_below == 0
     assert spectrum_k0(params).n_above == 0
@@ -1000,7 +991,7 @@ def test_zero_coupling_is_empty():
     assert batch == [([], []), ([], [])]
     (a, b), (c, d) = batch
     assert a is b is c is d
-    assert a == _scalar_roots(1.0, 0.0, 0.0)
+    assert a == scalar_sides(spectrum_k0, ModelParams(1.0, 0.0, 0.0))[1]
     assert spectrum._k0_batch(1.0, [], []) == []
 
 
@@ -1023,27 +1014,24 @@ def test_rank_bound_on_random_draws():
 
 
 def _pending_bits(gamma, lams, mus):
-    """The pending depths of the batch mask and of the scalar test, by
-    index, as hex strings (equal strings are equal bits).  The mask is
-    :func:`spectrum._pending` on arrays, as the batch calls it; the scalar
-    test is the scalar solver's side below the band with its window at the
-    mesh floor, where no curve can cross, so it returns the pending root
-    alone."""
-    edge = calibrate_edge_constants(gamma)
-    floor = integrals.moments_below(spectrum.MESH_FLOOR, gamma)
-    flag, alpha, beta = spectrum._pending(np.array(lams, dtype=float),
-                                          np.array(mus, dtype=float), 1.0 + gamma, edge, floor)
-    flagged = np.flatnonzero(flag)
-    mask = {i: spectrum._pinned_depth(a, b) for i, a, b in
-            zip(flagged.tolist(), alpha[flagged].tolist(), beta[flagged].tolist())}
+    """The pinned depths below the band of the batch and of the scalar
+    solver, by index, as hex strings (equal strings are equal bits).  The
+    batch pins the roots of :func:`spectrum._pending` on arrays; the scalar
+    solver's are the pinned states of the public reports, at z = -d."""
+    mask = {}
+    for i, (below, _) in enumerate(spectrum._k0_batch(gamma, lams, mus)):
+        pinned = [r for r in below if r.pinned]
+        assert len(pinned) <= 1
+        if pinned:
+            mask[i] = pinned[0].d.hex()
     scalar = {}
     for i, (lam, mu) in enumerate(zip(lams, mus)):
-        roots = spectrum._k0_roots(ModelParams(gamma, lam, mu), edge, spectrum.MESH_FLOOR)[0]
-        assert len(roots) <= 1
-        if roots:
-            assert roots[0].pinned and roots[0].factor is FactorKind.MAIN_EVEN
-            scalar[i] = roots[0].d.hex()
-    return {i: d.hex() for i, d in mask.items()}, scalar
+        pinned = [ev for ev in spectrum_k0(ModelParams(gamma, lam, mu)).below if ev.pinned]
+        assert len(pinned) <= 1
+        if pinned:
+            assert pinned[0].factor is FactorKind.MAIN_EVEN
+            scalar[i] = (-pinned[0].z).hex()
+    return mask, scalar
 
 
 def _on_the_hyperbola(mu, g):
@@ -1214,17 +1202,17 @@ def test_deep_main_even_root_near_the_hyperbola(lam, mu):
 
 
 @pytest.mark.parametrize("lam", [-1e-300, -5e-324])
-def test_weakest_attraction_binds_at_the_edge(lam):
+def test_weakest_attraction_binds_at_the_edge(lam, scalar_sides):
     # in two dimensions any on-site attraction binds; at -5e-324 the edge
     # slope of the main even factor underflows to -0.0, and the root is
     # still pinned at the edge instead of dividing by zero
-    rep = spectrum_k0(ModelParams(1.0, lam, 0.0))
+    rep, scalar_below, _ = scalar_sides(spectrum_k0, ModelParams(1.0, lam, 0.0))
     assert [(ev.z, ev.pinned) for ev in rep.below] == [(-spectrum.PINNED_MIN, True)]
     assert rep.above == ()
     # the batch finds the same pinned root, bit for bit, and none above
     (below, above), = spectrum._k0_batch(1.0, [lam], [0.0])
-    assert below == _scalar_roots(1.0, lam, 0.0)
-    assert above == _scalar_roots(1.0, -lam, -0.0) == []
+    assert below == scalar_below
+    assert above == scalar_sides(spectrum_k0, ModelParams(1.0, -lam, -0.0))[1] == []
 
 
 def test_general_root_just_below_the_mesh_floor():
