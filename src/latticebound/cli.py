@@ -456,7 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "K_list", "workers", "out")
     p_orc = command("oracle", "discrete-grid reference spectrum", *fiber, "grid_N")
     p_orc.add_argument("--dense", action="store_true",
-                       help="full dense eigensolve instead of the secular scan")
+                       help="full dense eigensolve instead of the secular scan, "
+                            "at N = min(N, 48)")
     sub.add_parser("verify", help="run the self-check suite")
     return parser
 

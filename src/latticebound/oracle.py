@@ -29,8 +29,9 @@ the band is -P J(d) P with P = diag(1, -1, -1, -1, -1).
 The jump counter therefore evaluates below the band only, and the states
 above it at (lam, mu) are the states below it at (-lam, -mu).  Both the
 jump counter and the dense check hand their distances from the grid band
-to :func:`~latticebound.spectrum._report`, which places them as it places
-the continuum roots.
+to :func:`~latticebound.spectrum._report`, which merges and places them by
+the rule of the continuum roots: roots within MERGE_TOL = 1e-9 of each
+other are one state, the dense check's one eigenvalue each.
 
 Three entry points:
 
@@ -56,7 +57,6 @@ from .spectrum import (FactorKind, Sector, SpectrumReport, _delta_mesh_size, _re
 
 TWO_PI = 2.0 * math.pi
 _SQRT2 = math.sqrt(2.0)
-CLUSTER_GAP = 1e-8   # dense eigenvalues this close merge into one state
 GRID_FLOOR = 1e-11   # smallest distance the oracle evaluates
 MESH_LIMIT = 20000   # most mesh distances one side of an oracle call evaluates
 
@@ -186,31 +186,18 @@ def dense_validate(K: TorusPoint, params: ModelParams, n: int = 32) -> SpectrumR
     """Brute-force check: diagonalize the full grid matrix.
 
     Limited to n <= 48 (the matrix is n^2 x n^2).  Eigenvalues outside the
-    discrete band by a relative margin are the bound states; values within
-    ``CLUSTER_GAP`` of each other merge into one entry with multiplicity.
+    discrete band by a relative margin are the bound states, one root each;
+    :func:`_report` merges them into states.
     """
     if n > 48:
         raise ValueError(f"dense validation is limited to n <= 48, got {n}")
     model = GridModel.build(K, params, n)
     band = model.band
     ev = np.linalg.eigvalsh(model.dense_matrix())
-    margin_lo = 1e-10 * (1.0 + abs(band.e_min))
-    margin_hi = 1e-10 * (1.0 + abs(band.e_max))
-    below = ev[ev < band.e_min - margin_lo]
-    above = ev[ev > band.e_max + margin_hi]
-
-    def cluster(vals: np.ndarray, edge: float) -> list[tuple[float, int]]:
-        out: list[tuple[float, int]] = []
-        for v in vals:
-            d = abs(v - edge)
-            if out and abs(d - out[-1][0]) <= CLUSTER_GAP:
-                out[-1] = (out[-1][0], out[-1][1] + 1)
-            else:
-                out.append((d, 1))
-        return out
-
-    return _report(K, params, band, _roots(cluster(below, band.e_min)),
-                   _roots(cluster(above, band.e_max)))
+    below = ev[ev < band.e_min - 1e-10 * (1.0 + abs(band.e_min))].tolist()
+    above = ev[ev > band.e_max + 1e-10 * (1.0 + abs(band.e_max))].tolist()
+    return _report(K, params, band, _roots([(band.e_min - v, 1) for v in below]),
+                   _roots([(v - band.e_max, 1) for v in above]))
 
 
 def minimax_values(K: TorusPoint, params: ModelParams,

@@ -5,8 +5,13 @@ interaction unchanged, so the bound states above the band at couplings (lam,
 mu) sit at e_max + d, where d runs over the distances below the band at
 (-lam, -mu).  The curves below the band at (-lam, -mu) are those at (lam,
 mu) negated, bit for bit, so a solve evaluates one side's curves and
-makes one crossing pass over the rows of both sides, and :func:`_report`
-places both lists of distances, as does the grid oracle.
+makes one crossing pass over the rows of both sides.
+
+One rule turns roots into states: :func:`_report`, which builds every
+report of both solvers and of the grid oracles, merges a side's roots that
+lie within MERGE_TOL = 1e-9 of each other into one state whose
+multiplicity is their sum (:func:`_merge_found`), and places the states
+ascending in z.  :func:`_k0_batch` builds no report and merges alike.
 
 Both solvers count first.  Below the band z is a root of det(I + G J)
 exactly when an eigenvalue of L^T G L (J = L L^T, positive semidefinite)
@@ -24,7 +29,7 @@ evaluated serves both sides.
 Both fibers share one scalar solve, :func:`_solve`, which does every step
 that does not depend on the fiber: the window and its range, the
 evaluation at the floor (which also serves the pending-root tests of both
-sides), the crossing pass, merging and placing.  Each public solver hands
+sides), the crossing pass and the report.  Each public solver hands
 it only what differs by fiber: J at a distance, the curves of J, their row
 tags and mirror order, and the rule for roots below the floor.
 
@@ -279,8 +284,16 @@ def _chandrupatla(f, a, b, fa, fb, args=(), maxiter=100):
         x1, f1, differ, n = xt, ft, True, n + 1
 
 
-def _curve_crossings(curves: Callable[[float], Sequence[float]], floor: float,
-                     window: float, what: Callable[[int], str]) -> list[tuple[int, float]]:
+def _stalled(above: bool, what: str, status: int, nit: int) -> ToleranceError:
+    """The failure of a crossing of the curve ``what`` below or above the
+    band that did not converge: one text for the scalar solve and the
+    batch, with no couplings in it."""
+    return ToleranceError(f"{('below', 'above')[above]} the band, {what} crossing did not "
+                          f"converge (status {status}) in {nit} iterations")
+
+
+def _curve_crossings(curves: Callable[[float], Sequence[float]], floor: float, window: float,
+                     what: Callable[[int], tuple[bool, str]]) -> list[tuple[int, float]]:
     """Distances in [floor, window] where curves cross -1, by row.
 
     ``curves(d)`` returns the curves at distance d by row; each row is
@@ -294,10 +307,10 @@ def _curve_crossings(curves: Callable[[float], Sequence[float]], floor: float,
     tightest bracket that the distances evaluated so far, for any row, give
     row k.  Every distance is evaluated once, the two ends and at most 100
     iterations per crossing, whose bracket ends are known: at most 2 + 100 n
-    for n crossings.  A crossing that does not converge raises
-    :class:`ToleranceError` naming ``what(k)``.  Returns (row, distance)
-    per crossing, by ascending row; the crossings of a multiple root are
-    merged by :func:`_merge_found`.
+    for n crossings.  The first crossing that does not converge raises the
+    :func:`_stalled` error of ``what(k)``, its side and name.  Returns
+    (row, distance) per crossing, by ascending row; :func:`_report` merges
+    the crossings of a multiple root.
     """
     lo, hi = math.log(floor), math.log(window)
     memo = {lo: curves(floor), hi: curves(window)}
@@ -322,8 +335,7 @@ def _curve_crossings(curves: Callable[[float], Sequence[float]], floor: float,
         t, status, nit = _chandrupatla(residual, t_lo, t_hi,
                                        memo[t_lo][k] + 1.0, memo[t_hi][k] + 1.0)
         if status:
-            raise ToleranceError(f"{what(k)} crossing did not converge "
-                                 f"(status {status}) in {nit} iterations")
+            raise _stalled(*what(k), status, nit)
         roots.append((k, floor if t == lo else window if t == hi else math.exp(t)))
     return roots
 
@@ -402,15 +414,17 @@ def _mirrored(params: ModelParams) -> ModelParams:
 
 def _report(K: TorusPoint, params: ModelParams, band: Band, below: list[_Root],
             above: list[_Root]) -> SpectrumReport:
-    """The one place where one-sided roots become a report: at e_min - d
-    below the band and at e_max + d above it, each side ascending in z."""
+    """The one place where one-sided roots become a report, for both
+    solvers and both oracles: a side's roots within MERGE_TOL are one state
+    (:func:`_merge_found`), at e_min - d below the band and at e_max + d
+    above it, ascending in z (merged roots come ascending in d)."""
     def placed(roots: list[_Root], edge: float, sign: float) -> tuple[Eigenvalue, ...]:
-        evs = (Eigenvalue(z=edge + sign * r.d, multiplicity=r.multiplicity, sector=r.sector,
-                          factor=r.factor, pinned=r.pinned) for r in roots)
-        return tuple(sorted(evs, key=lambda ev: ev.z))
+        return tuple(Eigenvalue(z=edge + sign * r.d, multiplicity=r.multiplicity, sector=r.sector,
+                                factor=r.factor, pinned=r.pinned) for r in roots)
 
-    return SpectrumReport(K=K, params=params, band=band, below=placed(below, band.e_min, -1.0),
-                          above=placed(above, band.e_max, 1.0))
+    return SpectrumReport(K=K, params=params, band=band,
+                          below=placed(_merge_found(below)[::-1], band.e_min, -1.0),
+                          above=placed(_merge_found(above), band.e_max, 1.0))
 
 
 def _solve(K: TorusPoint, params: ModelParams, band: Band, evaluate: Callable[[float], object],
@@ -428,9 +442,9 @@ def _solve(K: TorusPoint, params: ModelParams, band: Band, evaluate: Callable[[f
     from the rows eta, so one :func:`_curve_crossings` pass brackets the
     rows of both sides with every distance it evaluates.  ``pending(side,
     floor)`` gives one side's pinned roots between the mesh floor and the
-    edge from J at the floor, which the pass reuses.  Roots within
-    MERGE_TOL merge (:func:`_merge_found`).  Zero couplings have no states,
-    and a window beyond the range raises its :func:`_range_error`.
+    edge from J at the floor, which the pass reuses; :func:`_report` merges
+    the roots.  Zero couplings have no states, and a window beyond the
+    range raises its :func:`_range_error`.
     """
     if params.lam == 0.0 and params.mu == 0.0:
         return _report(K, params, band, [], [])
@@ -447,12 +461,11 @@ def _solve(K: TorusPoint, params: ModelParams, band: Band, evaluate: Callable[[f
     n = len(rows)
     sides: tuple[list[_Root], list[_Root]] = ([], [])
     for row, d in _curve_crossings(curves, MESH_FLOOR, window,
-                                   lambda row: f"{('below', 'above')[row >= n]} the band, "
-                                               f"{what(row % n)}"):
+                                   lambda row: (row >= n, what(row % n))):
         sides[row >= n].append(_Root(d, *rows[row % n]))
     for found, side in zip(sides, (params, _mirrored(params))):
         found += pending(side, floor)
-    return _report(K, params, band, *map(_merge_found, sides))
+    return _report(K, params, band, *sides)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +476,10 @@ _ZERO_FIBER_FACTORS = (
     (FactorKind.SUB_EVEN, Sector.EVEN, 1),
     (FactorKind.ODD, Sector.ODD, 2),
 )
-# (factor, sector, multiplicity) of each row of _k0_curves and _curves_array
+# (factor, sector, multiplicity) of each row of _k0_curves and _curves_array,
+# and its name in errors
 _CURVE_ROWS = _ZERO_FIBER_FACTORS[:1] + _ZERO_FIBER_FACTORS
+_CURVE_NAMES = tuple(f"{factor.value} curve" for factor, _, _ in _CURVE_ROWS)
 
 
 def _pinned_root(alpha: float, beta: float) -> _Root:
@@ -521,7 +536,7 @@ def spectrum_k0(params: ModelParams) -> SpectrumReport:
 
     return _solve(ORIGIN, params, Band(0.0, 4.0 * params.g, ORIGIN, TorusPoint(math.pi, math.pi)),
                   lambda d: moments_below(d, gamma), partial(_k0_curves, params), _CURVE_ROWS,
-                  lambda row: f"{_CURVE_ROWS[row][0].value} curve",
+                  _CURVE_NAMES.__getitem__,
                   lambda eta: (-eta[1], -eta[0], -eta[2], -eta[3]), pending)
 
 
@@ -555,10 +570,12 @@ def _k0_batch(gamma: float, lams: Sequence[float],
     The side above at (lam, mu) is the side below at (-lam, -mu), so each
     distinct problem, with -0.0 read as 0.0, is solved once.  Every step is
     elementwise, so a problem's roots do not depend on the other problems
-    of the batch.  A point fails with the ``ToleranceError`` of a side
-    whose crossing does not converge or whose window is out of range
-    (:func:`_range_error`).  A gamma that is not a positive real and
-    couplings that are not finite raise ``ValueError`` before any solve.
+    of the batch.  A point fails with the ``ToleranceError`` that
+    :func:`spectrum_k0` raises: the :func:`_range_error` of its window, or
+    the :func:`_stalled` error of its first crossing that does not
+    converge, by row below the band and then above it.  A gamma that is
+    not a positive real and couplings that are not finite raise
+    ``ValueError`` before any solve.
     """
     ModelParams(gamma)   # rejects a gamma that is not a positive real
     points = np.column_stack([np.asarray(lams, dtype=float), np.asarray(mus, dtype=float)])
@@ -605,16 +622,18 @@ def _k0_batch(gamma: float, lams: Sequence[float],
     for r, p, d in zip(row[ok].tolist(), prob[ok].tolist(),
                        distance(x[ok], t_hi[ok], ends[ok]).tolist()):
         found[p].append(_Root(d, *_CURVE_ROWS[r]))
+    # the crossings come by row, so a problem keeps its first stalled row
+    stalled: dict[int, tuple[str, int, int]] = {}
     for i in np.flatnonzero(~ok).tolist():
-        p = int(prob[i])
-        failed[p] = ToleranceError(
-            f"{_CURVE_ROWS[row[i]][0].value} curve crossing below the band at (lam, mu) = "
-            f"({lam[p]}, {mu[p]}) did not converge (status {status[i]}) in {nit[i]} iterations")
+        stalled.setdefault(int(prob[i]), (_CURVE_NAMES[row[i]], int(status[i]), int(nit[i])))
     flag, alpha, beta = _pending(lam, mu, g, calibrate_edge_constants(gamma), floor)
     for p in np.flatnonzero(flag).tolist():
         found[p].append(_pinned_root(float(alpha[p]), float(beta[p])))
     merged = [_merge_found(f) for f in found]
-    return [failed.get(b) or failed.get(a) or (merged[b], merged[a])
+    # a point's window is out of range on both sides or on neither
+    return [failed.get(b) or (_stalled(False, *stalled[b]) if b in stalled else
+                              _stalled(True, *stalled[a]) if a in stalled else
+                              (merged[b], merged[a]))
             for b, a in zip(below, above)]
 
 
@@ -707,7 +726,7 @@ def _degenerate_spectrum(K: TorusPoint, params: ModelParams, band: Band) -> Spec
     modes = ((params.lam, 1), (0.5 * params.mu, 4))
     below, above = ([_Root(abs(v), FactorKind.GENERAL, Sector.MIXED, m)
                      for v, m in modes if sign * v > 0.0] for sign in (-1.0, 1.0))
-    return _report(K, params, band, _merge_found(below), _merge_found(above))
+    return _report(K, params, band, below, above)
 
 
 # R^T u, the rank-one edge slope of J in the rotated frame, on the even block;

@@ -97,8 +97,9 @@ def moment_quadrature():
 
 
 def solved_sides(solve, *args):
-    """Run a scalar solve; return its report and the merged roots below and
-    above the band that it hands to ``spectrum._report``."""
+    """Run a scalar solve; return its report and the roots below and above
+    the band that it hands to ``spectrum._report``, merged as the report
+    merges them."""
     handed = []
     place = spectrum._report
 
@@ -110,7 +111,7 @@ def solved_sides(solve, *args):
         mp.setattr(spectrum, "_report", recording)
         report = solve(*args)
     (below, above), = handed
-    return report, below, above
+    return report, spectrum._merge_found(below), spectrum._merge_found(above)
 
 
 @pytest.fixture(scope="session")

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import io
 import math
+from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from latticebound import atlas
 from latticebound.atlas import (binding_thresholds, classify, predicted_counts,
                                 sweep)
 from latticebound.cli import emit_csv
@@ -27,9 +29,8 @@ from latticebound.core import ORIGIN, ModelParams, TorusPoint
 from latticebound.determinants import interaction_weights
 from latticebound.integrals import (Side, predicted_asymptote, watson_integrals,
                                     watson_integrals_at)
-from latticebound.oracle import (CLUSTER_GAP, GridModel, dense_validate, minimax_values,
-                                 oracle_counts)
-from latticebound.spectrum import FactorKind, spectrum_general, spectrum_k0
+from latticebound.oracle import GridModel, dense_validate, minimax_values, oracle_counts
+from latticebound.spectrum import MERGE_TOL, FactorKind, spectrum_general, spectrum_k0
 
 
 def _verdict(num: int, ok: bool, text: str) -> None:
@@ -254,8 +255,9 @@ def _parity_blocks(model: GridModel) -> dict[str, np.ndarray]:
 
 def _sector_validate(params: ModelParams, n: int = 40):
     """:func:`dense_validate` at K = 0 from the four parity blocks: the
-    states on each side (z and multiplicity, with the same margin and
-    CLUSTER_GAP clusters), and the eigenvalues of each block."""
+    states on each side (z and multiplicity, with the same margin, and
+    eigenvalues within MERGE_TOL of a cluster's first one clustered), and
+    the eigenvalues of each block."""
     model = GridModel.build(ORIGIN, params, n)
     band = model.band
     eigs = {s: np.linalg.eigvalsh(h) for s, h in _parity_blocks(model).items()}
@@ -268,7 +270,7 @@ def _sector_validate(params: ModelParams, n: int = 40):
         clusters = []
         for v in vals:
             d = abs(v - edge)
-            if clusters and abs(d - clusters[-1][0]) <= CLUSTER_GAP:
+            if clusters and abs(d - clusters[-1][0]) <= MERGE_TOL:
                 clusters[-1][1] += 1
             else:
                 clusters.append([d, 1])
@@ -303,6 +305,7 @@ def test_criterion_4_two_oracle_agreement():
     failures = []
     positions_compared = 0
     clusters_confirmed = 0
+    widest_gap = 0.0
     for i, params in enumerate(draws):
         cont = spectrum_k0(params)
         grid = oracle_counts(ORIGIN, params, n=256)
@@ -339,8 +342,11 @@ def test_criterion_4_two_oracle_agreement():
                     ok = len(near) == 1 and near[0].multiplicity == 2
                     if blocks is not None:
                         pair = [blocks[s][np.abs(blocks[s] - ev.z) <= 1e-3] for s in ("eo", "oe")]
-                        ok = (ok and all(len(p) == 1 for p in pair)
-                              and abs(pair[0][0] - pair[1][0]) <= CLUSTER_GAP)
+                        ok = ok and all(len(p) == 1 for p in pair)
+                        if ok:
+                            gap = abs(float(pair[0][0] - pair[1][0]))
+                            widest_gap = max(widest_gap, gap)
+                            ok = gap <= MERGE_TOL
                     if ok:
                         clusters_confirmed += 1
                     else:
@@ -350,8 +356,9 @@ def test_criterion_4_two_oracle_agreement():
              f"oracle, {positions_compared} positions at depth >= 0.1 agree "
              f"within 1e-5, dense N=40 (the full matrix on 2 fixed draws, its "
              f"parity blocks on 28) confirms all counts and "
-             f"{clusters_confirmed} double clusters (pair gap < 1e-8; on the "
-             f"blocks one member each in the even-odd and odd-even sectors)"
+             f"{clusters_confirmed} double clusters (pair gap <= MERGE_TOL = "
+             f"{MERGE_TOL:g}, widest {widest_gap:.2e} on the blocks, which hold "
+             f"one member each in the even-odd and odd-even sectors)"
              + (f"; failures: {failures[:4]}" if failures else ""))
 
 
@@ -518,13 +525,31 @@ def test_criterion_7_minimax_monotonicity():
 # criterion 8: sweeps are deterministic across worker counts
 
 
-def test_criterion_8_deterministic_output(full_sweep_pair):
+def _csv_bytes(rows) -> bytes:
+    buf = io.StringIO()
+    emit_csv(rows, buf)
+    return buf.getvalue().encode()
+
+
+def test_criterion_8_deterministic_output(full_sweep_pair, monkeypatch):
     rows1, rows8 = full_sweep_pair
-    buf1, buf8 = io.StringIO(), io.StringIO()
-    emit_csv(rows1, buf1)
-    emit_csv(rows8, buf8)
-    b1 = buf1.getvalue().encode()
-    b8 = buf8.getvalue().encode()
-    _verdict(8, b1 == b8,
-             f"1-worker and 8-worker full sweeps emit byte-identical CSV "
-             f"({len(rows1)} rows, {len(b1)} bytes)")
+    b1, b8 = _csv_bytes(rows1), _csv_bytes(rows8)
+    # K = 0 points never reach the pool: a plane with a nonzero fiber, whose
+    # points the pool serves, is swept with workers 1 and 2
+    started = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(atlas, "ProcessPoolExecutor", RecordingPool)
+    pooled = [sweep((-12.0, 12.0), (-12.0, 12.0), 3.0, gamma=1.0,
+                    K_list=(ORIGIN, TorusPoint(1.0, 0.5)), workers=w) for w in (1, 2)]
+    p1, p2 = map(_csv_bytes, pooled)
+    _verdict(8, b1 == b8 and p1 == p2 and started == [2],
+             f"full K = 0 sweeps with workers 1 and 8 emit byte-identical CSV "
+             f"({len(rows1)} rows, {len(b1)} bytes; K = 0 points solve in-process, "
+             f"so no pool starts), and so do 3-step sweeps with K = (1, 0.5) with "
+             f"workers 1 and 2, whose pool serves the nonzero fiber "
+             f"({len(pooled[0])} rows, {len(p1)} bytes; pools started: {started})")

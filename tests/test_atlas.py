@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -249,6 +250,27 @@ def test_sweep_reports_numerical_failures_per_row(monkeypatch):
     assert not rows[1].agree and rows[1].comp_below is None and rows[1].label is None
     assert rows[1].error.startswith("ToleranceError: ")
     assert "did not converge (status -2)" in rows[1].error
+
+
+@pytest.mark.parametrize("lam, mu, side", [(6.0, 10.0, "above"), (-6.0, -10.0, "below")])
+def test_stalled_crossing_reads_alike_in_spectrum_and_sweep(monkeypatch, lam, mu, side):
+    # every crossing stalls: the scalar solve and the sweep row name the
+    # same side and the same first stalled row; only the iteration count
+    # differs, as the brackets do
+    real = spectrum._chandrupatla
+
+    def stalls(*args, **kwargs):
+        x, status, nit = real(*args, **kwargs)
+        return x, (np.full_like(status, -2) if isinstance(status, np.ndarray) else -2), nit
+
+    monkeypatch.setattr(spectrum, "_chandrupatla", stalls)
+    with pytest.raises(ToleranceError) as scalar:
+        spectrum_k0(ModelParams(1.0, lam, mu))
+    row, = sweep((lam, lam), (mu, mu), 1.0)
+    texts = {re.sub(r"in \d+ iterations", "in N iterations", text)
+             for text in (row.error, f"ToleranceError: {scalar.value}")}
+    assert texts == {f"ToleranceError: {side} the band, main_even curve crossing did not "
+                     f"converge (status -2) in N iterations"}
 
 
 def _plane_points(step: float = 0.5) -> tuple[list[float], list[float]]:

@@ -69,6 +69,19 @@ def test_dense_resolves_double_eigenvalue_as_cluster():
     assert mults == [1, 1, 2]
 
 
+@pytest.mark.parametrize("lam, mu, below, above", [(-3.0, -9.0, (1, 2, 1), ()),
+                                                   (1.0, 10.0, (), (1, 2, 1))],
+                         ids=["below", "above"])
+def test_double_sine_root_has_one_multiplicity_in_every_solver(lam, mu, below, above):
+    # at K1 = K2 the two sine modes give one double root: the continuum
+    # solver, the jump counter and the dense matrix all report it merged
+    K, params = TorusPoint(0.7, 0.7), ModelParams(1.0, lam, mu)
+    for rep in (spectrum_general(K, params), oracle_counts(K, params, n=40),
+                dense_validate(K, params, n=40)):
+        got = tuple(tuple(ev.multiplicity for ev in side) for side in (rep.below, rep.above))
+        assert got == (below, above), rep
+
+
 def test_dense_free_operator_is_purely_diagonal():
     params = ModelParams(0.8, 0.0, 0.0)
     model = GridModel.build(TorusPoint(0.4, 1.3), params, 20)

@@ -479,7 +479,8 @@ def _crossings(curves):
         used.append(d)
         return curves(d)
 
-    pairs = spectrum._curve_crossings(counted, spectrum.MESH_FLOOR, 10.0, "synthetic {}".format)
+    pairs = spectrum._curve_crossings(counted, spectrum.MESH_FLOOR, 10.0,
+                                      lambda k: (False, f"synthetic {k}"))
     return [d for _, d in pairs], len(used)
 
 
@@ -507,6 +508,20 @@ def test_crossings_double_root_merges():
     merged = spectrum._merge_found([
         spectrum._Root(d, FactorKind.GENERAL, Sector.MIXED, 1) for d in roots])
     assert [(r.d, r.multiplicity) for r in merged] == [(pytest.approx(0.37, rel=1e-13), 2)]
+
+
+def test_report_merges_and_places_the_roots_it_is_given():
+    # unsorted and unmerged roots, as the grid oracles hand them over: the
+    # two within MERGE_TOL are one state, and each side is ascending in z
+    def root(d):
+        return spectrum._Root(d, FactorKind.GENERAL, Sector.MIXED, 1)
+
+    band = core.Band(-1.0, 7.0, ORIGIN, TorusPoint(math.pi, math.pi))
+    roots = [root(0.5), root(0.25 + 0.5 * spectrum.MERGE_TOL), root(0.25), root(0.75)]
+    rep = spectrum._report(ORIGIN, ModelParams(1.0, 1.0, 1.0), band, roots, roots[::-1])
+    assert [(ev.z, ev.multiplicity) for ev in rep.below] == [(-1.75, 1), (-1.5, 1), (-1.25, 2)]
+    assert [(ev.z, ev.multiplicity) for ev in rep.above] == [(7.25, 2), (7.5, 1), (7.75, 1)]
+    assert (rep.n_below, rep.n_above) == (4, 4)
 
 
 def test_merge_found_returns_short_lists_as_given():
@@ -606,7 +621,7 @@ def test_row_selection_is_the_count_range_on_ascending_curves(ends):
     def count(eta):
         return sum(v < -1.0 for v in eta)
 
-    pairs = spectrum._curve_crossings(curves, floor, window, "curve {}".format)
+    pairs = spectrum._curve_crossings(curves, floor, window, lambda k: (False, f"curve {k}"))
     assert [k for k, _ in pairs] == list(range(count(at_window), count(at_floor)))
     assert all(floor <= d <= window for _, d in pairs)
 
@@ -748,7 +763,7 @@ def _two_pass(curves, rows, pending, params):
     sides = []
     for p in (params, spectrum._mirrored(params)):
         crossings = spectrum._curve_crossings(curves(p), spectrum.MESH_FLOOR, window,
-                                              "curve {}".format)
+                                              lambda k: (False, f"curve {k}"))
         found = [spectrum._Root(d, *rows[row]) for row, d in crossings]
         sides.append(spectrum._merge_found(found + pending(p)))
     return sides
